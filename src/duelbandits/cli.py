@@ -59,6 +59,14 @@ def _collect(args: argparse.Namespace, fixed: Optional[dict] = None) -> dict:
     return data
 
 
+def _report_failures(aggregate: dict) -> int:
+    """Print each failed seed to stderr; exit code 1 if there was any."""
+    failed = aggregate["failed"]
+    for f in failed:
+        print(f"seed {f['seed']} failed: {f['error']}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config(_collect(args))
     result = run_experiment(cfg)
@@ -66,14 +74,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if cfg.scenario == "bench":
         print(format_bench_table(result.aggregate))
         print(f"artifacts in {result.output_dir}")
-        return 0
+        return _report_failures(result.aggregate)
     completed = result.aggregate.get("seeds_completed", len(result.summaries))
     print(f"{completed}/{len(cfg.seeds)} seeds completed; "
           f"artifacts in {result.output_dir}")
     for metric, stats in result.aggregate.get("metrics", {}).items():
         print(f"  {metric}: median {stats['median']:.6g} "
               f"[q25 {stats['q25']:.6g}, q75 {stats['q75']:.6g}]")
-    return 0
+    return _report_failures(result.aggregate)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -86,7 +94,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     result = run_experiment(cfg)
     print(format_bench_table(result.aggregate))
     print(f"artifacts in {result.output_dir}")
-    return 0
+    return _report_failures(result.aggregate)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .exceptions import ConfigError
+from .linkmath import kappa_bound
 from .onepass import RADIUS_MODES, default_regularization, default_step_size
 
 __all__ = ["ExperimentConfig", "parse_config", "mix_seed", "resolve_seeds"]
@@ -155,6 +157,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key in ("B", "L", "delta", "lambda0"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"configuration key '{key}' must be positive, got {getattr(cfg, key)}")
+    try:
+        kappa = kappa_bound(cfg.B, cfg.L)
+    except OverflowError:
+        kappa = math.inf
+    if not math.isfinite(kappa):
+        raise ConfigError(f"configuration key 'B' is too large for L={cfg.L}: "
+                          f"kappa = 3 + exp(2*B*L) is not finite at B={cfg.B}")
     if cfg.delta > 1:
         raise ConfigError(f"configuration key 'delta' must lie in (0, 1], got {cfg.delta}")
     if not (0.0 <= cfg.coverage_skew <= 1.0):

@@ -101,17 +101,26 @@ _FINAL_METRICS = {
 }
 
 
+def _failed_seeds(summaries: List[dict]) -> List[dict]:
+    """Seeds that raised or aborted, with why, sorted by seed."""
+    failed = [{"seed": s["seed"], "error": s["error"] if "error" in s
+               else f"aborted: {s['aborted']}"}
+              for s in summaries if "error" in s or s.get("aborted") is not None]
+    return sorted(failed, key=lambda f: f["seed"])
+
+
 def aggregate_summaries(summaries: List[dict], scenario: str) -> dict:
     """Medians and quartiles of final metrics across completed seeds.
 
     Invariant to the order summaries arrive in: everything reported is either
-    a rank statistic or a count.
+    a rank statistic, a count, or the seed-sorted list of failed seeds.
     """
     completed = [s for s in summaries if s.get("aborted") is None and "error" not in s]
     out = {
         "scenario": scenario,
         "seeds_total": len(summaries),
         "seeds_completed": len(completed),
+        "failed": _failed_seeds(summaries),
         "metrics": {},
     }
     for metric in _FINAL_METRICS.get(scenario, ()):
@@ -197,6 +206,7 @@ def _run_bench(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         "early_window": list(early),
         "late_window": list(late),
         "estimators": table,
+        "failed": _failed_seeds(summaries),
     }
     (out_dir / "bench.json").write_text(
         json.dumps(aggregate, indent=2, sort_keys=True), encoding="utf-8")

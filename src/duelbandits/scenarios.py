@@ -157,9 +157,13 @@ def subopt(policy: Policy, env: Environment) -> float:
     return float(np.dot(env.rho, gap))
 
 
+def _quad_forms(rows: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Row-wise z M z^T: one BLAS product, then a row dot."""
+    return np.einsum("ij,ij->i", rows @ M, rows)
+
+
 def _penalized_norms(rows: np.ndarray, norm_inv: np.ndarray) -> np.ndarray:
-    qf = np.einsum("ij,jk,ik->i", rows, norm_inv, rows)
-    return np.sqrt(np.clip(qf, 0.0, None))
+    return np.sqrt(np.maximum(_quad_forms(rows, norm_inv), 0.0))
 
 
 def pessimistic_value(policy: Policy, theta: np.ndarray, norm_inv: np.ndarray,
@@ -196,10 +200,18 @@ def pessimistic_policy(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
             f"enumerate mode would scan {n_policies} policies (> {ENUMERATE_BUDGET}); "
             "use mode='greedy_percontext'"
         )
-    avg = np.zeros((1, d))
+    # Expand the table one context at a time, carrying each partial policy's
+    # linear value and quadratic form, q(p + r) = q(p) + 2 (p M).r + r M r^T,
+    # so the full A**X x d table of averaged features is never formed.
+    lin, quad, prefix = np.zeros(1), np.zeros(1), np.zeros((1, d))
     for x in range(X):
-        avg = (avg[:, None, :] + env.rho[x] * phi[x][None, :, :]).reshape(-1, d)
-    values = avg @ theta - beta * _penalized_norms(avg, norm_inv)
+        rows = env.rho[x] * phi[x]
+        cross = (prefix @ norm_inv) @ rows.T
+        lin = (lin[:, None] + rows @ theta).ravel()
+        quad = (quad[:, None] + 2.0 * cross + _quad_forms(rows, norm_inv)).ravel()
+        if x < X - 1:
+            prefix = (prefix[:, None, :] + rows[None, :, :]).reshape(-1, d)
+    values = lin - beta * np.sqrt(np.maximum(quad, 0.0))
     best = int(np.argmax(values))
     actions = np.empty(X, dtype=int)
     for x in range(X - 1, -1, -1):
@@ -214,9 +226,7 @@ def select_most_uncertain(env: Environment, norm_inv: np.ndarray) -> Tuple[int, 
     Unordered pairs a < a' only, since the norm is symmetric in the two actions;
     ties resolve to the lexicographically smallest tuple.
     """
-    Z = env.pair_diffs()
-    qf = np.einsum("ij,jk,ik->i", Z, norm_inv, Z)
-    idx = int(np.argmax(qf))
+    idx = int(np.argmax(_quad_forms(env.pair_diffs(), norm_inv)))
     pairs = env.action_pairs()
     x, rest = divmod(idx, len(pairs))
     a, b = pairs[rest]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from duelbandits import runner
 from duelbandits.cli import main
 from duelbandits.config import mix_seed, parse_config, resolve_seeds
 from duelbandits.exceptions import ConfigError
@@ -64,6 +65,12 @@ class TestParseConfig:
         echoed = parse_config(json.loads(cfg.echo_json()))
         assert echoed == cfg
 
+    def test_overflowing_kappa_names_B(self):
+        # kappa_bound = 3 + exp(2*B*L) overflows a double past 2*B*L ~ 709.78
+        with pytest.raises(ConfigError, match="'B'"):
+            parse_config({"scenario": "deploy", "B": 400})
+        assert parse_config({"scenario": "deploy", "B": 350}).B == 350.0
+
     def test_explicit_seed_list(self):
         cfg = parse_config({"scenario": "deploy", "seeds": [5, 6, 7]})
         assert cfg.seeds == [5, 6, 7]
@@ -98,6 +105,7 @@ class TestRunExperiment:
         assert echoed == cfg
         agg = json.loads((out / "aggregate.json").read_text())
         assert agg["seeds_completed"] == 3
+        assert agg["failed"] == []
         assert "cum_regret" in agg["metrics"]
         summary = json.loads(summaries[0].read_text())
         assert summary["config"]["T"] == 50
@@ -172,6 +180,32 @@ class TestCli:
         assert code == 0
         assert len(list((tmp_path / "cli").glob("*.csv"))) == 2
         assert "seeds completed" in capsys.readouterr().out
+
+    def test_overflowing_B_exits_2(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "deploy", "--B", "400", "--T", "50",
+                     "--seeds", "1", "--out", str(tmp_path / "big")])
+        assert code == 2
+        assert "'B'" in capsys.readouterr().err
+        assert not (tmp_path / "big").exists()
+
+    def test_failed_seed_exits_nonzero_and_is_listed(self, tmp_path, capsys, monkeypatch):
+        seeds = resolve_seeds(0, 3)
+        real = runner.run_single
+
+        def flaky(cfg, seed, estimator_kind=None):
+            if seed == seeds[1]:
+                raise OverflowError("math range error")
+            return real(cfg, seed, estimator_kind=estimator_kind)
+
+        monkeypatch.setattr(runner, "run_single", flaky)
+        code = main(["run", "--scenario", "deploy", "--T", "20", "--seeds", "3",
+                     "--out", str(tmp_path / "flaky")])
+        assert code != 0
+        assert f"seed {seeds[1]} failed: OverflowError" in capsys.readouterr().err
+        agg = json.loads((tmp_path / "flaky" / "aggregate.json").read_text())
+        assert (agg["seeds_total"], agg["seeds_completed"]) == (3, 2)
+        assert agg["failed"] == [{"seed": seeds[1],
+                                  "error": "OverflowError: math range error"}]
 
     def test_bad_value_exits_2(self, tmp_path, capsys):
         code = main(["run", "--scenario", "deploy", "--T", "-5",

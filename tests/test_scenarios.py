@@ -42,6 +42,12 @@ def manual_env(phi, theta_star, rho, B=None, L=None, seed=0):
     )
 
 
+def random_spd(rng, d):
+    """A random symmetric positive-definite matrix with non-zero off-diagonals."""
+    G = rng.standard_normal((d, d))
+    return G @ G.T / d + 0.1 * np.eye(d)
+
+
 class TestSubopt:
     def test_optimal_policy_has_zero_gap(self, default_env):
         assert subopt(default_env.optimal_policy(), default_env) == 0.0
@@ -82,19 +88,32 @@ class TestPessimisticPolicy:
         b = pessimistic_policy(theta, M, 1.3, env, "greedy_percontext")
         assert a == b
 
+    # (contexts, actions, non-diagonal M, beta); one test id for every case
+    EXACT_CASES = ((2, 2, False, 0.8), (4, 3, True, 0.0), (4, 3, True, 0.8),
+                   (4, 3, True, 5.0))
+
     def test_enumerate_is_exact_on_tiny_instance(self):
-        rng = np.random.default_rng(3)
-        env = make_environment(3, 2, 2, seed=4)
-        theta = rng.standard_normal(3)
-        M = np.diag(rng.uniform(0.5, 2.0, size=3))
-        beta = 0.8
-        best = pessimistic_policy(theta, M, beta, env, "enumerate")
-        values = {}
-        for actions in itertools.product(range(2), repeat=2):
-            pol = Policy(np.array(actions))
-            values[actions] = pessimistic_value(pol, theta, M, beta, env)
-        brute = max(values, key=values.get)
-        assert tuple(best.action_of) == brute
+        for contexts, actions, spd, beta in self.EXACT_CASES:
+            rng = np.random.default_rng(3)
+            env = make_environment(3, contexts, actions, seed=4)
+            theta = rng.standard_normal(3)
+            M = random_spd(rng, 3) if spd else np.diag(rng.uniform(0.5, 2.0, size=3))
+            if actions > 2:
+                # action 2 repeats action 0 in the first two contexts: exact ties
+                phi = env.features.phi.copy()
+                phi[:2, 2] = phi[:2, 0]
+                env = manual_env(phi, env.truth.theta_star, env.rho, B=env.truth.B,
+                                 L=env.features.L)
+            best = pessimistic_policy(theta, M, beta, env, "enumerate")
+            values = {}
+            for acts in itertools.product(range(actions), repeat=contexts):
+                pol = Policy(np.array(acts))
+                values[acts] = pessimistic_value(pol, theta, M, beta, env)
+            brute = max(values, key=values.get)  # first maximizer: lowest index
+            case = (contexts, actions, spd, beta)
+            assert tuple(best.action_of) == brute, case
+            if beta == 0.0:
+                assert sum(v == values[brute] for v in values.values()) > 1, case
 
     def test_enumerate_dominates_greedy(self, default_env):
         rng = np.random.default_rng(4)
@@ -157,6 +176,17 @@ class TestSelectMostUncertain:
             assert mahalanobis_inv(z, lm.inv) < before
         assert (1, 0, 1) in seen
 
+    def test_matches_brute_force_on_wide_instance(self):
+        rng = np.random.default_rng(12)
+        env = make_environment(20, 32, 8, seed=13)
+        Z = env.pair_diffs()
+        pairs = env.action_pairs()
+        for _ in range(5):
+            M = random_spd(rng, 20)
+            qf = [float(z @ M @ z) for z in Z]
+            x, rest = divmod(int(np.argmax(qf)), len(pairs))
+            assert select_most_uncertain(env, M) == (x, *pairs[rest])
+
     def test_tie_breaks_lexicographic(self):
         phi = np.zeros((2, 2, 2))
         phi[0, 0] = [1.0, 0.0]
@@ -186,6 +216,21 @@ class TestSelectDeployActions:
         a, b = select_deploy_actions(theta, np.eye(2), 1e7, 0, env)
         assert a == 0
         assert b == 2  # farthest from action 0, reward term negligible
+
+    def test_matches_brute_force(self, default_env):
+        rng = np.random.default_rng(14)
+        phi = default_env.features.phi
+        for _ in range(20):
+            theta = rng.standard_normal(5)
+            M = random_spd(rng, 5)
+            beta = float(rng.uniform(0.0, 3.0))
+            for x in range(default_env.features.num_contexts):
+                scores = [float(p @ theta) for p in phi[x]]
+                a = int(np.argmax(scores))
+                bonus = [beta * np.sqrt((p - phi[x, a]) @ M @ (p - phi[x, a]))
+                         for p in phi[x]]
+                b = int(np.argmax(np.add(scores, bonus)))
+                assert select_deploy_actions(theta, M, beta, x, default_env) == (a, b)
 
     def test_single_action(self):
         env = make_environment(2, 2, 1, seed=8)

@@ -21,7 +21,7 @@ def check_vector(z, dim: int, name: str = "z") -> np.ndarray:
     arr = np.asarray(z, dtype=float).reshape(-1)
     if arr.shape != (dim,):
         raise ValueError(f"{name} must have shape ({dim},), got {np.shape(z)}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -31,7 +31,7 @@ def check_pair_samples(Z, y, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if Z.ndim != 2 or Z.shape[1] != dim:
         raise ValueError(f"Z must have shape (n, {dim}), got {Z.shape}")
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise ValueError("Z contains non-finite entries")
     y = np.asarray(y).reshape(-1)
     if y.shape[0] != Z.shape[0]:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -11,9 +12,11 @@ from .exceptions import NumericFailure
 
 __all__ = [
     "sherman_morrison",
+    "rank_one_inverse",
     "mahalanobis_inv",
     "cg_solve",
     "LocalNormMatrix",
+    "inverse_drift",
 ]
 
 
@@ -21,24 +24,34 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def rank_one_inverse(inv: np.ndarray, u: np.ndarray, zu: float, w: float) -> np.ndarray:
+    """Return (A + w*z*z^T)^-1 given inv = A^-1, u = inv @ z and zu = z . u.
+
+    The result inv - (w / (1 + w*zu)) * u u^T is a new array, exactly symmetric
+    whenever inv is, since u_i*u_j == u_j*u_i. A denominator that is not
+    positive and finite means the inverse state is corrupted.
+    """
+    denom = 1.0 + w * zu
+    if not math.isfinite(denom) or denom <= 0:
+        raise NumericFailure(
+            f"Sherman-Morrison denominator {denom} is not positive; inverse state corrupted"
+        )
+    return inv - (w / denom) * np.multiply(u[:, None], u)
+
+
 def sherman_morrison(inv: np.ndarray, z: np.ndarray, w: float) -> np.ndarray:
     """Return (A + w*z*z^T)^-1 given inv = A^-1, in O(d^2) arithmetic.
 
-    The output is explicitly symmetrized so long update chains keep the
-    positive-definiteness detectable.
+    The output is explicitly symmetrized, so it is exactly symmetric even when
+    ``inv`` is not, and long update chains keep the positive-definiteness
+    detectable.
     """
     if w < 0:
         raise ValueError(f"rank-one weight must be nonnegative, got {w}")
     if w == 0.0:
         return inv.copy()
     u = inv @ z
-    denom = 1.0 + w * float(z @ u)
-    if not np.isfinite(denom) or denom <= 0:
-        raise NumericFailure(
-            f"Sherman-Morrison denominator {denom} is not positive; inverse state corrupted"
-        )
-    out = inv - (w / denom) * np.outer(u, u)
-    return _symmetrize(out)
+    return _symmetrize(rank_one_inverse(inv, u, float(z @ u), w))
 
 
 def mahalanobis_inv(v: np.ndarray, inv: np.ndarray) -> float:
@@ -101,6 +114,12 @@ class LocalNormMatrix:
     Both sides are retained: quadratic forms in the matrix itself feed the
     coverage and domination diagnostics, while the inverse drives the update
     step and the uncertainty norms.
+
+    Construction stores symmetrized copies of ``mat`` and ``inv`` (an inverse
+    from ``np.linalg.inv`` is off-symmetric in the last bits). Every update then
+    keeps both sides exactly symmetric without symmetrizing again: adding
+    w z z^T to a symmetric matrix, or subtracting c u u^T from one, leaves it
+    symmetric.
     """
 
     mat: np.ndarray
@@ -108,8 +127,8 @@ class LocalNormMatrix:
     dim: int = field(default=0)
 
     def __post_init__(self) -> None:
-        self.mat = np.asarray(self.mat, dtype=float)
-        self.inv = np.asarray(self.inv, dtype=float)
+        self.mat = _symmetrize(np.asarray(self.mat, dtype=float))
+        self.inv = _symmetrize(np.asarray(self.inv, dtype=float))
         if self.dim == 0:
             self.dim = self.mat.shape[0]
         if self.mat.shape != (self.dim, self.dim) or self.inv.shape != (self.dim, self.dim):
@@ -122,14 +141,24 @@ class LocalNormMatrix:
         return cls(mat=scale * np.eye(dim), inv=(1.0 / scale) * np.eye(dim), dim=dim)
 
     def copy(self) -> "LocalNormMatrix":
-        return LocalNormMatrix(mat=self.mat.copy(), inv=self.inv.copy(), dim=self.dim)
+        return LocalNormMatrix(mat=self.mat, inv=self.inv, dim=self.dim)
 
-    def rank_one_update(self, z: np.ndarray, w: float) -> None:
-        """Add w * z z^T to the matrix and apply the paired inverse update."""
-        new_inv = sherman_morrison(self.inv, z, w)
-        if w != 0.0:
-            self.mat = _symmetrize(self.mat + w * np.outer(z, z))
-        self.inv = new_inv
+    def rank_one_update(self, z: np.ndarray, w: float,
+                        u: Optional[np.ndarray] = None, zu: Optional[float] = None) -> None:
+        """Add w * z z^T to the matrix and apply the paired inverse update.
+
+        A caller that already holds u = inv @ z and zu = z . u for the current
+        inverse passes them, and the product is not formed again.
+        """
+        if w < 0:
+            raise ValueError(f"rank-one weight must be nonnegative, got {w}")
+        if w == 0.0:
+            return
+        if u is None:
+            u = self.inv @ z
+            zu = float(z @ u)
+        self.inv = rank_one_inverse(self.inv, u, zu, w)
+        self.mat = self.mat + w * np.multiply(z[:, None], z)
 
     def norm(self, v: np.ndarray) -> float:
         """sqrt(v^T M v)."""
@@ -141,5 +170,10 @@ class LocalNormMatrix:
 
     def inverse_drift(self) -> float:
         """Relative Frobenius distance between the maintained inverse and a fresh one."""
-        fresh = np.linalg.inv(self.mat)
-        return float(np.linalg.norm(self.inv - fresh) / np.linalg.norm(fresh))
+        return inverse_drift(self.mat, self.inv)
+
+
+def inverse_drift(mat: np.ndarray, inv: np.ndarray) -> float:
+    """Relative Frobenius distance between ``inv`` and a fresh inverse of ``mat``."""
+    fresh = np.linalg.inv(mat)
+    return float(np.linalg.norm(inv - fresh) / np.linalg.norm(fresh))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import BaseRewardEstimator, check_vector
 from .exceptions import NumericFailure
-from .linalg import LocalNormMatrix, cg_solve, sherman_morrison
+from .linalg import LocalNormMatrix, cg_solve, rank_one_inverse
 from .linkmath import log_loss, sigmoid_pair
 
 __all__ = [
@@ -115,6 +115,16 @@ def confidence_radius(t: int, config: OnePassConfig) -> float:
     return math.sqrt(big_c)
 
 
+def _check_label(y) -> None:
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector: the sqrt-of-dot np.linalg.norm computes, without its overhead."""
+    return math.sqrt(float(v @ v))
+
+
 def loss_derivatives(theta: np.ndarray, z: np.ndarray, y: int) -> Tuple[float, np.ndarray, float]:
     """Loss, gradient, and Hessian weight of the logistic preference loss at theta.
 
@@ -122,8 +132,7 @@ def loss_derivatives(theta: np.ndarray, z: np.ndarray, y: int) -> Tuple[float, n
     with hess_weight = sigma'(z.theta), returned as the scalar so callers choose
     whether to materialize it.
     """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
+    _check_label(y)
     s = float(np.dot(z, theta))
     sig, ds = sigmoid_pair(s)
     return log_loss(s, y), (sig - y) * z, ds
@@ -140,7 +149,7 @@ def project_localnorm_ball(theta_prime: np.ndarray, norm_mat: np.ndarray, B: flo
     if B <= 0:
         raise ValueError(f"B must be positive, got {B}")
     theta_prime = np.asarray(theta_prime, dtype=float)
-    if float(np.linalg.norm(theta_prime)) <= B:
+    if _norm(theta_prime) <= B:
         return theta_prime.copy()
     rhs = norm_mat @ theta_prime
     eye = np.eye(theta_prime.shape[0])
@@ -150,7 +159,7 @@ def project_localnorm_ball(theta_prime: np.ndarray, norm_mat: np.ndarray, B: flo
 
     hi = 1.0
     for _ in range(201):
-        if float(np.linalg.norm(candidate(hi))) < B:
+        if _norm(candidate(hi)) < B:
             break
         hi *= 2.0
     else:
@@ -162,7 +171,7 @@ def project_localnorm_ball(theta_prime: np.ndarray, norm_mat: np.ndarray, B: flo
     for _ in range(500):
         mid = 0.5 * (lo + hi)
         theta = candidate(mid)
-        nrm = float(np.linalg.norm(theta))
+        nrm = _norm(theta)
         if abs(nrm - B) <= tol:
             break
         if nrm > B:
@@ -171,7 +180,7 @@ def project_localnorm_ball(theta_prime: np.ndarray, norm_mat: np.ndarray, B: flo
             hi = mid
     else:
         raise NumericFailure("projection bisection did not reach tolerance")
-    nrm = float(np.linalg.norm(theta))
+    nrm = _norm(theta)
     if nrm > B:
         theta = theta * (B / nrm)
     return theta
@@ -195,6 +204,7 @@ class OnePassRewardEstimator(BaseRewardEstimator):
     hess_ : running lookahead curvature matrix and its maintained inverse.
     theta_sum_ : running sum of all iterates, for averaged-parameter policies.
     t_ : iteration counter, starting at 1.
+    projections_ : updates whose step left the ball and was projected back.
     """
 
     def __init__(self, dim: int, B: float = 1.0, L: float = 1.0,
@@ -219,25 +229,32 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         self.hess_ = LocalNormMatrix.scaled_identity(self.dim, self.config_.lam)
         self.theta_sum_ = np.zeros(self.dim)
         self.t_ = 1
+        self.projections_ = 0
         return self
 
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)
+        _check_label(y)
         cfg = self.config_
-        _, grad, hw = loss_derivatives(self.theta_, z, y)
+        hess = self.hess_
+        sig, hw = sigmoid_pair(float(np.dot(z, self.theta_)))
+        grad = (sig - y) * z
         step_weight = cfg.eta * hw
-        # Scratch inverse of the step geometry H + eta*hw*zz^T; the canonical
-        # matrix is left untouched so the lookahead accumulation below does not
-        # require a downdate.
-        tilde_inv = sherman_morrison(self.hess_.inv, z, step_weight)
+        # u = H^-1 z serves both rank-one updates: the scratch inverse of the
+        # step geometry H + eta*hw*zz^T below, and the lookahead accumulation
+        # into H, which therefore needs no downdate of the scratch matrix.
+        u = hess.inv @ z
+        zu = float(z @ u)
+        tilde_inv = rank_one_inverse(hess.inv, u, zu, step_weight)
         theta_prime = self.theta_ - cfg.eta * (tilde_inv @ grad)
-        if float(np.linalg.norm(theta_prime)) <= cfg.B:
+        if _norm(theta_prime) <= cfg.B:
             theta_next = theta_prime
         else:
-            tilde_mat = self.hess_.mat + step_weight * np.outer(z, z)
+            self.projections_ += 1
+            tilde_mat = hess.mat + step_weight * np.multiply(z[:, None], z)
             theta_next = project_localnorm_ball(theta_prime, tilde_mat, cfg.B)
-        _, _, hw_next = loss_derivatives(theta_next, z, y)
-        self.hess_.rank_one_update(z, hw_next)
+        _, hw_next = sigmoid_pair(float(np.dot(z, theta_next)))
+        hess.rank_one_update(z, hw_next, u, zu)
         self.theta_ = theta_next
         self.theta_sum_ = self.theta_sum_ + theta_next
         self.t_ += 1
@@ -306,8 +323,8 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
     Past curvature is absorbed into a growing damping term instead of a stored
     matrix, so the state is O(d): no d x d array exists anywhere in the update.
     The projection is plain Euclidean rescaling since no curvature norm is
-    available. ``horizon`` anchors the damping schedule and must be set before
-    the first update.
+    available; ``projections_`` counts the updates it rescaled. ``horizon``
+    anchors the damping schedule and must be set before the first update.
     """
 
     def __init__(self, dim: int, B: float = 1.0, L: float = 1.0,
@@ -338,6 +355,7 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
         self.theta_ = np.zeros(self.dim)
         self.theta_sum_ = np.zeros(self.dim)
         self.t_ = 1
+        self.projections_ = 0
         return self
 
     def _damping(self, t: Optional[int] = None) -> float:
@@ -346,7 +364,9 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
 
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)
-        _, grad, hw = loss_derivatives(self.theta_, z, y)
+        _check_label(y)
+        sig, hw = sigmoid_pair(float(np.dot(z, self.theta_)))
+        grad = (sig - y) * z
         lam_t = self._damping()
         scale = self.eta_ * hw
 
@@ -355,8 +375,9 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
 
         v, _ = cg_solve(apply, grad, self.cg_iters, self.cg_tol)
         theta_next = self.theta_ - self.eta_ * v
-        nrm = float(np.linalg.norm(theta_next))
+        nrm = _norm(theta_next)
         if nrm > self.B:
+            self.projections_ += 1
             theta_next = theta_next * (self.B / nrm)
         self.theta_ = theta_next
         self.theta_sum_ = self.theta_sum_ + theta_next
@@ -367,10 +388,10 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
     # curvature, so its norms are isotropic.
 
     def local_norm(self, v: np.ndarray) -> float:
-        return math.sqrt(self._damping()) * float(np.linalg.norm(v))
+        return math.sqrt(self._damping()) * _norm(v)
 
     def inv_norm(self, v: np.ndarray) -> float:
-        return float(np.linalg.norm(v)) / math.sqrt(self._damping())
+        return _norm(v) / math.sqrt(self._damping())
 
     def inv_norm_matrix(self) -> np.ndarray:
         return np.eye(self.dim) / self._damping()

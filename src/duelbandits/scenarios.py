@@ -19,6 +19,7 @@ import numpy as np
 
 from .environment import Environment, Policy, draw_passive_pair
 from .exceptions import NumericFailure
+from .linalg import inverse_drift
 from .linkmath import bt_sample, kappa_bound
 
 __all__ = [
@@ -42,11 +43,16 @@ CSV_COLUMNS = (
 )
 
 ENUMERATE_BUDGET = 10**6
+CSV_BLOCK_ROWS = 256
 DOMINATION_AUDIT_POINTS = (100, 1000)
 
 
 def _fmt(v: float) -> str:
     return "" if math.isnan(v) else repr(float(v))
+
+
+# one formatter per CSV_COLUMNS entry: integer ids, floats (NaN -> empty), flag text
+_CSV_FORMATS = (str, str, _fmt, _fmt, _fmt, _fmt, _fmt, str, str, str, str, str)
 
 
 @dataclass
@@ -74,23 +80,22 @@ class RunRecord:
         return len(self.t)
 
     def write_csv(self, path) -> None:
+        """One row per iteration.
+
+        Columns become Python values a block of rows at a time: one ``tolist``
+        per column and block, instead of a numpy scalar per cell, while the
+        converted copy stays small.
+        """
+        arrays = [getattr(self, name) for name in CSV_COLUMNS[:-1]]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for i in range(len(self.t)):
-                fh.write(",".join((
-                    str(int(self.t[i])),
-                    str(int(self.wall_nanos[i])),
-                    _fmt(self.est_err_l2[i]),
-                    _fmt(self.est_err_local[i]),
-                    _fmt(self.beta[i]),
-                    _fmt(self.cum_regret[i]),
-                    _fmt(self.subopt_checkpoint[i]),
-                    str(int(self.x[i])),
-                    str(int(self.a[i])),
-                    str(int(self.a_prime[i])),
-                    str(int(self.y[i])),
-                    self.flags[i],
-                )) + "\n")
+            for lo in range(0, len(self.t), CSV_BLOCK_ROWS):
+                block = slice(lo, lo + CSV_BLOCK_ROWS)
+                columns = [arr[block].tolist() for arr in arrays]
+                fh.writelines(
+                    ",".join([fmt(v) for fmt, v in zip(_CSV_FORMATS, row)]) + "\n"
+                    for row in zip(*columns, self.flags[block])
+                )
 
     def z_rows(self, env: Environment) -> np.ndarray:
         """Reconstruct the played z sequence from the logged tuple ids."""
@@ -243,9 +248,9 @@ def select_deploy_actions(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
     """
     phi_x = env.features.phi[x]
     scores = phi_x @ theta
-    a = int(np.argmax(scores))
+    a = int(scores.argmax())
     bonus = explore_coeff * beta * _penalized_norms(phi_x - phi_x[a], norm_inv)
-    a_prime = int(np.argmax(scores + bonus))
+    a_prime = int((scores + bonus).argmax())
     return a, a_prime
 
 
@@ -265,11 +270,12 @@ def _prepare(estimator, T: int):
     estimator.reset()
 
 
-def _capture(rec: _Recorder, i: int, estimator, theta_star: np.ndarray) -> None:
+def _capture(rec: _Recorder, i: int, estimator, theta_star: np.ndarray,
+             beta: float) -> None:
     diff = estimator.theta_ - theta_star
-    rec.err_l2[i] = float(np.linalg.norm(diff))
+    rec.err_l2[i] = math.sqrt(float(diff @ diff))
     rec.err_local[i] = estimator.local_norm(diff)
-    rec.beta[i] = estimator.radius()
+    rec.beta[i] = beta
 
 
 def _domination_parts(estimator):
@@ -303,7 +309,7 @@ class _DominationAudit:
     def step(self, z: np.ndarray, t: int) -> None:
         if self.parts is None:
             return
-        self.v_sum += np.outer(z, z)
+        self.v_sum += np.multiply(z[:, None], z)
         if t in self.points:
             from .diagnostics import norm_domination_check
 
@@ -312,6 +318,17 @@ class _DominationAudit:
             self.records.append(
                 {"t": t, "min_eig": norm_domination_check(H, V, self.kappa)}
             )
+
+
+def _estimator_stats(estimator) -> dict:
+    """End-of-run internals: projections fired, and the drift of a maintained inverse."""
+    stats = {}
+    if hasattr(estimator, "projections_"):
+        stats["projections"] = estimator.projections_
+    mat = estimator.local_norm_matrix()
+    if mat is not None:
+        stats["inverse_drift"] = inverse_drift(mat, estimator.inv_norm_matrix())
+    return stats
 
 
 def _base_summary(rec: _Recorder, estimator, theta_star, aborted: Optional[str]) -> dict:
@@ -334,6 +351,7 @@ def _base_summary(rec: _Recorder, estimator, theta_star, aborted: Optional[str])
         "update_ns_total": int(rec.wall[:n].sum()),
         "update_ns_mean": float(rec.wall[:n].mean()) if n else 0.0,
         "flag_counts": flag_counts,
+        "estimator_stats": _estimator_stats(estimator),
     }
 
 
@@ -361,7 +379,7 @@ def run_passive(env: Environment, estimator, T: int, policy_mode: str = "enumera
         x, a, b = draw_passive_pair(env, rng)
         yy = bt_sample(env.reward(x, a), env.reward(x, b), rng)
         z = env.z_of(x, a, b)
-        _capture(rec, i, estimator, theta_star)
+        _capture(rec, i, estimator, theta_star, estimator.radius())
         rec.x[i], rec.a[i], rec.a_prime[i], rec.y[i] = x, a, b, yy
         try:
             start = time.perf_counter_ns()
@@ -408,7 +426,7 @@ def run_active(env: Environment, estimator, T: int,
         x, a, b = select_most_uncertain(env, estimator.inv_norm_matrix())
         yy = bt_sample(env.reward(x, a), env.reward(x, b), rng)
         z = env.z_of(x, a, b)
-        _capture(rec, i, estimator, theta_star)
+        _capture(rec, i, estimator, theta_star, estimator.radius())
         rec.x[i], rec.a[i], rec.a_prime[i], rec.y[i] = x, a, b, yy
         try:
             start = time.perf_counter_ns()
@@ -444,7 +462,8 @@ def run_deploy(env: Environment, estimator, T: int, explore_coeff: float = 1.0,
     rng = _stream_rng(env, stream_seed)
     theta_star = env.truth.theta_star
     rewards = env.rewards()
-    star = np.argmax(rewards, axis=1)
+    star = np.argmax(rewards, axis=1).tolist()
+    reward_of = rewards.tolist()
     rec = _Recorder("deploy", env.rng_seed, T)
     audit = _DominationAudit(estimator, env, T)
     regret = 0.0
@@ -452,11 +471,13 @@ def run_deploy(env: Environment, estimator, T: int, explore_coeff: float = 1.0,
     for t in range(1, T + 1):
         i = t - 1
         x = env.draw_context(rng)
+        beta = estimator.radius()
         a, b = select_deploy_actions(estimator.theta_, estimator.inv_norm_matrix(),
-                                     estimator.radius(), x, env, explore_coeff)
-        yy = bt_sample(rewards[x, a], rewards[x, b], rng)
+                                     beta, x, env, explore_coeff)
+        r_x = reward_of[x]
+        yy = bt_sample(r_x[a], r_x[b], rng)
         z = env.z_of(x, a, b)
-        _capture(rec, i, estimator, theta_star)
+        _capture(rec, i, estimator, theta_star, beta)
         rec.x[i], rec.a[i], rec.a_prime[i], rec.y[i] = x, a, b, yy
         try:
             start = time.perf_counter_ns()
@@ -467,7 +488,7 @@ def run_deploy(env: Environment, estimator, T: int, explore_coeff: float = 1.0,
             rec.n = t
             aborted = str(exc)
             break
-        regret += rewards[x, star[x]] - 0.5 * (rewards[x, a] + rewards[x, b])
+        regret += r_x[star[x]] - 0.5 * (r_x[a] + r_x[b])
         rec.cum_regret[i] = regret
         rec.flags[i] = _step_flag(estimator)
         audit.step(z, t)

@@ -10,6 +10,18 @@ def random_pd(rng, d, lo=0.5, hi=5.0):
     return q @ np.diag(rng.uniform(lo, hi, size=d)) @ q.T
 
 
+def isotropic_samples(rng, d, T):
+    for _ in range(T):
+        yield rng.standard_normal(d), float(rng.random())
+
+
+def three_direction_samples(rng, d, T):
+    """Rows near a 3-dim subspace: the accumulated matrix reaches cond ~5e3."""
+    basis = np.linalg.qr(rng.standard_normal((d, 3)))[0].T
+    Z = rng.standard_normal((T, 3)) @ basis + 0.013 * rng.standard_normal((T, d))
+    return zip(Z, rng.random(T).tolist())
+
+
 class TestShermanMorrison:
     def test_unit_weight_basis_vector(self):
         out = sherman_morrison(np.eye(2), np.array([1.0, 0.0]), 1.0)
@@ -121,14 +133,30 @@ class TestLocalNormMatrix:
         assert np.array_equal(lm.mat, 2.0 * np.eye(3))
         assert np.array_equal(lm.inv, 0.5 * np.eye(3))
 
-    def test_paired_updates_stay_in_lockstep(self):
+    @pytest.mark.parametrize("d, T, samples, min_cond", [
+        (8, 300, isotropic_samples, 1.0),
+        (20, 100_000, three_direction_samples, 1e3),
+        (100, 10_000, isotropic_samples, 1.0),
+    ], ids=["d8_T300", "d20_T1e5_cond5e3", "d100_T1e4"])
+    def test_paired_updates_stay_in_lockstep(self, d, T, samples, min_cond):
         rng = np.random.default_rng(5)
-        lm = LocalNormMatrix.scaled_identity(8, 1.5)
-        for _ in range(300):
-            lm.rank_one_update(rng.standard_normal(8), float(rng.random()))
+        lm = LocalNormMatrix.scaled_identity(d, 1.5)
+        for z, w in samples(rng, d, T):
+            lm.rank_one_update(z, w)
+        assert np.linalg.cond(lm.mat) >= min_cond
         assert lm.inverse_drift() <= 1e-8
         prod = lm.mat @ lm.inv
-        assert np.linalg.norm(prod - np.eye(8)) / np.sqrt(8) <= 1e-8
+        assert np.linalg.norm(prod - np.eye(d)) / np.sqrt(d) <= 1e-8
+        assert np.array_equal(lm.mat, lm.mat.T)
+        assert np.array_equal(lm.inv, lm.inv.T)
+
+    def test_construction_symmetrizes_once(self):
+        mat = random_pd(np.random.default_rng(8), 6)
+        inv = np.linalg.inv(mat)
+        lm = LocalNormMatrix(mat=mat, inv=inv)
+        assert np.array_equal(lm.inv, lm.inv.T)
+        assert np.array_equal(lm.inv, (inv + inv.T) / 2.0)
+        assert lm.inv is not inv and lm.mat is not mat
 
     def test_norms(self):
         lm = LocalNormMatrix(mat=np.diag([4.0, 1.0]), inv=np.diag([0.25, 1.0]))

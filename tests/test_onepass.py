@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from duelbandits import onepass
+from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from duelbandits.linkmath import sigmoid_pair
 from duelbandits.onepass import (
     HvpCgRewardEstimator,
@@ -182,6 +184,22 @@ class TestOmdStep:
         assert np.allclose(est.hess_.mat, expected, atol=1e-10)
 
 
+    def test_projection_counter_counts_projections(self, monkeypatch):
+        calls = []
+        original = onepass.project_localnorm_ball
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(onepass, "project_localnorm_ball", counting)
+        rng = np.random.default_rng(11)
+        est = OnePassRewardEstimator(dim=3, B=0.2, eta=1.0, lam=0.5).reset()
+        for _ in range(200):
+            est.update(rng.standard_normal(3), int(rng.integers(0, 2)))
+        assert 0 < est.projections_ == len(calls) < 200
+
+
 class TestProjection:
     def test_interior_point_unchanged(self):
         theta = np.array([0.3, 0.2])
@@ -282,6 +300,28 @@ class TestSnapshot:
         assert np.allclose(loaded.theta_, est.theta_, atol=1e-12)
 
 
+    @pytest.mark.parametrize("kind, params", [
+        (OnePassRewardEstimator, {"eta": 1.0, "lam": 1.0}),
+        (MleRewardEstimator, {"v_reg": 1.0}),
+        (ImplicitOmdRewardEstimator, {"eta": 1.0, "lam": 1.0}),
+    ], ids=["omd", "mle", "implicit"])
+    def test_loaded_curvature_stays_exactly_symmetric(self, kind, params, tmp_path):
+        # np.linalg.inv of the stored matrix is off-symmetric in the last bits;
+        # loading must not carry that into the updates that follow
+        rng = np.random.default_rng(10)
+        est = kind(dim=4, **params).reset()
+        for _ in range(20):
+            est.update(rng.standard_normal(4) / 2.0, int(rng.integers(0, 2)))
+        path = tmp_path / "state.json"
+        est.save(path)
+        loaded = kind.load(path)
+        for _ in range(50):
+            loaded.update(rng.standard_normal(4) / 2.0, int(rng.integers(0, 2)))
+            mat, inv = loaded.local_norm_matrix(), loaded.inv_norm_matrix()
+            assert np.array_equal(mat, mat.T)
+            assert np.array_equal(inv, inv.T)
+
+
 class TestHvpCg:
     def test_first_step_matches_exact_omd_in_1d(self):
         exact = OnePassRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, lam=1.0).reset()
@@ -315,6 +355,18 @@ class TestHvpCg:
             z = rng.standard_normal(4)
             est.update(z, int(rng.integers(0, 2)))
             assert np.linalg.norm(est.theta_) <= 1.0 + 1e-12
+
+    def test_rescale_counter(self):
+        rng = np.random.default_rng(12)
+        est = HvpCgRewardEstimator(dim=4, B=2.0, horizon=300).reset()
+        rescaled = 0
+        for _ in range(300):
+            before = est.projections_
+            est.update(rng.standard_normal(4), int(rng.integers(0, 2)))
+            on_boundary = abs(np.linalg.norm(est.theta_) - 2.0) <= 1e-12
+            assert est.projections_ - before == int(on_boundary)
+            rescaled += int(on_boundary)
+        assert 0 < est.projections_ == rescaled < 300
 
     def test_requires_horizon(self):
         with pytest.raises(ValueError):

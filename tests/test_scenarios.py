@@ -11,7 +11,8 @@ from duelbandits.environment import (
     Policy,
     make_environment,
 )
-from duelbandits.onepass import OnePassRewardEstimator
+from duelbandits.baselines import MleRewardEstimator
+from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from duelbandits.scenarios import (
     CSV_COLUMNS,
     default_checkpoints,
@@ -333,6 +334,24 @@ class TestRunDeploy:
         assert all(a["min_eig"] >= -1e-8 for a in audits)
 
 
+    def test_estimator_stats(self, default_env):
+        est = OnePassRewardEstimator(dim=5, B=0.3, eta=1.0, lam=0.5)
+        rec = run_deploy(default_env, est, 200)
+        stats = rec.summary["estimator_stats"]
+        assert stats["projections"] == est.projections_ > 0
+        assert stats["inverse_drift"] == est.hess_.inverse_drift()
+        assert 0.0 <= stats["inverse_drift"] <= 1e-12
+
+    @pytest.mark.parametrize("est, keys", [
+        (MleRewardEstimator(dim=5), {"inverse_drift"}),
+        (HvpCgRewardEstimator(dim=5), {"projections"}),
+        (OracleEstimator(np.zeros(5)), set()),
+    ], ids=["mle", "hvpcg", "oracle"])
+    def test_estimator_stats_fields_follow_the_estimator(self, default_env, est, keys):
+        rec = run_deploy(default_env, est, 20)
+        assert set(rec.summary["estimator_stats"]) == keys
+
+
 class TestRunRecord:
     def test_csv_layout(self, tmp_path, default_env):
         rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 25)
@@ -344,6 +363,25 @@ class TestRunRecord:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert first[CSV_COLUMNS.index("subopt_checkpoint")] == ""
+
+    def test_csv_cells_match_record_across_row_blocks(self, tmp_path, default_env):
+        # long enough for two full row blocks and a partial third
+        rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 600)
+        rec.flags[300] = "inner_nonconverged"
+        path = tmp_path / "run.csv"
+        rec.write_csv(path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 600
+
+        def cell(name, i):
+            v = getattr(rec, name)[i]
+            if name in ("t", "wall_nanos", "x", "a", "a_prime", "y"):
+                return str(int(v))
+            return "" if np.isnan(v) else repr(float(v))
+
+        for i, line in enumerate(lines):
+            expected = [cell(name, i) for name in CSV_COLUMNS[:-1]] + [rec.flags[i]]
+            assert line.split(",") == expected, i
 
     def test_default_checkpoints(self):
         assert default_checkpoints(10) == (1, 2, 4, 8, 10)

@@ -8,7 +8,9 @@ and what it produced, recorded before any change it is meant to guard:
 * ``columns``: the sha256 of every run-CSV column except ``wall_nanos``
   (the column's cells, newline-joined, as ``RunRecord.write_csv`` prints them);
 * ``summary``: exact summary values (``final_est_err_l2``, ``final_beta``,
-  and ``cum_regret`` or ``policy``, as the scenario has them).
+  and ``cum_regret`` or ``policy``, as the scenario has them);
+* ``save_sha256``: the sha256 of the config's estimator ``save()`` file after
+  ``SNAPSHOT_UPDATES`` seeded updates (no scenario loop involved).
 
 A change to how the uncertainty scan or the policy enumeration rounds its
 quadratic forms that flips an argmax shows up here as a mismatch, and so does
@@ -23,14 +25,16 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from duelbandits.config import parse_config
-from duelbandits.runner import run_single
+from duelbandits.runner import build_estimator, run_single
 
 PINNED = Path(__file__).parent / "pinned_choices.json"
 CASES = json.loads(PINNED.read_text())
 UNPINNED_COLUMNS = ("wall_nanos",)
+SNAPSHOT_UPDATES = 30
 
 
 def column_digests(rec, workdir: Path) -> dict:
@@ -43,9 +47,22 @@ def column_digests(rec, workdir: Path) -> dict:
             if name not in UNPINNED_COLUMNS}
 
 
+def snapshot_digest(cfg, workdir: Path) -> str:
+    """sha256 of the estimator's snapshot after a seeded stream of updates."""
+    est = build_estimator(cfg).reset()
+    rng = np.random.default_rng(cfg.seeds[0])
+    for _ in range(SNAPSHOT_UPDATES):
+        est.update(rng.uniform(-1.0, 1.0, cfg.d) / np.sqrt(cfg.d), int(rng.integers(2)))
+    path = workdir / "snapshot.json"
+    est.save(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def observe(case: dict, workdir: Path) -> dict:
     """Run the case's config and return the same fields the case pins."""
     cfg = parse_config(case["config"])
+    if "save_sha256" in case:
+        return {"save_sha256": snapshot_digest(cfg, workdir)}
     rec = run_single(cfg, cfg.seeds[0])
     out = {}
     for col in ("x", "a", "a_prime"):

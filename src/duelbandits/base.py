@@ -1,4 +1,5 @@
-"""Shared estimator surface: sklearn-style params, fit/predict, input checks.
+"""Shared estimator surface: sklearn-style params, fit/predict, input checks,
+and the curvature-matrix core (norms, snapshots) the estimators share.
 
 The estimators follow the scikit-learn conventions closely enough to compose
 with that ecosystem (``get_params``/``set_params`` as used by ``sklearn.clone``,
@@ -9,11 +10,14 @@ without importing it.
 from __future__ import annotations
 
 import inspect
+import json
 from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["check_vector", "check_pair_samples", "BaseRewardEstimator"]
+from .linalg import LocalNormMatrix
+
+__all__ = ["check_vector", "check_label", "check_pair_samples", "BaseRewardEstimator"]
 
 
 def check_vector(z, dim: int, name: str = "z") -> np.ndarray:
@@ -24,6 +28,12 @@ def check_vector(z, dim: int, name: str = "z") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_label(y) -> None:
+    """Reject anything but a 0/1 preference label."""
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
 
 
 def check_pair_samples(Z, y, dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -46,9 +56,16 @@ class BaseRewardEstimator:
 
     Subclasses store hyperparameters verbatim in ``__init__``, create state in
     ``reset``, and implement ``update`` for a single preference sample
-    (feature difference ``z``, binary label ``y``). Everything else here is
-    derived from those three pieces.
+    (feature difference ``z``, binary label ``y``) and ``radius``. Everything
+    else here is derived from those pieces.
+
+    An estimator that keeps a ``LocalNormMatrix`` names the attribute holding
+    it in ``curvature_attr``; the norms, the matrices and the snapshot all read
+    it from there. ``kind`` tags the snapshot.
     """
+
+    curvature_attr: Optional[str] = None
+    kind: str
 
     # --- sklearn-style parameter handling -------------------------------
 
@@ -130,20 +147,57 @@ class BaseRewardEstimator:
 
     def local_norm(self, v: np.ndarray) -> float:
         """Norm of v under the estimator's curvature matrix."""
-        raise NotImplementedError
+        return getattr(self, self.curvature_attr).norm(v)
 
     def inv_norm(self, v: np.ndarray) -> float:
         """Norm of v under the inverse curvature matrix (uncertainty scale)."""
-        raise NotImplementedError
+        return getattr(self, self.curvature_attr).inv_norm(v)
 
     def inv_norm_matrix(self) -> np.ndarray:
         """The inverse curvature matrix itself, for policy/selection helpers."""
-        raise NotImplementedError
+        return getattr(self, self.curvature_attr).inv
+
+    def local_norm_matrix(self) -> Optional[np.ndarray]:
+        """The curvature matrix when one is materialized, else None."""
+        if self.curvature_attr is None:
+            return None
+        return getattr(self, self.curvature_attr).mat
 
     def radius(self, t: Optional[int] = None) -> float:
         """Confidence radius at iteration t (defaults to the current counter)."""
         raise NotImplementedError
 
-    def local_norm_matrix(self) -> Optional[np.ndarray]:
-        """The curvature matrix when one is materialized, else None."""
-        return None
+    # --- snapshotting ------------------------------------------------------
+
+    def _snapshot(self) -> dict:
+        return {
+            "kind": self.kind,
+            "params": self.get_params(),
+            "t": self.t_,
+            "theta": self.theta_.tolist(),
+            "theta_sum": self.theta_sum_.tolist(),
+            self.curvature_attr[:-1]: self.local_norm_matrix().reshape(-1).tolist(),
+        }
+
+    def _restore(self, payload: dict) -> None:
+        self.t_ = int(payload["t"])
+        self.theta_ = np.asarray(payload["theta"], dtype=float)
+        self.theta_sum_ = np.asarray(payload["theta_sum"], dtype=float)
+        mat = np.asarray(payload[self.curvature_attr[:-1]], dtype=float)
+        mat = mat.reshape(self.dim, self.dim)
+        setattr(self, self.curvature_attr,
+                LocalNormMatrix(mat=mat, inv=np.linalg.inv(mat), dim=self.dim))
+
+    def save(self, path) -> None:
+        """Write a text snapshot: params, counter, iterates, curvature row-major."""
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self._snapshot(), fh)
+
+    @classmethod
+    def load(cls, path) -> "BaseRewardEstimator":
+        """Rebuild from a snapshot; the inverse is recomputed, never trusted."""
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        est = cls(**payload["params"]).reset()
+        est._restore(payload)
+        return est

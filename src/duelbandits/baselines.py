@@ -9,13 +9,12 @@ solve instead of a closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Optional
 
 import numpy as np
 
-from .base import BaseRewardEstimator, check_vector
+from .base import BaseRewardEstimator, check_label, check_vector
 from .linalg import LocalNormMatrix
 from .linkmath import kappa_bound, sigmoid_pair
 from .onepass import default_regularization, default_step_size
@@ -188,6 +187,9 @@ class MleRewardEstimator(BaseRewardEstimator):
     baseline under-explores badly under adaptive data collection.
     """
 
+    curvature_attr = "V_"
+    kind = "mle"
+
     def __init__(self, dim: int, B: float = 1.0, L: float = 1.0,
                  lam: Optional[float] = None, v_reg: Optional[float] = None,
                  fit_tol: Optional[float] = None, max_newton_iters: int = 50,
@@ -236,8 +238,7 @@ class MleRewardEstimator(BaseRewardEstimator):
 
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
+        check_label(y)
         self._append(z, y)
         Z = self._Z[: self.n_samples_]
         labels = self._y[: self.n_samples_]
@@ -270,20 +271,6 @@ class MleRewardEstimator(BaseRewardEstimator):
         self._Z[: self.n_samples_] = self._Z[: self.n_samples_][order]
         self._y[: self.n_samples_] = self._y[: self.n_samples_][order]
 
-    # --- scenario hooks ----------------------------------------------------
-
-    def local_norm(self, v: np.ndarray) -> float:
-        return self.V_.norm(v)
-
-    def inv_norm(self, v: np.ndarray) -> float:
-        return self.V_.inv_norm(v)
-
-    def inv_norm_matrix(self) -> np.ndarray:
-        return self.V_.inv
-
-    def local_norm_matrix(self) -> Optional[np.ndarray]:
-        return self.V_.mat
-
     def radius(self, t: Optional[int] = None) -> float:
         t = self.t_ if t is None else t
         return (self.c_beta * self.radius_scale_
@@ -291,36 +278,18 @@ class MleRewardEstimator(BaseRewardEstimator):
 
     # --- snapshotting (buffer included, so O(t) on disk) --------------------
 
-    def save(self, path) -> None:
-        payload = {
-            "kind": "mle",
-            "params": self.get_params(),
-            "t": self.t_,
-            "theta": self.theta_.tolist(),
-            "theta_sum": self.theta_sum_.tolist(),
-            "V": self.V_.mat.reshape(-1).tolist(),
-            "Z": self._Z[: self.n_samples_].reshape(-1).tolist(),
-            "y": self._y[: self.n_samples_].astype(int).tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+    def _snapshot(self) -> dict:
+        payload = super()._snapshot()
+        payload["Z"] = self._Z[: self.n_samples_].reshape(-1).tolist()
+        payload["y"] = self._y[: self.n_samples_].astype(int).tolist()
+        return payload
 
-    @classmethod
-    def load(cls, path) -> "MleRewardEstimator":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        est = cls(**payload["params"]).reset()
-        est.t_ = int(payload["t"])
-        est.theta_ = np.asarray(payload["theta"], dtype=float)
-        est.theta_sum_ = np.asarray(payload["theta_sum"], dtype=float)
-        mat = np.asarray(payload["V"], dtype=float).reshape(est.dim, est.dim)
-        est.V_ = LocalNormMatrix(mat=mat, inv=np.linalg.inv(mat), dim=est.dim)
+    def _restore(self, payload: dict) -> None:
+        super()._restore(payload)
         labels = np.asarray(payload["y"], dtype=float)
-        n = labels.shape[0]
-        Z = np.asarray(payload["Z"], dtype=float).reshape(n, est.dim)
+        Z = np.asarray(payload["Z"], dtype=float).reshape(labels.shape[0], self.dim)
         for row, label in zip(Z, labels):
-            est._append(row, int(label))
-        return est
+            self._append(row, int(label))
 
 
 class ImplicitOmdRewardEstimator(BaseRewardEstimator):
@@ -331,6 +300,9 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
     at the solution into the curvature matrix. Cost per update is constant in t
     up to the inner iteration count, which is recorded rather than assumed.
     """
+
+    curvature_attr = "local_norm_"
+    kind = "implicit"
 
     def __init__(self, dim: int, B: float = 1.0, L: float = 1.0,
                  eta: Optional[float] = None, lam: Optional[float] = None,
@@ -360,8 +332,7 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
 
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
+        check_label(y)
         Z = z[None, :]
         labels = np.array([float(y)])
         prox = (self.theta_.copy(), self.local_norm_.mat, 1.0 / self.eta_)
@@ -375,46 +346,6 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
         self.theta_sum_ = self.theta_sum_ + theta_next
         self.t_ += 1
 
-    # --- scenario hooks ----------------------------------------------------
-
-    def local_norm(self, v: np.ndarray) -> float:
-        return self.local_norm_.norm(v)
-
-    def inv_norm(self, v: np.ndarray) -> float:
-        return self.local_norm_.inv_norm(v)
-
-    def inv_norm_matrix(self) -> np.ndarray:
-        return self.local_norm_.inv
-
-    def local_norm_matrix(self) -> Optional[np.ndarray]:
-        return self.local_norm_.mat
-
     def radius(self, t: Optional[int] = None) -> float:
         t = self.t_ if t is None else t
         return self.c_beta * math.sqrt(self.dim * math.log((t + 1) / self.delta))
-
-    # --- snapshotting --------------------------------------------------------
-
-    def save(self, path) -> None:
-        payload = {
-            "kind": "implicit",
-            "params": self.get_params(),
-            "t": self.t_,
-            "theta": self.theta_.tolist(),
-            "theta_sum": self.theta_sum_.tolist(),
-            "local_norm": self.local_norm_.mat.reshape(-1).tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path) -> "ImplicitOmdRewardEstimator":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        est = cls(**payload["params"]).reset()
-        est.t_ = int(payload["t"])
-        est.theta_ = np.asarray(payload["theta"], dtype=float)
-        est.theta_sum_ = np.asarray(payload["theta_sum"], dtype=float)
-        mat = np.asarray(payload["local_norm"], dtype=float).reshape(est.dim, est.dim)
-        est.local_norm_ = LocalNormMatrix(mat=mat, inv=np.linalg.inv(mat), dim=est.dim)
-        return est

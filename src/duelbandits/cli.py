@@ -7,7 +7,8 @@ import json
 import sys
 from typing import Optional
 
-from .config import parse_config
+from .config import (DAMPING_FNS, ESTIMATORS, POLICY_MODES, RADIUS_MODES, SCENARIOS,
+                     parse_config)
 from .exceptions import ConfigError
 from .runner import format_bench_table, run_experiment
 from .verify import run_verify
@@ -29,15 +30,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float)
     p.add_argument("--lambda", type=float, dest="lam")
     p.add_argument("--c-beta", type=float, dest="c_beta")
-    p.add_argument("--radius-mode", choices=("practical", "theory"), dest="radius_mode")
+    p.add_argument("--radius-mode", choices=RADIUS_MODES, dest="radius_mode")
     p.add_argument("--delta", type=float)
     p.add_argument("--explore-coeff", type=float, dest="explore_coeff")
     p.add_argument("--K", type=int, dest="K", help="max CG iterations (hvpcg)")
     p.add_argument("--lambda0", type=float)
-    p.add_argument("--damping-fn", choices=("linear", "log"), dest="damping_fn")
+    p.add_argument("--damping-fn", choices=DAMPING_FNS, dest="damping_fn")
     p.add_argument("--cg-tol", type=float, dest="cg_tol")
-    p.add_argument("--policy-mode", choices=("enumerate", "greedy_percontext"),
-                   dest="policy_mode")
+    p.add_argument("--policy-mode", choices=POLICY_MODES, dest="policy_mode")
     p.add_argument("--coverage-skew", type=float, dest="coverage_skew")
 
 
@@ -113,8 +113,8 @@ def main(argv: Optional[list] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario across seeds")
-    run_p.add_argument("--scenario", choices=("passive", "active", "deploy", "bench"))
-    run_p.add_argument("--estimator", choices=("omd", "mle", "implicit", "hvpcg"))
+    run_p.add_argument("--scenario", choices=SCENARIOS)
+    run_p.add_argument("--estimator", choices=ESTIMATORS)
     _add_common_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -77,21 +78,22 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-_FIELD_TYPES = {
-    "scenario": str, "estimator": str,
-    "d": int, "contexts": int, "actions": int,
-    "B": float, "L": float, "T": int,
-    "seeds": list, "num_seeds": int, "base_seed": int,
-    "coverage_skew": float,
-    "eta": float, "lam": float,
-    "c_beta": float, "radius_mode": str, "delta": float,
-    "explore_coeff": float,
-    "K": int, "lambda0": float, "damping_fn": str, "cg_tol": float,
-    "policy_mode": str, "output_dir": str, "workers": int,
-    "bench_estimators": list,
-}
+def _field_type(hint) -> Tuple[type, bool]:
+    """(coercion target, nullable) of an annotation.
 
-_OPTIONAL_FIELDS = {"seeds", "eta", "lam"}
+    Optional[X] is a nullable X; List and Tuple fields take a list.
+    """
+    args = typing.get_args(hint)
+    nullable = type(None) in args
+    if nullable:
+        hint = next(arg for arg in args if arg is not type(None))
+    return (list if typing.get_origin(hint) in (list, tuple) else hint), nullable
+
+
+_HINTS = {name: _field_type(hint)
+          for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+_FIELD_TYPES = {name: target for name, (target, _) in _HINTS.items()}
+_OPTIONAL_FIELDS = {name for name, (_, nullable) in _HINTS.items() if nullable}
 
 
 def _coerce(key: str, value, target):
@@ -104,7 +106,7 @@ def _coerce(key: str, value, target):
             raise ConfigError(f"configuration key '{key}' expects an integer, got {value!r}")
         try:
             out = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"configuration key '{key}' expects an integer, got {value!r}")
         if isinstance(value, str) or isinstance(value, (int, float)):
             if float(value) != out:
@@ -112,9 +114,12 @@ def _coerce(key: str, value, target):
         return out
     if target is float:
         try:
-            return float(value)
+            out = float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"configuration key '{key}' expects a number, got {value!r}")
+        if not math.isfinite(out):
+            raise ConfigError(f"configuration key '{key}' must be finite, got {value!r}")
+        return out
     if target is str:
         if not isinstance(value, str):
             raise ConfigError(f"configuration key '{key}' expects a string, got {value!r}")
@@ -189,7 +194,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("configuration key 'seeds' must list at least one seed")
         try:
             cfg.seeds = [int(s) for s in cfg.seeds]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("configuration key 'seeds' must list integers")
     bad = [e for e in cfg.bench_estimators if e not in ESTIMATORS]
     if bad:

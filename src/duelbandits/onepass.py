@@ -9,14 +9,13 @@ how many samples have been seen; no sample is ever stored.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .base import BaseRewardEstimator, check_vector
+from .base import BaseRewardEstimator, check_label, check_vector
 from .exceptions import NumericFailure
 from .linalg import LocalNormMatrix, cg_solve, rank_one_inverse
 from .linkmath import log_loss, sigmoid_pair
@@ -115,11 +114,6 @@ def confidence_radius(t: int, config: OnePassConfig) -> float:
     return math.sqrt(big_c)
 
 
-def _check_label(y) -> None:
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-
-
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a vector: the sqrt-of-dot np.linalg.norm computes, without its overhead."""
     return math.sqrt(float(v @ v))
@@ -132,7 +126,7 @@ def loss_derivatives(theta: np.ndarray, z: np.ndarray, y: int) -> Tuple[float, n
     with hess_weight = sigma'(z.theta), returned as the scalar so callers choose
     whether to materialize it.
     """
-    _check_label(y)
+    check_label(y)
     s = float(np.dot(z, theta))
     sig, ds = sigmoid_pair(s)
     return log_loss(s, y), (sig - y) * z, ds
@@ -207,6 +201,9 @@ class OnePassRewardEstimator(BaseRewardEstimator):
     projections_ : updates whose step left the ball and was projected back.
     """
 
+    curvature_attr = "hess_"
+    kind = "onepass"
+
     def __init__(self, dim: int, B: float = 1.0, L: float = 1.0,
                  eta: Optional[float] = None, lam: Optional[float] = None,
                  radius_mode: str = "practical", c_beta: float = 1.0,
@@ -234,7 +231,7 @@ class OnePassRewardEstimator(BaseRewardEstimator):
 
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)
-        _check_label(y)
+        check_label(y)
         cfg = self.config_
         hess = self.hess_
         sig, hw = sigmoid_pair(float(np.dot(z, self.theta_)))
@@ -259,50 +256,8 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         self.theta_sum_ = self.theta_sum_ + theta_next
         self.t_ += 1
 
-    # --- scenario hooks ---------------------------------------------------
-
-    def local_norm(self, v: np.ndarray) -> float:
-        return self.hess_.norm(v)
-
-    def inv_norm(self, v: np.ndarray) -> float:
-        return self.hess_.inv_norm(v)
-
-    def inv_norm_matrix(self) -> np.ndarray:
-        return self.hess_.inv
-
-    def local_norm_matrix(self) -> Optional[np.ndarray]:
-        return self.hess_.mat
-
     def radius(self, t: Optional[int] = None) -> float:
         return confidence_radius(self.t_ if t is None else t, self.config_)
-
-    # --- snapshotting ------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write a text snapshot: params, counter, iterates, curvature row-major."""
-        payload = {
-            "kind": "onepass",
-            "params": self.get_params(),
-            "t": self.t_,
-            "theta": self.theta_.tolist(),
-            "theta_sum": self.theta_sum_.tolist(),
-            "hess": self.hess_.mat.reshape(-1).tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path) -> "OnePassRewardEstimator":
-        """Rebuild from a snapshot; the inverse is recomputed, never trusted."""
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        est = cls(**payload["params"]).reset()
-        est.t_ = int(payload["t"])
-        est.theta_ = np.asarray(payload["theta"], dtype=float)
-        est.theta_sum_ = np.asarray(payload["theta_sum"], dtype=float)
-        mat = np.asarray(payload["hess"], dtype=float).reshape(est.dim, est.dim)
-        est.hess_ = LocalNormMatrix(mat=mat, inv=np.linalg.inv(mat), dim=est.dim)
-        return est
 
 
 def damping_value(t: int, horizon: int, lambda0: float, damping: str) -> float:
@@ -364,7 +319,7 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
 
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)
-        _check_label(y)
+        check_label(y)
         sig, hw = sigmoid_pair(float(np.dot(z, self.theta_)))
         grad = (sig - y) * z
         lam_t = self._damping()

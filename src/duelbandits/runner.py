@@ -51,14 +51,13 @@ def run_single(cfg: ExperimentConfig, seed: int,
     env = make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L,
                            seed=seed, coverage_skew=cfg.coverage_skew)
     est = build_estimator(cfg, kind=estimator_kind, horizon=cfg.T)
-    scenario = cfg.scenario if cfg.scenario != "bench" else "passive"
-    if scenario == "passive":
-        checkpoints = () if cfg.scenario == "bench" else None
+    if cfg.scenario in ("passive", "bench"):
+        # bench times updates on passive data, with no checkpoint policies in between
         _, rec = run_passive(env, est, cfg.T, policy_mode=cfg.policy_mode,
-                             checkpoints=checkpoints)
-    elif scenario == "active":
+                             checkpoints=() if cfg.scenario == "bench" else None)
+    elif cfg.scenario == "active":
         _, rec = run_active(env, est, cfg.T)
-    elif scenario == "deploy":
+    elif cfg.scenario == "deploy":
         rec = run_deploy(env, est, cfg.T, explore_coeff=cfg.explore_coeff)
     else:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")

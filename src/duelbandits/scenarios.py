@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -258,26 +258,6 @@ def select_deploy_actions(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
 # run loops
 
 
-def _stream_rng(env: Environment, stream_seed: Optional[int]) -> np.random.Generator:
-    if stream_seed is None:
-        return np.random.default_rng((env.rng_seed, 1))
-    return np.random.default_rng(stream_seed)
-
-
-def _prepare(estimator, T: int):
-    if getattr(estimator, "horizon", False) is None:
-        estimator.horizon = T
-    estimator.reset()
-
-
-def _capture(rec: _Recorder, i: int, estimator, theta_star: np.ndarray,
-             beta: float) -> None:
-    diff = estimator.theta_ - theta_star
-    rec.err_l2[i] = math.sqrt(float(diff @ diff))
-    rec.err_local[i] = estimator.local_norm(diff)
-    rec.beta[i] = beta
-
-
 def _domination_parts(estimator):
     mat = estimator.local_norm_matrix()
     cfg = getattr(estimator, "config_", None)
@@ -355,10 +335,64 @@ def _base_summary(rec: _Recorder, estimator, theta_star, aborted: Optional[str])
     }
 
 
-def _step_flag(estimator) -> str:
-    if not getattr(estimator, "last_converged_", True):
-        return "inner_nonconverged"
-    return ""
+def _run_loop(scenario: str, env: Environment, estimator, T: int,
+              stream_seed: Optional[int], choose: Callable,
+              policy: Optional[Callable[[], Policy]] = None,
+              checkpoints: Optional[Sequence[int]] = None,
+              on_step: Optional[Callable] = None) -> Tuple[Optional[Policy], RunRecord]:
+    """The round structure all three scenarios share.
+
+    Each round ``choose(rng)`` returns the played (x, a, a', y) and the radius
+    its choice used. The estimate is captured before the timed update; a
+    NumericFailure there flags the round ``update_failed`` and ends the run.
+    After a successful update come ``on_step(rec, i, x, a, a')``, the step
+    flag, the domination audit, and the suboptimality of ``policy()`` at the
+    rounds in ``checkpoints`` (default: ``default_checkpoints(T)``). A run
+    with a ``policy`` that no failure cut short ends by extracting it.
+    """
+    if getattr(estimator, "horizon", False) is None:
+        estimator.horizon = max(T, 1)
+    estimator.reset()
+    rng = np.random.default_rng((env.rng_seed, 1) if stream_seed is None else stream_seed)
+    ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
+    theta_star = env.truth.theta_star
+    rec = _Recorder(scenario, env.rng_seed, T)
+    audit = _DominationAudit(estimator, env, T)
+    aborted = None
+    for t in range(1, T + 1):
+        i = t - 1
+        x, a, b, yy, beta = choose(rng)
+        z = env.z_of(x, a, b)
+        diff = estimator.theta_ - theta_star
+        rec.err_l2[i] = math.sqrt(float(diff @ diff))
+        rec.err_local[i] = estimator.local_norm(diff)
+        rec.beta[i] = beta
+        rec.x[i], rec.a[i], rec.a_prime[i], rec.y[i] = x, a, b, yy
+        try:
+            start = time.perf_counter_ns()
+            estimator.update(z, yy)
+            rec.wall[i] = time.perf_counter_ns() - start
+        except NumericFailure as exc:
+            rec.flags[i] = "update_failed"
+            rec.n = t
+            aborted = str(exc)
+            break
+        if on_step is not None:
+            on_step(rec, i, x, a, b)
+        if not getattr(estimator, "last_converged_", True):
+            rec.flags[i] = "inner_nonconverged"
+        audit.step(z, t)
+        rec.n = t
+        if t in ckpts:
+            rec.subopt_ckpt[i] = subopt(policy(), env)
+    summary = _base_summary(rec, estimator, theta_star, aborted)
+    summary["domination_audits"] = audit.records
+    final = None
+    if policy is not None and aborted is None:
+        final = policy()
+        summary["subopt"] = subopt(final, env)
+        summary["policy"] = final.action_of.tolist()
+    return final, rec.finish(summary)
 
 
 def run_passive(env: Environment, estimator, T: int, policy_mode: str = "enumerate",
@@ -367,45 +401,16 @@ def run_passive(env: Environment, estimator, T: int, policy_mode: str = "enumera
     """Observe behavior-distributed pairs for T rounds, then extract a pessimistic policy."""
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    _prepare(estimator, max(T, 1))
-    rng = _stream_rng(env, stream_seed)
-    theta_star = env.truth.theta_star
-    rec = _Recorder("passive", env.rng_seed, T)
-    audit = _DominationAudit(estimator, env, T)
-    ckpts = frozenset(checkpoints if checkpoints is not None else default_checkpoints(T))
-    aborted = None
-    for t in range(1, T + 1):
-        i = t - 1
+
+    def choose(rng):
         x, a, b = draw_passive_pair(env, rng)
-        yy = bt_sample(env.reward(x, a), env.reward(x, b), rng)
-        z = env.z_of(x, a, b)
-        _capture(rec, i, estimator, theta_star, estimator.radius())
-        rec.x[i], rec.a[i], rec.a_prime[i], rec.y[i] = x, a, b, yy
-        try:
-            start = time.perf_counter_ns()
-            estimator.update(z, yy)
-            rec.wall[i] = time.perf_counter_ns() - start
-        except NumericFailure as exc:
-            rec.flags[i] = "update_failed"
-            rec.n = t
-            aborted = str(exc)
-            break
-        rec.flags[i] = _step_flag(estimator)
-        audit.step(z, t)
-        rec.n = t
-        if t in ckpts:
-            pol = pessimistic_policy(estimator.theta_, estimator.inv_norm_matrix(),
-                                     estimator.radius(), env, policy_mode)
-            rec.subopt_ckpt[i] = subopt(pol, env)
-    summary = _base_summary(rec, estimator, theta_star, aborted)
-    summary["domination_audits"] = audit.records
-    policy = None
-    if aborted is None:
-        policy = pessimistic_policy(estimator.theta_, estimator.inv_norm_matrix(),
-                                    estimator.radius(), env, policy_mode)
-        summary["subopt"] = subopt(policy, env)
-        summary["policy"] = policy.action_of.tolist()
-    return policy, rec.finish(summary)
+        return x, a, b, bt_sample(env.reward(x, a), env.reward(x, b), rng), estimator.radius()
+
+    def policy() -> Policy:
+        return pessimistic_policy(estimator.theta_, estimator.inv_norm_matrix(),
+                                  estimator.radius(), env, policy_mode)
+
+    return _run_loop("passive", env, estimator, T, stream_seed, choose, policy, checkpoints)
 
 
 def run_active(env: Environment, estimator, T: int,
@@ -414,43 +419,16 @@ def run_active(env: Environment, estimator, T: int,
     """Query the most uncertain pair each round; play the averaged-parameter greedy policy."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    _prepare(estimator, T)
-    rng = _stream_rng(env, stream_seed)
-    theta_star = env.truth.theta_star
-    rec = _Recorder("active", env.rng_seed, T)
-    audit = _DominationAudit(estimator, env, T)
-    ckpts = frozenset(checkpoints if checkpoints is not None else default_checkpoints(T))
-    aborted = None
-    for t in range(1, T + 1):
-        i = t - 1
+
+    def choose(rng):
         x, a, b = select_most_uncertain(env, estimator.inv_norm_matrix())
-        yy = bt_sample(env.reward(x, a), env.reward(x, b), rng)
-        z = env.z_of(x, a, b)
-        _capture(rec, i, estimator, theta_star, estimator.radius())
-        rec.x[i], rec.a[i], rec.a_prime[i], rec.y[i] = x, a, b, yy
-        try:
-            start = time.perf_counter_ns()
-            estimator.update(z, yy)
-            rec.wall[i] = time.perf_counter_ns() - start
-        except NumericFailure as exc:
-            rec.flags[i] = "update_failed"
-            rec.n = t
-            aborted = str(exc)
-            break
-        rec.flags[i] = _step_flag(estimator)
-        audit.step(z, t)
-        rec.n = t
-        if t in ckpts:
-            rec.subopt_ckpt[i] = subopt(greedy_policy(estimator.averaged_theta(), env), env)
-    summary = _base_summary(rec, estimator, theta_star, aborted)
-    summary["domination_audits"] = audit.records
-    policy = None
-    if aborted is None:
-        policy = greedy_policy(estimator.averaged_theta(), env)
-        summary["subopt"] = subopt(policy, env)
-        summary["subopt_last_iterate"] = subopt(greedy_policy(estimator.theta_, env), env)
-        summary["policy"] = policy.action_of.tolist()
-    return policy, rec.finish(summary)
+        return x, a, b, bt_sample(env.reward(x, a), env.reward(x, b), rng), estimator.radius()
+
+    policy, rec = _run_loop("active", env, estimator, T, stream_seed, choose,
+                            lambda: greedy_policy(estimator.averaged_theta(), env), checkpoints)
+    if policy is not None:
+        rec.summary["subopt_last_iterate"] = subopt(greedy_policy(estimator.theta_, env), env)
+    return policy, rec
 
 
 def run_deploy(env: Environment, estimator, T: int, explore_coeff: float = 1.0,
@@ -458,42 +436,26 @@ def run_deploy(env: Environment, estimator, T: int, explore_coeff: float = 1.0,
     """Serve arriving contexts with a greedy + exploratory pair, accumulating dueling regret."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    _prepare(estimator, T)
-    rng = _stream_rng(env, stream_seed)
-    theta_star = env.truth.theta_star
     rewards = env.rewards()
     star = np.argmax(rewards, axis=1).tolist()
     reward_of = rewards.tolist()
-    rec = _Recorder("deploy", env.rng_seed, T)
-    audit = _DominationAudit(estimator, env, T)
     regret = 0.0
-    aborted = None
-    for t in range(1, T + 1):
-        i = t - 1
+
+    def choose(rng):
         x = env.draw_context(rng)
         beta = estimator.radius()
         a, b = select_deploy_actions(estimator.theta_, estimator.inv_norm_matrix(),
                                      beta, x, env, explore_coeff)
         r_x = reward_of[x]
-        yy = bt_sample(r_x[a], r_x[b], rng)
-        z = env.z_of(x, a, b)
-        _capture(rec, i, estimator, theta_star, beta)
-        rec.x[i], rec.a[i], rec.a_prime[i], rec.y[i] = x, a, b, yy
-        try:
-            start = time.perf_counter_ns()
-            estimator.update(z, yy)
-            rec.wall[i] = time.perf_counter_ns() - start
-        except NumericFailure as exc:
-            rec.flags[i] = "update_failed"
-            rec.n = t
-            aborted = str(exc)
-            break
+        return x, a, b, bt_sample(r_x[a], r_x[b], rng), beta
+
+    def on_step(rec: _Recorder, i: int, x: int, a: int, b: int) -> None:
+        nonlocal regret
+        r_x = reward_of[x]
         regret += r_x[star[x]] - 0.5 * (r_x[a] + r_x[b])
         rec.cum_regret[i] = regret
-        rec.flags[i] = _step_flag(estimator)
-        audit.step(z, t)
-        rec.n = t
-    summary = _base_summary(rec, estimator, theta_star, aborted)
-    summary["domination_audits"] = audit.records
-    summary["cum_regret"] = regret
-    return rec.finish(summary)
+
+    _, rec = _run_loop("deploy", env, estimator, T, stream_seed, choose,
+                       checkpoints=(), on_step=on_step)
+    rec.summary["cum_regret"] = regret
+    return rec

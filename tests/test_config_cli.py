@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelbandits import runner
 from duelbandits.cli import main
-from duelbandits.config import mix_seed, parse_config, resolve_seeds
+from duelbandits.config import (DAMPING_FNS, ESTIMATORS, POLICY_MODES, RADIUS_MODES, SCENARIOS,
+                                ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
+                                parse_config, resolve_seeds)
 from duelbandits.exceptions import ConfigError
 from duelbandits.runner import aggregate_summaries, bench_windows, run_experiment
 from duelbandits.verify import (
@@ -75,6 +80,82 @@ class TestParseConfig:
         cfg = parse_config({"scenario": "deploy", "seeds": [5, 6, 7]})
         assert cfg.seeds == [5, 6, 7]
         assert cfg.num_seeds == 3
+
+
+FLOAT_FIELDS = sorted(k for k, target in _FIELD_TYPES.items() if target is float)
+INT_FIELDS = sorted(k for k, target in _FIELD_TYPES.items() if target is int)
+POSITIVE = st.floats(1e-3, 1e3)
+
+# one strategy of valid values per ExperimentConfig field
+FIELD_STRATEGIES = {
+    "scenario": st.sampled_from(SCENARIOS),
+    "estimator": st.sampled_from(ESTIMATORS),
+    "d": st.integers(1, 64),
+    "contexts": st.integers(1, 64),
+    "actions": st.integers(1, 64),
+    "B": st.floats(1e-3, 10.0),
+    "L": st.floats(1e-3, 10.0),
+    "T": st.integers(0, 10**7),
+    "seeds": st.none() | st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+    "num_seeds": st.integers(1, 64),
+    "base_seed": st.integers(0, 2**32),
+    "coverage_skew": st.floats(0.0, 1.0),
+    "eta": st.none() | POSITIVE,
+    "lam": st.none() | POSITIVE,
+    "c_beta": st.floats(0.0, 1e3),
+    "radius_mode": st.sampled_from(RADIUS_MODES),
+    "delta": st.floats(1e-9, 1.0),
+    "explore_coeff": st.floats(0.0, 1e3),
+    "K": st.integers(1, 100),
+    "lambda0": POSITIVE,
+    "damping_fn": st.sampled_from(DAMPING_FNS),
+    "cg_tol": st.floats(0.0, 1.0),
+    "policy_mode": st.sampled_from(POLICY_MODES),
+    "output_dir": st.text(min_size=1, max_size=20),
+    "workers": st.integers(1, 8),
+    "bench_estimators": st.lists(st.sampled_from(ESTIMATORS), max_size=4),
+}
+VALID_CONFIGS = st.fixed_dictionaries(
+    {"scenario": FIELD_STRATEGIES["scenario"]},
+    optional={k: v for k, v in FIELD_STRATEGIES.items() if k != "scenario"},
+)
+
+
+class TestConfigFields:
+    def test_field_types_come_from_the_dataclass(self):
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert list(_FIELD_TYPES) == names
+        assert sorted(FIELD_STRATEGIES) == sorted(names)
+        assert _OPTIONAL_FIELDS == {"seeds", "eta", "lam"}
+        assert _FIELD_TYPES["seeds"] is list and _FIELD_TYPES["bench_estimators"] is list
+
+    @settings(max_examples=200, deadline=None)
+    @given(VALID_CONFIGS)
+    def test_echo_roundtrip_property(self, data):
+        cfg = parse_config(data)
+        echoed = json.loads(cfg.echo_json())
+        assert sorted(echoed) == sorted(_FIELD_TYPES)
+        assert parse_config(echoed) == cfg
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_non_finite_float_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config({"scenario": "deploy", key: value})
+
+    @pytest.mark.parametrize("key", INT_FIELDS)
+    def test_infinite_int_names_key(self, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config({"scenario": "deploy", key: math.inf})
+
+    def test_infinite_json_horizon_names_key(self):
+        with pytest.raises(ConfigError, match="'T'"):
+            parse_config(json.loads('{"scenario": "deploy", "T": Infinity}'))
+
+    def test_infinite_seed_rejected(self):
+        with pytest.raises(ConfigError, match="'seeds'"):
+            parse_config({"scenario": "deploy", "seeds": [math.inf]})
 
 
 class TestSeedFanout:
@@ -212,6 +293,13 @@ class TestCli:
                      "--out", str(tmp_path / "bad")])
         assert code == 2
         assert "'T'" in capsys.readouterr().err
+
+    def test_nan_flag_exits_2(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "deploy", "--c-beta", "nan", "--T", "20",
+                     "--seeds", "1", "--out", str(tmp_path / "nan")])
+        assert code == 2
+        assert "'c_beta'" in capsys.readouterr().err
+        assert not (tmp_path / "nan").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -12,6 +12,7 @@ from duelbandits.environment import (
     make_environment,
 )
 from duelbandits.baselines import MleRewardEstimator
+from duelbandits.exceptions import NumericFailure
 from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from duelbandits.scenarios import (
     CSV_COLUMNS,
@@ -41,6 +42,23 @@ def manual_env(phi, theta_star, rho, B=None, L=None, seed=0):
         behavior=BehaviorSpec(),
         rng_seed=seed,
     )
+
+
+class Exploding(OnePassRewardEstimator):
+    """Raises NumericFailure from its 21st update."""
+
+    def update(self, z, y):
+        if self.t_ == 21:
+            raise NumericFailure("synthetic fault")
+        super().update(z, y)
+
+
+def assert_stopped_at_failed_update(rec):
+    assert rec.summary["aborted"] == "synthetic fault"
+    assert rec.summary["completed"] == 21
+    assert len(rec) == 21 and rec.t[-1] == 21
+    assert rec.flags[-1] == "update_failed"
+    assert rec.wall_nanos[-1] == 0
 
 
 def random_spd(rng, d):
@@ -389,16 +407,22 @@ class TestRunRecord:
         assert default_checkpoints(0) == ()
 
     def test_partial_record_on_estimator_failure(self, default_env):
-        class Exploding(OnePassRewardEstimator):
-            def update(self, z, y):
-                if self.t_ == 21:
-                    from duelbandits.exceptions import NumericFailure
-
-                    raise NumericFailure("synthetic fault")
-                super().update(z, y)
-
         policy, rec = run_passive(default_env, Exploding(dim=5), 60)
         assert policy is None
-        assert rec.summary["aborted"] == "synthetic fault"
-        assert len(rec) == 21
-        assert rec.flags[-1] == "update_failed"
+        assert_stopped_at_failed_update(rec)
+        assert "policy" not in rec.summary and "subopt" not in rec.summary
+
+    def test_active_record_stops_at_estimator_failure(self, default_env):
+        policy, rec = run_active(default_env, Exploding(dim=5), 60)
+        assert policy is None
+        assert_stopped_at_failed_update(rec)
+        for key in ("policy", "subopt", "subopt_last_iterate"):
+            assert key not in rec.summary
+
+    def test_deploy_record_stops_at_estimator_failure(self, default_env):
+        rec = run_deploy(default_env, Exploding(dim=5), 60)
+        assert_stopped_at_failed_update(rec)
+        # regret accrues only after a successful update
+        assert np.isnan(rec.cum_regret[-1])
+        assert np.isfinite(rec.cum_regret[:-1]).all()
+        assert rec.summary["cum_regret"] == rec.cum_regret[-2]

@@ -10,7 +10,11 @@ and what it produced, recorded before any change it is meant to guard:
 * ``summary``: exact summary values (``final_est_err_l2``, ``final_beta``,
   and ``cum_regret`` or ``policy``, as the scenario has them);
 * ``save_sha256``: the sha256 of the config's estimator ``save()`` file after
-  ``SNAPSHOT_UPDATES`` seeded updates (no scenario loop involved).
+  ``SNAPSHOT_UPDATES`` seeded updates (no scenario loop involved);
+* ``seed_runs``: for a config run through ``run_experiment`` with several
+  seeds, each seed's CSV column digests and its ``SEED_RUN_FIELDS`` summary
+  values (dotted names reach into nested blocks), plus ``aggregate``: the
+  run's ``aggregate.json`` without its timing metric.
 
 A change to how the uncertainty scan or the policy enumeration rounds its
 quadratic forms that flips an argmax shows up here as a mismatch, and so does
@@ -20,6 +24,7 @@ alter outputs re-records every case with
     PYTHONPATH=src python3 tests/test_pinned_choices.py
 """
 
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -29,17 +34,28 @@ import numpy as np
 import pytest
 
 from duelbandits.config import parse_config
-from duelbandits.runner import build_estimator, run_single
+from duelbandits.runner import build_estimator, run_experiment, run_single
 
 PINNED = Path(__file__).parent / "pinned_choices.json"
 CASES = json.loads(PINNED.read_text())
 UNPINNED_COLUMNS = ("wall_nanos",)
 SNAPSHOT_UPDATES = 30
+SEED_RUN_FIELDS = (
+    "completed", "aborted", "final_est_err_l2", "final_est_err_local", "final_beta",
+    "cum_regret", "subopt", "subopt_last_iterate", "policy", "flag_counts",
+    "estimator_stats", "domination_audits", "diagnostics.coverage_ok",
+    "diagnostics.first_violation", "diagnostics.potential_lhs",
+    "diagnostics.potential_rhs", "diagnostics.domination_min_eig",
+)
 
 
 def column_digests(rec, workdir: Path) -> dict:
     path = workdir / "run.csv"
     rec.write_csv(path)
+    return csv_digests(path)
+
+
+def csv_digests(path: Path) -> dict:
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     columns = zip(*(row.split(",") for row in rows))
     return {name: hashlib.sha256("\n".join(cells).encode()).hexdigest()
@@ -58,11 +74,42 @@ def snapshot_digest(cfg, workdir: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def summary_field(summary: dict, dotted: str):
+    """A summary value by dotted name; NaN becomes the string "nan", which compares equal."""
+    for key in dotted.split("."):
+        summary = summary[key]
+    return "nan" if summary != summary else summary
+
+
+def experiment_digests(cfg, workdir: Path) -> dict:
+    """Every seed's column digests and summary fields, from one run_experiment call."""
+    cfg = dataclasses.replace(cfg, output_dir=str(workdir / "experiment"))
+    result = run_experiment(cfg)
+    runs = []
+    for summary in result.summaries:
+        stem = f"{cfg.scenario}_{cfg.estimator}_seed{summary['seed']}"
+        fields = {}
+        for name in SEED_RUN_FIELDS:
+            try:
+                fields[name] = summary_field(summary, name)
+            except KeyError:
+                continue
+        runs.append({"seed": summary["seed"],
+                     "columns": csv_digests(result.output_dir / f"{stem}.csv"),
+                     "summary": fields})
+    aggregate = dict(result.aggregate)
+    aggregate["metrics"] = {k: v for k, v in aggregate["metrics"].items()
+                            if k != "update_ns_mean"}
+    return {"seed_runs": runs, "aggregate": aggregate}
+
+
 def observe(case: dict, workdir: Path) -> dict:
     """Run the case's config and return the same fields the case pins."""
     cfg = parse_config(case["config"])
     if "save_sha256" in case:
         return {"save_sha256": snapshot_digest(cfg, workdir)}
+    if "seed_runs" in case:
+        return experiment_digests(cfg, workdir)
     rec = run_single(cfg, cfg.seeds[0])
     out = {}
     for col in ("x", "a", "a_prime"):
@@ -84,9 +131,10 @@ def test_choices_match_recording(case, tmp_path):
 
 
 def repin() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        cases = [{"name": c["name"], "config": c["config"], **observe(c, Path(tmp))}
-                 for c in CASES]
+    cases = []
+    for c in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            cases.append({"name": c["name"], "config": c["config"], **observe(c, Path(tmp))})
     PINNED.write_text("[\n" + ",\n".join(json.dumps(c) for c in cases) + "\n]\n")
 
 

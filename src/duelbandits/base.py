@@ -20,19 +20,24 @@ from .linalg import LocalNormMatrix
 __all__ = ["check_vector", "check_label", "check_pair_samples", "BaseRewardEstimator"]
 
 
-def check_vector(z, dim: int, name: str = "z") -> np.ndarray:
-    """Coerce to a finite float vector of length ``dim``."""
-    arr = np.asarray(z, dtype=float).reshape(-1)
-    if arr.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {np.shape(z)}")
+def check_vector(z, dim: int, name: str = "z", lead: Tuple[int, ...] = ()) -> np.ndarray:
+    """Coerce to a finite float vector of length ``dim``, or a ``lead`` stack of them."""
+    arr = np.asarray(z, dtype=float)
+    if not lead:
+        arr = arr.reshape(-1)
+    if arr.shape != (*lead, dim):
+        raise ValueError(f"{name} must have shape {(*lead, dim)}, got {np.shape(z)}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def check_label(y) -> None:
-    """Reject anything but a 0/1 preference label."""
-    if y not in (0, 1):
+    """Reject anything but a 0/1 preference label (or a numpy array of them, for a stack)."""
+    if isinstance(y, np.ndarray) and y.ndim:
+        if not set(y.tolist()) <= {0, 1}:
+            raise ValueError(f"labels must be 0 or 1, got {y!r}")
+    elif y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y!r}")
 
 

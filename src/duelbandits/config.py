@@ -96,23 +96,28 @@ _FIELD_TYPES = {name: target for name, (target, _) in _HINTS.items()}
 _OPTIONAL_FIELDS = {name for name, (_, nullable) in _HINTS.items() if nullable}
 
 
+def _as_int(key: str, value) -> int:
+    """An integer value, or a ConfigError naming the key (booleans and fractions included)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        if isinstance(value, bool) or not (isinstance(value, str) or float(value).is_integer()):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"configuration key '{key}' expects an integer, got {value!r}")
+
+
 def _coerce(key: str, value, target):
     if value is None:
         if key in _OPTIONAL_FIELDS:
             return None
         raise ConfigError(f"configuration key '{key}' must not be null")
     if target is int:
-        if isinstance(value, bool):
-            raise ConfigError(f"configuration key '{key}' expects an integer, got {value!r}")
-        try:
-            out = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"configuration key '{key}' expects an integer, got {value!r}")
-        if isinstance(value, str) or isinstance(value, (int, float)):
-            if float(value) != out:
-                raise ConfigError(f"configuration key '{key}' expects an integer, got {value!r}")
-        return out
+        return _as_int(key, value)
     if target is float:
+        if isinstance(value, bool):
+            raise ConfigError(f"configuration key '{key}' expects a number, got {value!r}")
         try:
             out = float(value)
         except (TypeError, ValueError):
@@ -192,10 +197,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if cfg.seeds is not None:
         if len(cfg.seeds) < 1:
             raise ConfigError("configuration key 'seeds' must list at least one seed")
-        try:
-            cfg.seeds = [int(s) for s in cfg.seeds]
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("configuration key 'seeds' must list integers")
+        cfg.seeds = [_as_int("seeds", s) for s in cfg.seeds]
     bad = [e for e in cfg.bench_estimators if e not in ESTIMATORS]
     if bad:
         raise ConfigError(f"configuration key 'bench_estimators' has invalid entries {bad}")

@@ -45,17 +45,36 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def diagnostics_report(env, record: "RunRecord",
-                       potential_lambda: float = 1.0) -> DiagnosticsReport:
+def diagnostics_report(env, record: "RunRecord", potential_lambda: float = 1.0):
     """Bundle every lemma-level check for one finished run.
 
     The domination eigenvalue comes from the audits the run itself recorded
     (NaN when the estimator exposes no curvature matrix); the timing windows
-    are the first and last tenth of the run.
+    are the first and last tenth of the run. Given lists of environments and
+    records (the seeds of one experiment), returns one report per record, and
+    replays the elliptic potentials of equal-length records as one stack.
     """
+    if not isinstance(record, (list, tuple)):
+        return _reports([env], [record], potential_lambda)[0]
+    return _reports(env, record, potential_lambda)
+
+
+def _reports(envs, records, potential_lambda: float):
+    groups: dict = {}
+    for k, (env, rec) in enumerate(zip(envs, records)):
+        groups.setdefault((len(rec), env.truth.L), []).append(k)
+    potentials = {}
+    for (n, L), ks in groups.items():
+        zs = np.empty((len(ks), n, envs[ks[0]].features.dim))
+        for j, k in enumerate(ks):
+            zs[j] = records[k].z_rows(envs[k])
+        lhs, rhs, _ = elliptic_potential_check(zs, potential_lambda, 2 * L)
+        potentials.update((k, (float(v), rhs)) for k, v in zip(ks, lhs))
+    return [_report(rec, *potentials[k]) for k, rec in enumerate(records)]
+
+
+def _report(record: "RunRecord", lhs: float, rhs: float) -> DiagnosticsReport:
     cov_ok, first = coverage_check(record)
-    lhs, rhs, _ = elliptic_potential_check(record.z_rows(env), potential_lambda,
-                                           2 * env.truth.L)
     audits = record.summary.get("domination_audits", [])
     dom = min((a["min_eig"] for a in audits), default=float("nan"))
     n = len(record)
@@ -90,31 +109,33 @@ def coverage_check(record: "RunRecord",
     return False, int(record.t[int(np.argmax(bad))])
 
 
-def elliptic_potential_check(zs: np.ndarray, lambda_v: float,
-                             L: float) -> Tuple[float, float, bool]:
+def elliptic_potential_check(zs: np.ndarray, lambda_v: float, L: float):
     """Sum of squared self-normalized norms against its closed-form ceiling.
 
     Computes lhs = sum_s ||z_s||^2 in the inverse of V_s = lambda*I + sum_{i<s}
     z_i z_i^T via incremental rank-one inverse updates, and
     rhs = 2 d log(1 + t L^2 / (lambda d)). ``L`` must bound the supplied rows
-    (callers pass 2L for preference differences).
+    (callers pass 2L for preference differences). A stack of equal-length row
+    sequences, shape (S, n, d), is replayed together and gives one lhs and one
+    verdict per sequence.
     """
     if lambda_v <= 0:
         raise ValueError(f"lambda_v must be positive, got {lambda_v}")
     zs = np.asarray(zs, dtype=float)
-    if zs.size == 0:
-        return 0.0, 0.0, True
-    n, d = zs.shape
-    norms = np.linalg.norm(zs, axis=1)
-    if np.any(norms > L * (1 + 1e-9)):
+    n, d = zs.shape[-2:]
+    if np.any(np.sqrt(np.vecdot(zs, zs)) > L * (1 + 1e-9)):
         raise ValueError("a row exceeds the stated norm bound L")
     inv = np.eye(d) / lambda_v
-    lhs = 0.0
-    for z in zs:
-        lhs += float(z @ inv @ z)
+    lhs = np.zeros(zs.shape[:-2])
+    for j in range(n):
+        z = zs[..., j, :]
+        lhs = lhs + np.vecdot(np.vecmat(z, inv), z)
         inv = sherman_morrison(inv, z, 1.0)
-    rhs = 2.0 * d * np.log(1.0 + n * L**2 / (lambda_v * d))
-    return lhs, float(rhs), lhs <= rhs + 1e-9
+    rhs = float(2.0 * d * np.log(1.0 + n * L**2 / (lambda_v * d)))
+    ok = lhs <= rhs + 1e-9
+    if lhs.ndim == 0:
+        return float(lhs), rhs, bool(ok)
+    return lhs, rhs, ok
 
 
 def norm_domination_check(H: np.ndarray, V: np.ndarray, kappa: float) -> float:

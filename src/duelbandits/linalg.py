@@ -1,10 +1,17 @@
-"""Rank-one inverse maintenance, weighted norms, and a matrix-free CG solver."""
+"""Rank-one inverse maintenance, weighted norms, and a matrix-free CG solver.
+
+The rank-one kernels and the norms take an optional leading axis: a stack of
+S matrices (S, d, d) with one vector (S, d) and one weight per row, for seeds
+run in lockstep. Each row gets exactly the arithmetic it would get alone: the
+stacked products are numpy's gufuncs (``np.vecdot``, ``np.matvec``,
+``np.vecmat``), which give the same bits per row as ``v @ w`` and ``M @ v``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,49 +28,82 @@ __all__ = [
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def rank_one_inverse(inv: np.ndarray, u: np.ndarray, zu: float, w: float) -> np.ndarray:
+def _outer(u: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * u[..., None, :]
+
+
+def _values(a) -> list:
+    """The entries of a scalar or a stack as a Python list, for cheap per-row work."""
+    values = np.asarray(a).tolist()
+    return values if isinstance(values, list) else [values]
+
+
+def rank_one_inverse(inv: np.ndarray, u: np.ndarray, zu, w) -> np.ndarray:
     """Return (A + w*z*z^T)^-1 given inv = A^-1, u = inv @ z and zu = z . u.
 
     The result inv - (w / (1 + w*zu)) * u u^T is a new array, exactly symmetric
     whenever inv is, since u_i*u_j == u_j*u_i. A denominator that is not
-    positive and finite means the inverse state is corrupted.
+    positive and finite means the inverse state is corrupted; on a stack the
+    NumericFailure carries the first such row as ``index``. A stack takes one
+    weight per row, or one weight for all of them.
     """
-    denom = 1.0 + w * zu
-    if not math.isfinite(denom) or denom <= 0:
-        raise NumericFailure(
-            f"Sherman-Morrison denominator {denom} is not positive; inverse state corrupted"
-        )
-    return inv - (w / denom) * np.multiply(u[:, None], u)
+    stacked = u.ndim > 1
+    zus, ws = _values(zu), _values(w)
+    coefs = []
+    for k, (zk, wk) in enumerate(zip(zus, ws * len(zus) if len(ws) == 1 else ws)):
+        denom = 1.0 + wk * zk
+        if not 0.0 < denom < math.inf:
+            raise NumericFailure(
+                f"Sherman-Morrison denominator {denom} is not positive; inverse state corrupted",
+                index=k if stacked else None,
+            )
+        coefs.append(wk / denom)
+    coef = np.array(coefs)[:, None, None] if stacked else coefs[0]
+    return inv - coef * _outer(u)
 
 
-def sherman_morrison(inv: np.ndarray, z: np.ndarray, w: float) -> np.ndarray:
+def _check_weights(w) -> list:
+    weights = _values(w)
+    if any(v < 0 for v in weights):
+        raise ValueError(f"rank-one weight must be nonnegative, got {w}")
+    return weights
+
+
+def sherman_morrison(inv: np.ndarray, z: np.ndarray, w) -> np.ndarray:
     """Return (A + w*z*z^T)^-1 given inv = A^-1, in O(d^2) arithmetic.
 
     The output is explicitly symmetrized, so it is exactly symmetric even when
     ``inv`` is not, and long update chains keep the positive-definiteness
-    detectable.
+    detectable. A row with weight zero comes back as a plain copy.
     """
-    if w < 0:
-        raise ValueError(f"rank-one weight must be nonnegative, got {w}")
-    if w == 0.0:
+    w = np.asarray(w, dtype=float)
+    weights = _check_weights(w)
+    if not any(weights):
         return inv.copy()
-    u = inv @ z
-    return _symmetrize(rank_one_inverse(inv, u, float(z @ u), w))
+    u = np.matvec(inv, z)
+    out = _symmetrize(rank_one_inverse(inv, u, np.vecdot(z, u), w))
+    if not all(weights):
+        out = np.where((w == 0)[..., None, None], inv, out)
+    return out
 
 
-def mahalanobis_inv(v: np.ndarray, inv: np.ndarray) -> float:
+def mahalanobis_inv(v: np.ndarray, inv: np.ndarray):
     """Weighted norm sqrt(v^T inv v) for a symmetric PSD matrix inv.
 
     Quadratic forms in [-1e-12, 0) are rounding noise and clamp to zero;
-    anything more negative means the matrix is not PSD.
+    anything more negative means the matrix is not PSD. A stack of vectors and
+    matrices gives one norm per row.
     """
-    q = float(v @ inv @ v)
-    if q < -1e-12:
-        raise NumericFailure(f"quadratic form {q} is negative; matrix not PSD")
-    return float(np.sqrt(max(q, 0.0)))
+    q = np.vecdot(np.vecmat(v, inv), v)
+    for k, value in enumerate(_values(q)):
+        if value < -1e-12:
+            raise NumericFailure(f"quadratic form {value} is negative; matrix not PSD",
+                                 index=k if q.ndim else None)
+    out = np.sqrt(np.maximum(q, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def cg_solve(
@@ -120,6 +160,9 @@ class LocalNormMatrix:
     keeps both sides exactly symmetric without symmetrizing again: adding
     w z z^T to a symmetric matrix, or subtracting c u u^T from one, leaves it
     symmetric.
+
+    A stack holds one pair per seed, ``mat`` and ``inv`` of shape
+    (S, dim, dim); ``stack`` builds one and indexing takes rows back out.
     """
 
     mat: np.ndarray
@@ -130,9 +173,17 @@ class LocalNormMatrix:
         self.mat = _symmetrize(np.asarray(self.mat, dtype=float))
         self.inv = _symmetrize(np.asarray(self.inv, dtype=float))
         if self.dim == 0:
-            self.dim = self.mat.shape[0]
-        if self.mat.shape != (self.dim, self.dim) or self.inv.shape != (self.dim, self.dim):
+            self.dim = self.mat.shape[-1]
+        if self.mat.shape[-2:] != (self.dim, self.dim) or self.inv.shape != self.mat.shape:
             raise ValueError("matrix and inverse must both be dim x dim")
+
+    @classmethod
+    def stack(cls, items: Sequence["LocalNormMatrix"]) -> "LocalNormMatrix":
+        return cls(mat=np.stack([m.mat for m in items]),
+                   inv=np.stack([m.inv for m in items]), dim=items[0].dim)
+
+    def __getitem__(self, rows) -> "LocalNormMatrix":
+        return LocalNormMatrix(mat=self.mat[rows], inv=self.inv[rows], dim=self.dim)
 
     @classmethod
     def scaled_identity(cls, dim: int, scale: float) -> "LocalNormMatrix":
@@ -143,29 +194,34 @@ class LocalNormMatrix:
     def copy(self) -> "LocalNormMatrix":
         return LocalNormMatrix(mat=self.mat, inv=self.inv, dim=self.dim)
 
-    def rank_one_update(self, z: np.ndarray, w: float,
-                        u: Optional[np.ndarray] = None, zu: Optional[float] = None) -> None:
+    def rank_one_update(self, z: np.ndarray, w, u: Optional[np.ndarray] = None,
+                        zu=None) -> None:
         """Add w * z z^T to the matrix and apply the paired inverse update.
 
         A caller that already holds u = inv @ z and zu = z . u for the current
-        inverse passes them, and the product is not formed again.
+        inverse passes them, and the product is not formed again. On a stack,
+        z is (S, dim) and w (S,); rows with weight zero are left untouched.
         """
-        if w < 0:
-            raise ValueError(f"rank-one weight must be nonnegative, got {w}")
-        if w == 0.0:
+        w = np.asarray(w, dtype=float)
+        weights = _check_weights(w)
+        if not any(weights):
             return
         if u is None:
-            u = self.inv @ z
-            zu = float(z @ u)
-        self.inv = rank_one_inverse(self.inv, u, zu, w)
-        self.mat = self.mat + w * np.multiply(z[:, None], z)
+            u = np.matvec(self.inv, z)
+            zu = np.vecdot(z, u)
+        inv = rank_one_inverse(self.inv, u, zu, w)
+        mat = self.mat + w[..., None, None] * _outer(z)
+        if not all(weights):
+            keep = (w == 0)[..., None, None]
+            inv, mat = np.where(keep, self.inv, inv), np.where(keep, self.mat, mat)
+        self.inv, self.mat = inv, mat
 
-    def norm(self, v: np.ndarray) -> float:
-        """sqrt(v^T M v)."""
+    def norm(self, v: np.ndarray):
+        """sqrt(v^T M v), one per row on a stack."""
         return mahalanobis_inv(v, self.mat)
 
-    def inv_norm(self, v: np.ndarray) -> float:
-        """sqrt(v^T M^-1 v)."""
+    def inv_norm(self, v: np.ndarray):
+        """sqrt(v^T M^-1 v), one per row on a stack."""
         return mahalanobis_inv(v, self.inv)
 
     def inverse_drift(self) -> float:

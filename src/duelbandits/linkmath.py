@@ -16,22 +16,31 @@ __all__ = [
 ]
 
 
-def sigmoid_pair(w: float) -> Tuple[float, float]:
+def _sigmoid(w: float) -> float:
+    e = math.exp(-abs(w))
+    return 1.0 / (1.0 + e) if w >= 0 else e / (1.0 + e)
+
+
+def sigmoid_pair(w) -> Tuple[float, float]:
     """Return (sigma(w), sigma'(w)) for the logistic link sigma(w) = 1/(1+e^-w).
 
     Computed via exp(-|w|) so that arguments up to +-700 neither overflow
-    nor lose the derivative to cancellation.
+    nor lose the derivative to cancellation. A numpy array of arguments (one
+    per seed of a lockstep stack) gives two arrays. Their exponentials still come
+    from ``math.exp`` one at a time: ``np.exp`` can differ from it in the last
+    bit, and a stacked seed must match its solo run exactly.
     """
+    if isinstance(w, np.ndarray) and w.ndim:
+        values = w.tolist()
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"sigmoid argument must be finite, got {w!r}")
+        s = np.array([_sigmoid(v) for v in values])
+        return s, s * (1.0 - s)
     w = float(w)
     if not math.isfinite(w):
         raise ValueError(f"sigmoid argument must be finite, got {w!r}")
-    e = math.exp(-abs(w))
-    if w >= 0:
-        s = 1.0 / (1.0 + e)
-    else:
-        s = e / (1.0 + e)
-    ds = s * (1.0 - s)
-    return s, ds
+    s = _sigmoid(w)
+    return s, s * (1.0 - s)
 
 
 def log_loss(w: float, y: int) -> float:
@@ -44,11 +53,20 @@ def log_loss(w: float, y: int) -> float:
     return float(np.logaddexp(0.0, w))
 
 
-def bt_sample(reward_a: float, reward_b: float, rng: np.random.Generator) -> int:
+def bt_sample(reward_a, reward_b, rng):
     """Draw a Bradley-Terry preference label.
 
     Returns 1 (first action preferred) with probability sigma(reward_a - reward_b).
+    For numpy arrays of rewards, one pair per seed of a lockstep stack, ``rng`` is
+    the array of uniform draws, each taken from its own seed's generator at
+    the point a single run would call ``rng.random()``; the labels come back
+    as an int array.
     """
+    if isinstance(reward_a, np.ndarray) and reward_a.ndim:
+        diffs = np.subtract(reward_a, reward_b).tolist()
+        if not all(map(math.isfinite, diffs)):
+            raise ValueError("rewards must be finite")
+        return np.array([u < _sigmoid(v) for v, u in zip(diffs, rng.tolist())], dtype=np.int64)
     if not (math.isfinite(reward_a) and math.isfinite(reward_b)):
         raise ValueError("rewards must be finite")
     p, _ = sigmoid_pair(reward_a - reward_b)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,32 +229,87 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         self.projections_ = 0
         return self
 
-    def update(self, z: np.ndarray, y: int) -> None:
-        z = check_vector(z, self.dim)
+    # --- lockstep stacks ---------------------------------------------------
+    # A stacked instance steps S seeds at once: theta_ and theta_sum_ are
+    # (S, d), hess_ is a stack of S curvature pairs, projections_ is (S,), and
+    # the shared parameters and counter t_ are those of every row.
+
+    @classmethod
+    def stack(cls, estimators: Sequence["OnePassRewardEstimator"]) -> "OnePassRewardEstimator":
+        """One instance holding the state of each single estimator as a row."""
+        first = estimators[0]
+        params = first.get_params()
+        if any(e.get_params() != params or e.t_ != first.t_ for e in estimators):
+            raise ValueError("stacked estimators must share parameters and counter")
+        est = cls(**params)
+        est.config_, est.t_ = first.config_, first.t_
+        est.theta_ = np.stack([e.theta_ for e in estimators])
+        est.theta_sum_ = np.stack([e.theta_sum_ for e in estimators])
+        est.hess_ = LocalNormMatrix.stack([e.hess_ for e in estimators])
+        est.projections_ = np.array([e.projections_ for e in estimators])
+        return est
+
+    def unstack(self, estimators: Sequence["OnePassRewardEstimator"]) -> None:
+        """Write each row's state into its own single estimator, in row order."""
+        for k, est in enumerate(estimators):
+            est.config_, est.t_ = self.config_, self.t_
+            est.theta_, est.theta_sum_ = self.theta_[k], self.theta_sum_[k]
+            est.hess_ = self.hess_[k]
+            est.projections_ = int(self.projections_[k])
+
+    def update(self, z: np.ndarray, y) -> None:
+        """One step on one sample; on a stack, z is (S, d) and y (S,), one per row.
+
+        A NumericFailure leaves every row as it was, except that a row whose
+        projection failed has counted it, as a single run does. Its ``index``
+        names the row (0 for a single estimator, which steps as a stack of one).
+        """
+        single = self.theta_.ndim == 1
+        z = check_vector(z, self.dim, lead=self.theta_.shape[:-1])
+        if not single:
+            y = np.asarray(y)
         check_label(y)
         cfg = self.config_
         hess = self.hess_
-        sig, hw = sigmoid_pair(float(np.dot(z, self.theta_)))
-        grad = (sig - y) * z
+        # the step runs on (S, ...) arrays; a single estimator is a stack of one
+        zs, theta, mat, inv = z, self.theta_, hess.mat, hess.inv
+        if single:
+            zs, theta, mat, inv = zs[None], theta[None], mat[None], inv[None]
+        sig, hw = sigmoid_pair(np.vecdot(zs, theta))
+        grad = (sig - y)[:, None] * zs
         step_weight = cfg.eta * hw
         # u = H^-1 z serves both rank-one updates: the scratch inverse of the
         # step geometry H + eta*hw*zz^T below, and the lookahead accumulation
         # into H, which therefore needs no downdate of the scratch matrix.
-        u = hess.inv @ z
-        zu = float(z @ u)
-        tilde_inv = rank_one_inverse(hess.inv, u, zu, step_weight)
-        theta_prime = self.theta_ - cfg.eta * (tilde_inv @ grad)
-        if _norm(theta_prime) <= cfg.B:
-            theta_next = theta_prime
-        else:
-            self.projections_ += 1
-            tilde_mat = hess.mat + step_weight * np.multiply(z[:, None], z)
-            theta_next = project_localnorm_ball(theta_prime, tilde_mat, cfg.B)
-        _, hw_next = sigmoid_pair(float(np.dot(z, theta_next)))
+        u = np.matvec(inv, zs)
+        zu = np.vecdot(zs, u)
+        tilde_inv = rank_one_inverse(inv, u, zu, step_weight)
+        theta_next = theta - cfg.eta * np.matvec(tilde_inv, grad)
+        # projection is the rare case, so it runs row by row where it fires
+        norms = np.vecdot(theta_next, theta_next).tolist()
+        fired = [k for k, sq in enumerate(norms) if not math.sqrt(sq) <= cfg.B]
+        for k in fired:
+            tilde_mat = mat[k] + step_weight[k] * np.multiply(zs[k][:, None], zs[k])
+            try:
+                theta_next[k] = project_localnorm_ball(theta_next[k], tilde_mat, cfg.B)
+            except NumericFailure as exc:
+                self._count_projections([k])
+                raise NumericFailure(str(exc), index=k) from exc
+        _, hw_next = sigmoid_pair(np.vecdot(zs, theta_next))
+        if single:
+            theta_next, hw_next, u, zu = theta_next[0], hw_next[0], u[0], zu[0]
         hess.rank_one_update(z, hw_next, u, zu)
+        self._count_projections(fired)
         self.theta_ = theta_next
         self.theta_sum_ = self.theta_sum_ + theta_next
         self.t_ += 1
+
+    def _count_projections(self, rows) -> None:
+        for k in rows:
+            if self.theta_.ndim == 1:
+                self.projections_ += 1
+            else:
+                self.projections_[k] += 1
 
     def radius(self, t: Optional[int] = None) -> float:
         return confidence_radius(self.t_ if t is None else t, self.config_)

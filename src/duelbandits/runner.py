@@ -45,40 +45,72 @@ def build_estimator(cfg: ExperimentConfig, kind: Optional[str] = None,
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def run_single(cfg: ExperimentConfig, seed: int,
-               estimator_kind: Optional[str] = None) -> RunRecord:
-    """One seeded run: fresh environment, fresh estimator, one scenario loop."""
-    env = make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L,
-                           seed=seed, coverage_skew=cfg.coverage_skew)
-    est = build_estimator(cfg, kind=estimator_kind, horizon=cfg.T)
+def run_single(cfg: ExperimentConfig, seed, estimator_kind: Optional[str] = None):
+    """Seeded runs: a fresh environment and estimator per seed, one scenario loop.
+
+    ``seed`` is one seed, giving one RunRecord, or a list of seeds, run in
+    lockstep and giving one RunRecord each. Only an estimator with a stacked
+    update (omd) can take more than one seed.
+    """
+    single = not isinstance(seed, (list, tuple))
+    seeds = [seed] if single else list(seed)
+    envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L,
+                             seed=s, coverage_skew=cfg.coverage_skew) for s in seeds]
+    ests = [build_estimator(cfg, kind=estimator_kind, horizon=cfg.T) for _ in seeds]
     if cfg.scenario in ("passive", "bench"):
         # bench times updates on passive data, with no checkpoint policies in between
-        _, rec = run_passive(env, est, cfg.T, policy_mode=cfg.policy_mode,
-                             checkpoints=() if cfg.scenario == "bench" else None)
+        recs = [rec for _, rec in run_passive(
+            envs, ests, cfg.T, policy_mode=cfg.policy_mode,
+            checkpoints=() if cfg.scenario == "bench" else None)]
     elif cfg.scenario == "active":
-        _, rec = run_active(env, est, cfg.T)
+        recs = [rec for _, rec in run_active(envs, ests, cfg.T)]
     elif cfg.scenario == "deploy":
-        rec = run_deploy(env, est, cfg.T, explore_coeff=cfg.explore_coeff)
+        recs = run_deploy(envs, ests, cfg.T, explore_coeff=cfg.explore_coeff)
     else:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
-    return rec
+    return recs[0] if single else recs
 
 
-def _run_seed_task(args: Tuple[ExperimentConfig, int, Optional[str]]):
-    cfg, seed, kind = args
+def _seed_chunks(cfg: ExperimentConfig, kind: str) -> List[List[int]]:
+    """The seed groups that run as one lockstep stack each.
+
+    omd runs (except ``bench``, whose output is the cost of one update) split
+    into one contiguous chunk per worker; every other estimator has no stacked
+    update and runs one seed at a time.
+    """
+    seeds = list(cfg.seeds)
+    if kind != "omd" or cfg.scenario == "bench":
+        return [[s] for s in seeds]
+    n = min(cfg.workers, len(seeds))
+    size, extra = divmod(len(seeds), n)
+    bounds = [k * size + min(k, extra) for k in range(n + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_seed_task(args: Tuple[ExperimentConfig, List[int], Optional[str]]):
+    """(seed, record, error) for each seed of a chunk.
+
+    A chunk that raises runs again one seed at a time, so the error lands on
+    the seed that raised and the other seeds complete.
+    """
+    cfg, seeds, kind = args
     try:
-        return seed, run_single(cfg, seed, estimator_kind=kind), None
+        return list(zip(seeds, run_single(cfg, seeds, estimator_kind=kind), [None] * len(seeds)))
     except Exception as exc:  # algorithmic failure: record, let other seeds run
-        return seed, None, f"{type(exc).__name__}: {exc}"
+        if len(seeds) > 1:
+            return [r for seed in seeds for r in _run_seed_task((cfg, [seed], kind))]
+        return [(seeds[0], None, f"{type(exc).__name__}: {exc}")]
 
 
 def _run_all(cfg: ExperimentConfig, kind: Optional[str] = None):
-    tasks = [(cfg, seed, kind) for seed in cfg.seeds]
+    kind = kind or cfg.estimator
+    tasks = [(cfg, chunk, kind) for chunk in _seed_chunks(cfg, kind)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_seed_task, tasks))
+            chunks = list(pool.map(_run_seed_task, tasks))
     else:
-        results = [_run_seed_task(t) for t in tasks]
+        chunks = [_run_seed_task(t) for t in tasks]
+    results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: cfg.seeds.index(r[0]))
     return results
 
@@ -154,6 +186,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return _run_bench(cfg, out_dir)
 
     results = _run_all(cfg)
+    done = [rec for _, rec, _ in results if rec is not None]
+    envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L,
+                             seed=rec.seed, coverage_skew=cfg.coverage_skew) for rec in done]
+    reports = iter(diagnostics_report(envs, done))
     summaries = []
     for seed, rec, error in results:
         if rec is None:
@@ -161,9 +197,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             continue
         stem = f"{cfg.scenario}_{cfg.estimator}_seed{seed}"
         rec.write_csv(out_dir / f"{stem}.csv")
-        env = make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L,
-                               seed=seed, coverage_skew=cfg.coverage_skew)
-        rec.summary["diagnostics"] = diagnostics_report(env, rec).to_dict()
+        rec.summary["diagnostics"] = next(reports).to_dict()
         rec.summary["config"] = cfg.to_dict()
         (out_dir / f"{stem}_summary.json").write_text(
             json.dumps(rec.summary, indent=2, sort_keys=True), encoding="utf-8")

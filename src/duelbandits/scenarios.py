@@ -6,6 +6,11 @@ pair with the largest uncertainty norm and plays the averaged-parameter greedy
 policy. Deployment: contexts arrive online, the learner plays a greedy action
 plus an exploration-bonused partner and pays dueling regret against the
 optimal action.
+
+Each scenario runs one seed, or several seeds in lockstep: given equal-length
+sequences of environments and estimators, one round advances every seed, and
+an estimator with a stacked update (``stack``/``unstack``) steps them all in
+one call. Every seed's record is exactly the one it would get alone.
 """
 
 from __future__ import annotations
@@ -104,32 +109,36 @@ class RunRecord:
 
 
 class _Recorder:
-    def __init__(self, scenario: str, seed: int, T: int):
-        self.scenario, self.seed, self.T = scenario, seed, T
-        self.wall = np.zeros(T, dtype=np.int64)
-        self.err_l2 = np.full(T, np.nan)
-        self.err_local = np.full(T, np.nan)
-        self.beta = np.full(T, np.nan)
-        self.cum_regret = np.full(T, np.nan)
-        self.subopt_ckpt = np.full(T, np.nan)
-        self.x = np.zeros(T, dtype=np.int64)
-        self.a = np.zeros(T, dtype=np.int64)
-        self.a_prime = np.zeros(T, dtype=np.int64)
-        self.y = np.zeros(T, dtype=np.int64)
-        self.flags = [""] * T
-        self.n = 0
+    """(S, T) record columns of a lockstep run, one row per seed."""
 
-    def finish(self, summary: dict) -> RunRecord:
-        n = self.n
+    def __init__(self, scenario: str, seeds: Sequence[int], T: int):
+        self.scenario, self.seeds, self.T = scenario, list(seeds), T
+        shape = (len(self.seeds), T)
+        self.wall = np.zeros(shape, dtype=np.int64)
+        self.err_l2 = np.full(shape, np.nan)
+        self.err_local = np.full(shape, np.nan)
+        self.beta = np.full(shape, np.nan)
+        self.cum_regret = np.full(shape, np.nan)
+        self.subopt_ckpt = np.full(shape, np.nan)
+        self.x = np.zeros(shape, dtype=np.int64)
+        self.a = np.zeros(shape, dtype=np.int64)
+        self.a_prime = np.zeros(shape, dtype=np.int64)
+        self.y = np.zeros(shape, dtype=np.int64)
+        self.flags = [[""] * T for _ in self.seeds]
+        self.n = np.zeros(len(self.seeds), dtype=np.int64)
+
+    def record(self, s: int) -> RunRecord:
+        """Seed row s as its own record, cut at the rounds it completed."""
+        n = int(self.n[s])
         return RunRecord(
-            scenario=self.scenario, seed=self.seed, T=self.T,
+            scenario=self.scenario, seed=self.seeds[s], T=self.T,
             t=np.arange(1, n + 1, dtype=np.int64),
-            wall_nanos=self.wall[:n],
-            est_err_l2=self.err_l2[:n], est_err_local=self.err_local[:n],
-            beta=self.beta[:n], cum_regret=self.cum_regret[:n],
-            subopt_checkpoint=self.subopt_ckpt[:n],
-            x=self.x[:n], a=self.a[:n], a_prime=self.a_prime[:n], y=self.y[:n],
-            flags=self.flags[:n], summary=summary,
+            wall_nanos=self.wall[s, :n],
+            est_err_l2=self.err_l2[s, :n], est_err_local=self.err_local[s, :n],
+            beta=self.beta[s, :n], cum_regret=self.cum_regret[s, :n],
+            subopt_checkpoint=self.subopt_ckpt[s, :n],
+            x=self.x[s, :n], a=self.a[s, :n], a_prime=self.a_prime[s, :n], y=self.y[s, :n],
+            flags=self.flags[s][:n],
         )
 
 
@@ -163,8 +172,8 @@ def subopt(policy: Policy, env: Environment) -> float:
 
 
 def _quad_forms(rows: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Row-wise z M z^T: one BLAS product, then a row dot."""
-    return np.einsum("ij,ij->i", rows @ M, rows)
+    """Row-wise z M z^T: one BLAS product, then a row dot (per leading index on a stack)."""
+    return np.einsum("...ij,...ij->...i", rows @ M, rows)
 
 
 def _penalized_norms(rows: np.ndarray, norm_inv: np.ndarray) -> np.ndarray:
@@ -225,32 +234,42 @@ def pessimistic_policy(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
     return Policy(actions)
 
 
-def select_most_uncertain(env: Environment, norm_inv: np.ndarray) -> Tuple[int, int, int]:
+def select_most_uncertain(pair_diffs: np.ndarray, norm_inv: np.ndarray,
+                          pairs: Sequence[Tuple[int, int]]):
     """Exhaustive scan for the (x, a, a') tuple with the largest uncertainty norm.
 
-    Unordered pairs a < a' only, since the norm is symmetric in the two actions;
-    ties resolve to the lexicographically smallest tuple.
+    ``pair_diffs`` and ``pairs`` are an environment's ``pair_diffs()`` and
+    ``action_pairs()``: unordered pairs a < a' only, since the norm is
+    symmetric in the two actions. Ties resolve to the lexicographically
+    smallest tuple. On a lockstep stack, pair_diffs is (S, P, d) and norm_inv
+    (S, d, d), and x, a, a' come back as (S,) arrays.
     """
-    idx = int(np.argmax(_quad_forms(env.pair_diffs(), norm_inv)))
-    pairs = env.action_pairs()
-    x, rest = divmod(idx, len(pairs))
-    a, b = pairs[rest]
+    idx = _quad_forms(pair_diffs, norm_inv).argmax(axis=-1)
+    if idx.ndim == 0:
+        x, rest = divmod(int(idx), len(pairs))
+        return (x, *pairs[rest])
+    x, rest = np.divmod(idx, len(pairs))
+    a, b = np.asarray(pairs)[rest].T
     return x, a, b
 
 
 def select_deploy_actions(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
-                          x: int, env: Environment,
-                          explore_coeff: float = 1.0) -> Tuple[int, int]:
+                          phi_x: np.ndarray, explore_coeff: float = 1.0):
     """Greedy first action; second maximizes reward plus distance-to-first bonus.
 
-    The second argmax ranges over every action including the first, so a zero
-    bonus collapses to playing the greedy action twice.
+    ``phi_x`` holds the (actions, d) features of the arrived context. The
+    second argmax ranges over every action including the first, so a zero
+    bonus collapses to playing the greedy action twice. On a lockstep stack,
+    theta is (S, d), norm_inv (S, d, d) and phi_x (S, actions, d), and the two
+    actions come back as (S,) arrays.
     """
-    phi_x = env.features.phi[x]
-    scores = phi_x @ theta
-    a = int(scores.argmax())
-    bonus = explore_coeff * beta * _penalized_norms(phi_x - phi_x[a], norm_inv)
-    a_prime = int((scores + bonus).argmax())
+    scores = np.matvec(phi_x, theta)
+    a = scores.argmax(axis=-1)
+    greedy = np.take_along_axis(phi_x, a[..., None, None], axis=-2)
+    bonus = explore_coeff * beta * _penalized_norms(phi_x - greedy, norm_inv)
+    a_prime = (scores + bonus).argmax(axis=-1)
+    if a.ndim == 0:
+        return int(a), int(a_prime)
     return a, a_prime
 
 
@@ -269,35 +288,79 @@ def _domination_parts(estimator):
 
 
 class _DominationAudit:
-    """Tracks V_t = kappa*lam*I + sum z z^T and spot-checks H >= V/kappa."""
+    """Tracks V_t = kappa*lam*I + sum z z^T per seed and spot-checks H >= V/kappa.
 
-    def __init__(self, estimator, env: Environment, T: int,
+    The scatter sums of all seeds are one (S, d, d) stack; a check reads each
+    seed's H from its own estimator, which the loop has brought up to date.
+    """
+
+    def __init__(self, estimators, envs: Sequence[Environment], T: int,
                  points: Sequence[int] = DOMINATION_AUDIT_POINTS):
-        self.parts = _domination_parts(estimator)
-        self.records: List[dict] = []
-        if self.parts is None:
+        parts = [_domination_parts(est) for est in estimators]
+        self.records: List[List[dict]] = [[] for _ in estimators]
+        if parts[0] is None:
             self.points = frozenset()
             return
-        self.kappa = kappa_bound(env.truth.B, env.truth.L)
-        dim = env.features.dim
-        self.v_sum = np.zeros((dim, dim))
+        self.lams = [lam for _, lam in parts]
+        self.kappas = [kappa_bound(env.truth.B, env.truth.L) for env in envs]
+        dim = envs[0].features.dim
+        self.v_sum = np.zeros((len(envs), dim, dim))
         self.points = frozenset(p for p in (*points, T) if 1 <= p <= T)
-        self.estimator = estimator
-        self.lam = self.parts[1]
+        self.estimators = estimators
         self.dim = dim
 
-    def step(self, z: np.ndarray, t: int) -> None:
-        if self.parts is None:
-            return
-        self.v_sum += np.multiply(z[:, None], z)
-        if t in self.points:
-            from .diagnostics import norm_domination_check
+    def step(self, z: np.ndarray, rows) -> None:
+        if self.points:
+            self.v_sum[rows] += z[:, :, None] * z[:, None, :]
 
-            H = self.estimator.local_norm_matrix()
-            V = self.kappa * self.lam * np.eye(self.dim) + self.v_sum
-            self.records.append(
-                {"t": t, "min_eig": norm_domination_check(H, V, self.kappa)}
-            )
+    def check(self, t: int, live: np.ndarray) -> None:
+        from .diagnostics import norm_domination_check
+
+        for s in live:
+            kappa = self.kappas[s]
+            H = self.estimators[s].local_norm_matrix()
+            V = kappa * self.lams[s] * np.eye(self.dim) + self.v_sum[s]
+            self.records[s].append({"t": t, "min_eig": norm_domination_check(H, V, kappa)})
+
+
+class _Solo:
+    """A stack of one around an estimator that has no stacked update."""
+
+    def __init__(self, estimator):
+        self.est = estimator
+
+    @property
+    def theta_(self) -> np.ndarray:
+        return self.est.theta_[None]
+
+    @property
+    def last_converged_(self) -> bool:
+        return getattr(self.est, "last_converged_", True)
+
+    def local_norm(self, diffs: np.ndarray) -> np.ndarray:
+        return np.array([self.est.local_norm(diffs[0])])
+
+    def inv_norm_matrix(self) -> np.ndarray:
+        return self.est.inv_norm_matrix()[None]
+
+    def radius(self) -> float:
+        return self.est.radius()
+
+    def update(self, zs: np.ndarray, ys: np.ndarray) -> None:
+        self.est.update(zs[0], int(ys[0]))
+
+    def unstack(self, estimators) -> None:
+        pass
+
+
+def _stack_of(estimators):
+    """The object a round steps: a stacked instance, or a stack of one."""
+    cls = type(estimators[0])
+    if hasattr(cls, "stack"):
+        return cls.stack(estimators)
+    if len(estimators) != 1:
+        raise ValueError(f"{cls.__name__} has no stacked update; run its seeds one at a time")
+    return _Solo(estimators[0])
 
 
 def _estimator_stats(estimator) -> dict:
@@ -311,11 +374,11 @@ def _estimator_stats(estimator) -> dict:
     return stats
 
 
-def _base_summary(rec: _Recorder, estimator, theta_star, aborted: Optional[str]) -> dict:
-    n = rec.n
+def _base_summary(rec: RunRecord, estimator, theta_star, aborted: Optional[str]) -> dict:
+    n = len(rec)
     diff = estimator.theta_ - theta_star
     flag_counts: dict = {}
-    for f in rec.flags[:n]:
+    for f in rec.flags:
         if f:
             flag_counts[f] = flag_counts.get(f, 0) + 1
     return {
@@ -328,134 +391,246 @@ def _base_summary(rec: _Recorder, estimator, theta_star, aborted: Optional[str])
         "final_est_err_l2": float(np.linalg.norm(diff)),
         "final_est_err_local": float(estimator.local_norm(diff)),
         "final_beta": float(estimator.radius()),
-        "update_ns_total": int(rec.wall[:n].sum()),
-        "update_ns_mean": float(rec.wall[:n].mean()) if n else 0.0,
+        "update_ns_total": int(rec.wall_nanos.sum()),
+        "update_ns_mean": float(rec.wall_nanos.mean()) if n else 0.0,
         "flag_counts": flag_counts,
         "estimator_stats": _estimator_stats(estimator),
     }
 
 
-def _run_loop(scenario: str, env: Environment, estimator, T: int,
-              stream_seed: Optional[int], choose: Callable,
-              policy: Optional[Callable[[], Policy]] = None,
-              checkpoints: Optional[Sequence[int]] = None,
-              on_step: Optional[Callable] = None) -> Tuple[Optional[Policy], RunRecord]:
-    """The round structure all three scenarios share.
+def _seeds(env, estimator):
+    """(environments, estimators, single): a single seed runs as a stack of one."""
+    if isinstance(env, Environment):
+        return [env], [estimator], True
+    envs, estimators = list(env), list(estimator)
+    if not envs or len(envs) != len(estimators):
+        raise ValueError("need one estimator per environment, and at least one of each")
+    return envs, estimators, False
 
-    Each round ``choose(rng)`` returns the played (x, a, a', y) and the radius
-    its choice used. The estimate is captured before the timed update; a
-    NumericFailure there flags the round ``update_failed`` and ends the run.
-    After a successful update come ``on_step(rec, i, x, a, a')``, the step
-    flag, the domination audit, and the suboptimality of ``policy()`` at the
-    rounds in ``checkpoints`` (default: ``default_checkpoints(T)``). A run
-    with a ``policy`` that no failure cut short ends by extracting it.
+
+def _streams(envs: Sequence[Environment], stream_seed: Optional[int]):
+    """Each seed's random stream: from its environment's seed unless overridden."""
+    return [np.random.default_rng((env.rng_seed, 1) if stream_seed is None else stream_seed)
+            for env in envs]
+
+
+class _Draws:
+    """The uniform draws of scenarios that draw only doubles, ``per_round`` a round.
+
+    ``rng.random(n)`` gives the same doubles as n calls of ``rng.random()``,
+    so each seed's stream is read a block of rounds at a time, and memory
+    stays O(S) whatever the horizon. ``draws(rows, i)`` is round i's
+    (seeds, per_round) block.
     """
-    if getattr(estimator, "horizon", False) is None:
-        estimator.horizon = max(T, 1)
-    estimator.reset()
-    rng = np.random.default_rng((env.rng_seed, 1) if stream_seed is None else stream_seed)
+
+    BLOCK_ROUNDS = 256
+
+    def __init__(self, streams, per_round: int):
+        self.streams, self.per_round = streams, per_round
+        self.block, self.first = None, None
+
+    def __call__(self, rows, i: int) -> np.ndarray:
+        first = i - i % self.BLOCK_ROUNDS
+        if first != self.first:
+            n = self.BLOCK_ROUNDS * self.per_round
+            self.block = np.stack([rng.random(n).reshape(-1, self.per_round)
+                                   for rng in self.streams])
+            self.first = first
+        return self.block[rows, i - first]
+
+
+def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
+              choose: Callable, policy: Optional[Callable] = None,
+              checkpoints: Optional[Sequence[int]] = None,
+              on_step: Optional[Callable] = None) -> List[Tuple[Optional[Policy], RunRecord]]:
+    """The round structure all three scenarios share, for S seeds in lockstep.
+
+    ``live`` holds the positions of the seeds still running, in stack-row
+    order, for indexing paired with per-seed choices; ``rows`` selects the
+    same seeds (a plain slice while every seed runs). Each round
+    ``choose(stack, live, rows, i)`` returns the played x, a, a', y (one per
+    live seed) and the radius the choice used. The estimates are captured
+    before the timed update, and every live row's ``wall_nanos`` is the update
+    time divided by the live seeds. A NumericFailure there flags the failing
+    seed's round ``update_failed`` and ends that seed's run; the others retry
+    the round without it. After a successful update come
+    ``on_step(rec, live, rows, i, x, a, a')``, the step flag, the domination audit,
+    and each seed's suboptimality of ``policy(estimator, env)`` at the rounds
+    in ``checkpoints`` (default: ``default_checkpoints(T)``). A seed with a
+    ``policy`` that no failure cut short ends by extracting it.
+
+    The stack owns the state while the rounds run; each seed's own estimator
+    is brought up to date whenever it is read (audits, checkpoints, a failure
+    and the end), so the estimators end the run holding their final state.
+    """
+    for est in estimators:
+        if getattr(est, "horizon", False) is None:
+            est.horizon = max(T, 1)
+        est.reset()
+    S = len(envs)
     ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
-    theta_star = env.truth.theta_star
-    rec = _Recorder(scenario, env.rng_seed, T)
-    audit = _DominationAudit(estimator, env, T)
-    aborted = None
+    theta_star = np.stack([env.truth.theta_star for env in envs])
+    phi = np.stack([env.features.phi for env in envs])
+    rec = _Recorder(scenario, [env.rng_seed for env in envs], T)
+    audit = _DominationAudit(estimators, envs, T)
+    aborted: List[Optional[str]] = [None] * S
+    live, rows = np.arange(S), slice(None)
+    stack = _stack_of(estimators)
+    t = 0
     for t in range(1, T + 1):
         i = t - 1
-        x, a, b, yy, beta = choose(rng)
-        z = env.z_of(x, a, b)
-        diff = estimator.theta_ - theta_star
-        rec.err_l2[i] = math.sqrt(float(diff @ diff))
-        rec.err_local[i] = estimator.local_norm(diff)
-        rec.beta[i] = beta
-        rec.x[i], rec.a[i], rec.a_prime[i], rec.y[i] = x, a, b, yy
-        try:
-            start = time.perf_counter_ns()
-            estimator.update(z, yy)
-            rec.wall[i] = time.perf_counter_ns() - start
-        except NumericFailure as exc:
-            rec.flags[i] = "update_failed"
-            rec.n = t
-            aborted = str(exc)
+        x, a, b, yy, beta = choose(stack, live, rows, i)
+        z = phi[live, x, a] - phi[live, x, b]
+        diff = stack.theta_ - theta_star[rows]
+        rec.err_l2[rows, i] = np.sqrt(np.vecdot(diff, diff))
+        rec.err_local[rows, i] = stack.local_norm(diff)
+        rec.beta[rows, i] = beta
+        rec.x[rows, i], rec.a[rows, i], rec.a_prime[rows, i], rec.y[rows, i] = x, a, b, yy
+        while True:
+            try:
+                start = time.perf_counter_ns()
+                stack.update(z, yy)
+                rec.wall[rows, i] = (time.perf_counter_ns() - start) // len(live)
+                break
+            except NumericFailure as exc:
+                if exc.index is None and len(live) > 1:
+                    raise
+                k = exc.index or 0
+                rec.flags[live[k]][i] = "update_failed"
+                rec.n[live[k]] = t
+                aborted[live[k]] = str(exc)
+                stack.unstack([estimators[s] for s in live])
+                keep = np.arange(len(live)) != k
+                live, x, a, b, yy, z = (v[keep] for v in (live, x, a, b, yy, z))
+                rows = live
+                if not len(live):
+                    break
+                stack = _stack_of([estimators[s] for s in live])
+        if not len(live):
             break
         if on_step is not None:
-            on_step(rec, i, x, a, b)
-        if not getattr(estimator, "last_converged_", True):
-            rec.flags[i] = "inner_nonconverged"
-        audit.step(z, t)
-        rec.n = t
+            on_step(rec, live, rows, i, x, a, b)
+        if not getattr(stack, "last_converged_", True):
+            rec.flags[live[0]][i] = "inner_nonconverged"
+        audit.step(z, rows)
+        if t in audit.points or t in ckpts:
+            stack.unstack([estimators[s] for s in live])
+        if t in audit.points:
+            audit.check(t, live)
         if t in ckpts:
-            rec.subopt_ckpt[i] = subopt(policy(), env)
-    summary = _base_summary(rec, estimator, theta_star, aborted)
-    summary["domination_audits"] = audit.records
-    final = None
-    if policy is not None and aborted is None:
-        final = policy()
-        summary["subopt"] = subopt(final, env)
-        summary["policy"] = final.action_of.tolist()
-    return final, rec.finish(summary)
+            for s in live:
+                rec.subopt_ckpt[s, i] = subopt(policy(estimators[s], envs[s]), envs[s])
+    rec.n[live] = t
+    stack.unstack([estimators[s] for s in live])
+    results = []
+    for s, (env, est) in enumerate(zip(envs, estimators)):
+        record = rec.record(s)
+        record.summary = _base_summary(record, est, theta_star[s], aborted[s])
+        record.summary["domination_audits"] = audit.records[s]
+        final = None
+        if policy is not None and aborted[s] is None:
+            final = policy(est, env)
+            record.summary["subopt"] = subopt(final, env)
+            record.summary["policy"] = final.action_of.tolist()
+        results.append((final, record))
+    return results
 
 
-def run_passive(env: Environment, estimator, T: int, policy_mode: str = "enumerate",
+def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
                 checkpoints: Optional[Sequence[int]] = None,
-                stream_seed: Optional[int] = None) -> Tuple[Optional[Policy], RunRecord]:
-    """Observe behavior-distributed pairs for T rounds, then extract a pessimistic policy."""
+                stream_seed: Optional[int] = None):
+    """Observe behavior-distributed pairs for T rounds, then extract a pessimistic policy.
+
+    Returns (policy, record); for sequences of environments and estimators, a
+    list of them, one per seed. Pair draws interleave integer and double
+    draws, so each seed draws from its own stream round by round.
+    """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
+    envs, estimators, single = _seeds(env, estimator)
+    rngs = _streams(envs, stream_seed)
 
-    def choose(rng):
-        x, a, b = draw_passive_pair(env, rng)
-        return x, a, b, bt_sample(env.reward(x, a), env.reward(x, b), rng), estimator.radius()
+    def choose(stack, live, rows, i):
+        played = []
+        for s in live:
+            e, rng = envs[s], rngs[s]
+            x, a, b = draw_passive_pair(e, rng)
+            played.append((x, a, b, bt_sample(e.reward(x, a), e.reward(x, b), rng)))
+        x, a, b, y = np.array(played, dtype=np.int64).reshape(-1, 4).T
+        return x, a, b, y, stack.radius()
 
-    def policy() -> Policy:
-        return pessimistic_policy(estimator.theta_, estimator.inv_norm_matrix(),
-                                  estimator.radius(), env, policy_mode)
+    def policy(est, e) -> Policy:
+        return pessimistic_policy(est.theta_, est.inv_norm_matrix(), est.radius(), e, policy_mode)
 
-    return _run_loop("passive", env, estimator, T, stream_seed, choose, policy, checkpoints)
+    out = _run_loop("passive", envs, estimators, T, choose, policy, checkpoints)
+    return out[0] if single else out
 
 
-def run_active(env: Environment, estimator, T: int,
-               checkpoints: Optional[Sequence[int]] = None,
-               stream_seed: Optional[int] = None) -> Tuple[Optional[Policy], RunRecord]:
-    """Query the most uncertain pair each round; play the averaged-parameter greedy policy."""
+def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = None,
+               stream_seed: Optional[int] = None):
+    """Query the most uncertain pair each round; play the averaged-parameter greedy policy.
+
+    Returns (policy, record); for sequences of environments and estimators, a
+    list of them, one per seed.
+    """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    envs, estimators, single = _seeds(env, estimator)
+    draws = _Draws(_streams(envs, stream_seed), 1)  # the label
+    pair_diffs = np.stack([e.pair_diffs() for e in envs])
+    pairs = np.array(envs[0].action_pairs())
+    # Environment.reward takes one dot product per (x, a); the stacked row
+    # dots give the same bits for the whole table at once
+    reward_of = np.vecdot(np.stack([e.features.phi for e in envs]),
+                        np.stack([e.truth.theta_star for e in envs])[:, None, None, :])
 
-    def choose(rng):
-        x, a, b = select_most_uncertain(env, estimator.inv_norm_matrix())
-        return x, a, b, bt_sample(env.reward(x, a), env.reward(x, b), rng), estimator.radius()
+    def choose(stack, live, rows, i):
+        x, a, b = select_most_uncertain(pair_diffs[rows], stack.inv_norm_matrix(), pairs)
+        y = bt_sample(reward_of[live, x, a], reward_of[live, x, b], draws(rows, i)[:, 0])
+        return x, a, b, y, stack.radius()
 
-    policy, rec = _run_loop("active", env, estimator, T, stream_seed, choose,
-                            lambda: greedy_policy(estimator.averaged_theta(), env), checkpoints)
-    if policy is not None:
-        rec.summary["subopt_last_iterate"] = subopt(greedy_policy(estimator.theta_, env), env)
-    return policy, rec
+    out = _run_loop("active", envs, estimators, T, choose,
+                    lambda est, e: greedy_policy(est.averaged_theta(), e), checkpoints)
+    for (policy, rec), est, e in zip(out, estimators, envs):
+        if policy is not None:
+            rec.summary["subopt_last_iterate"] = subopt(greedy_policy(est.theta_, e), e)
+    return out[0] if single else out
 
 
-def run_deploy(env: Environment, estimator, T: int, explore_coeff: float = 1.0,
-               stream_seed: Optional[int] = None) -> RunRecord:
-    """Serve arriving contexts with a greedy + exploratory pair, accumulating dueling regret."""
+def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
+               stream_seed: Optional[int] = None):
+    """Serve arriving contexts with a greedy + exploratory pair, accumulating dueling regret.
+
+    Returns the record; for sequences of environments and estimators, a list
+    of them, one per seed.
+    """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    rewards = env.rewards()
-    star = np.argmax(rewards, axis=1).tolist()
-    reward_of = rewards.tolist()
-    regret = 0.0
+    envs, estimators, single = _seeds(env, estimator)
+    draws = _Draws(_streams(envs, stream_seed), 2)  # the context, then the label
+    phi = np.stack([e.features.phi for e in envs])
+    rewards = np.stack([e.rewards() for e in envs])
+    star = rewards.argmax(axis=2)
+    cum_rho = np.stack([np.cumsum(e.rho) for e in envs])
+    last_context = cum_rho.shape[1] - 1
+    regret = np.zeros(len(envs))
 
-    def choose(rng):
-        x = env.draw_context(rng)
-        beta = estimator.radius()
-        a, b = select_deploy_actions(estimator.theta_, estimator.inv_norm_matrix(),
-                                     beta, x, env, explore_coeff)
-        r_x = reward_of[x]
-        return x, a, b, bt_sample(r_x[a], r_x[b], rng), beta
+    def choose(stack, live, rows, i):
+        u = draws(rows, i)
+        # the inverse-CDF lookup of Environment.draw_context, for every live seed
+        x = np.minimum((cum_rho[rows] <= u[:, :1]).sum(axis=1), last_context)
+        beta = stack.radius()
+        a, b = select_deploy_actions(stack.theta_, stack.inv_norm_matrix(), beta,
+                                     phi[live, x], explore_coeff)
+        return x, a, b, bt_sample(rewards[live, x, a], rewards[live, x, b], u[:, 1]), beta
 
-    def on_step(rec: _Recorder, i: int, x: int, a: int, b: int) -> None:
-        nonlocal regret
-        r_x = reward_of[x]
-        regret += r_x[star[x]] - 0.5 * (r_x[a] + r_x[b])
-        rec.cum_regret[i] = regret
+    def on_step(rec: _Recorder, live, rows, i: int, x, a, b) -> None:
+        regret[rows] += (rewards[live, x, star[live, x]]
+                         - 0.5 * (rewards[live, x, a] + rewards[live, x, b]))
+        rec.cum_regret[rows, i] = regret[rows]
 
-    _, rec = _run_loop("deploy", env, estimator, T, stream_seed, choose,
-                       checkpoints=(), on_step=on_step)
-    rec.summary["cum_regret"] = regret
-    return rec
+    out = _run_loop("deploy", envs, estimators, T, choose, checkpoints=(), on_step=on_step)
+    for s, (_, rec) in enumerate(out):
+        rec.summary["cum_regret"] = float(regret[s])
+    records = [rec for _, rec in out]
+    return records[0] if single else records

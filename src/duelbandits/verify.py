@@ -373,8 +373,10 @@ def check_uncertainty_scan_consistency(seed: int) -> CheckResult:
     est = OnePassRewardEstimator(dim=6, lam=2.0).reset()
     rng = np.random.default_rng(seed)
     for t in range(300):
-        incremental = select_most_uncertain(env, est.inv_norm_matrix())
-        fresh = select_most_uncertain(env, np.linalg.inv(est.hess_.mat))
+        incremental = select_most_uncertain(env.pair_diffs(), est.inv_norm_matrix(),
+                                            env.action_pairs())
+        fresh = select_most_uncertain(env.pair_diffs(), np.linalg.inv(est.hess_.mat),
+                                      env.action_pairs())
         if incremental != fresh:
             return False, f"selection diverged at step {t}: {incremental} vs {fresh}"
         x, a, b = incremental

@@ -39,18 +39,17 @@ def _timed(fn):
 
 
 # ---------------------------------------------------------------------------
-# shared run batches
+# shared run batches; the omd batches run their seeds in lockstep, which gives
+# every seed the record its solo run would give
 
 
 @pytest.fixture(scope="session")
 def coverage_runs():
     def build():
-        runs = []
-        for seed in SEEDS_200:
-            env = db.make_environment(seed=seed, **DEFAULT_ENV)
-            est = db.OnePassRewardEstimator(dim=5, radius_mode="theory", delta=0.1)
-            runs.append((env, db.run_deploy(env, est, 2000)))
-        return runs
+        envs = [db.make_environment(seed=seed, **DEFAULT_ENV) for seed in SEEDS_200]
+        ests = [db.OnePassRewardEstimator(dim=5, radius_mode="theory", delta=0.1)
+                for _ in envs]
+        return list(zip(envs, db.run_deploy(envs, ests, 2000)))
 
     runs, elapsed = _timed(build)
     return runs, elapsed
@@ -74,13 +73,10 @@ def timing_runs():
 @pytest.fixture(scope="session")
 def active_runs():
     def build():
-        runs = []
-        for seed in SEEDS_20:
-            env = db.make_environment(seed=seed, **DEFAULT_ENV)
-            est = db.OnePassRewardEstimator(dim=5)
-            _, rec = db.run_active(env, est, 4000, checkpoints=(1000, 4000))
-            runs.append((env, rec))
-        return runs
+        envs = [db.make_environment(seed=seed, **DEFAULT_ENV) for seed in SEEDS_20]
+        ests = [db.OnePassRewardEstimator(dim=5) for _ in envs]
+        runs = db.run_active(envs, ests, 4000, checkpoints=(1000, 4000))
+        return [(env, rec) for env, (_, rec) in zip(envs, runs)]
 
     runs, elapsed = _timed(build)
     return runs, elapsed
@@ -90,10 +86,9 @@ def active_runs():
 def deploy_runs():
     def build():
         out = {"omd": [], "mle": []}
-        for seed in SEEDS_20:
-            env = db.make_environment(seed=seed, **DEFAULT_ENV)
-            out["omd"].append((env, db.run_deploy(env, db.OnePassRewardEstimator(dim=5),
-                                                  4000, explore_coeff=1.0)))
+        envs = [db.make_environment(seed=seed, **DEFAULT_ENV) for seed in SEEDS_20]
+        ests = [db.OnePassRewardEstimator(dim=5) for _ in envs]
+        out["omd"] = list(zip(envs, db.run_deploy(envs, ests, 4000, explore_coeff=1.0)))
         for seed in SEEDS_20:
             env = db.make_environment(seed=seed, **DEFAULT_ENV)
             out["mle"].append((env, db.run_deploy(env, db.MleRewardEstimator(dim=5),
@@ -107,13 +102,11 @@ def deploy_runs():
 @pytest.fixture(scope="session")
 def passive_runs():
     def build():
-        runs = []
-        for seed in SEEDS_20:
-            env = db.make_environment(seed=seed, coverage_skew=0.0, **DEFAULT_ENV)
-            est = db.OnePassRewardEstimator(dim=5)
-            _, rec = db.run_passive(env, est, 4000, checkpoints=(500, 4000))
-            runs.append((env, rec))
-        return runs
+        envs = [db.make_environment(seed=seed, coverage_skew=0.0, **DEFAULT_ENV)
+                for seed in SEEDS_20]
+        ests = [db.OnePassRewardEstimator(dim=5) for _ in envs]
+        runs = db.run_passive(envs, ests, 4000, checkpoints=(500, 4000))
+        return [(env, rec) for env, (_, rec) in zip(envs, runs)]
 
     runs, elapsed = _timed(build)
     return runs, elapsed

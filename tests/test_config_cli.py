@@ -157,6 +157,20 @@ class TestConfigFields:
         with pytest.raises(ConfigError, match="'seeds'"):
             parse_config({"scenario": "deploy", "seeds": [math.inf]})
 
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_boolean_float_names_key(self, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config({"scenario": "deploy", key: True})
+
+    @pytest.mark.parametrize("seeds", [[1.5, 2.7], [3, 0.5], [True], [None], ["x"]],
+                             ids=["fractions", "one-fraction", "bool", "null", "text"])
+    def test_non_integer_seeds_name_key(self, seeds):
+        with pytest.raises(ConfigError, match="'seeds'"):
+            parse_config({"scenario": "deploy", "seeds": seeds})
+
+    def test_integral_seed_values_accepted(self):
+        assert parse_config({"scenario": "deploy", "seeds": [1.0, "2", 3]}).seeds == [1, 2, 3]
+
 
 class TestSeedFanout:
     def test_prefix_stability(self):
@@ -271,14 +285,16 @@ class TestCli:
 
     def test_failed_seed_exits_nonzero_and_is_listed(self, tmp_path, capsys, monkeypatch):
         seeds = resolve_seeds(0, 3)
-        real = runner.run_single
+        real = runner.make_environment
 
-        def flaky(cfg, seed, estimator_kind=None):
+        # every path builds each seed's environment; the lockstep batch that
+        # meets the error reruns its seeds one at a time
+        def flaky(*args, seed, **kwargs):
             if seed == seeds[1]:
                 raise OverflowError("math range error")
-            return real(cfg, seed, estimator_kind=estimator_kind)
+            return real(*args, seed=seed, **kwargs)
 
-        monkeypatch.setattr(runner, "run_single", flaky)
+        monkeypatch.setattr(runner, "make_environment", flaky)
         code = main(["run", "--scenario", "deploy", "--T", "20", "--seeds", "3",
                      "--out", str(tmp_path / "flaky")])
         assert code != 0

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelbandits.exceptions import NumericFailure
-from duelbandits.linalg import LocalNormMatrix, cg_solve, mahalanobis_inv, sherman_morrison
+from duelbandits.linalg import (
+    LocalNormMatrix,
+    cg_solve,
+    mahalanobis_inv,
+    rank_one_inverse,
+    sherman_morrison,
+)
 
 
 def random_pd(rng, d, lo=0.5, hi=5.0):
@@ -175,3 +183,72 @@ class TestLocalNormMatrix:
             LocalNormMatrix.scaled_identity(0, 1.0)
         with pytest.raises(ValueError):
             LocalNormMatrix.scaled_identity(2, 0.0)
+
+
+def stacked_inputs(seed, S, d):
+    """S curvature pairs, one z and one weight per row; about a quarter of the weights are 0."""
+    rng = np.random.default_rng(seed)
+    mats = np.stack([random_pd(rng, d) for _ in range(S)])
+    invs = np.linalg.inv(mats)
+    z = rng.standard_normal((S, d))
+    w = rng.uniform(0.0, 2.0, S)
+    w[rng.random(S) < 0.25] = 0.0
+    return mats, invs, z, w
+
+
+class TestStackedKernels:
+    """A stack of S rows gets exactly the bits each row gets on its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from([2, 5, 20]), st.integers(0, 2**32 - 1))
+    def test_stack_equals_per_row_calls(self, S, d, seed):
+        mats, invs, z, w = stacked_inputs(seed, S, d)
+        u = np.matvec(invs, z)
+        inverse = rank_one_inverse(invs, u, np.vecdot(z, u), w)
+        sm = sherman_morrison(invs, z, w)
+        stack = LocalNormMatrix(mats, invs)
+        stack.rank_one_update(z, w)
+        norms, inv_norms = stack.norm(z), stack.inv_norm(z)
+        for s in range(S):
+            u_s = invs[s] @ z[s]
+            assert np.array_equal(inverse[s],
+                                  rank_one_inverse(invs[s], u_s, float(z[s] @ u_s), float(w[s])))
+            assert np.array_equal(sm[s], sherman_morrison(invs[s], z[s], float(w[s])))
+            single = LocalNormMatrix(mats[s], invs[s])
+            single.rank_one_update(z[s], float(w[s]))
+            assert np.array_equal(stack.mat[s], single.mat)
+            assert np.array_equal(stack.inv[s], single.inv)
+            assert norms[s] == single.norm(z[s]) and inv_norms[s] == single.inv_norm(z[s])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from([2, 5, 20]), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_bad_denominator_names_the_row(self, S, d, seed, data):
+        _, invs, z, w = stacked_inputs(seed, S, d)
+        bad = data.draw(st.integers(0, S - 1))
+        u = np.matvec(invs, z)
+        zu = np.vecdot(z, u)
+        zu[bad] = -1.0 / max(w[bad], 0.5) - 1.0  # 1 + w*zu < 0 for that row
+        w[bad] = max(w[bad], 0.5)
+        with pytest.raises(NumericFailure) as stacked:
+            rank_one_inverse(invs, u, zu, w)
+        assert stacked.value.index == bad
+        with pytest.raises(NumericFailure) as single:
+            rank_one_inverse(invs[bad], u[bad], float(zu[bad]), float(w[bad]))
+        assert single.value.index is None
+        assert str(stacked.value) == str(single.value)
+
+    def test_negative_quadratic_form_names_the_row(self):
+        mats = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+        with pytest.raises(NumericFailure) as info:
+            mahalanobis_inv(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), mats)
+        assert info.value.index == 1
+
+    def test_stack_and_rows_round_trip(self):
+        rng = np.random.default_rng(3)
+        singles = [LocalNormMatrix(m, np.linalg.inv(m)) for m in (random_pd(rng, 3) for _ in range(4))]
+        stack = LocalNormMatrix.stack(singles)
+        assert stack.mat.shape == (4, 3, 3) and stack.dim == 3
+        for k, single in enumerate(singles):
+            assert np.array_equal(stack[k].mat, single.mat)
+            assert np.array_equal(stack[k].inv, single.inv)

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from duelbandits import onepass
 from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
+from duelbandits.exceptions import NumericFailure
 from duelbandits.linkmath import sigmoid_pair
 from duelbandits.onepass import (
     HvpCgRewardEstimator,
@@ -239,6 +242,26 @@ class TestProjection:
             resid = np.linalg.norm(resid_vec + nu * out)
             assert resid <= 1e-6 * (1.0 + np.linalg.norm(theta_prime) * np.linalg.norm(M))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.05, 20.0), st.floats(0.1, 6.0),
+           st.integers(0, 2**32 - 1))
+    def test_kkt_conditions(self, d, B, scale, seed):
+        """Interior points pass; otherwise ||theta|| = B and M(theta' - theta) = nu*theta, nu >= 0."""
+        rng = np.random.default_rng(seed)
+        M = random_pd(rng, d, lo=0.1, hi=10.0)
+        theta_prime = rng.standard_normal(d)
+        theta_prime *= scale * B / np.linalg.norm(theta_prime)
+        out = project_localnorm_ball(theta_prime, M, B)
+        if math.sqrt(float(theta_prime @ theta_prime)) <= B:
+            assert np.array_equal(out, theta_prime)
+            return
+        assert abs(np.linalg.norm(out) - B) <= 1e-10 * B
+        pull = M @ (theta_prime - out)
+        nu = float(out @ pull) / float(out @ out)
+        assert nu >= 0.0
+        scale_of = np.linalg.norm(M) * np.linalg.norm(theta_prime)
+        assert np.linalg.norm(pull - nu * out) <= 1e-8 * scale_of
+
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
             project_localnorm_ball(np.ones(2), np.eye(2), 0.0)
@@ -413,3 +436,58 @@ class TestSklearnSurface:
             est.update(np.array([np.nan, 0.0, 0.0]), 1)
         with pytest.raises(ValueError):
             est.update(np.ones(3), 2)
+
+
+def sample_stream(seed, S, d, n):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, (n, S, d)) / math.sqrt(d), rng.integers(0, 2, (n, S))
+
+
+class TestStackedUpdate:
+    """A stacked estimator steps each row exactly as that row's single estimator would."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([2, 5, 20]), st.sampled_from([0.3, 1.0]),
+           st.integers(0, 2**32 - 1))
+    def test_rows_match_single_estimators(self, S, d, B, seed):
+        Z, Y = sample_stream(seed, S, d, 40)
+        params = dict(dim=d, B=B, lam=2.0)
+        singles = [OnePassRewardEstimator(**params).reset() for _ in range(S)]
+        stack = OnePassRewardEstimator.stack(
+            [OnePassRewardEstimator(**params).reset() for _ in range(S)])
+        for z, y in zip(Z, Y):
+            stack.update(z, y)
+            for s, est in enumerate(singles):
+                est.update(z[s], int(y[s]))
+        rows = [OnePassRewardEstimator(**params) for _ in range(S)]
+        stack.unstack(rows)
+        for row, est in zip(rows, singles):
+            assert row.t_ == est.t_ and row.projections_ == est.projections_
+            for attr in ("theta_", "theta_sum_"):
+                assert np.array_equal(getattr(row, attr), getattr(est, attr))
+            assert np.array_equal(row.hess_.mat, est.hess_.mat)
+            assert np.array_equal(row.hess_.inv, est.hess_.inv)
+
+    def test_failed_projection_names_the_row_and_changes_nothing_else(self, monkeypatch):
+        S, d = 3, 4
+        stack = OnePassRewardEstimator.stack(
+            [OnePassRewardEstimator(dim=d, B=0.05, lam=1.0).reset() for _ in range(S)])
+        before = (stack.theta_.copy(), stack.hess_.inv.copy(), stack.t_)
+
+        def refuse(theta_prime, norm_mat, B):
+            raise NumericFailure("projection refused")
+
+        monkeypatch.setattr(onepass, "project_localnorm_ball", refuse)
+        z = np.zeros((S, d))
+        z[1] = 1.0  # only row 1 takes a step long enough to leave the ball
+        with pytest.raises(NumericFailure, match="projection refused") as info:
+            stack.update(z, np.array([1, 0, 1]))
+        assert info.value.index == 1
+        assert stack.projections_.tolist() == [0, 1, 0]
+        assert np.array_equal(stack.theta_, before[0])
+        assert np.array_equal(stack.hess_.inv, before[1]) and stack.t_ == before[2]
+
+    def test_stack_needs_shared_parameters(self):
+        with pytest.raises(ValueError):
+            OnePassRewardEstimator.stack([OnePassRewardEstimator(dim=2).reset(),
+                                          OnePassRewardEstimator(dim=2, B=2.0).reset()])

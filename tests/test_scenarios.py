@@ -11,7 +11,9 @@ from duelbandits.environment import (
     Policy,
     make_environment,
 )
+from duelbandits import onepass
 from duelbandits.baselines import MleRewardEstimator
+from duelbandits.config import resolve_seeds
 from duelbandits.exceptions import NumericFailure
 from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from duelbandits.scenarios import (
@@ -158,9 +160,13 @@ class TestPessimisticPolicy:
             pessimistic_policy(np.zeros(5), np.eye(5), 1.0, default_env, "softmax")
 
 
+def scan(env, norm_inv):
+    return select_most_uncertain(env.pair_diffs(), norm_inv, env.action_pairs())
+
+
 class TestSelectMostUncertain:
     def test_identity_norm_maximizes_euclidean(self, default_env):
-        x, a, b = select_most_uncertain(default_env, np.eye(5))
+        x, a, b = scan(default_env, np.eye(5))
         Z = default_env.pair_diffs()
         best = float(np.linalg.norm(Z, axis=1).max())
         chosen = np.linalg.norm(default_env.z_of(x, a, b))
@@ -169,7 +175,7 @@ class TestSelectMostUncertain:
 
     def test_single_pair_pool(self):
         env = make_environment(2, 1, 2, seed=6)
-        assert select_most_uncertain(env, np.eye(2)) == (0, 0, 1)
+        assert scan(env, np.eye(2)) == (0, 0, 1)
 
     def test_selection_rotates_on_two_pair_instance(self):
         # two contexts, one pair each; repeatedly feeding the chosen pair's
@@ -183,11 +189,11 @@ class TestSelectMostUncertain:
         from duelbandits.linalg import LocalNormMatrix, mahalanobis_inv
 
         lm = LocalNormMatrix.scaled_identity(2, 1.0)
-        first = select_most_uncertain(env, lm.inv)
+        first = scan(env, lm.inv)
         assert first == (0, 0, 1)
         seen = {first}
         for _ in range(10):
-            x, a, b = select_most_uncertain(env, lm.inv)
+            x, a, b = scan(env, lm.inv)
             seen.add((x, a, b))
             z = env.z_of(x, a, b)
             before = mahalanobis_inv(z, lm.inv)
@@ -204,7 +210,16 @@ class TestSelectMostUncertain:
             M = random_spd(rng, 20)
             qf = [float(z @ M @ z) for z in Z]
             x, rest = divmod(int(np.argmax(qf)), len(pairs))
-            assert select_most_uncertain(env, M) == (x, *pairs[rest])
+            assert scan(env, M) == (x, *pairs[rest])
+
+    def test_stack_scans_each_row(self):
+        rng = np.random.default_rng(21)
+        envs = [make_environment(5, 6, 4, seed=s) for s in (1, 2, 3)]
+        Ms = np.stack([random_spd(rng, 5) for _ in envs])
+        x, a, b = select_most_uncertain(np.stack([e.pair_diffs() for e in envs]), Ms,
+                                        envs[0].action_pairs())
+        assert [(int(x[k]), int(a[k]), int(b[k])) for k in range(3)] == [
+            scan(e, M) for e, M in zip(envs, Ms)]
 
     def test_tie_breaks_lexicographic(self):
         phi = np.zeros((2, 2, 2))
@@ -213,14 +228,14 @@ class TestSelectMostUncertain:
         phi[1, 0] = [0.0, 1.0]
         phi[1, 1] = [0.0, -1.0]
         env = manual_env(phi, theta_star=[0.1, 0.1], rho=[0.5, 0.5])
-        assert select_most_uncertain(env, np.eye(2)) == (0, 0, 1)
+        assert scan(env, np.eye(2)) == (0, 0, 1)
 
 
 class TestSelectDeployActions:
     def test_zero_beta_plays_greedy_twice(self, default_env):
         rng = np.random.default_rng(7)
         theta = rng.standard_normal(5)
-        a, b = select_deploy_actions(theta, np.eye(5), 0.0, 2, default_env)
+        a, b = select_deploy_actions(theta, np.eye(5), 0.0, default_env.features.phi[2])
         scores = default_env.features.phi[2] @ theta
         assert a == int(np.argmax(scores))
         assert b == a
@@ -232,7 +247,7 @@ class TestSelectDeployActions:
         phi[0, 2] = [-1.0, 0.0]
         env = manual_env(phi, theta_star=[1.0, 0.0], rho=[1.0])
         theta = np.array([1.0, 0.0])
-        a, b = select_deploy_actions(theta, np.eye(2), 1e7, 0, env)
+        a, b = select_deploy_actions(theta, np.eye(2), 1e7, env.features.phi[0])
         assert a == 0
         assert b == 2  # farthest from action 0, reward term negligible
 
@@ -249,11 +264,11 @@ class TestSelectDeployActions:
                 bonus = [beta * np.sqrt((p - phi[x, a]) @ M @ (p - phi[x, a]))
                          for p in phi[x]]
                 b = int(np.argmax(np.add(scores, bonus)))
-                assert select_deploy_actions(theta, M, beta, x, default_env) == (a, b)
+                assert select_deploy_actions(theta, M, beta, phi[x]) == (a, b)
 
     def test_single_action(self):
         env = make_environment(2, 2, 1, seed=8)
-        a, b = select_deploy_actions(np.ones(2), np.eye(2), 5.0, 0, env)
+        a, b = select_deploy_actions(np.ones(2), np.eye(2), 5.0, env.features.phi[0])
         assert (a, b) == (0, 0)
 
 
@@ -426,3 +441,67 @@ class TestRunRecord:
         assert np.isnan(rec.cum_regret[-1])
         assert np.isfinite(rec.cum_regret[:-1]).all()
         assert rec.summary["cum_regret"] == rec.cum_regret[-2]
+
+
+TIMING_KEYS = ("update_ns_total", "update_ns_mean")
+
+
+def assert_same_run(got, want):
+    """Equal records and summaries, except the timing of the update."""
+    assert len(got) == len(want) and got.flags == want.flags
+    for name in ("t", "est_err_l2", "est_err_local", "beta", "cum_regret",
+                 "subopt_checkpoint", "x", "a", "a_prime", "y"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    strip = lambda summary: {k: v for k, v in summary.items() if k not in TIMING_KEYS}
+    assert strip(got.summary) == strip(want.summary)
+
+
+class TestLockstep:
+    SEEDS = resolve_seeds(0, 6)
+
+    @pytest.mark.parametrize("scenario", ["passive", "active", "deploy"])
+    def test_stack_equals_solo_runs(self, scenario):
+        run = {"passive": lambda e, est: run_passive(e, est, 40, checkpoints=(10, 40)),
+               "active": lambda e, est: run_active(e, est, 40, checkpoints=(10, 40)),
+               "deploy": lambda e, est: run_deploy(e, est, 40)}[scenario]
+        envs = [make_environment(5, 8, 4, seed=s) for s in self.SEEDS[:3]]
+        ests = [OnePassRewardEstimator(dim=5) for _ in envs]
+        stacked = run(envs, ests)
+        for env, est, got in zip(envs, ests, stacked):
+            solo_est = OnePassRewardEstimator(dim=5)
+            want = run(env, solo_est)
+            if scenario == "deploy":
+                assert_same_run(got, want)
+            else:
+                assert got[0] == want[0]
+                assert_same_run(got[1], want[1])
+            # each seed's own estimator ends holding its final state
+            assert np.array_equal(est.theta_, solo_est.theta_)
+            assert np.array_equal(est.hess_.inv, solo_est.hess_.inv)
+
+    def test_failing_seed_ends_as_alone_and_the_others_go_on(self, monkeypatch):
+        def refuse(theta_prime, norm_mat, B):
+            raise NumericFailure("projection refused")
+
+        monkeypatch.setattr(onepass, "project_localnorm_ball", refuse)
+        envs = [make_environment(5, 8, 4, B=1.0, seed=s) for s in self.SEEDS]
+        params = dict(dim=5, B=1.0, lam=10.0)
+        stacked = run_deploy(envs, [OnePassRewardEstimator(**params) for _ in envs], 150)
+        solo = [run_deploy(env, OnePassRewardEstimator(**params), 150) for env in envs]
+        aborted = [rec.summary["aborted"] for rec in stacked]
+        assert "projection refused" in aborted and None in aborted
+        for got, want in zip(stacked, solo):
+            assert_same_run(got, want)
+
+    def test_rows_time_an_equal_share_of_the_update(self, default_env):
+        envs = [default_env, make_environment(5, 8, 4, seed=12)]
+        recs = run_deploy(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 30)
+        assert np.array_equal(recs[0].wall_nanos, recs[1].wall_nanos)
+        assert (recs[0].wall_nanos > 0).all()
+
+    def test_estimator_without_stacked_update_takes_one_seed(self, default_env):
+        envs = [default_env, make_environment(5, 8, 4, seed=12)]
+        with pytest.raises(ValueError, match="one at a time"):
+            run_deploy(envs, [MleRewardEstimator(dim=5) for _ in envs], 10)
+        rec = run_deploy([default_env], [MleRewardEstimator(dim=5)], 10)[0]
+        assert_same_run(rec, run_deploy(default_env, MleRewardEstimator(dim=5), 10))

@@ -50,19 +50,15 @@ def rank_one_inverse(inv: np.ndarray, u: np.ndarray, zu, w) -> np.ndarray:
     NumericFailure carries the first such row as ``index``. A stack takes one
     weight per row, or one weight for all of them.
     """
-    stacked = u.ndim > 1
-    zus, ws = _values(zu), _values(w)
-    coefs = []
-    for k, (zk, wk) in enumerate(zip(zus, ws * len(zus) if len(ws) == 1 else ws)):
-        denom = 1.0 + wk * zk
-        if not 0.0 < denom < math.inf:
-            raise NumericFailure(
-                f"Sherman-Morrison denominator {denom} is not positive; inverse state corrupted",
-                index=k if stacked else None,
-            )
-        coefs.append(wk / denom)
-    coef = np.array(coefs)[:, None, None] if stacked else coefs[0]
-    return inv - coef * _outer(u)
+    denom = 1.0 + w * zu
+    values = _values(denom)
+    if not all(0.0 < value < math.inf for value in values):
+        k = next(k for k, value in enumerate(values) if not 0.0 < value < math.inf)
+        raise NumericFailure(
+            f"Sherman-Morrison denominator {values[k]} is not positive; inverse state corrupted",
+            index=k if u.ndim > 1 else None,
+        )
+    return inv - np.asarray(w / denom)[..., None, None] * _outer(u)
 
 
 def _check_weights(w) -> list:

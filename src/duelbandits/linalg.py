@@ -98,8 +98,9 @@ def mahalanobis_inv(v: np.ndarray, inv: np.ndarray):
         if value < -1e-12:
             raise NumericFailure(f"quadratic form {value} is negative; matrix not PSD",
                                  index=k if q.ndim else None)
-    out = np.sqrt(np.maximum(q, 0.0))
-    return float(out) if out.ndim == 0 else out
+    if q.ndim == 0:
+        return math.sqrt(max(float(q), 0.0))
+    return np.sqrt(np.maximum(q, 0.0))
 
 
 def cg_solve(
@@ -121,26 +122,26 @@ def cg_solve(
     v = np.zeros_like(b)
     r = b.copy()
     rs = float(r @ r)
-    if np.sqrt(rs) <= tol:
-        return v, float(np.sqrt(rs))
+    if math.sqrt(rs) <= tol:
+        return v, math.sqrt(rs)
     p = r.copy()
     for _ in range(max_iters):
         ap = apply(p)
         curv = float(p @ ap)
-        if not np.isfinite(curv) or curv <= 0:
+        if not math.isfinite(curv) or curv <= 0:
             raise NumericFailure(f"CG curvature {curv} is not positive; operator not PD")
         alpha = rs / curv
         v = v + alpha * p
         r = r - alpha * ap
         rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
+        if not math.isfinite(rs_new):
             raise NumericFailure("CG residual became non-finite")
-        if np.sqrt(rs_new) <= tol:
+        if math.sqrt(rs_new) <= tol:
             rs = rs_new
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return v, float(np.sqrt(rs))
+    return v, math.sqrt(rs)
 
 
 @dataclass

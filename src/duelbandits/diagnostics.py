@@ -9,7 +9,7 @@ scatter matrix, and does the per-iteration cost stay flat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,21 +45,16 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def diagnostics_report(env, record: "RunRecord", potential_lambda: float = 1.0):
-    """Bundle every lemma-level check for one finished run.
+def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"],
+                       potential_lambda: float = 1.0) -> List[DiagnosticsReport]:
+    """Bundle every lemma-level check, one report per finished run.
 
-    The domination eigenvalue comes from the audits the run itself recorded
-    (NaN when the estimator exposes no curvature matrix); the timing windows
-    are the first and last tenth of the run. Given lists of environments and
-    records (the seeds of one experiment), returns one report per record, and
-    replays the elliptic potentials of equal-length records as one stack.
+    ``envs`` and ``records`` pair each run with its environment. The
+    domination eigenvalue comes from the audits each run itself recorded (NaN
+    when the estimator exposes no curvature matrix); the timing windows are
+    the first and last tenth of the run. The elliptic potentials of
+    equal-length records are replayed as one stack.
     """
-    if not isinstance(record, (list, tuple)):
-        return _reports([env], [record], potential_lambda)[0]
-    return _reports(env, record, potential_lambda)
-
-
-def _reports(envs, records, potential_lambda: float):
     groups: dict = {}
     for k, (env, rec) in enumerate(zip(envs, records)):
         groups.setdefault((len(rec), env.truth.L), []).append(k)
@@ -115,9 +110,10 @@ def elliptic_potential_check(zs: np.ndarray, lambda_v: float, L: float):
     Computes lhs = sum_s ||z_s||^2 in the inverse of V_s = lambda*I + sum_{i<s}
     z_i z_i^T via incremental rank-one inverse updates, and
     rhs = 2 d log(1 + t L^2 / (lambda d)). ``L`` must bound the supplied rows
-    (callers pass 2L for preference differences). A stack of equal-length row
-    sequences, shape (S, n, d), is replayed together and gives one lhs and one
-    verdict per sequence.
+    (callers pass 2L for preference differences). Returns (lhs, rhs, ok) with
+    one lhs and one verdict per leading index: scalars for one (n, d)
+    sequence, arrays of S for a stack of equal-length sequences (S, n, d),
+    which are replayed together.
     """
     if lambda_v <= 0:
         raise ValueError(f"lambda_v must be positive, got {lambda_v}")
@@ -132,10 +128,7 @@ def elliptic_potential_check(zs: np.ndarray, lambda_v: float, L: float):
         lhs = lhs + np.vecdot(np.vecmat(z, inv), z)
         inv = sherman_morrison(inv, z, 1.0)
     rhs = float(2.0 * d * np.log(1.0 + n * L**2 / (lambda_v * d)))
-    ok = lhs <= rhs + 1e-9
-    if lhs.ndim == 0:
-        return float(lhs), rhs, bool(ok)
-    return lhs, rhs, ok
+    return lhs[()], rhs, (lhs <= rhs + 1e-9)[()]
 
 
 def norm_domination_check(H: np.ndarray, V: np.ndarray, kappa: float) -> float:

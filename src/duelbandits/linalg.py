@@ -35,12 +35,6 @@ def _outer(u: np.ndarray) -> np.ndarray:
     return u[..., :, None] * u[..., None, :]
 
 
-def _values(a) -> list:
-    """The entries of a scalar or a stack as a Python list, for cheap per-row work."""
-    values = np.asarray(a).tolist()
-    return values if isinstance(values, list) else [values]
-
-
 def rank_one_inverse(inv: np.ndarray, u: np.ndarray, zu, w) -> np.ndarray:
     """Return (A + w*z*z^T)^-1 given inv = A^-1, u = inv @ z and zu = z . u.
 
@@ -51,18 +45,23 @@ def rank_one_inverse(inv: np.ndarray, u: np.ndarray, zu, w) -> np.ndarray:
     weight per row, or one weight for all of them.
     """
     denom = 1.0 + w * zu
-    values = _values(denom)
-    if not all(0.0 < value < math.inf for value in values):
-        k = next(k for k, value in enumerate(values) if not 0.0 < value < math.inf)
-        raise NumericFailure(
-            f"Sherman-Morrison denominator {values[k]} is not positive; inverse state corrupted",
-            index=k if u.ndim > 1 else None,
-        )
-    return inv - np.asarray(w / denom)[..., None, None] * _outer(u)
+    if u.ndim == 1:
+        if not 0.0 < denom < math.inf:
+            raise NumericFailure(_denominator_message(denom))
+        return inv - (w / denom) * np.multiply(u[:, None], u)
+    values = denom.tolist()
+    for k, value in enumerate(values):
+        if not 0.0 < value < math.inf:
+            raise NumericFailure(_denominator_message(value), index=k)
+    return inv - (w / denom)[:, None, None] * _outer(u)
 
 
-def _check_weights(w) -> list:
-    weights = _values(w)
+def _denominator_message(denom: float) -> str:
+    return f"Sherman-Morrison denominator {denom} is not positive; inverse state corrupted"
+
+
+def _check_weights(w: np.ndarray) -> list:
+    weights = w.tolist()
     if any(v < 0 for v in weights):
         raise ValueError(f"rank-one weight must be nonnegative, got {w}")
     return weights
@@ -73,16 +72,24 @@ def sherman_morrison(inv: np.ndarray, z: np.ndarray, w) -> np.ndarray:
 
     The output is explicitly symmetrized, so it is exactly symmetric even when
     ``inv`` is not, and long update chains keep the positive-definiteness
-    detectable. A row with weight zero comes back as a plain copy.
+    detectable. On a stack (z of shape (S, d)) a row with weight zero comes
+    back as a plain copy.
     """
-    w = np.asarray(w, dtype=float)
+    if z.ndim == 1:
+        if w < 0:
+            raise ValueError(f"rank-one weight must be nonnegative, got {w}")
+        if w == 0.0:
+            return inv.copy()
+        u = inv @ z
+        return _symmetrize(rank_one_inverse(inv, u, float(z @ u), w))
+    w = np.broadcast_to(np.asarray(w, dtype=float), z.shape[:1])
     weights = _check_weights(w)
     if not any(weights):
-        return inv.copy()
+        return np.broadcast_to(inv, (*z.shape, z.shape[-1])).copy()
     u = np.matvec(inv, z)
     out = _symmetrize(rank_one_inverse(inv, u, np.vecdot(z, u), w))
     if not all(weights):
-        out = np.where((w == 0)[..., None, None], inv, out)
+        out = np.where((w == 0)[:, None, None], inv, out)
     return out
 
 
@@ -93,14 +100,20 @@ def mahalanobis_inv(v: np.ndarray, inv: np.ndarray):
     anything more negative means the matrix is not PSD. A stack of vectors and
     matrices gives one norm per row.
     """
+    if v.ndim == 1:
+        q = float(v @ inv @ v)
+        if q < -1e-12:
+            raise NumericFailure(_quad_form_message(q))
+        return math.sqrt(max(q, 0.0))
     q = np.vecdot(np.vecmat(v, inv), v)
-    for k, value in enumerate(_values(q)):
+    for k, value in enumerate(q.tolist()):
         if value < -1e-12:
-            raise NumericFailure(f"quadratic form {value} is negative; matrix not PSD",
-                                 index=k if q.ndim else None)
-    if q.ndim == 0:
-        return math.sqrt(max(float(q), 0.0))
+            raise NumericFailure(_quad_form_message(value), index=k)
     return np.sqrt(np.maximum(q, 0.0))
+
+
+def _quad_form_message(q: float) -> str:
+    return f"quadratic form {q} is negative; matrix not PSD"
 
 
 def cg_solve(
@@ -199,6 +212,17 @@ class LocalNormMatrix:
         inverse passes them, and the product is not formed again. On a stack,
         z is (S, dim) and w (S,); rows with weight zero are left untouched.
         """
+        if z.ndim == 1:
+            if w < 0:
+                raise ValueError(f"rank-one weight must be nonnegative, got {w}")
+            if w == 0.0:
+                return
+            if u is None:
+                u = self.inv @ z
+                zu = float(z @ u)
+            self.inv = rank_one_inverse(self.inv, u, zu, w)
+            self.mat = self.mat + w * np.multiply(z[:, None], z)
+            return
         w = np.asarray(w, dtype=float)
         weights = _check_weights(w)
         if not any(weights):
@@ -207,9 +231,9 @@ class LocalNormMatrix:
             u = np.matvec(self.inv, z)
             zu = np.vecdot(z, u)
         inv = rank_one_inverse(self.inv, u, zu, w)
-        mat = self.mat + w[..., None, None] * _outer(z)
+        mat = self.mat + w[:, None, None] * _outer(z)
         if not all(weights):
-            keep = (w == 0)[..., None, None]
+            keep = (w == 0)[:, None, None]
             inv, mat = np.where(keep, self.inv, inv), np.where(keep, self.mat, mat)
         self.inv, self.mat = inv, mat
 

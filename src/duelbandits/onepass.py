@@ -258,58 +258,75 @@ class OnePassRewardEstimator(BaseRewardEstimator):
             est.projections_ = int(self.projections_[k])
 
     def update(self, z: np.ndarray, y) -> None:
-        """One step on one sample; on a stack, z is (S, d) and y (S,), one per row.
-
-        A NumericFailure leaves every row as it was, except that a row whose
-        projection failed has counted it, as a single run does. Its ``index``
-        names the row (0 for a single estimator, which steps as a stack of one).
-        """
-        single = self.theta_.ndim == 1
-        z = check_vector(z, self.dim, lead=self.theta_.shape[:-1])
-        if not single:
-            y = np.asarray(y)
+        """One step on one sample; on a stack, z is (S, d) and y (S,), one per row."""
+        if self.theta_.ndim > 1:
+            self._update_rows(z, y)
+            return
+        z = check_vector(z, self.dim)
         check_label(y)
         cfg = self.config_
         hess = self.hess_
-        # the step runs on (S, ...) arrays; a single estimator is a stack of one
-        zs, theta, mat, inv = z, self.theta_, hess.mat, hess.inv
-        if single:
-            zs, theta, mat, inv = zs[None], theta[None], mat[None], inv[None]
-        sig, hw = sigmoid_pair(np.vecdot(zs, theta))
-        grad = (sig - y)[:, None] * zs
+        sig, hw = sigmoid_pair(float(np.dot(z, self.theta_)))
+        grad = (sig - y) * z
         step_weight = cfg.eta * hw
         # u = H^-1 z serves both rank-one updates: the scratch inverse of the
         # step geometry H + eta*hw*zz^T below, and the lookahead accumulation
         # into H, which therefore needs no downdate of the scratch matrix.
-        u = np.matvec(inv, zs)
-        zu = np.vecdot(zs, u)
-        tilde_inv = rank_one_inverse(inv, u, zu, step_weight)
-        theta_next = theta - cfg.eta * np.matvec(tilde_inv, grad)
-        # projection is the rare case, so it runs row by row where it fires
-        norms = np.vecdot(theta_next, theta_next).tolist()
-        fired = [k for k, sq in enumerate(norms) if not math.sqrt(sq) <= cfg.B]
-        for k in fired:
-            tilde_mat = mat[k] + step_weight[k] * np.multiply(zs[k][:, None], zs[k])
-            try:
-                theta_next[k] = project_localnorm_ball(theta_next[k], tilde_mat, cfg.B)
-            except NumericFailure as exc:
-                self._count_projections([k])
-                raise NumericFailure(str(exc), index=k) from exc
-        _, hw_next = sigmoid_pair(np.vecdot(zs, theta_next))
-        if single:
-            theta_next, hw_next, u, zu = theta_next[0], hw_next[0], u[0], zu[0]
+        u = hess.inv @ z
+        zu = float(z @ u)
+        tilde_inv = rank_one_inverse(hess.inv, u, zu, step_weight)
+        theta_prime = self.theta_ - cfg.eta * (tilde_inv @ grad)
+        if _norm(theta_prime) <= cfg.B:
+            theta_next = theta_prime
+        else:
+            self.projections_ += 1
+            tilde_mat = hess.mat + step_weight * np.multiply(z[:, None], z)
+            theta_next = project_localnorm_ball(theta_prime, tilde_mat, cfg.B)
+        _, hw_next = sigmoid_pair(float(np.dot(z, theta_next)))
         hess.rank_one_update(z, hw_next, u, zu)
-        self._count_projections(fired)
         self.theta_ = theta_next
         self.theta_sum_ = self.theta_sum_ + theta_next
         self.t_ += 1
 
-    def _count_projections(self, rows) -> None:
-        for k in rows:
-            if self.theta_.ndim == 1:
-                self.projections_ += 1
-            else:
-                self.projections_[k] += 1
+    def _update_rows(self, z: np.ndarray, y) -> None:
+        """The step of ``update`` for every row of a stack, each with a single run's bits.
+
+        A NumericFailure names its row as ``index`` and leaves every row as it
+        was, except that the failing row has counted a projection that fired
+        before the failure, as a single run does.
+        """
+        z = check_vector(z, self.dim, lead=self.theta_.shape[:-1])
+        y = np.asarray(y)
+        check_label(y)
+        cfg = self.config_
+        hess = self.hess_
+        sig, hw = sigmoid_pair(np.vecdot(z, self.theta_))
+        grad = (sig - y)[:, None] * z
+        step_weight = cfg.eta * hw
+        u = np.matvec(hess.inv, z)
+        zu = np.vecdot(z, u)
+        tilde_inv = rank_one_inverse(hess.inv, u, zu, step_weight)
+        theta_next = self.theta_ - cfg.eta * np.matvec(tilde_inv, grad)
+        # projection is the rare case, so it runs row by row where it fires
+        norms = np.vecdot(theta_next, theta_next).tolist()
+        fired = [k for k, sq in enumerate(norms) if not math.sqrt(sq) <= cfg.B]
+        try:
+            for k in fired:
+                tilde_mat = hess.mat[k] + step_weight[k] * np.multiply(z[k][:, None], z[k])
+                try:
+                    theta_next[k] = project_localnorm_ball(theta_next[k], tilde_mat, cfg.B)
+                except NumericFailure as exc:
+                    raise NumericFailure(str(exc), index=k) from exc
+            _, hw_next = sigmoid_pair(np.vecdot(z, theta_next))
+            hess.rank_one_update(z, hw_next, u, zu)
+        except NumericFailure as exc:
+            if exc.index in fired:
+                self.projections_[exc.index] += 1
+            raise
+        self.projections_[fired] += 1
+        self.theta_ = theta_next
+        self.theta_sum_ = self.theta_sum_ + theta_next
+        self.t_ += 1
 
     def radius(self, t: Optional[int] = None) -> float:
         return confidence_radius(self.t_ if t is None else t, self.config_)

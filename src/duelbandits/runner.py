@@ -48,9 +48,9 @@ def build_estimator(cfg: ExperimentConfig, kind: Optional[str] = None,
 def run_single(cfg: ExperimentConfig, seed, estimator_kind: Optional[str] = None):
     """Seeded runs: a fresh environment and estimator per seed, one scenario loop.
 
-    ``seed`` is one seed, giving one RunRecord, or a list of seeds, run in
-    lockstep and giving one RunRecord each. Only an estimator with a stacked
-    update (omd) can take more than one seed.
+    ``seed`` is one seed, giving one RunRecord, or a list of seeds, giving one
+    RunRecord each. Several seeds of an estimator with a stacked update (omd)
+    run in lockstep; other estimators run them one after another.
     """
     single = not isinstance(seed, (list, tuple))
     seeds = [seed] if single else list(seed)

@@ -7,10 +7,11 @@ policy. Deployment: contexts arrive online, the learner plays a greedy action
 plus an exploration-bonused partner and pays dueling regret against the
 optimal action.
 
-Each scenario runs one seed, or several seeds in lockstep: given equal-length
-sequences of environments and estimators, one round advances every seed, and
-an estimator with a stacked update (``stack``/``unstack``) steps them all in
-one call. Every seed's record is exactly the one it would get alone.
+Each scenario runs one seed, or equal-length sequences of environments and
+estimators. Several seeds whose estimator has a stacked update
+(``stack``/``unstack``) run in lockstep: one round advances every seed, and
+one update call steps them all. Other seeds run one after another. Every
+seed's record is exactly the one it would get alone.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class RunRecord:
 
 
 class _Recorder:
-    """(S, T) record columns of a lockstep run, one row per seed."""
+    """(S, T) record columns, one row per seed; a one-seed run writes row 0."""
 
     def __init__(self, scenario: str, seeds: Sequence[int], T: int):
         self.scenario, self.seeds, self.T = scenario, list(seeds), T
@@ -263,14 +264,16 @@ def select_deploy_actions(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
     theta is (S, d), norm_inv (S, d, d) and phi_x (S, actions, d), and the two
     actions come back as (S,) arrays.
     """
+    if theta.ndim == 1:
+        scores = phi_x @ theta
+        a = int(scores.argmax())
+        bonus = explore_coeff * beta * _penalized_norms(phi_x - phi_x[a], norm_inv)
+        return a, int((scores + bonus).argmax())
     scores = np.matvec(phi_x, theta)
     a = scores.argmax(axis=-1)
-    greedy = np.take_along_axis(phi_x, a[..., None, None], axis=-2)
+    greedy = np.take_along_axis(phi_x, a[:, None, None], axis=-2)
     bonus = explore_coeff * beta * _penalized_norms(phi_x - greedy, norm_inv)
-    a_prime = (scores + bonus).argmax(axis=-1)
-    if a.ndim == 0:
-        return int(a), int(a_prime)
-    return a, a_prime
+    return a, (scores + bonus).argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +313,9 @@ class _DominationAudit:
         self.dim = dim
 
     def step(self, z: np.ndarray, rows) -> None:
+        """Add the round's z z^T: one z (d,) for row ``rows``, or (S', d) for S' rows."""
         if self.points:
-            self.v_sum[rows] += z[:, :, None] * z[:, None, :]
+            self.v_sum[rows] += z[..., :, None] * z[..., None, :]
 
     def check(self, t: int, live: np.ndarray) -> None:
         from .diagnostics import norm_domination_check
@@ -321,46 +325,6 @@ class _DominationAudit:
             H = self.estimators[s].local_norm_matrix()
             V = kappa * self.lams[s] * np.eye(self.dim) + self.v_sum[s]
             self.records[s].append({"t": t, "min_eig": norm_domination_check(H, V, kappa)})
-
-
-class _Solo:
-    """A stack of one around an estimator that has no stacked update."""
-
-    def __init__(self, estimator):
-        self.est = estimator
-
-    @property
-    def theta_(self) -> np.ndarray:
-        return self.est.theta_[None]
-
-    @property
-    def last_converged_(self) -> bool:
-        return getattr(self.est, "last_converged_", True)
-
-    def local_norm(self, diffs: np.ndarray) -> np.ndarray:
-        return np.array([self.est.local_norm(diffs[0])])
-
-    def inv_norm_matrix(self) -> np.ndarray:
-        return self.est.inv_norm_matrix()[None]
-
-    def radius(self) -> float:
-        return self.est.radius()
-
-    def update(self, zs: np.ndarray, ys: np.ndarray) -> None:
-        self.est.update(zs[0], int(ys[0]))
-
-    def unstack(self, estimators) -> None:
-        pass
-
-
-def _stack_of(estimators):
-    """The object a round steps: a stacked instance, or a stack of one."""
-    cls = type(estimators[0])
-    if hasattr(cls, "stack"):
-        return cls.stack(estimators)
-    if len(estimators) != 1:
-        raise ValueError(f"{cls.__name__} has no stacked update; run its seeds one at a time")
-    return _Solo(estimators[0])
 
 
 def _estimator_stats(estimator) -> dict:
@@ -399,13 +363,18 @@ def _base_summary(rec: RunRecord, estimator, theta_star, aborted: Optional[str])
 
 
 def _seeds(env, estimator):
-    """(environments, estimators, single): a single seed runs as a stack of one."""
+    """(environments, estimators, single) for one seed or equal-length sequences."""
     if isinstance(env, Environment):
         return [env], [estimator], True
     envs, estimators = list(env), list(estimator)
     if not envs or len(envs) != len(estimators):
         raise ValueError("need one estimator per environment, and at least one of each")
     return envs, estimators, False
+
+
+def _lockstep(estimators) -> bool:
+    """Whether the seeds step as one stack: several of them, with a stacked update."""
+    return len(estimators) > 1 and hasattr(type(estimators[0]), "stack")
 
 
 def _streams(envs: Sequence[Environment], stream_seed: Optional[int]):
@@ -439,34 +408,101 @@ class _Draws:
         return self.block[rows, i - first]
 
 
-def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
-              choose: Callable, policy: Optional[Callable] = None,
+def _start(estimators, T: int) -> None:
+    for est in estimators:
+        if getattr(est, "horizon", False) is None:
+            est.horizon = max(T, 1)
+        est.reset()
+
+
+def _finish(rec: _Recorder, s: int, env: Environment, estimator, aborted: Optional[str],
+            audit: _DominationAudit, policy: Optional[Callable]):
+    """Seed row s's (final policy, record) with its summary."""
+    record = rec.record(s)
+    record.summary = _base_summary(record, estimator, env.truth.theta_star, aborted)
+    record.summary["domination_audits"] = audit.records[s]
+    final = None
+    if policy is not None and aborted is None:
+        final = policy(estimator, env)
+        record.summary["subopt"] = subopt(final, env)
+        record.summary["policy"] = final.action_of.tolist()
+    return final, record
+
+
+def _run_loop(scenario: str, env: Environment, estimator, T: int, choose: Callable,
+              policy: Optional[Callable] = None,
               checkpoints: Optional[Sequence[int]] = None,
-              on_step: Optional[Callable] = None) -> List[Tuple[Optional[Policy], RunRecord]]:
-    """The round structure all three scenarios share, for S seeds in lockstep.
+              on_step: Optional[Callable] = None) -> Tuple[Optional[Policy], RunRecord]:
+    """The round structure all three scenarios share, for one seed.
+
+    Each round ``choose()`` returns the played (x, a, a', y) and the radius
+    its choice used. The estimate is captured before the timed update; a
+    NumericFailure there flags the round ``update_failed`` and ends the run.
+    After a successful update come ``on_step(rec, i, x, a, a')``, the step
+    flag, the domination audit, and the suboptimality of
+    ``policy(estimator, env)`` at the rounds in ``checkpoints`` (default:
+    ``default_checkpoints(T)``). A run with a ``policy`` that no failure cut
+    short ends by extracting it. The record is row 0 of a one-seed recorder.
+    """
+    _start([estimator], T)
+    ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
+    theta_star = env.truth.theta_star
+    rec = _Recorder(scenario, [env.rng_seed], T)
+    audit = _DominationAudit([estimator], [env], T)
+    aborted = None
+    for t in range(1, T + 1):
+        i = t - 1
+        x, a, b, yy, beta = choose()
+        z = env.z_of(x, a, b)
+        diff = estimator.theta_ - theta_star
+        rec.err_l2[0, i] = math.sqrt(float(diff @ diff))
+        rec.err_local[0, i] = estimator.local_norm(diff)
+        rec.beta[0, i] = beta
+        rec.x[0, i], rec.a[0, i], rec.a_prime[0, i], rec.y[0, i] = x, a, b, yy
+        try:
+            start = time.perf_counter_ns()
+            estimator.update(z, yy)
+            rec.wall[0, i] = time.perf_counter_ns() - start
+        except NumericFailure as exc:
+            rec.flags[0][i] = "update_failed"
+            rec.n[0] = t
+            aborted = str(exc)
+            break
+        if on_step is not None:
+            on_step(rec, i, x, a, b)
+        if not getattr(estimator, "last_converged_", True):
+            rec.flags[0][i] = "inner_nonconverged"
+        audit.step(z, 0)
+        if t in audit.points:
+            audit.check(t, (0,))
+        rec.n[0] = t
+        if t in ckpts:
+            rec.subopt_ckpt[0, i] = subopt(policy(estimator, env), env)
+    return _finish(rec, 0, env, estimator, aborted, audit, policy)
+
+
+def _run_lockstep(scenario: str, envs: Sequence[Environment], estimators, T: int,
+                  choose: Callable, policy: Optional[Callable] = None,
+                  checkpoints: Optional[Sequence[int]] = None,
+                  on_step: Optional[Callable] = None) -> List[Tuple[Optional[Policy], RunRecord]]:
+    """``_run_loop`` for S seeds whose estimators have a stacked update.
 
     ``live`` holds the positions of the seeds still running, in stack-row
     order, for indexing paired with per-seed choices; ``rows`` selects the
     same seeds (a plain slice while every seed runs). Each round
     ``choose(stack, live, rows, i)`` returns the played x, a, a', y (one per
-    live seed) and the radius the choice used. The estimates are captured
-    before the timed update, and every live row's ``wall_nanos`` is the update
-    time divided by the live seeds. A NumericFailure there flags the failing
-    seed's round ``update_failed`` and ends that seed's run; the others retry
-    the round without it. After a successful update come
-    ``on_step(rec, live, rows, i, x, a, a')``, the step flag, the domination audit,
-    and each seed's suboptimality of ``policy(estimator, env)`` at the rounds
-    in ``checkpoints`` (default: ``default_checkpoints(T)``). A seed with a
-    ``policy`` that no failure cut short ends by extracting it.
+    live seed) and the radius the choice used, and
+    ``on_step(rec, live, rows, i, x, a, a')`` sees the same arrays. Every live
+    row's ``wall_nanos`` is the stacked update time divided by the live seeds.
+    A NumericFailure in the update flags the failing seed's round
+    ``update_failed`` and ends that seed's run; the others retry the round
+    without it. Every seed's record is exactly its ``_run_loop`` record.
 
     The stack owns the state while the rounds run; each seed's own estimator
     is brought up to date whenever it is read (audits, checkpoints, a failure
     and the end), so the estimators end the run holding their final state.
     """
-    for est in estimators:
-        if getattr(est, "horizon", False) is None:
-            est.horizon = max(T, 1)
-        est.reset()
+    _start(estimators, T)
     S = len(envs)
     ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
     theta_star = np.stack([env.truth.theta_star for env in envs])
@@ -475,7 +511,7 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     audit = _DominationAudit(estimators, envs, T)
     aborted: List[Optional[str]] = [None] * S
     live, rows = np.arange(S), slice(None)
-    stack = _stack_of(estimators)
+    stack = type(estimators[0]).stack(estimators)
     t = 0
     for t in range(1, T + 1):
         i = t - 1
@@ -486,16 +522,16 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
         rec.err_local[rows, i] = stack.local_norm(diff)
         rec.beta[rows, i] = beta
         rec.x[rows, i], rec.a[rows, i], rec.a_prime[rows, i], rec.y[rows, i] = x, a, b, yy
-        while True:
+        while len(live):
             try:
                 start = time.perf_counter_ns()
                 stack.update(z, yy)
                 rec.wall[rows, i] = (time.perf_counter_ns() - start) // len(live)
                 break
             except NumericFailure as exc:
-                if exc.index is None and len(live) > 1:
+                k = exc.index
+                if k is None:
                     raise
-                k = exc.index or 0
                 rec.flags[live[k]][i] = "update_failed"
                 rec.n[live[k]] = t
                 aborted[live[k]] = str(exc)
@@ -503,15 +539,12 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
                 keep = np.arange(len(live)) != k
                 live, x, a, b, yy, z = (v[keep] for v in (live, x, a, b, yy, z))
                 rows = live
-                if not len(live):
-                    break
-                stack = _stack_of([estimators[s] for s in live])
+                if len(live):
+                    stack = type(estimators[0]).stack([estimators[s] for s in live])
         if not len(live):
             break
         if on_step is not None:
             on_step(rec, live, rows, i, x, a, b)
-        if not getattr(stack, "last_converged_", True):
-            rec.flags[live[0]][i] = "inner_nonconverged"
         audit.step(z, rows)
         if t in audit.points or t in ckpts:
             stack.unstack([estimators[s] for s in live])
@@ -522,18 +555,8 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
                 rec.subopt_ckpt[s, i] = subopt(policy(estimators[s], envs[s]), envs[s])
     rec.n[live] = t
     stack.unstack([estimators[s] for s in live])
-    results = []
-    for s, (env, est) in enumerate(zip(envs, estimators)):
-        record = rec.record(s)
-        record.summary = _base_summary(record, est, theta_star[s], aborted[s])
-        record.summary["domination_audits"] = audit.records[s]
-        final = None
-        if policy is not None and aborted[s] is None:
-            final = policy(est, env)
-            record.summary["subopt"] = subopt(final, env)
-            record.summary["policy"] = final.action_of.tolist()
-        results.append((final, record))
-    return results
+    return [_finish(rec, s, env, est, aborted[s], audit, policy)
+            for s, (env, est) in enumerate(zip(envs, estimators))]
 
 
 def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
@@ -543,26 +566,34 @@ def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
 
     Returns (policy, record); for sequences of environments and estimators, a
     list of them, one per seed. Pair draws interleave integer and double
-    draws, so each seed draws from its own stream round by round.
+    draws, so every seed draws from its own stream round by round, also in
+    lockstep.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
     envs, estimators, single = _seeds(env, estimator)
     rngs = _streams(envs, stream_seed)
 
-    def choose(stack, live, rows, i):
-        played = []
-        for s in live:
-            e, rng = envs[s], rngs[s]
-            x, a, b = draw_passive_pair(e, rng)
-            played.append((x, a, b, bt_sample(e.reward(x, a), e.reward(x, b), rng)))
-        x, a, b, y = np.array(played, dtype=np.int64).reshape(-1, 4).T
-        return x, a, b, y, stack.radius()
+    def draw(s: int):
+        e, rng = envs[s], rngs[s]
+        x, a, b = draw_passive_pair(e, rng)
+        return x, a, b, bt_sample(e.reward(x, a), e.reward(x, b), rng)
 
     def policy(est, e) -> Policy:
         return pessimistic_policy(est.theta_, est.inv_norm_matrix(), est.radius(), e, policy_mode)
 
-    out = _run_loop("passive", envs, estimators, T, choose, policy, checkpoints)
+    if _lockstep(estimators):
+        def choose_live(stack, live, rows, i):
+            x, a, b, y = np.array([draw(s) for s in live], dtype=np.int64).reshape(-1, 4).T
+            return x, a, b, y, stack.radius()
+
+        out = _run_lockstep("passive", envs, estimators, T, choose_live, policy, checkpoints)
+    else:
+        def one(s, e, est):
+            return _run_loop("passive", e, est, T, lambda: (*draw(s), est.radius()),
+                             policy, checkpoints)
+
+        out = [one(s, *args) for s, args in enumerate(zip(envs, estimators))]
     return out[0] if single else out
 
 
@@ -576,23 +607,39 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     envs, estimators, single = _seeds(env, estimator)
-    draws = _Draws(_streams(envs, stream_seed), 1)  # the label
-    pair_diffs = np.stack([e.pair_diffs() for e in envs])
-    pairs = np.array(envs[0].action_pairs())
-    # Environment.reward takes one dot product per (x, a); the stacked row
-    # dots give the same bits for the whole table at once
-    reward_of = np.vecdot(np.stack([e.features.phi for e in envs]),
-                        np.stack([e.truth.theta_star for e in envs])[:, None, None, :])
+    streams = _streams(envs, stream_seed)
 
-    def choose(stack, live, rows, i):
-        x, a, b = select_most_uncertain(pair_diffs[rows], stack.inv_norm_matrix(), pairs)
-        y = bt_sample(reward_of[live, x, a], reward_of[live, x, b], draws(rows, i)[:, 0])
-        return x, a, b, y, stack.radius()
+    def policy(est, e) -> Policy:
+        return greedy_policy(est.averaged_theta(), e)
 
-    out = _run_loop("active", envs, estimators, T, choose,
-                    lambda est, e: greedy_policy(est.averaged_theta(), e), checkpoints)
-    for (policy, rec), est, e in zip(out, estimators, envs):
-        if policy is not None:
+    if _lockstep(estimators):
+        draws = _Draws(streams, 1)  # the label
+        pair_diffs = np.stack([e.pair_diffs() for e in envs])
+        pairs = np.array(envs[0].action_pairs())
+        # Environment.reward takes one dot product per (x, a); the stacked row
+        # dots give the same bits for the whole table at once
+        reward_of = np.vecdot(np.stack([e.features.phi for e in envs]),
+                              np.stack([e.truth.theta_star for e in envs])[:, None, None, :])
+
+        def choose_live(stack, live, rows, i):
+            x, a, b = select_most_uncertain(pair_diffs[rows], stack.inv_norm_matrix(), pairs)
+            y = bt_sample(reward_of[live, x, a], reward_of[live, x, b], draws(rows, i)[:, 0])
+            return x, a, b, y, stack.radius()
+
+        out = _run_lockstep("active", envs, estimators, T, choose_live, policy, checkpoints)
+    else:
+        def one(e, est, rng):
+            pair_diffs, pairs = e.pair_diffs(), e.action_pairs()
+
+            def choose():
+                x, a, b = select_most_uncertain(pair_diffs, est.inv_norm_matrix(), pairs)
+                return x, a, b, bt_sample(e.reward(x, a), e.reward(x, b), rng), est.radius()
+
+            return _run_loop("active", e, est, T, choose, policy, checkpoints)
+
+        out = [one(*args) for args in zip(envs, estimators, streams)]
+    for (final, rec), est, e in zip(out, estimators, envs):
+        if final is not None:
             rec.summary["subopt_last_iterate"] = subopt(greedy_policy(est.theta_, e), e)
     return out[0] if single else out
 
@@ -607,30 +654,58 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     envs, estimators, single = _seeds(env, estimator)
-    draws = _Draws(_streams(envs, stream_seed), 2)  # the context, then the label
-    phi = np.stack([e.features.phi for e in envs])
-    rewards = np.stack([e.rewards() for e in envs])
-    star = rewards.argmax(axis=2)
-    cum_rho = np.stack([np.cumsum(e.rho) for e in envs])
-    last_context = cum_rho.shape[1] - 1
-    regret = np.zeros(len(envs))
+    streams = _streams(envs, stream_seed)
+    regret = [0.0] * len(envs)
+    if _lockstep(estimators):
+        draws = _Draws(streams, 2)  # the context, then the label
+        phi = np.stack([e.features.phi for e in envs])
+        rewards = np.stack([e.rewards() for e in envs])
+        star = rewards.argmax(axis=2)
+        cum_rho = np.stack([np.cumsum(e.rho) for e in envs])
+        last_context = cum_rho.shape[1] - 1
+        cum = np.zeros(len(envs))
 
-    def choose(stack, live, rows, i):
-        u = draws(rows, i)
-        # the inverse-CDF lookup of Environment.draw_context, for every live seed
-        x = np.minimum((cum_rho[rows] <= u[:, :1]).sum(axis=1), last_context)
-        beta = stack.radius()
-        a, b = select_deploy_actions(stack.theta_, stack.inv_norm_matrix(), beta,
-                                     phi[live, x], explore_coeff)
-        return x, a, b, bt_sample(rewards[live, x, a], rewards[live, x, b], u[:, 1]), beta
+        def choose_live(stack, live, rows, i):
+            u = draws(rows, i)
+            # the inverse-CDF lookup of Environment.draw_context, for every live seed
+            x = np.minimum((cum_rho[rows] <= u[:, :1]).sum(axis=1), last_context)
+            beta = stack.radius()
+            a, b = select_deploy_actions(stack.theta_, stack.inv_norm_matrix(), beta,
+                                         phi[live, x], explore_coeff)
+            return x, a, b, bt_sample(rewards[live, x, a], rewards[live, x, b], u[:, 1]), beta
 
-    def on_step(rec: _Recorder, live, rows, i: int, x, a, b) -> None:
-        regret[rows] += (rewards[live, x, star[live, x]]
-                         - 0.5 * (rewards[live, x, a] + rewards[live, x, b]))
-        rec.cum_regret[rows, i] = regret[rows]
+        def on_step_live(rec: _Recorder, live, rows, i: int, x, a, b) -> None:
+            cum[rows] += (rewards[live, x, star[live, x]]
+                          - 0.5 * (rewards[live, x, a] + rewards[live, x, b]))
+            rec.cum_regret[rows, i] = cum[rows]
 
-    out = _run_loop("deploy", envs, estimators, T, choose, checkpoints=(), on_step=on_step)
-    for s, (_, rec) in enumerate(out):
-        rec.summary["cum_regret"] = float(regret[s])
+        out = _run_lockstep("deploy", envs, estimators, T, choose_live, checkpoints=(),
+                            on_step=on_step_live)
+        regret = cum.tolist()
+    else:
+        def one(s, e, est, rng):
+            phi = e.features.phi
+            rewards = e.rewards()
+            star = np.argmax(rewards, axis=1).tolist()
+            reward_of = rewards.tolist()
+
+            def choose():
+                x = e.draw_context(rng)
+                beta = est.radius()
+                a, b = select_deploy_actions(est.theta_, est.inv_norm_matrix(), beta,
+                                             phi[x], explore_coeff)
+                r_x = reward_of[x]
+                return x, a, b, bt_sample(r_x[a], r_x[b], rng), beta
+
+            def on_step(rec: _Recorder, i: int, x: int, a: int, b: int) -> None:
+                r_x = reward_of[x]
+                regret[s] += r_x[star[x]] - 0.5 * (r_x[a] + r_x[b])
+                rec.cum_regret[0, i] = regret[s]
+
+            return _run_loop("deploy", e, est, T, choose, checkpoints=(), on_step=on_step)
+
+        out = [one(s, *args) for s, args in enumerate(zip(envs, estimators, streams))]
     records = [rec for _, rec in out]
+    for rec, total in zip(records, regret):
+        rec.summary["cum_regret"] = float(total)
     return records[0] if single else records

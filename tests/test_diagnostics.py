@@ -133,7 +133,7 @@ class TestDiagnosticsReport:
 
         est = OnePassRewardEstimator(dim=5, radius_mode="theory")
         rec = run_deploy(default_env, est, 150)
-        report = diagnostics_report(default_env, rec)
+        [report] = diagnostics_report([default_env], [rec])
         assert report.coverage_ok
         assert report.first_violation is None
         assert 0 < report.potential_lhs <= report.potential_rhs + 1e-9
@@ -151,7 +151,7 @@ class TestDiagnosticsReport:
         # the practical radius makes no coverage guarantee; at t=1 the local
         # error sqrt(lam)*||theta*|| dwarfs it, and the report must say so
         rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 50)
-        report = diagnostics_report(default_env, rec)
+        [report] = diagnostics_report([default_env], [rec])
         assert not report.coverage_ok
         assert report.first_violation == 1
 

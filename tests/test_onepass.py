@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from duelbandits import onepass
 from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from duelbandits.exceptions import NumericFailure
+from duelbandits.linalg import LocalNormMatrix
 from duelbandits.linkmath import sigmoid_pair
 from duelbandits.onepass import (
     HvpCgRewardEstimator,
@@ -486,6 +487,26 @@ class TestStackedUpdate:
         assert stack.projections_.tolist() == [0, 1, 0]
         assert np.array_equal(stack.theta_, before[0])
         assert np.array_equal(stack.hess_.inv, before[1]) and stack.t_ == before[2]
+
+    def test_curvature_failure_after_a_projection_still_counts_it(self, monkeypatch):
+        def refuse(self, z, w, u=None, zu=None):
+            raise NumericFailure("curvature refused", index=1 if z.ndim > 1 else None)
+
+        monkeypatch.setattr(LocalNormMatrix, "rank_one_update", refuse)
+        single = OnePassRewardEstimator(dim=4, B=0.05, lam=1.0).reset()
+        with pytest.raises(NumericFailure, match="curvature refused"):
+            single.update(np.ones(4), 1)
+        assert single.projections_ == 1 and single.t_ == 1
+        assert not single.theta_.any()
+        stack = OnePassRewardEstimator.stack(
+            [OnePassRewardEstimator(dim=4, B=0.05, lam=1.0).reset() for _ in range(3)])
+        z = np.zeros((3, 4))
+        z[1] = z[2] = 1.0  # rows 1 and 2 leave the ball; row 1's curvature update fails
+        with pytest.raises(NumericFailure) as info:
+            stack.update(z, np.array([1, 1, 1]))
+        assert info.value.index == 1
+        assert stack.projections_.tolist() == [0, 1, 0]
+        assert not stack.theta_.any() and stack.t_ == 1
 
     def test_stack_needs_shared_parameters(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from duelbandits import onepass
 from duelbandits.baselines import MleRewardEstimator
 from duelbandits.config import resolve_seeds
 from duelbandits.exceptions import NumericFailure
+from duelbandits.linalg import LocalNormMatrix
 from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from duelbandits.scenarios import (
     CSV_COLUMNS,
@@ -499,9 +500,32 @@ class TestLockstep:
         assert np.array_equal(recs[0].wall_nanos, recs[1].wall_nanos)
         assert (recs[0].wall_nanos > 0).all()
 
-    def test_estimator_without_stacked_update_takes_one_seed(self, default_env):
+    def test_failing_rank_one_update_ends_seed_as_alone(self, monkeypatch):
+        """A seed whose curvature update fails after its projection fired keeps that count."""
+        original = LocalNormMatrix.rank_one_update
+
+        def refuse_large(self, z, w, u=None, zu=None):
+            big = (self.mat[..., 0, 0] > 45.0).tolist()
+            if self.mat.ndim == 2 and big:
+                raise NumericFailure("curvature refused")
+            if self.mat.ndim == 3 and any(big):
+                raise NumericFailure("curvature refused", index=big.index(True))
+            original(self, z, w, u, zu)
+
+        monkeypatch.setattr(LocalNormMatrix, "rank_one_update", refuse_large)
+        envs = [make_environment(5, 8, 4, B=1.0, seed=s) for s in self.SEEDS]
+        params = dict(dim=5, B=1.0, lam=10.0)
+        stacked = run_deploy(envs, [OnePassRewardEstimator(**params) for _ in envs], 300)
+        solo = [run_deploy(env, OnePassRewardEstimator(**params), 300) for env in envs]
+        aborted = [rec.summary["aborted"] for rec in stacked]
+        assert "curvature refused" in aborted and None in aborted
+        assert any(rec.summary["estimator_stats"]["projections"] for rec in stacked
+                   if rec.summary["aborted"])
+        for got, want in zip(stacked, solo):
+            assert_same_run(got, want)
+
+    def test_estimators_without_stacked_update_run_one_after_another(self, default_env):
         envs = [default_env, make_environment(5, 8, 4, seed=12)]
-        with pytest.raises(ValueError, match="one at a time"):
-            run_deploy(envs, [MleRewardEstimator(dim=5) for _ in envs], 10)
-        rec = run_deploy([default_env], [MleRewardEstimator(dim=5)], 10)[0]
-        assert_same_run(rec, run_deploy(default_env, MleRewardEstimator(dim=5), 10))
+        recs = run_deploy(envs, [MleRewardEstimator(dim=5) for _ in envs], 10)
+        for env, rec in zip(envs, recs):
+            assert_same_run(rec, run_deploy(env, MleRewardEstimator(dim=5), 10))

@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .linalg import LocalNormMatrix
 
-__all__ = ["check_vector", "check_label", "check_pair_samples", "BaseRewardEstimator"]
+__all__ = ["check_vector", "check_label", "check_pair_samples", "practical_radius",
+           "BaseRewardEstimator"]
+
+
+def practical_radius(coeff: float, dim: int, t: int, delta: float) -> float:
+    """The practical confidence radius coeff * sqrt(d log((t+1)/delta)) at iteration t."""
+    return coeff * math.sqrt(dim * math.log((t + 1) / delta))
 
 
 def check_vector(z, dim: int, name: str = "z", lead: Tuple[int, ...] = ()) -> np.ndarray:
@@ -169,8 +176,8 @@ class BaseRewardEstimator:
         return getattr(self, self.curvature_attr).mat
 
     def radius(self, t: Optional[int] = None) -> float:
-        """Confidence radius at iteration t (defaults to the current counter)."""
-        raise NotImplementedError
+        """Confidence radius at iteration t (default: the current counter); practical here."""
+        return practical_radius(self.c_beta, self.dim, self.t_ if t is None else t, self.delta)
 
     # --- snapshotting ------------------------------------------------------
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import BaseRewardEstimator, check_label, check_vector
+from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .linalg import LocalNormMatrix
 from .linkmath import kappa_bound, sigmoid_pair
 from .onepass import default_regularization, default_step_size
@@ -272,9 +272,8 @@ class MleRewardEstimator(BaseRewardEstimator):
         self._y[: self.n_samples_] = self._y[: self.n_samples_][order]
 
     def radius(self, t: Optional[int] = None) -> float:
-        t = self.t_ if t is None else t
-        return (self.c_beta * self.radius_scale_
-                * math.sqrt(self.dim * math.log((t + 1) / self.delta)))
+        return practical_radius(self.c_beta * self.radius_scale_, self.dim,
+                                self.t_ if t is None else t, self.delta)
 
     # --- snapshotting (buffer included, so O(t) on disk) --------------------
 
@@ -345,7 +344,3 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
         self.theta_ = theta_next
         self.theta_sum_ = self.theta_sum_ + theta_next
         self.t_ += 1
-
-    def radius(self, t: Optional[int] = None) -> float:
-        t = self.t_ if t is None else t
-        return self.c_beta * math.sqrt(self.dim * math.log((t + 1) / self.delta))

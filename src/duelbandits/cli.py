@@ -7,38 +7,28 @@ import json
 import sys
 from typing import Optional
 
-from .config import (DAMPING_FNS, ESTIMATORS, POLICY_MODES, RADIUS_MODES, SCENARIOS,
-                     parse_config)
+from .config import _FIELD_TYPES, CHOICES, parse_config
 from .exceptions import ConfigError
 from .runner import format_bench_table, run_experiment
-from .verify import run_verify
+from .verify import CHECKS, run_verify
+
+# config keys whose flag is not the key with "-" for "_"
+_FLAG_NAMES = {"lam": "--lambda", "num_seeds": "--seeds", "output_dir": "--out"}
+# keys with a flag on `run` only (scenario, estimator) or none (the lists)
+_NOT_COMMON = ("scenario", "estimator", "seeds", "bench_estimators")
+
+
+def _add_field_flags(p: argparse.ArgumentParser, keys) -> None:
+    """One flag per config key, with the key's type and value set and the key as dest."""
+    for key in keys:
+        p.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), dest=key,
+                       type=_FIELD_TYPES[key], choices=CHOICES.get(key),
+                       help=f"config key '{key}'")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--T", type=int, dest="T")
-    p.add_argument("--d", type=int, dest="d")
-    p.add_argument("--contexts", type=int)
-    p.add_argument("--actions", type=int)
-    p.add_argument("--B", type=float, dest="B")
-    p.add_argument("--L", type=float, dest="L")
-    p.add_argument("--seeds", type=int, dest="num_seeds",
-                   help="number of seeds fanned out from --base-seed")
-    p.add_argument("--base-seed", type=int, dest="base_seed")
-    p.add_argument("--out", dest="output_dir")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--c-beta", type=float, dest="c_beta")
-    p.add_argument("--radius-mode", choices=RADIUS_MODES, dest="radius_mode")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--explore-coeff", type=float, dest="explore_coeff")
-    p.add_argument("--K", type=int, dest="K", help="max CG iterations (hvpcg)")
-    p.add_argument("--lambda0", type=float)
-    p.add_argument("--damping-fn", choices=DAMPING_FNS, dest="damping_fn")
-    p.add_argument("--cg-tol", type=float, dest="cg_tol")
-    p.add_argument("--policy-mode", choices=POLICY_MODES, dest="policy_mode")
-    p.add_argument("--coverage-skew", type=float, dest="coverage_skew")
+    _add_field_flags(p, [key for key in _FIELD_TYPES if key not in _NOT_COMMON])
 
 
 def _collect(args: argparse.Namespace, fixed: Optional[dict] = None) -> dict:
@@ -105,7 +95,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[list] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="duelbandits",
         description="Contextual dueling-bandit simulator with one-pass reward estimation",
@@ -113,8 +103,7 @@ def main(argv: Optional[list] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario across seeds")
-    run_p.add_argument("--scenario", choices=SCENARIOS)
-    run_p.add_argument("--estimator", choices=ESTIMATORS)
+    _add_field_flags(run_p, ("scenario", "estimator"))
     _add_common_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 
@@ -125,10 +114,14 @@ def main(argv: Optional[list] = None) -> int:
 
     verify_p = sub.add_parser("verify", help="run the built-in invariant suite")
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--checks", nargs="*", help="run only the named checks")
+    verify_p.add_argument("--checks", nargs="*", choices=[name for name, _ in CHECKS],
+                          metavar="NAME", help="run only the named checks")
     verify_p.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

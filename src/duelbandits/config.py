@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import typing
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -19,6 +20,9 @@ SCENARIOS = ("passive", "active", "deploy", "bench")
 ESTIMATORS = ("omd", "mle", "implicit", "hvpcg")
 DAMPING_FNS = ("linear", "log")
 POLICY_MODES = ("enumerate", "greedy_percontext")
+# the value set of every enumerated key
+CHOICES = {"scenario": SCENARIOS, "estimator": ESTIMATORS, "radius_mode": RADIUS_MODES,
+           "damping_fn": DAMPING_FNS, "policy_mode": POLICY_MODES}
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,10 +64,8 @@ class ExperimentConfig:
     radius_mode: str = "practical"
     delta: float = 0.1
     explore_coeff: float = 1.0
-    K: int = 3
     lambda0: float = 0.8
     damping_fn: str = "linear"
-    cg_tol: float = 1e-10
     policy_mode: str = "enumerate"
     output_dir: str = "runs"
     workers: int = 1
@@ -154,16 +156,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("configuration key 'scenario' is required")
     cfg = ExperimentConfig(**values)
 
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(f"configuration key 'scenario' must be one of {SCENARIOS}, got {cfg.scenario!r}")
-    if cfg.estimator not in ESTIMATORS:
-        raise ConfigError(f"configuration key 'estimator' must be one of {ESTIMATORS}, got {cfg.estimator!r}")
+    for key, allowed in CHOICES.items():
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"configuration key '{key}' must be one of {allowed}, got {getattr(cfg, key)!r}")
+    # only passive runs have a use for T = 0: the policy of the prior alone
     for key, minimum in (("d", 1), ("contexts", 1), ("actions", 1), ("num_seeds", 1),
-                         ("K", 1), ("workers", 1)):
+                         ("workers", 1), ("T", 0 if cfg.scenario == "passive" else 1)):
         if getattr(cfg, key) < minimum:
             raise ConfigError(f"configuration key '{key}' must be >= {minimum}, got {getattr(cfg, key)}")
-    if cfg.T < 0:
-        raise ConfigError(f"configuration key 'T' must be >= 0, got {cfg.T}")
     for key in ("B", "L", "delta", "lambda0"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"configuration key '{key}' must be positive, got {getattr(cfg, key)}")
@@ -182,14 +182,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"configuration key 'c_beta' must be >= 0, got {cfg.c_beta}")
     if cfg.explore_coeff < 0:
         raise ConfigError(f"configuration key 'explore_coeff' must be >= 0, got {cfg.explore_coeff}")
-    if cfg.cg_tol < 0:
-        raise ConfigError(f"configuration key 'cg_tol' must be >= 0, got {cfg.cg_tol}")
-    if cfg.radius_mode not in RADIUS_MODES:
-        raise ConfigError(f"configuration key 'radius_mode' must be one of {RADIUS_MODES}, got {cfg.radius_mode!r}")
-    if cfg.damping_fn not in DAMPING_FNS:
-        raise ConfigError(f"configuration key 'damping_fn' must be one of {DAMPING_FNS}, got {cfg.damping_fn!r}")
-    if cfg.policy_mode not in POLICY_MODES:
-        raise ConfigError(f"configuration key 'policy_mode' must be one of {POLICY_MODES}, got {cfg.policy_mode!r}")
     if cfg.eta is not None and cfg.eta <= 0:
         raise ConfigError(f"configuration key 'eta' must be positive, got {cfg.eta}")
     if cfg.lam is not None and cfg.lam <= 0:
@@ -198,6 +190,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         if len(cfg.seeds) < 1:
             raise ConfigError("configuration key 'seeds' must list at least one seed")
         cfg.seeds = [_as_int("seeds", s) for s in cfg.seeds]
+        repeated = sorted(s for s, n in Counter(cfg.seeds).items() if n > 1)
+        if repeated:
+            raise ConfigError(f"configuration key 'seeds' lists seeds {repeated} more than once")
     bad = [e for e in cfg.bench_estimators if e not in ESTIMATORS]
     if bad:
         raise ConfigError(f"configuration key 'bench_estimators' has invalid entries {bad}")

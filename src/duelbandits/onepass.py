@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import BaseRewardEstimator, check_label, check_vector
+from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .exceptions import NumericFailure
 from .linalg import LocalNormMatrix, cg_solve, rank_one_inverse
 from .linkmath import log_loss, sigmoid_pair
@@ -101,7 +101,7 @@ def confidence_radius(t: int, config: OnePassConfig) -> float:
     if t < 1:
         raise ValueError(f"iteration counter must be >= 1, got {t}")
     if config.radius_mode == "practical":
-        return config.c_beta * math.sqrt(config.dim * math.log((t + 1) / config.delta))
+        return practical_radius(config.c_beta, config.dim, t, config.delta)
     eta, lam, B, L, d = config.eta, config.lam, config.B, config.L, config.dim
     c = 7.0 * eta / 6.0
     big_c = (
@@ -422,7 +422,3 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
 
     def inv_norm_matrix(self) -> np.ndarray:
         return np.eye(self.dim) / self._damping()
-
-    def radius(self, t: Optional[int] = None) -> float:
-        t = self.t_ if t is None else t
-        return self.c_beta * math.sqrt(self.dim * math.log((t + 1) / self.delta))

@@ -16,7 +16,7 @@ from .config import ExperimentConfig
 from .diagnostics import diagnostics_report, timing_profile
 from .environment import make_environment
 from .onepass import HvpCgRewardEstimator, OnePassRewardEstimator
-from .scenarios import RunRecord, run_active, run_deploy, run_passive
+from .scenarios import run_active, run_deploy, run_passive
 
 __all__ = ["build_estimator", "run_single", "run_experiment", "ExperimentResult",
            "bench_windows"]
@@ -38,7 +38,6 @@ def build_estimator(cfg: ExperimentConfig, kind: Optional[str] = None,
                                           lam=cfg.lam, c_beta=cfg.c_beta, delta=cfg.delta)
     if kind == "hvpcg":
         return HvpCgRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, eta=cfg.eta,
-                                    cg_iters=cfg.K, cg_tol=cfg.cg_tol,
                                     lambda0=cfg.lambda0, damping=cfg.damping_fn,
                                     horizon=horizon if horizon is not None else cfg.T,
                                     c_beta=cfg.c_beta, delta=cfg.delta)

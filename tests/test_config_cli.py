@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duelbandits import runner
+from duelbandits import cli, runner
 from duelbandits.cli import main
 from duelbandits.config import (DAMPING_FNS, ESTIMATORS, POLICY_MODES, RADIUS_MODES, SCENARIOS,
                                 ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
@@ -18,6 +20,7 @@ from duelbandits.verify import (
     check_sherman_morrison_agreement,
     check_domination_zero_case,
     check_timing_profile_oracle,
+    run_verify,
 )
 
 
@@ -47,8 +50,10 @@ class TestParseConfig:
             parse_config({"scenario": "deploy", "T": -5})
 
     def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="'velocity'"):
-            parse_config({"scenario": "deploy", "velocity": 3})
+        # K and cg_tol are retired hvpcg knobs: an old echoed config holding them fails
+        for key in ("velocity", "K", "cg_tol"):
+            with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+                parse_config({"scenario": "deploy", key: 3})
 
     def test_type_mismatch_named(self):
         with pytest.raises(ConfigError, match="'T'"):
@@ -64,12 +69,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'radius_mode'"):
             parse_config({"scenario": "deploy", "radius_mode": "hopeful"})
 
-    def test_echo_roundtrip(self):
-        cfg = parse_config({"scenario": "active", "T": 123, "num_seeds": 3,
-                            "c_beta": 0.5, "estimator": "hvpcg"})
-        echoed = parse_config(json.loads(cfg.echo_json()))
-        assert echoed == cfg
-
     def test_overflowing_kappa_names_B(self):
         # kappa_bound = 3 + exp(2*B*L) overflows a double past 2*B*L ~ 709.78
         with pytest.raises(ConfigError, match="'B'"):
@@ -80,6 +79,21 @@ class TestParseConfig:
         cfg = parse_config({"scenario": "deploy", "seeds": [5, 6, 7]})
         assert cfg.seeds == [5, 6, 7]
         assert cfg.num_seeds == 3
+
+    def test_repeated_seed_names_key(self):
+        # a repeated seed would run twice, write the same artifacts twice and
+        # count twice in the aggregate medians
+        with pytest.raises(ConfigError, match="'seeds'.*\\[7\\]"):
+            parse_config({"scenario": "deploy", "seeds": [7, 7, 8]})
+
+    @pytest.mark.parametrize("scenario", ["active", "deploy", "bench"])
+    def test_zero_horizon_names_key(self, scenario):
+        with pytest.raises(ConfigError, match="'T' must be >= 1"):
+            parse_config({"scenario": scenario, "T": 0})
+
+    def test_passive_keeps_zero_horizon(self):
+        # T = 0 is the pessimistic policy of the prior alone
+        assert parse_config({"scenario": "passive", "T": 0}).T == 0
 
 
 FLOAT_FIELDS = sorted(k for k, target in _FIELD_TYPES.items() if target is float)
@@ -95,8 +109,9 @@ FIELD_STRATEGIES = {
     "actions": st.integers(1, 64),
     "B": st.floats(1e-3, 10.0),
     "L": st.floats(1e-3, 10.0),
-    "T": st.integers(0, 10**7),
-    "seeds": st.none() | st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+    "T": st.integers(1, 10**7),
+    "seeds": st.none() | st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5,
+                                  unique=True),
     "num_seeds": st.integers(1, 64),
     "base_seed": st.integers(0, 2**32),
     "coverage_skew": st.floats(0.0, 1.0),
@@ -106,10 +121,8 @@ FIELD_STRATEGIES = {
     "radius_mode": st.sampled_from(RADIUS_MODES),
     "delta": st.floats(1e-9, 1.0),
     "explore_coeff": st.floats(0.0, 1e3),
-    "K": st.integers(1, 100),
     "lambda0": POSITIVE,
     "damping_fn": st.sampled_from(DAMPING_FNS),
-    "cg_tol": st.floats(0.0, 1.0),
     "policy_mode": st.sampled_from(POLICY_MODES),
     "output_dir": st.text(min_size=1, max_size=20),
     "workers": st.integers(1, 8),
@@ -119,6 +132,23 @@ VALID_CONFIGS = st.fixed_dictionaries(
     {"scenario": FIELD_STRATEGIES["scenario"]},
     optional={k: v for k, v in FIELD_STRATEGIES.items() if k != "scenario"},
 )
+# the flag of every config key that has one; the seed list and the bench
+# estimator list have none
+FLAGS = {
+    "scenario": "--scenario", "estimator": "--estimator", "d": "--d",
+    "contexts": "--contexts", "actions": "--actions", "B": "--B", "L": "--L", "T": "--T",
+    "num_seeds": "--seeds", "base_seed": "--base-seed", "coverage_skew": "--coverage-skew",
+    "eta": "--eta", "lam": "--lambda", "c_beta": "--c-beta", "radius_mode": "--radius-mode",
+    "delta": "--delta", "explore_coeff": "--explore-coeff", "lambda0": "--lambda0",
+    "damping_fn": "--damping-fn", "policy_mode": "--policy-mode", "output_dir": "--out",
+    "workers": "--workers",
+}
+PARSER = cli._parser()
+
+
+def run_flags_config(argv) -> dict:
+    """The config mapping ``duelbandits run`` builds from its arguments."""
+    return cli._collect(PARSER.parse_args(["run", *argv]))
 
 
 class TestConfigFields:
@@ -128,6 +158,25 @@ class TestConfigFields:
         assert sorted(FIELD_STRATEGIES) == sorted(names)
         assert _OPTIONAL_FIELDS == {"seeds", "eta", "lam"}
         assert _FIELD_TYPES["seeds"] is list and _FIELD_TYPES["bench_estimators"] is list
+
+    def test_run_has_one_flag_per_key(self):
+        dests = set(vars(PARSER.parse_args(["run"]))) - {"command", "func", "config"}
+        assert dests == set(FLAGS)
+        assert sorted(set(_FIELD_TYPES) - set(FLAGS)) == ["bench_estimators", "seeds"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(VALID_CONFIGS)
+    def test_flag_sets_field_as_config_file_key(self, data):
+        """Each flag gives the same config as its key in a --config file."""
+        data = {k: v for k, v in data.items() if k in FLAGS}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            from_file = run_flags_config(["--config", str(path)])
+        # "--flag=value" keeps a value that starts with "-" an argument
+        from_flags = run_flags_config([f"{FLAGS[k]}={v}" for k, v in data.items()
+                                       if v is not None])
+        assert parse_config(from_flags) == parse_config(from_file)
 
     @settings(max_examples=200, deadline=None)
     @given(VALID_CONFIGS)
@@ -304,6 +353,20 @@ class TestCli:
         assert agg["failed"] == [{"seed": seeds[1],
                                   "error": "OverflowError: math range error"}]
 
+    def test_bench_zero_horizon_exits_2(self, tmp_path, capsys):
+        code = main(["bench", "--T", "0", "--out", str(tmp_path / "bench0")])
+        assert code == 2
+        assert "'T'" in capsys.readouterr().err
+        assert not (tmp_path / "bench0").exists()
+
+    def test_verify_unknown_check_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--checks", "sigmoid-symetry"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "'sigmoid-symetry'" in captured.err
+        assert "[PASS]" not in captured.out
+
     def test_bad_value_exits_2(self, tmp_path, capsys):
         code = main(["run", "--scenario", "deploy", "--T", "-5",
                      "--out", str(tmp_path / "bad")])
@@ -332,6 +395,10 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 3
+
+    def test_verify_unknown_check_raises(self):
+        with pytest.raises(ValueError, match="'sigmoid-symetry'"):
+            run_verify(names=["sigmoid-symetry"])
 
     def test_fault_injected_sherman_morrison_fails(self):
         def corrupted(inv, z, w):

@@ -44,20 +44,6 @@ class TestShermanMorrison:
         out = sherman_morrison(inv, np.ones(4), 0.0)
         assert np.array_equal(out, inv)
 
-    def test_long_chain_matches_direct_inverse(self):
-        rng = np.random.default_rng(1)
-        d = 20
-        mat = np.eye(d)
-        inv = np.eye(d)
-        for _ in range(1000):
-            z = rng.standard_normal(d)
-            w = float(rng.random())
-            mat += w * np.outer(z, z)
-            inv = sherman_morrison(inv, z, w)
-        direct = np.linalg.inv(mat)
-        rel = np.linalg.norm(inv - direct) / np.linalg.norm(direct)
-        assert rel <= 1e-8
-
     def test_output_symmetric(self):
         rng = np.random.default_rng(2)
         inv = random_pd(rng, 6)

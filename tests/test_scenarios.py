@@ -343,17 +343,6 @@ class TestRunDeploy:
         assert np.array_equal(rec.a, pistar.action_of[rec.x])
         assert np.array_equal(rec.a_prime, rec.a)
 
-    def test_regret_nondecreasing(self, default_env):
-        rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 300)
-        diffs = np.diff(rec.cum_regret)
-        assert np.all(diffs >= -1e-12)
-        assert rec.cum_regret[0] >= -1e-12
-
-    def test_z_norm_bounded(self, default_env):
-        rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 200)
-        norms = np.linalg.norm(rec.z_rows(default_env), axis=1)
-        assert np.all(norms <= 2 * default_env.truth.L + 1e-9)
-
     def test_seeded_reproducibility(self, default_env):
         a = run_deploy(default_env, OnePassRewardEstimator(dim=5), 60)
         b = run_deploy(default_env, OnePassRewardEstimator(dim=5), 60)

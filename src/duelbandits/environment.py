@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -121,7 +122,8 @@ class Environment:
     rng_seed: int
     _pair_index: Optional[List[Tuple[int, int]]] = field(default=None, repr=False)
     _pair_diffs: Optional[np.ndarray] = field(default=None, repr=False)
-    _cum_rho: Optional[np.ndarray] = field(default=None, repr=False)
+    _cum_rho: Optional[List[float]] = field(default=None, repr=False)
+    _reward_rows: Optional[List[List[float]]] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
@@ -137,7 +139,13 @@ class Environment:
         return self.features.phi @ self.truth.theta_star
 
     def reward(self, x: int, a: int) -> float:
-        return float(self.features.phi[x, a] @ self.truth.theta_star)
+        """phi(x, a) . theta_star, from a table computed once.
+
+        ``np.vecdot`` gives each entry the bits of ``phi[x, a] @ theta_star``.
+        """
+        if self._reward_rows is None:
+            self._reward_rows = np.vecdot(self.features.phi, self.truth.theta_star).tolist()
+        return self._reward_rows[x][a]
 
     def optimal_policy(self) -> Policy:
         return Policy(np.argmax(self.rewards(), axis=1))
@@ -145,9 +153,9 @@ class Environment:
     def draw_context(self, rng: np.random.Generator) -> int:
         """Sample a context id from rho via the cached inverse CDF."""
         if self._cum_rho is None:
-            self._cum_rho = np.cumsum(self.rho)
-        idx = int(np.searchsorted(self._cum_rho, rng.random(), side="right"))
-        return min(idx, self.features.num_contexts - 1)
+            self._cum_rho = np.cumsum(self.rho).tolist()
+        return min(bisect.bisect_right(self._cum_rho, rng.random()),
+                   self.features.num_contexts - 1)
 
     def z_of(self, x: int, a: int, a_prime: int) -> np.ndarray:
         return self.features.phi[x, a] - self.features.phi[x, a_prime]

@@ -49,16 +49,27 @@ CSV_COLUMNS = (
 )
 
 ENUMERATE_BUDGET = 10**6
-CSV_BLOCK_ROWS = 256
+LAZY_CANDIDATES = 32
+CSV_BLOCK_ROWS = 64
 DOMINATION_AUDIT_POINTS = (100, 1000)
 
 
-def _fmt(v: float) -> str:
-    return "" if math.isnan(v) else repr(float(v))
+_FLOAT_COLUMNS = frozenset(("est_err_l2", "est_err_local", "beta", "cum_regret",
+                            "subopt_checkpoint"))
 
 
-# one formatter per CSV_COLUMNS entry: integer ids, floats (NaN -> empty), flag text
-_CSV_FORMATS = (str, str, _fmt, _fmt, _fmt, _fmt, _fmt, str, str, str, str, str)
+def _csv_cells(name: str, values: np.ndarray) -> list:
+    """One column's cells: str of each id, repr of each float with NaN as an empty cell."""
+    if name not in _FLOAT_COLUMNS:
+        return list(map(str, values.tolist()))
+    values = values.astype(float, copy=False)
+    nan = np.isnan(values)
+    if nan.all():
+        return [""] * len(values)
+    cells = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(nan).tolist():
+        cells[k] = ""
+    return cells
 
 
 @dataclass
@@ -88,20 +99,16 @@ class RunRecord:
     def write_csv(self, path) -> None:
         """One row per iteration.
 
-        Columns become Python values a block of rows at a time: one ``tolist``
-        per column and block, instead of a numpy scalar per cell, while the
+        Cells are formatted a column and a block of rows at a time, so the
         converted copy stays small.
         """
-        arrays = [getattr(self, name) for name in CSV_COLUMNS[:-1]]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for lo in range(0, len(self.t), CSV_BLOCK_ROWS):
                 block = slice(lo, lo + CSV_BLOCK_ROWS)
-                columns = [arr[block].tolist() for arr in arrays]
-                fh.writelines(
-                    ",".join([fmt(v) for fmt, v in zip(_CSV_FORMATS, row)]) + "\n"
-                    for row in zip(*columns, self.flags[block])
-                )
+                columns = [_csv_cells(name, getattr(self, name)[block])
+                           for name in CSV_COLUMNS[:-1]]
+                fh.write("\n".join(map(",".join, zip(*columns, self.flags[block]))) + "\n")
 
     def z_rows(self, env: Environment) -> np.ndarray:
         """Reconstruct the played z sequence from the logged tuple ids."""
@@ -235,17 +242,79 @@ def pessimistic_policy(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
     return Policy(actions)
 
 
+def _certified_argmax(pair_diffs: np.ndarray, norm_inv: np.ndarray, memo: dict) -> np.ndarray:
+    """The index the full scan's argmax returns, usually from LAZY_CANDIDATES rows.
+
+    A full scan keeps in ``memo`` the top candidates, the largest form outside
+    them (``bound``) and an error ``unit`` = 16 d^2 eps R^2 m, with R^2 the
+    largest squared row norm and m the largest |entry| of norm_inv. Each
+    computed form is within 2 d^2 eps R^2 m of its exact value, and each
+    rank-one downdate of a kept inverse moves a form by at most 2 d eps R^2 m
+    beyond its exact change. In exact arithmetic no form grows between calls,
+    since every estimator only adds curvature, so last scan's forms bound
+    this call's from above up to ``slack`` = (rounds + 4) * unit. The best
+    candidate is returned only when it beats the second candidate and
+    ``bound`` by more than 2 * slack; it is then the unique maximum of a full
+    scan. Otherwise, exact ties included, a full scan runs and refreshes the
+    memo. On a stack the memo holds one entry per seed and a full scan covers
+    every seed.
+    """
+    if memo:
+        memo["rounds"] += 1
+        forms = _quad_forms(memo["rows"], norm_inv)
+        scale = 2.0 * (memo["rounds"] + 4)
+        picks = []
+        for values, cand, bound, unit in zip(forms.reshape(-1, LAZY_CANDIDATES).tolist(),
+                                             memo["cand"], memo["bound"], memo["unit"]):
+            second, best = sorted(values)[-2:]
+            margin = scale * unit
+            # a NaN or infinite form leaves the sum non-finite: the full scan handles it
+            if not (best - second > margin and best > bound + margin
+                    and math.isfinite(sum(values))):
+                break
+            picks.append(cand[values.index(best)])
+        else:
+            return np.array(picks).reshape(forms.shape[:-1])
+    forms = _quad_forms(pair_diffs, norm_inv)
+    cut = forms.shape[-1] - LAZY_CANDIDATES
+    # position cut - 1 holds the largest form outside the candidates after it
+    order = np.argpartition(forms, cut - 1, axis=-1)
+    cand = order[..., cut:]
+    d = norm_inv.shape[-1]
+    unit = (16.0 * d * d * np.finfo(float).eps
+            * np.einsum("...ij,...ij->...i", pair_diffs, pair_diffs).max(axis=-1)
+            * np.abs(norm_inv).max(axis=(-2, -1)))
+    memo.update(
+        rounds=0,
+        rows=np.take_along_axis(pair_diffs, cand[..., None], axis=-2),
+        cand=cand.reshape(-1, LAZY_CANDIDATES).tolist(),
+        bound=np.take_along_axis(forms, order[..., cut - 1:cut], axis=-1).ravel().tolist(),
+        unit=np.ravel(unit).tolist(),
+    )
+    return forms.argmax(axis=-1)
+
+
 def select_most_uncertain(pair_diffs: np.ndarray, norm_inv: np.ndarray,
-                          pairs: Sequence[Tuple[int, int]]):
-    """Exhaustive scan for the (x, a, a') tuple with the largest uncertainty norm.
+                          pairs: Sequence[Tuple[int, int]], memo: Optional[dict] = None):
+    """Scan for the (x, a, a') tuple with the largest uncertainty norm.
 
     ``pair_diffs`` and ``pairs`` are an environment's ``pair_diffs()`` and
     ``action_pairs()``: unordered pairs a < a' only, since the norm is
     symmetric in the two actions. Ties resolve to the lexicographically
     smallest tuple. On a lockstep stack, pair_diffs is (S, P, d) and norm_inv
     (S, d, d), and x, a, a' come back as (S,) arrays.
+
+    ``memo`` is an initially empty dict that one run passes on every call
+    with the same pair table, while norm_inv only ever loses curvature (it
+    never grows in the PSD order). The scan then re-scores only the top
+    candidates of the last full scan and returns the full scan's tuple
+    exactly (``_certified_argmax``). Without a memo, and for tables of at most
+    2 * LAZY_CANDIDATES pairs, every call scores every pair.
     """
-    idx = _quad_forms(pair_diffs, norm_inv).argmax(axis=-1)
+    if memo is None or pair_diffs.shape[-2] <= 2 * LAZY_CANDIDATES:
+        idx = _quad_forms(pair_diffs, norm_inv).argmax(axis=-1)
+    else:
+        idx = _certified_argmax(pair_diffs, norm_inv, memo)
     if idx.ndim == 0:
         x, rest = divmod(int(idx), len(pairs))
         return (x, *pairs[rest])
@@ -621,18 +690,22 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
         reward_of = np.vecdot(np.stack([e.features.phi for e in envs]),
                               np.stack([e.truth.theta_star for e in envs])[:, None, None, :])
 
+        # one scan memo per stack: seeds only ever leave it, so their count names it
+        memos = {}
+
         def choose_live(stack, live, rows, i):
-            x, a, b = select_most_uncertain(pair_diffs[rows], stack.inv_norm_matrix(), pairs)
+            x, a, b = select_most_uncertain(pair_diffs[rows], stack.inv_norm_matrix(), pairs,
+                                            memos.setdefault(len(live), {}))
             y = bt_sample(reward_of[live, x, a], reward_of[live, x, b], draws(rows, i)[:, 0])
             return x, a, b, y, stack.radius()
 
         out = _run_lockstep("active", envs, estimators, T, choose_live, policy, checkpoints)
     else:
         def one(e, est, rng):
-            pair_diffs, pairs = e.pair_diffs(), e.action_pairs()
+            pair_diffs, pairs, memo = e.pair_diffs(), e.action_pairs(), {}
 
             def choose():
-                x, a, b = select_most_uncertain(pair_diffs, est.inv_norm_matrix(), pairs)
+                x, a, b = select_most_uncertain(pair_diffs, est.inv_norm_matrix(), pairs, memo)
                 return x, a, b, bt_sample(e.reward(x, a), e.reward(x, b), rng), est.radius()
 
             return _run_loop("active", e, est, T, choose, policy, checkpoints)

@@ -79,6 +79,35 @@ class TestBehavior:
         assert np.allclose(counts / 50_000, env.rho, atol=0.01)
 
 
+class TestCachedLookups:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20, 33])
+    def test_reward_table_has_the_bits_of_each_row_product(self, dim):
+        env = make_environment(dim, 6, 5, seed=dim)
+        phi, theta = env.features.phi, env.truth.theta_star
+        for x in range(6):
+            for a in range(5):
+                assert env.reward(x, a) == float(phi[x, a] @ theta)
+
+    def test_draw_context_matches_searchsorted(self):
+        class Fixed:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def random(self):
+                return next(self.values)
+
+        env = make_environment(2, 5, 2, seed=3)
+        env.rho = np.array([0.1, 0.25, 0.3, 0.05, 0.3])
+        env._cum_rho = None
+        cum = np.cumsum(env.rho)
+        us = [0.0, 0.5, 1.0 - 2**-53, *cum.tolist(),
+              *np.random.default_rng(4).random(1000).tolist()]
+        draws = Fixed(us)
+        for u in us:
+            want = min(int(np.searchsorted(cum, u, side="right")), 4)
+            assert env.draw_context(draws) == want
+
+
 class TestTypes:
     def test_feature_table_norm_violation_rejected(self):
         phi = np.zeros((2, 2, 3))

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelbandits.linkmath import (
+    _sigmoid,
     bt_sample,
     kappa_bound,
     kappa_empirical,
@@ -39,6 +42,34 @@ class TestSigmoidPair:
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError):
             sigmoid_pair(bad)
+
+
+class TestStackedSigmoid:
+    """An array of arguments gives each entry the bits of the scalar call."""
+
+    ARGS = st.one_of(st.floats(-700.0, 700.0),
+                     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                      -2.2250738585072014e-308, 700.0, -700.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ARGS, min_size=1, max_size=12), st.data())
+    def test_bits_equal_scalar_path(self, ws, data):
+        bits = lambda values: np.asarray(values, dtype=float).view(np.int64).tolist()
+        s, ds = sigmoid_pair(np.array(ws))
+        assert bits(s) == bits([_sigmoid(w) for w in ws])
+        assert bits(ds) == bits([sigmoid_pair(w)[1] for w in ws])
+        us = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                min_size=len(ws), max_size=len(ws)))
+        labels = bt_sample(np.array(ws), np.zeros(len(ws)), np.array(us))
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [int(u < _sigmoid(w)) for w, u in zip(ws, us)]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError):
+            sigmoid_pair(np.array([0.5, bad]))
+        with pytest.raises(ValueError):
+            bt_sample(np.array([0.5, bad]), np.zeros(2), np.full(2, 0.5))
 
 
 class TestLogLoss:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelbandits.environment import (
     BehaviorSpec,
@@ -11,11 +13,11 @@ from duelbandits.environment import (
     Policy,
     make_environment,
 )
-from duelbandits import onepass
-from duelbandits.baselines import MleRewardEstimator
+from duelbandits import onepass, scenarios
+from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from duelbandits.config import resolve_seeds
 from duelbandits.exceptions import NumericFailure
-from duelbandits.linalg import LocalNormMatrix
+from duelbandits.linalg import LocalNormMatrix, rank_one_inverse
 from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from duelbandits.scenarios import (
     CSV_COLUMNS,
@@ -232,6 +234,117 @@ class TestSelectMostUncertain:
         assert scan(env, np.eye(2)) == (0, 0, 1)
 
 
+def shrink(rng, M, rows, chosen):
+    """M after one random loss of curvature: a scalar shrink, or a PSD rank-one
+    downdate along the chosen row (as active learning does), another row or a
+    random direction."""
+    if rng.random() < 0.2:
+        return M / rng.uniform(1.0, 1.5)
+    z = [chosen, rows[rng.integers(len(rows))], rng.standard_normal(len(M))][
+        rng.choice(3, p=[0.5, 0.3, 0.2])]
+    u = M @ z
+    return rank_one_inverse(M, u, float(z @ u), rng.uniform(0.0, 30.0))
+
+
+FIVE_ACTION_PAIRS = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+
+
+def scan_rows(rows, norm_inv):
+    """The plain scan of a table of rows for 5 actions, 10 pairs a context."""
+    return select_most_uncertain(rows, norm_inv, FIVE_ACTION_PAIRS)
+
+
+class TestLazyScan:
+    """``select_most_uncertain`` with a memo returns the plain scan's tuple."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(7, 12),
+           st.integers(0, 6), st.booleans())
+    def test_memo_matches_plain_scan(self, seed, d, contexts, duplicates, tie_at_top):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((contexts * len(FIVE_ACTION_PAIRS), d))
+        for _ in range(duplicates):
+            rows[rng.integers(len(rows))] = rows[rng.integers(len(rows))]
+        Ms = [random_spd(rng, d) for _ in range(2)]
+        if tie_at_top:  # an exact tie for the largest form, which the lowest index wins
+            forms = np.einsum("ij,jk,ik->i", rows, Ms[0], rows)
+            rows[rng.integers(len(rows))] = rows[int(forms.argmax())]
+        stacked_rows = np.stack([rows, rows[rng.permutation(len(rows))]])
+        memo, stacked_memo = {}, {}
+        for _ in range(40):
+            want = scan_rows(rows, Ms[0])
+            assert select_most_uncertain(rows, Ms[0], FIVE_ACTION_PAIRS, memo) == want
+            x, a, b = select_most_uncertain(stacked_rows, np.stack(Ms), FIVE_ACTION_PAIRS,
+                                            stacked_memo)
+            for k in range(2):
+                assert (int(x[k]), int(a[k]), int(b[k])) == scan_rows(stacked_rows[k], Ms[k])
+            chosen = rows[want[0] * len(FIVE_ACTION_PAIRS) + FIVE_ACTION_PAIRS.index(want[1:])]
+            Ms = [shrink(rng, M, rows, chosen) for M in Ms]
+
+    @pytest.mark.parametrize("make", [
+        lambda d, T: OnePassRewardEstimator(dim=d),
+        lambda d, T: MleRewardEstimator(dim=d),
+        lambda d, T: ImplicitOmdRewardEstimator(dim=d),
+        lambda d, T: HvpCgRewardEstimator(dim=d, horizon=T),
+    ], ids=["omd", "mle", "implicit", "hvpcg"])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 5, 20]))
+    def test_no_form_outgrows_its_slack(self, make, seed, d):
+        """Every later form stays below the one a full scan saw, up to (rounds + 4) * unit."""
+        T = 40
+        env = make_environment(d, 10, 5, seed=seed % 1000)
+        rows, rng = env.pair_diffs(), np.random.default_rng(seed)
+        est = make(d, T)
+        est.reset()
+        stale = []  # (round of the full scan, its forms, its unit)
+        for t in range(T):
+            M = est.inv_norm_matrix()
+            forms = np.einsum("ij,ij->i", rows @ M, rows)
+            for first, old, unit in stale:
+                assert (forms - old).max() <= (t - first + 4) * unit
+            memo = {}
+            select_most_uncertain(rows, M, env.action_pairs(), memo)
+            stale.append((t, forms, memo["unit"][0]))
+            z = rows[rng.integers(len(rows))]
+            est.update(z, int(rng.random() < 0.5))
+
+    def test_failed_seed_resets_the_memo(self, monkeypatch):
+        """After a seed leaves a lockstep stack, the scan starts a new memo for the rest."""
+        calls = []
+        plain = scenarios.select_most_uncertain
+
+        def spy(pair_diffs, norm_inv, pairs, memo=None):
+            calls.append((memo, bool(memo), len(pair_diffs)))
+            return plain(pair_diffs, norm_inv, pairs, memo)
+
+        update_rows = OnePassRewardEstimator._update_rows
+
+        def fail_row_one(self, z, y):
+            if self.t_ == 20 and len(self.theta_) == 3:
+                raise NumericFailure("synthetic fault", index=1)
+            update_rows(self, z, y)
+
+        monkeypatch.setattr(scenarios, "select_most_uncertain", spy)
+        monkeypatch.setattr(OnePassRewardEstimator, "_update_rows", fail_row_one)
+        envs = [make_environment(5, 12, 5, seed=s) for s in (3, 4, 5)]
+        got = run_active(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 60)
+        assert [rec.summary["aborted"] for _, rec in got] == [None, "synthetic fault", None]
+        before, after = calls[:20], calls[20:]
+        assert all(memo is before[0][0] and n == 3 for memo, _, n in before)
+        assert all(memo is after[0][0] and n == 2 for memo, _, n in after)
+        assert after[0][0] is not before[0][0] and not after[0][1]
+        assert any(used for _, used, _ in before) and any(used for _, used, _ in after)
+
+        # the survivors' runs equal the same stack scanned without a memo
+        monkeypatch.setattr(scenarios, "select_most_uncertain",
+                            lambda pair_diffs, norm_inv, pairs, memo=None:
+                            plain(pair_diffs, norm_inv, pairs))
+        want = run_active(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 60)
+        for (got_policy, got_rec), (want_policy, want_rec) in zip(got, want):
+            assert got_policy == want_policy
+            assert_same_run(got_rec, want_rec)
+
+
 class TestSelectDeployActions:
     def test_zero_beta_plays_greedy_twice(self, default_env):
         rng = np.random.default_rng(7)
@@ -388,9 +501,13 @@ class TestRunRecord:
         assert first[CSV_COLUMNS.index("subopt_checkpoint")] == ""
 
     def test_csv_cells_match_record_across_row_blocks(self, tmp_path, default_env):
-        # long enough for two full row blocks and a partial third
+        # long enough for several full row blocks and a partial last one
         rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 600)
         rec.flags[300] = "inner_nonconverged"
+        # float columns with some NaN cells, an all-NaN block, and an infinite value
+        rec.beta[[3, 280]] = np.nan
+        rec.subopt_checkpoint[[0, 255, 256, 599]] = [0.5, 1e-300, -0.0, np.inf]
+        rec.est_err_local[256:512] = np.nan
         path = tmp_path / "run.csv"
         rec.write_csv(path)
         lines = path.read_text().splitlines()[1:]

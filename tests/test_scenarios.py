@@ -335,7 +335,7 @@ class TestLazyScan:
         assert after[0][0] is not before[0][0] and not after[0][1]
         assert any(used for _, used, _ in before) and any(used for _, used, _ in after)
 
-        # the survivors' runs equal the same stack scanned without a memo
+        # every seed's run equals the same stack scanned without a memo
         monkeypatch.setattr(scenarios, "select_most_uncertain",
                             lambda pair_diffs, norm_inv, pairs, memo=None:
                             plain(pair_diffs, norm_inv, pairs))

@@ -671,7 +671,9 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
     """Query the most uncertain pair each round; play the averaged-parameter greedy policy.
 
     Returns (policy, record); for sequences of environments and estimators, a
-    list of them, one per seed.
+    list of them, one per seed. The scan keeps a memo per run, which is exact
+    as long as ``inv_norm_matrix()`` never grows between rounds: every
+    estimator here only adds curvature.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")

@@ -17,17 +17,18 @@ import numpy as np
 from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .linalg import LocalNormMatrix
 from .linkmath import kappa_bound, sigmoid_pair
-from .onepass import default_regularization, default_step_size
+from .onepass import _norm, default_regularization, default_step_size
 
 __all__ = ["MleRewardEstimator", "ImplicitOmdRewardEstimator"]
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
+EPS = np.finfo(float).eps
 
 
 def _ball_projection(v: np.ndarray, B: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
+    nrm = _norm(v)
     if nrm <= B:
         return v
     return v * (B / nrm)
@@ -44,7 +45,7 @@ def _sigmoid_rows(s: np.ndarray) -> np.ndarray:
 
 def _nll(Z: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
     s = Z @ theta
-    return float(np.sum(np.logaddexp(0.0, -s) * y + np.logaddexp(0.0, s) * (1 - y)))
+    return float((np.logaddexp(0.0, -s) * y + np.logaddexp(0.0, s) * (1 - y)).sum())
 
 
 def _model_norm(H: np.ndarray, r: np.ndarray):
@@ -52,14 +53,17 @@ def _model_norm(H: np.ndarray, r: np.ndarray):
 
     One eigendecomposition H = Q diag(lam) Q^T gives
     ||(H + mu I)^-1 r||^2 = sum_i b_i^2 / (lam_i + mu)^2 with b = Q^T r, so the
-    damping search probes the norm without a dense solve per probe.
+    damping search probes the norm without a dense solve per probe. Every
+    probe of one returned function writes b / (lam + mu) into the same buffer.
     """
     lam, Q = np.linalg.eigh(H)
     b = Q.T @ r
+    x = np.empty_like(b)
 
     def model_norm(mu: float) -> float:
-        x = b / (lam + mu)
-        return math.sqrt(float(np.dot(x, x)))
+        np.add(lam, mu, out=x)
+        np.divide(b, x, out=x)
+        return _norm(x)
 
     return model_norm
 
@@ -82,6 +86,7 @@ def _projected_newton(Z, y, theta, B, tol, max_iters, prox=None):
     inv_step = 0.0
     if prox is not None:
         center, matrix, inv_step = prox
+        prox_hess = inv_step * matrix
     dim = theta.shape[0]
     eye = np.eye(dim)
 
@@ -100,34 +105,35 @@ def _projected_newton(Z, y, theta, B, tol, max_iters, prox=None):
         H = Z.T @ (w[:, None] * Z)
         if prox is not None:
             g = g + inv_step * (matrix @ (th - center))
-            H = H + inv_step * matrix
+            H = H + prox_hess
         return g, H
 
-    def model_candidate(H, g, mu):
+    iters = 0
+    # the objective at theta: computed once, then carried over from the
+    # accepted line-search candidate that becomes the next theta
+    base = None
+    for iters in range(1, max_iters + 1):
+        g, H = grad_hess(theta)
+        mapping_norm = _norm(theta - _ball_projection(theta - g, B))
+        if mapping_norm <= tol:
+            return theta, True, iters - 1
+        if base is None:
+            base = value(theta)
         # minimizer of the damped quadratic model subject to the ball:
         # (H + mu I)(theta+ - theta) = -(g + mu*theta), i.e.
         # theta+ = (H + mu I)^-1 (H theta - g)
-        return np.linalg.solve(H + mu * eye, H @ theta - g)
-
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        g, H = grad_hess(theta)
-        mapping = theta - _ball_projection(theta - g, B)
-        mapping_norm = float(np.linalg.norm(mapping))
-        if mapping_norm <= tol:
-            return theta, True, iters - 1
-        base = value(theta)
+        rhs = H @ theta - g
         # solvability damping, scaled down with the mapping so its bias on the
         # fixed point stays far below any convergence tolerance
-        mu0 = (1e-12 + 1e-3 * min(mapping_norm, 1.0)) * (1.0 + float(np.trace(H)) / dim)
-        target = model_candidate(H, g, mu0)
-        if float(np.linalg.norm(target)) > B:
+        mu0 = (1e-12 + 1e-3 * min(mapping_norm, 1.0)) * (1.0 + float(H.trace()) / dim)
+        target = np.linalg.solve(H + mu0 * eye, rhs)
+        if _norm(target) > B:
             # Newton wants to leave the ball: raise the damping until the
             # model minimizer lands on the boundary (norm decreases in mu).
             # The radial tolerance tightens with the mapping so its slop never
             # dominates the remaining step near a pinned optimum.
             radial_tol = max(1e-14, min(1e-10, 1e-3 * mapping_norm)) * B
-            model_norm = _model_norm(H, H @ theta - g)
+            model_norm = _model_norm(H, rhs)
             lo, hi = mu0, max(mu0, 1e-6)
             for _ in range(200):
                 if model_norm(hi) < B:
@@ -142,33 +148,34 @@ def _projected_newton(Z, y, theta, B, tol, max_iters, prox=None):
                     lo = mid
                 else:
                     hi = mid
-            target = model_candidate(H, g, mid)
+            target = np.linalg.solve(H + mid * eye, rhs)
             # land exactly on the boundary: any inward radial slop turns the
             # direction ascent at a pinned optimum and stalls the line search
-            target = target * (B / float(np.linalg.norm(target)))
+            target = target * (B / _norm(target))
         direction = target - theta
         accepted = None
         step = 1.0
         # slack admits steps whose true decrease sits below the float
         # resolution of the objective; the mapping criterion stays the only
         # convergence certificate
-        noise = 16.0 * np.finfo(float).eps * (abs(base) + 1.0)
+        noise = 16.0 * EPS * (abs(base) + 1.0)
         for _ in range(MAX_BACKTRACKS):
             cand = theta + step * direction
             delta = cand - theta
             descent = float(g @ delta)
-            if (descent < 0.0
-                    and value(cand) <= base + ARMIJO_C * descent + noise
-                    and float(np.linalg.norm(delta)) > 1e-15 * (1.0 + B)):
-                accepted = cand
-                break
+            if descent < 0.0:
+                cand_value = value(cand)
+                if (cand_value <= base + ARMIJO_C * descent + noise
+                        and _norm(delta) > 1e-15 * (1.0 + B)):
+                    accepted = cand
+                    break
             step *= ARMIJO_SHRINK
         if accepted is None:
             break
         theta = accepted
+        base = cand_value
     g, _ = grad_hess(theta)
-    mapping = theta - _ball_projection(theta - g, B)
-    return theta, float(np.linalg.norm(mapping)) <= tol, iters
+    return theta, _norm(theta - _ball_projection(theta - g, B)) <= tol, iters
 
 
 class MleRewardEstimator(BaseRewardEstimator):

@@ -116,7 +116,7 @@ def confidence_radius(t: int, config: OnePassConfig) -> float:
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a vector: the sqrt-of-dot np.linalg.norm computes, without its overhead."""
-    return math.sqrt(float(v @ v))
+    return math.sqrt(v.dot(v))
 
 
 def loss_derivatives(theta: np.ndarray, z: np.ndarray, y: int) -> Tuple[float, np.ndarray, float]:

@@ -2,6 +2,8 @@ import math
 import time
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from duelbandits import baselines
@@ -157,6 +159,36 @@ class TestBoundarySearch:
         nu = -float(grad @ theta) / B ** 2
         assert nu > 0.0
         assert np.linalg.norm(grad + nu * theta) <= 1e-8 * np.linalg.norm(grad)
+
+
+class TestExactHelpers:
+    """The solver's fast helpers return the bits of the numpy calls they stand in for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64).flatmap(
+               lambda d: st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)),
+           st.floats(-150.0, 150.0))
+    def test_vector_norm_matches_numpy(self, entries, log_scale):
+        v = np.array(entries) * 10.0 ** log_scale
+        assert baselines._norm(v) == float(np.linalg.norm(v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_model_norm_probes_share_no_state(self, d, seed):
+        rng = np.random.default_rng(seed)
+        problems = []
+        for _ in range(2):
+            A = rng.standard_normal((d + 2, d))
+            problems.append((A.T @ A, rng.standard_normal(d)))
+        probes = [baselines._model_norm(H, r) for H, r in problems]
+        mus = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 15)])
+        order = rng.permutation(len(mus))
+        for mu in np.concatenate([mus[order], mus[order[::-1]]]):
+            # the two problems' probes alternate, each at the same mu
+            for (H, r), probe in zip(problems, probes):
+                lam, Q = np.linalg.eigh(H)
+                x = (Q.T @ r) / (lam + mu)
+                assert probe(float(mu)) == math.sqrt(float(np.dot(x, x)))
 
 
 class TestImplicitOmd:

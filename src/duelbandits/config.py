@@ -190,6 +190,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         if len(cfg.seeds) < 1:
             raise ConfigError("configuration key 'seeds' must list at least one seed")
         cfg.seeds = [_as_int("seeds", s) for s in cfg.seeds]
+        negative = [s for s in cfg.seeds if s < 0]
+        if negative:
+            raise ConfigError(f"configuration key 'seeds' must list non-negative seeds, got {negative}")
         repeated = sorted(s for s, n in Counter(cfg.seeds).items() if n > 1)
         if repeated:
             raise ConfigError(f"configuration key 'seeds' lists seeds {repeated} more than once")

@@ -217,6 +217,11 @@ class TestConfigFields:
         with pytest.raises(ConfigError, match="'seeds'"):
             parse_config({"scenario": "deploy", "seeds": seeds})
 
+    def test_negative_seed_names_key(self):
+        # the generator rejects a negative seed only once the run starts
+        with pytest.raises(ConfigError, match="'seeds'.*\\[-1\\]"):
+            parse_config({"scenario": "deploy", "seeds": [-1]})
+
     def test_integral_seed_values_accepted(self):
         assert parse_config({"scenario": "deploy", "seeds": [1.0, "2", 3]}).seeds == [1, 2, 3]
 

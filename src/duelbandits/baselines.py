@@ -153,7 +153,6 @@ def _projected_newton(Z, y, theta, B, tol, max_iters, prox=None):
             # direction ascent at a pinned optimum and stalls the line search
             target = target * (B / _norm(target))
         direction = target - theta
-        accepted = None
         step = 1.0
         # slack admits steps whose true decrease sits below the float
         # resolution of the objective; the mapping criterion stays the only
@@ -167,13 +166,11 @@ def _projected_newton(Z, y, theta, B, tol, max_iters, prox=None):
                 cand_value = value(cand)
                 if (cand_value <= base + ARMIJO_C * descent + noise
                         and _norm(delta) > 1e-15 * (1.0 + B)):
-                    accepted = cand
                     break
             step *= ARMIJO_SHRINK
-        if accepted is None:
-            break
-        theta = accepted
-        base = cand_value
+        else:
+            break  # no step accepted
+        theta, base = cand, cand_value
     g, _ = grad_hess(theta)
     return theta, _norm(theta - _ball_projection(theta - g, B)) <= tol, iters
 

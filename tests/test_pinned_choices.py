@@ -12,9 +12,11 @@ and what it produced, recorded before any change it is meant to guard:
 * ``save_sha256``: the sha256 of the config's estimator ``save()`` file after
   ``SNAPSHOT_UPDATES`` seeded updates (no scenario loop involved);
 * ``seed_runs``: for a config run through ``run_experiment`` with several
-  seeds, each seed's CSV column digests and its ``SEED_RUN_FIELDS`` summary
-  values (dotted names reach into nested blocks), plus ``aggregate``: the
-  run's ``aggregate.json`` without its timing metric.
+  seeds, each seed's CSV column digests, its whole-file digest (``file``: the
+  sha256 of the CSV text with every ``wall_nanos`` cell blanked, so the
+  header, row order, separators and newlines are pinned too) and its
+  ``SEED_RUN_FIELDS`` summary values (dotted names reach into nested blocks),
+  plus ``aggregate``: the run's ``aggregate.json`` without its timing metric.
 
 A change to how the uncertainty scan or the policy enumeration rounds its
 quadratic forms that flips an argmax shows up here as a mismatch, and so does
@@ -63,6 +65,20 @@ def csv_digests(path: Path) -> dict:
             if name not in UNPINNED_COLUMNS}
 
 
+def file_digest(path: Path) -> str:
+    """sha256 of a run CSV's text with each unpinned column's cells blanked."""
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    header = lines[0].split(",")
+    blank = [header.index(name) for name in UNPINNED_COLUMNS]
+    for k in range(1, len(lines)):
+        if lines[k]:
+            cells = lines[k].split(",")
+            for j in blank:
+                cells[j] = ""
+            lines[k] = ",".join(cells)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def snapshot_digest(cfg, workdir: Path) -> str:
     """sha256 of the estimator's snapshot after a seeded stream of updates."""
     est = build_estimator(cfg).reset()
@@ -94,9 +110,9 @@ def experiment_digests(cfg, workdir: Path) -> dict:
                 fields[name] = summary_field(summary, name)
             except KeyError:
                 continue
-        runs.append({"seed": summary["seed"],
-                     "columns": csv_digests(result.output_dir / f"{stem}.csv"),
-                     "summary": fields})
+        path = result.output_dir / f"{stem}.csv"
+        runs.append({"seed": summary["seed"], "columns": csv_digests(path),
+                     "file": file_digest(path), "summary": fields})
     aggregate = dict(result.aggregate)
     aggregate["metrics"] = {k: v for k, v in aggregate["metrics"].items()
                             if k != "update_ns_mean"}

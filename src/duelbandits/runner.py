@@ -16,7 +16,7 @@ from .config import ExperimentConfig
 from .diagnostics import diagnostics_report, timing_profile
 from .environment import make_environment
 from .onepass import HvpCgRewardEstimator, OnePassRewardEstimator
-from .scenarios import run_active, run_deploy, run_passive
+from .scenarios import run_active, run_deploy, run_passive, shared_csv_cells
 
 __all__ = ["build_estimator", "run_single", "run_experiment", "ExperimentResult",
            "bench_windows"]
@@ -189,13 +189,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L,
                              seed=rec.seed, coverage_skew=cfg.coverage_skew) for rec in done]
     reports = iter(diagnostics_report(envs, done))
+    shared = shared_csv_cells(done)
     summaries = []
     for seed, rec, error in results:
         if rec is None:
             summaries.append({"seed": seed, "error": error})
             continue
         stem = f"{cfg.scenario}_{cfg.estimator}_seed{seed}"
-        rec.write_csv(out_dir / f"{stem}.csv")
+        rec.write_csv(out_dir / f"{stem}.csv", shared)
         rec.summary["diagnostics"] = next(reports).to_dict()
         rec.summary["config"] = cfg.to_dict()
         (out_dir / f"{stem}_summary.json").write_text(

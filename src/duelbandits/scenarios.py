@@ -31,6 +31,7 @@ from .linkmath import bt_sample, kappa_bound
 __all__ = [
     "RunRecord",
     "CSV_COLUMNS",
+    "shared_csv_cells",
     "greedy_policy",
     "pessimistic_policy",
     "pessimistic_value",
@@ -58,18 +59,33 @@ _FLOAT_COLUMNS = frozenset(("est_err_l2", "est_err_local", "beta", "cum_regret",
                             "subopt_checkpoint"))
 
 
+# preformatted cells for small non-negative ids (contexts, actions, labels, early t)
+_ID_CELLS = tuple(map(str, range(1024)))
+
+
 def _csv_cells(name: str, values: np.ndarray) -> list:
     """One column's cells: str of each id, repr of each float with NaN as an empty cell."""
-    if name not in _FLOAT_COLUMNS:
-        return list(map(str, values.tolist()))
-    values = values.astype(float, copy=False)
-    nan = np.isnan(values)
-    if nan.all():
-        return [""] * len(values)
-    cells = list(map(repr, values.tolist()))
-    for k in np.flatnonzero(nan).tolist():
-        cells[k] = ""
-    return cells
+    if name in _FLOAT_COLUMNS:
+        return [repr(v) if v == v else "" for v in values.tolist()]
+    return [_ID_CELLS[v] if -1 < v < len(_ID_CELLS) else str(v) for v in values.tolist()]
+
+
+def shared_csv_cells(records: Sequence["RunRecord"]) -> dict:
+    """The CSV cells of every column that all records hold byte for byte, formatted once.
+
+    Maps a column name to the cells of the longest record; a shorter record
+    (a seed that stopped early) shares a column when it equals that record's
+    prefix. Bytes decide, not ``==``: -0.0 == 0.0, but the two print apart.
+    """
+    if len(records) < 2:
+        return {}
+    longest = max(records, key=len)
+    shared = {}
+    for name in CSV_COLUMNS[:-1]:
+        ref = getattr(longest, name)
+        if all(getattr(rec, name).tobytes() == ref[:len(rec)].tobytes() for rec in records):
+            shared[name] = _csv_cells(name, ref)
+    return shared
 
 
 @dataclass
@@ -96,17 +112,21 @@ class RunRecord:
     def __len__(self) -> int:
         return len(self.t)
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, shared: Optional[dict] = None) -> None:
         """One row per iteration.
 
         Cells are formatted a column and a block of rows at a time, so the
-        converted copy stays small.
+        converted copy stays small. ``shared`` holds the preformatted cells of
+        columns this record has in common with others (``shared_csv_cells``).
         """
+        shared = shared or {}
+        n = len(self.t)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for lo in range(0, len(self.t), CSV_BLOCK_ROWS):
-                block = slice(lo, lo + CSV_BLOCK_ROWS)
-                columns = [_csv_cells(name, getattr(self, name)[block])
+            for lo in range(0, n, CSV_BLOCK_ROWS):
+                block = slice(lo, min(lo + CSV_BLOCK_ROWS, n))
+                columns = [shared[name][block] if name in shared
+                           else _csv_cells(name, getattr(self, name)[block])
                            for name in CSV_COLUMNS[:-1]]
                 fh.write("\n".join(map(",".join, zip(*columns, self.flags[block]))) + "\n")
 

@@ -21,6 +21,7 @@ from duelbandits.linalg import LocalNormMatrix, rank_one_inverse
 from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from duelbandits.scenarios import (
     CSV_COLUMNS,
+    RunRecord,
     default_checkpoints,
     greedy_policy,
     pessimistic_policy,
@@ -30,6 +31,7 @@ from duelbandits.scenarios import (
     run_passive,
     select_deploy_actions,
     select_most_uncertain,
+    shared_csv_cells,
     subopt,
 )
 from conftest import OracleEstimator
@@ -488,6 +490,17 @@ class TestRunDeploy:
         assert set(rec.summary["estimator_stats"]) == keys
 
 
+def expected_row(rec, i):
+    """Row i of a run CSV: str of each id, repr of each float, NaN as an empty cell."""
+    def cell(name):
+        v = getattr(rec, name)[i]
+        if name in ("t", "wall_nanos", "x", "a", "a_prime", "y"):
+            return str(int(v))
+        return "" if np.isnan(v) else repr(float(v))
+
+    return [cell(name) for name in CSV_COLUMNS[:-1]] + [rec.flags[i]]
+
+
 class TestRunRecord:
     def test_csv_layout(self, tmp_path, default_env):
         rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 25)
@@ -512,16 +525,48 @@ class TestRunRecord:
         rec.write_csv(path)
         lines = path.read_text().splitlines()[1:]
         assert len(lines) == 600
-
-        def cell(name, i):
-            v = getattr(rec, name)[i]
-            if name in ("t", "wall_nanos", "x", "a", "a_prime", "y"):
-                return str(int(v))
-            return "" if np.isnan(v) else repr(float(v))
-
         for i, line in enumerate(lines):
-            expected = [cell(name, i) for name in CSV_COLUMNS[:-1]] + [rec.flags[i]]
-            assert line.split(",") == expected, i
+            assert line.split(",") == expected_row(rec, i), i
+
+    def test_shared_cells_write_the_same_bytes(self, tmp_path):
+        # three records of one run set: the third stopped early; the second's
+        # beta differs from the first's only by the sign of one zero
+        rng = np.random.default_rng(5)
+        T, short = 200, 130
+        beta = rng.random(T)
+        beta[[0, 70]] = 0.0
+        beta[[5, 64]] = np.nan
+        regret = rng.random(T)
+        regret[64:128] = np.nan
+        a = rng.integers(0, 4, T)
+        a[[0, 63, 64, 150]] = [1023, 1024, 10**12, -1]
+        recs = []
+        for k, n in enumerate((T, T, short)):
+            x = rng.integers(0, 8, n)
+            x[[1, 100]] = [len(scenarios._ID_CELLS), -7]
+            err = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
+            err[rng.random(n) < 0.1] = np.nan
+            flags = [""] * n
+            flags[k + 2] = "projected"
+            recs.append(RunRecord(
+                scenario="deploy", seed=k, T=T, t=np.arange(1, n + 1, dtype=np.int64),
+                wall_nanos=rng.integers(10**3, 10**9, n),
+                est_err_l2=err, est_err_local=np.full(n, np.nan),
+                beta=beta[:n].copy(), cum_regret=regret[:n].copy(),
+                subopt_checkpoint=np.full(n, np.nan),
+                x=x, a=a[:n].copy(), a_prime=rng.integers(0, 4, n), y=rng.integers(0, 2, n),
+                flags=flags))
+        recs[1].beta[70] = -0.0
+        shared = shared_csv_cells(recs)
+        assert sorted(shared) == ["a", "cum_regret", "est_err_local", "subopt_checkpoint", "t"]
+        for rec in recs:
+            want = "".join(",".join(row) + "\n" for row in
+                           [list(CSV_COLUMNS)] + [expected_row(rec, i) for i in range(len(rec))])
+            for cells in (None, shared):
+                path = tmp_path / f"run{rec.seed}.csv"
+                rec.write_csv(path, cells)
+                assert path.read_bytes() == want.encode(), (rec.seed, cells is None)
+        assert shared_csv_cells(recs[:1]) == {}
 
     def test_default_checkpoints(self):
         assert default_checkpoints(10) == (1, 2, 4, 8, 10)

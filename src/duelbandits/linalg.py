@@ -82,6 +82,9 @@ def sherman_morrison(inv: np.ndarray, z: np.ndarray, w) -> np.ndarray:
             return inv.copy()
         u = inv @ z
         return _symmetrize(rank_one_inverse(inv, u, float(z @ u), w))
+    if isinstance(w, float) and w > 0:  # one positive weight for every row
+        u = np.matvec(inv, z)
+        return _symmetrize(rank_one_inverse(inv, u, np.vecdot(z, u), w))
     w = np.broadcast_to(np.asarray(w, dtype=float), z.shape[:1])
     weights = _check_weights(w)
     if not any(weights):

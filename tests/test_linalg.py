@@ -224,6 +224,27 @@ class TestStackedKernels:
         assert single.value.index is None
         assert str(stacked.value) == str(single.value)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, 2, 7, 20]), st.integers(1, 24), st.integers(0, 2**32 - 1),
+           st.sampled_from(["scalar", "per_row", "some_zero"]))
+    def test_sherman_morrison_stack_matches_rows_and_fresh_inverse(self, S, d, seed, weights):
+        mats, invs, z, w = stacked_inputs(seed, S, d)
+        rng = np.random.default_rng(seed + 1)
+        if weights == "scalar":
+            w = float(rng.uniform(0.1, 2.0))
+        elif weights == "per_row":
+            w = rng.uniform(0.1, 2.0, S)
+        else:
+            w[rng.integers(S)] = 0.0
+        sm = sherman_morrison(invs, z, w)
+        row_w = np.broadcast_to(w, (S,))
+        for s in range(S):
+            assert np.array_equal(sm[s], sherman_morrison(invs[s], z[s], float(row_w[s])))
+            # a zero-weight row is a plain copy; every updated row is exactly symmetric
+            assert np.array_equal(sm[s], invs[s] if row_w[s] == 0 else sm[s].T)
+            fresh = np.linalg.inv(mats[s] + row_w[s] * np.outer(z[s], z[s]))
+            assert np.linalg.norm(sm[s] - fresh) <= 1e-10 * np.linalg.norm(fresh)
+
     def test_negative_quadratic_form_names_the_row(self):
         mats = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
         with pytest.raises(NumericFailure) as info:

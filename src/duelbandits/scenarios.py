@@ -360,7 +360,7 @@ def select_deploy_actions(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
         return a, int((scores + bonus).argmax())
     scores = np.matvec(phi_x, theta)
     a = scores.argmax(axis=-1)
-    greedy = np.take_along_axis(phi_x, a[:, None, None], axis=-2)
+    greedy = phi_x[np.arange(len(a)), a][:, None, :]
     bonus = explore_coeff * beta * _penalized_norms(phi_x - greedy, norm_inv)
     return a, (scores + bonus).argmax(axis=-1)
 

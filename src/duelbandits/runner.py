@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -105,6 +104,9 @@ def _run_all(cfg: ExperimentConfig, kind: Optional[str] = None):
     kind = kind or cfg.estimator
     tasks = [(cfg, chunk, kind) for chunk in _seed_chunks(cfg, kind)]
     if cfg.workers > 1:
+        # imported here: loading multiprocessing costs a one-worker run memory and start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunks = list(pool.map(_run_seed_task, tasks))
     else:

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -323,6 +326,19 @@ class TestBench:
 
 
 class TestCli:
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # a one-worker run never starts a process pool, so importing the
+        # program must not load one
+        src = str(Path(runner.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, duelbandits, duelbandits.cli, duelbandits.runner; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_run_writes_artifacts(self, tmp_path, capsys):
         code = main(["run", "--scenario", "deploy", "--T", "30", "--seeds", "2",
                      "--out", str(tmp_path / "cli")])

@@ -76,6 +76,7 @@ def shared_csv_cells(records: Sequence["RunRecord"]) -> dict:
     Maps a column name to the cells of the longest record; a shorter record
     (a seed that stopped early) shares a column when it equals that record's
     prefix. Bytes decide, not ``==``: -0.0 == 0.0, but the two print apart.
+    A lone record shares nothing, so it keeps formatting a block at a time.
     """
     if len(records) < 2:
         return {}

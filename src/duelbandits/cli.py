@@ -1,4 +1,4 @@
-"""Command-line entry point: run experiments, benchmark estimators, verify invariants."""
+"""Command-line entry point: run experiments, verify invariants."""
 
 from __future__ import annotations
 
@@ -9,13 +9,13 @@ from typing import Optional
 
 from .config import _FIELD_TYPES, CHOICES, parse_config
 from .exceptions import ConfigError
-from .runner import format_bench_table, run_experiment
+from .runner import run_experiment
 from .verify import CHECKS, run_verify
 
 # config keys whose flag is not the key with "-" for "_"
 _FLAG_NAMES = {"lam": "--lambda", "num_seeds": "--seeds", "output_dir": "--out"}
-# keys with a flag on `run` only (scenario, estimator) or none (the lists)
-_NOT_COMMON = ("scenario", "estimator", "seeds", "bench_estimators")
+# keys with a flag on `run` only (scenario, estimator) or none (the seed list)
+_NOT_COMMON = ("scenario", "estimator", "seeds")
 
 
 def _add_field_flags(p: argparse.ArgumentParser, keys) -> None:
@@ -31,7 +31,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     _add_field_flags(p, [key for key in _FIELD_TYPES if key not in _NOT_COMMON])
 
 
-def _collect(args: argparse.Namespace, fixed: Optional[dict] = None) -> dict:
+def _collect(args: argparse.Namespace) -> dict:
     data = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -39,52 +39,28 @@ def _collect(args: argparse.Namespace, fixed: Optional[dict] = None) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         data.update(loaded)
-    skip = {"command", "config", "func", "seed", "checks", "estimators"}
+    skip = {"command", "config", "func", "seed", "checks"}
     for key, value in vars(args).items():
         if key in skip or value is None:
             continue
         data[key] = value
-    if fixed:
-        data.update(fixed)
     return data
 
 
-def _report_failures(aggregate: dict) -> int:
-    """Print each failed seed to stderr; exit code 1 if there was any."""
-    failed = aggregate["failed"]
-    for f in failed:
-        print(f"seed {f['seed']} failed: {f['error']}", file=sys.stderr)
-    return 1 if failed else 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Run a config and print its aggregate; each failed seed goes to stderr and exits 1."""
     cfg = parse_config(_collect(args))
     result = run_experiment(cfg)
     print(f"resolved config written to {result.output_dir / 'config.json'}")
-    if cfg.scenario == "bench":
-        print(format_bench_table(result.aggregate))
-        print(f"artifacts in {result.output_dir}")
-        return _report_failures(result.aggregate)
-    completed = result.aggregate.get("seeds_completed", len(result.summaries))
-    print(f"{completed}/{len(cfg.seeds)} seeds completed; "
+    print(f"{result.aggregate['seeds_completed']}/{len(cfg.seeds)} seeds completed; "
           f"artifacts in {result.output_dir}")
-    for metric, stats in result.aggregate.get("metrics", {}).items():
+    for metric, stats in result.aggregate["metrics"].items():
         print(f"  {metric}: median {stats['median']:.6g} "
               f"[q25 {stats['q25']:.6g}, q75 {stats['q75']:.6g}]")
-    return _report_failures(result.aggregate)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    fixed = {"scenario": "bench"}
-    if args.estimators:
-        fixed["bench_estimators"] = [e.strip() for e in args.estimators.split(",")]
-    data = _collect(args, fixed)
-    data.setdefault("num_seeds", 1)
-    cfg = parse_config(data)
-    result = run_experiment(cfg)
-    print(format_bench_table(result.aggregate))
-    print(f"artifacts in {result.output_dir}")
-    return _report_failures(result.aggregate)
+    failed = result.aggregate["failed"]
+    for f in failed:
+        print(f"seed {f['seed']} failed: {f['error']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -106,11 +82,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_field_flags(run_p, ("scenario", "estimator"))
     _add_common_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
-
-    bench_p = sub.add_parser("bench", help="per-iteration timing comparison of estimators")
-    bench_p.add_argument("--estimators", help="comma-separated estimator kinds")
-    _add_common_flags(bench_p)
-    bench_p.set_defaults(func=_cmd_bench)
 
     verify_p = sub.add_parser("verify", help="run the built-in invariant suite")
     verify_p.add_argument("--seed", type=int, default=0)

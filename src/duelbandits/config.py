@@ -16,7 +16,7 @@ from .onepass import RADIUS_MODES, default_regularization, default_step_size
 
 __all__ = ["ExperimentConfig", "parse_config", "mix_seed", "resolve_seeds"]
 
-SCENARIOS = ("passive", "active", "deploy", "bench")
+SCENARIOS = ("passive", "active", "deploy")
 ESTIMATORS = ("omd", "mle", "implicit", "hvpcg")
 DAMPING_FNS = ("linear", "log")
 POLICY_MODES = ("enumerate", "greedy_percontext")
@@ -69,12 +69,9 @@ class ExperimentConfig:
     policy_mode: str = "enumerate"
     output_dir: str = "runs"
     workers: int = 1
-    bench_estimators: Tuple[str, ...] = ("omd", "mle")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["bench_estimators"] = list(self.bench_estimators)
-        return out
+        return dataclasses.asdict(self)
 
     def echo_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -83,13 +80,13 @@ class ExperimentConfig:
 def _field_type(hint) -> Tuple[type, bool]:
     """(coercion target, nullable) of an annotation.
 
-    Optional[X] is a nullable X; List and Tuple fields take a list.
+    Optional[X] is a nullable X; a List field takes a list.
     """
     args = typing.get_args(hint)
     nullable = type(None) in args
     if nullable:
         hint = next(arg for arg in args if arg is not type(None))
-    return (list if typing.get_origin(hint) in (list, tuple) else hint), nullable
+    return (list if typing.get_origin(hint) is list else hint), nullable
 
 
 _HINTS = {name: _field_type(hint)
@@ -196,10 +193,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         repeated = sorted(s for s, n in Counter(cfg.seeds).items() if n > 1)
         if repeated:
             raise ConfigError(f"configuration key 'seeds' lists seeds {repeated} more than once")
-    bad = [e for e in cfg.bench_estimators if e not in ESTIMATORS]
-    if bad:
-        raise ConfigError(f"configuration key 'bench_estimators' has invalid entries {bad}")
-    cfg.bench_estimators = tuple(cfg.bench_estimators)
 
     # resolve defaults so the echoed config is self-contained
     if cfg.eta is None:

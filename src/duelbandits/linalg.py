@@ -70,10 +70,11 @@ def _check_weights(w: np.ndarray) -> list:
 def sherman_morrison(inv: np.ndarray, z: np.ndarray, w) -> np.ndarray:
     """Return (A + w*z*z^T)^-1 given inv = A^-1, in O(d^2) arithmetic.
 
-    The output is explicitly symmetrized, so it is exactly symmetric even when
-    ``inv`` is not, and long update chains keep the positive-definiteness
-    detectable. On a stack (z of shape (S, d)) a row with weight zero comes
-    back as a plain copy.
+    An update with a positive weight is explicitly symmetrized, so it is exactly
+    symmetric even when ``inv`` is not, and long update chains keep the
+    positive-definiteness detectable. A zero weight returns ``inv`` copied as
+    it is, unsymmetrized: the whole matrix, or that row of a stack (z of shape
+    (S, d)).
     """
     if z.ndim == 1:
         if w < 0:

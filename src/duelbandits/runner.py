@@ -6,44 +6,40 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from .config import ExperimentConfig
-from .diagnostics import diagnostics_report, timing_profile
+from .diagnostics import diagnostics_report
 from .environment import make_environment
 from .onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from .scenarios import run_active, run_deploy, run_passive, shared_csv_cells
 
-__all__ = ["build_estimator", "run_single", "run_experiment", "ExperimentResult",
-           "bench_windows"]
+__all__ = ["build_estimator", "run_single", "run_experiment", "ExperimentResult"]
 
 
-def build_estimator(cfg: ExperimentConfig, kind: Optional[str] = None,
-                    horizon: Optional[int] = None):
+def build_estimator(cfg: ExperimentConfig):
     """Instantiate the estimator a config asks for. eta/lam are already resolved."""
-    kind = kind or cfg.estimator
-    if kind == "omd":
+    if cfg.estimator == "omd":
         return OnePassRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, eta=cfg.eta,
                                       lam=cfg.lam, radius_mode=cfg.radius_mode,
                                       c_beta=cfg.c_beta, delta=cfg.delta)
-    if kind == "mle":
+    if cfg.estimator == "mle":
         return MleRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, lam=cfg.lam,
                                   c_beta=cfg.c_beta, delta=cfg.delta)
-    if kind == "implicit":
+    if cfg.estimator == "implicit":
         return ImplicitOmdRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, eta=cfg.eta,
                                           lam=cfg.lam, c_beta=cfg.c_beta, delta=cfg.delta)
-    if kind == "hvpcg":
+    if cfg.estimator == "hvpcg":
         return HvpCgRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, eta=cfg.eta,
                                     lambda0=cfg.lambda0, damping=cfg.damping_fn,
-                                    horizon=horizon if horizon is not None else cfg.T,
-                                    c_beta=cfg.c_beta, delta=cfg.delta)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+                                    horizon=cfg.T, c_beta=cfg.c_beta, delta=cfg.delta)
+    raise ValueError(f"unknown estimator kind {cfg.estimator!r}")
 
 
-def run_single(cfg: ExperimentConfig, seed, estimator_kind: Optional[str] = None):
+def run_single(cfg: ExperimentConfig, seed):
     """Seeded runs: a fresh environment and estimator per seed, one scenario loop.
 
     ``seed`` is one seed, giving one RunRecord, or a list of seeds, giving one
@@ -54,12 +50,9 @@ def run_single(cfg: ExperimentConfig, seed, estimator_kind: Optional[str] = None
     seeds = [seed] if single else list(seed)
     envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L,
                              seed=s, coverage_skew=cfg.coverage_skew) for s in seeds]
-    ests = [build_estimator(cfg, kind=estimator_kind, horizon=cfg.T) for _ in seeds]
-    if cfg.scenario in ("passive", "bench"):
-        # bench times updates on passive data, with no checkpoint policies in between
-        recs = [rec for _, rec in run_passive(
-            envs, ests, cfg.T, policy_mode=cfg.policy_mode,
-            checkpoints=() if cfg.scenario == "bench" else None)]
+    ests = [build_estimator(cfg) for _ in seeds]
+    if cfg.scenario == "passive":
+        recs = [rec for _, rec in run_passive(envs, ests, cfg.T, policy_mode=cfg.policy_mode)]
     elif cfg.scenario == "active":
         recs = [rec for _, rec in run_active(envs, ests, cfg.T)]
     elif cfg.scenario == "deploy":
@@ -69,15 +62,14 @@ def run_single(cfg: ExperimentConfig, seed, estimator_kind: Optional[str] = None
     return recs[0] if single else recs
 
 
-def _seed_chunks(cfg: ExperimentConfig, kind: str) -> List[List[int]]:
+def _seed_chunks(cfg: ExperimentConfig) -> List[List[int]]:
     """The seed groups that run as one lockstep stack each.
 
-    omd runs (except ``bench``, whose output is the cost of one update) split
-    into one contiguous chunk per worker; every other estimator has no stacked
-    update and runs one seed at a time.
+    omd runs split into one contiguous chunk per worker; every other estimator
+    has no stacked update and runs one seed at a time.
     """
     seeds = list(cfg.seeds)
-    if kind != "omd" or cfg.scenario == "bench":
+    if cfg.estimator != "omd":
         return [[s] for s in seeds]
     n = min(cfg.workers, len(seeds))
     size, extra = divmod(len(seeds), n)
@@ -85,24 +77,23 @@ def _seed_chunks(cfg: ExperimentConfig, kind: str) -> List[List[int]]:
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_seed_task(args: Tuple[ExperimentConfig, List[int], Optional[str]]):
+def _run_seed_task(args: Tuple[ExperimentConfig, List[int]]):
     """(seed, record, error) for each seed of a chunk.
 
     A chunk that raises runs again one seed at a time, so the error lands on
     the seed that raised and the other seeds complete.
     """
-    cfg, seeds, kind = args
+    cfg, seeds = args
     try:
-        return list(zip(seeds, run_single(cfg, seeds, estimator_kind=kind), [None] * len(seeds)))
+        return list(zip(seeds, run_single(cfg, seeds), [None] * len(seeds)))
     except Exception as exc:  # algorithmic failure: record, let other seeds run
         if len(seeds) > 1:
-            return [r for seed in seeds for r in _run_seed_task((cfg, [seed], kind))]
+            return [r for seed in seeds for r in _run_seed_task((cfg, [seed]))]
         return [(seeds[0], None, f"{type(exc).__name__}: {exc}")]
 
 
-def _run_all(cfg: ExperimentConfig, kind: Optional[str] = None):
-    kind = kind or cfg.estimator
-    tasks = [(cfg, chunk, kind) for chunk in _seed_chunks(cfg, kind)]
+def _run_all(cfg: ExperimentConfig):
+    tasks = [(cfg, chunk) for chunk in _seed_chunks(cfg)]
     if cfg.workers > 1:
         # imported here: loading multiprocessing costs a one-worker run memory and start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -133,14 +124,6 @@ _FINAL_METRICS = {
 }
 
 
-def _failed_seeds(summaries: List[dict]) -> List[dict]:
-    """Seeds that raised or aborted, with why, sorted by seed."""
-    failed = [{"seed": s["seed"], "error": s["error"] if "error" in s
-               else f"aborted: {s['aborted']}"}
-              for s in summaries if "error" in s or s.get("aborted") is not None]
-    return sorted(failed, key=lambda f: f["seed"])
-
-
 def aggregate_summaries(summaries: List[dict], scenario: str) -> dict:
     """Medians and quartiles of final metrics across completed seeds.
 
@@ -148,14 +131,17 @@ def aggregate_summaries(summaries: List[dict], scenario: str) -> dict:
     a rank statistic, a count, or the seed-sorted list of failed seeds.
     """
     completed = [s for s in summaries if s.get("aborted") is None and "error" not in s]
+    failed = [{"seed": s["seed"], "error": s["error"] if "error" in s
+               else f"aborted: {s['aborted']}"}
+              for s in summaries if "error" in s or s.get("aborted") is not None]
     out = {
         "scenario": scenario,
         "seeds_total": len(summaries),
         "seeds_completed": len(completed),
-        "failed": _failed_seeds(summaries),
+        "failed": sorted(failed, key=lambda f: f["seed"]),
         "metrics": {},
     }
-    for metric in _FINAL_METRICS.get(scenario, ()):
+    for metric in _FINAL_METRICS[scenario]:
         values = [s[metric] for s in completed if metric in s]
         if values:
             out["metrics"][metric] = _quartiles(values)
@@ -170,21 +156,11 @@ class ExperimentResult:
     output_dir: Path
 
 
-def bench_windows(T: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """Early and late inclusive iteration windows for the timing comparison."""
-    early = (max(1, T // 10), max(1, T // 5))
-    late = (max(1, T - T // 10), T)
-    return early, late
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every seed of a config, write per-seed CSV + summary, and aggregate."""
     out_dir = Path(cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     (out_dir / "config.json").write_text(cfg.echo_json(), encoding="utf-8")
-
-    if cfg.scenario == "bench":
-        return _run_bench(cfg, out_dir)
 
     results = _run_all(cfg)
     done = [rec for _, rec, _ in results if rec is not None]
@@ -209,53 +185,3 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         json.dumps(aggregate, indent=2, sort_keys=True), encoding="utf-8")
     return ExperimentResult(cfg, summaries, aggregate, out_dir)
 
-
-def _run_bench(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
-    early, late = bench_windows(cfg.T)
-    table = {}
-    summaries = []
-    for kind in cfg.bench_estimators:
-        rows = []
-        results = _run_all(cfg, kind=kind)
-        for seed, rec, error in results:
-            if rec is None:
-                summaries.append({"seed": seed, "estimator": kind, "error": error})
-                continue
-            stem = f"bench_{kind}_seed{seed}"
-            rec.write_csv(out_dir / f"{stem}.csv")
-            early_mean, late_mean, ratio = timing_profile(rec, early, late)
-            row = {"seed": seed, "estimator": kind,
-                   "early_mean_ns": early_mean, "late_mean_ns": late_mean,
-                   "ratio": ratio}
-            rows.append(row)
-            summaries.append({**rec.summary, **row})
-        if rows:
-            table[kind] = {
-                "early_mean_ns": float(np.median([r["early_mean_ns"] for r in rows])),
-                "late_mean_ns": float(np.median([r["late_mean_ns"] for r in rows])),
-                "ratio": float(np.median([r["ratio"] for r in rows])),
-            }
-    aggregate = {
-        "scenario": "bench",
-        "T": cfg.T,
-        "early_window": list(early),
-        "late_window": list(late),
-        "estimators": table,
-        "failed": _failed_seeds(summaries),
-    }
-    (out_dir / "bench.json").write_text(
-        json.dumps(aggregate, indent=2, sort_keys=True), encoding="utf-8")
-    return ExperimentResult(cfg, summaries, aggregate, out_dir)
-
-
-def format_bench_table(aggregate: dict) -> str:
-    lines = [
-        f"timing windows: early {aggregate['early_window']}, late {aggregate['late_window']}",
-        f"{'estimator':<10} {'early ns':>14} {'late ns':>14} {'ratio':>8}",
-    ]
-    for kind, row in aggregate["estimators"].items():
-        lines.append(
-            f"{kind:<10} {row['early_mean_ns']:>14.1f} {row['late_mean_ns']:>14.1f} "
-            f"{row['ratio']:>8.3f}"
-        )
-    return "\n".join(lines)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from duelbandits.config import (DAMPING_FNS, ESTIMATORS, POLICY_MODES, RADIUS_MO
                                 ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
                                 parse_config, resolve_seeds)
 from duelbandits.exceptions import ConfigError
-from duelbandits.runner import aggregate_summaries, bench_windows, run_experiment
+from duelbandits.runner import aggregate_summaries, run_experiment
 from duelbandits.verify import (
     check_sherman_morrison_agreement,
     check_domination_zero_case,
@@ -53,8 +54,9 @@ class TestParseConfig:
             parse_config({"scenario": "deploy", "T": -5})
 
     def test_unknown_key_named(self):
-        # K and cg_tol are retired hvpcg knobs: an old echoed config holding them fails
-        for key in ("velocity", "K", "cg_tol"):
+        # K and cg_tol are retired hvpcg knobs, and bench_estimators went with the
+        # bench scenario: an old echoed config holding any of them fails
+        for key in ("velocity", "K", "cg_tol", "bench_estimators"):
             with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
                 parse_config({"scenario": "deploy", key: 3})
 
@@ -71,6 +73,8 @@ class TestParseConfig:
             parse_config({"scenario": "deploy", "estimator": "sgd"})
         with pytest.raises(ConfigError, match="'radius_mode'"):
             parse_config({"scenario": "deploy", "radius_mode": "hopeful"})
+        with pytest.raises(ConfigError, match="'scenario'"):
+            parse_config({"scenario": "bench"})
 
     def test_overflowing_kappa_names_B(self):
         # kappa_bound = 3 + exp(2*B*L) overflows a double past 2*B*L ~ 709.78
@@ -89,7 +93,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'seeds'.*\\[7\\]"):
             parse_config({"scenario": "deploy", "seeds": [7, 7, 8]})
 
-    @pytest.mark.parametrize("scenario", ["active", "deploy", "bench"])
+    @pytest.mark.parametrize("scenario", ["active", "deploy"])
     def test_zero_horizon_names_key(self, scenario):
         with pytest.raises(ConfigError, match="'T' must be >= 1"):
             parse_config({"scenario": scenario, "T": 0})
@@ -129,14 +133,12 @@ FIELD_STRATEGIES = {
     "policy_mode": st.sampled_from(POLICY_MODES),
     "output_dir": st.text(min_size=1, max_size=20),
     "workers": st.integers(1, 8),
-    "bench_estimators": st.lists(st.sampled_from(ESTIMATORS), max_size=4),
 }
 VALID_CONFIGS = st.fixed_dictionaries(
     {"scenario": FIELD_STRATEGIES["scenario"]},
     optional={k: v for k, v in FIELD_STRATEGIES.items() if k != "scenario"},
 )
-# the flag of every config key that has one; the seed list and the bench
-# estimator list have none
+# the flag of every config key that has one; the seed list has none
 FLAGS = {
     "scenario": "--scenario", "estimator": "--estimator", "d": "--d",
     "contexts": "--contexts", "actions": "--actions", "B": "--B", "L": "--L", "T": "--T",
@@ -147,6 +149,7 @@ FLAGS = {
     "workers": "--workers",
 }
 PARSER = cli._parser()
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_flags_config(argv) -> dict:
@@ -160,12 +163,12 @@ class TestConfigFields:
         assert list(_FIELD_TYPES) == names
         assert sorted(FIELD_STRATEGIES) == sorted(names)
         assert _OPTIONAL_FIELDS == {"seeds", "eta", "lam"}
-        assert _FIELD_TYPES["seeds"] is list and _FIELD_TYPES["bench_estimators"] is list
+        assert _FIELD_TYPES["seeds"] is list
 
     def test_run_has_one_flag_per_key(self):
         dests = set(vars(PARSER.parse_args(["run"]))) - {"command", "func", "config"}
         assert dests == set(FLAGS)
-        assert sorted(set(_FIELD_TYPES) - set(FLAGS)) == ["bench_estimators", "seeds"]
+        assert sorted(set(_FIELD_TYPES) - set(FLAGS)) == ["seeds"]
 
     @settings(max_examples=200, deadline=None)
     @given(VALID_CONFIGS)
@@ -311,20 +314,6 @@ class TestRunExperiment:
         assert aggregate_summaries(shuffled, "deploy") == base
 
 
-class TestBench:
-    def test_windows(self):
-        assert bench_windows(10_000) == ((1000, 2000), (9000, 10000))
-
-    def test_bench_emits_table(self, tmp_path, capsys):
-        code = main(["bench", "--T", "300", "--d", "3", "--estimators", "omd,implicit",
-                     "--out", str(tmp_path / "bench")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ratio" in out and "omd" in out and "implicit" in out
-        data = json.loads((tmp_path / "bench" / "bench.json").read_text())
-        assert set(data["estimators"]) == {"omd", "implicit"}
-
-
 class TestCli:
     def test_import_leaves_multiprocessing_unloaded(self):
         # a one-worker run never starts a process pool, so importing the
@@ -374,11 +363,24 @@ class TestCli:
         assert agg["failed"] == [{"seed": seeds[1],
                                   "error": "OverflowError: math range error"}]
 
-    def test_bench_zero_horizon_exits_2(self, tmp_path, capsys):
-        code = main(["bench", "--T", "0", "--out", str(tmp_path / "bench0")])
+    def test_active_zero_horizon_exits_2(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "active", "--T", "0",
+                     "--out", str(tmp_path / "active0")])
         assert code == 2
         assert "'T'" in capsys.readouterr().err
-        assert not (tmp_path / "bench0").exists()
+        assert not (tmp_path / "active0").exists()
+
+    def test_readme_cli_block_parses(self):
+        """Every command in README's CLI block parses, and each run command's config too."""
+        section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("duelbandits ")]
+        assert commands
+        for argv in commands:
+            args = PARSER.parse_args(argv)
+            if args.command == "run":
+                parse_config(cli._collect(args))
 
     def test_verify_unknown_check_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -210,6 +210,36 @@ class TestProjection:
         scale_of = np.linalg.norm(M) * np.linalg.norm(theta_prime)
         assert np.linalg.norm(pull - nu * out) <= 1e-8 * scale_of
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.1, 10.0), st.floats(0.0, 3.0),
+           st.sampled_from(["inside", "just_outside", "far_outside"]),
+           st.integers(0, 2**32 - 1))
+    def test_kkt_across_conditioning(self, d, B, log10_cond, where, seed):
+        """Norm matrices up to condition 1e3, points inside, at B*(1 + 1e-6) and far out."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        # eigenvalues spread log-evenly, so cond(M) is 10**log10_cond for d > 1
+        eigs = rng.uniform(0.1, 10.0) * 10.0 ** (log10_cond * np.linspace(0.0, 1.0, d))
+        M = q @ np.diag(eigs) @ q.T
+        scale = {"inside": rng.uniform(0.0, 1.0 - 1e-9), "just_outside": 1.0 + 1e-6,
+                 "far_outside": rng.uniform(2.0, 100.0)}[where]
+        theta_prime = rng.standard_normal(d)
+        theta_prime *= scale * B / np.linalg.norm(theta_prime)
+        out = project_localnorm_ball(theta_prime, M, B)
+        if where == "inside":
+            assert out is not theta_prime and np.array_equal(out, theta_prime)
+            return
+        norm = np.linalg.norm(out)
+        # the closing rescale by B / ||theta|| rounds: up to 2 ulps above B were seen
+        assert norm <= B * (1.0 + 4.0 * np.finfo(float).eps)
+        assert abs(norm - B) <= 1e-10 * B
+        resid_vec = M @ (out - theta_prime)
+        nu = -float(out @ resid_vec) / float(out @ out)
+        assert nu >= -1e-9
+        # the allowance of the projection-kkt verify check
+        bound = 1e-6 * (1.0 + np.linalg.norm(theta_prime) * np.linalg.norm(M))
+        assert np.linalg.norm(resid_vec + nu * out) <= bound
+
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
             project_localnorm_ball(np.ones(2), np.eye(2), 0.0)

@@ -10,6 +10,7 @@ solve instead of a closed form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -68,45 +69,69 @@ def _model_norm(H: np.ndarray, r: np.ndarray):
     return model_norm
 
 
-def _projected_newton(Z, y, theta, B, tol, max_iters, prox=None):
-    """Minimize the logistic loss (plus optional proximal term) over the B-ball.
-
-    Damped Newton with Armijo backtracking (constant 1e-4, shrink 0.5). When
-    the Newton step leaves the ball, the damping is raised until the quadratic
-    model's minimizer lands exactly on the boundary, which keeps the direction
-    a descent direction; naive step-then-project stalls at boundary-pinned
-    optima where constrained logistic fits routinely live.
-
-    ``prox`` is a (center, matrix, inv_step) triple adding
-    (inv_step/2) * ||theta - center||_matrix^2 to the objective. Returns
-    (theta, converged, iterations). Convergence is measured by the norm of the
-    unit-step gradient mapping theta - Proj(theta - grad).
-    """
-    center = matrix = None
-    inv_step = 0.0
-    if prox is not None:
-        center, matrix, inv_step = prox
-        prox_hess = inv_step * matrix
-    dim = theta.shape[0]
-    eye = np.eye(dim)
+def _logistic_objective(Z, y):
+    """(value, grad_hess) of the logistic loss over the rows of Z with labels y."""
 
     def value(th):
-        v = _nll(Z, y, th)
-        if prox is not None:
-            diff = th - center
-            v += 0.5 * inv_step * float(diff @ matrix @ diff)
-        return v
+        return _nll(Z, y, th)
 
     def grad_hess(th):
-        s = Z @ th
-        sig = _sigmoid_rows(s)
-        g = Z.T @ (sig - y)
+        sig = _sigmoid_rows(Z @ th)
         w = sig * (1.0 - sig)
-        H = Z.T @ (w[:, None] * Z)
-        if prox is not None:
-            g = g + inv_step * (matrix @ (th - center))
-            H = H + prox_hess
-        return g, H
+        return Z.T @ (sig - y), Z.T @ (w[:, None] * Z)
+
+    return value, grad_hess
+
+
+def _proximal_objective(z, y, center, matrix, inv_step):
+    """(value, grad_hess) of one sample's logistic loss plus a proximal term.
+
+    The objective is loss(z . theta, y) + (inv_step/2) * ||theta - center||_matrix^2,
+    computed on the float s = z . theta and d-vectors. Each product the n-row
+    loss forms over a single row is one multiplication, so every value,
+    gradient and Hessian has the bits of ``_logistic_objective(z[None, :],
+    [y])`` plus the proximal terms. ``np.exp`` and ``np.logaddexp`` give a
+    float the bits they give a one-element array; ``math.exp`` does not.
+    """
+    prox_hess = inv_step * matrix
+
+    def value(th):
+        s = float(z @ th)
+        diff = th - center
+        return (float(np.logaddexp(0.0, -s if y else s))
+                + 0.5 * inv_step * float(diff @ matrix @ diff))
+
+    def grad_hess(th):
+        s = float(z @ th)
+        if s >= 0:
+            sig = 1.0 / (1.0 + np.exp(-s))
+        else:
+            e = np.exp(s)
+            sig = e / (1.0 + e)
+        w = sig * (1.0 - sig)
+        g = z * (sig - y) + inv_step * (matrix @ (th - center))
+        return g, z[:, None] * (w * z) + prox_hess
+
+    return value, grad_hess
+
+
+def _projected_newton(objective, theta, B, tol, max_iters):
+    """Minimize a smooth convex objective over the B-ball.
+
+    ``objective`` is a (value, grad_hess) pair of functions of theta: the
+    objective's value, and its gradient with its Hessian. Damped Newton with
+    Armijo backtracking (constant 1e-4, shrink 0.5). When the Newton step
+    leaves the ball, the damping is raised until the quadratic model's
+    minimizer lands exactly on the boundary, which keeps the direction a
+    descent direction; naive step-then-project stalls at boundary-pinned
+    optima where constrained logistic fits routinely live.
+
+    Returns (theta, converged, iterations). Convergence is measured by the
+    norm of the unit-step gradient mapping theta - Proj(theta - grad).
+    """
+    value, grad_hess = objective
+    dim = theta.shape[0]
+    eye = np.eye(dim)
 
     iters = 0
     # the objective at theta: computed once, then carried over from the
@@ -226,6 +251,7 @@ class MleRewardEstimator(BaseRewardEstimator):
         self.n_samples_ = 0
         self.last_converged_ = True
         self.last_newton_iters_ = 0
+        self.newton_iters_hist_ = Counter()
         return self
 
     def _append(self, z: np.ndarray, y: int) -> None:
@@ -248,8 +274,9 @@ class MleRewardEstimator(BaseRewardEstimator):
         labels = self._y[: self.n_samples_]
         tol = self.fit_tol if self.fit_tol is not None else 1.0 / self.n_samples_
         self.theta_, self.last_converged_, self.last_newton_iters_ = _projected_newton(
-            Z, labels, self.theta_.copy(), self.B, tol, self.max_newton_iters
-        )
+            _logistic_objective(Z, labels), self.theta_.copy(), self.B, tol,
+            self.max_newton_iters)
+        self.newton_iters_hist_[self.last_newton_iters_] += 1
         self.V_.rank_one_update(z, 1.0)
         self.theta_sum_ = self.theta_sum_ + self.theta_
         self.t_ += 1
@@ -263,8 +290,8 @@ class MleRewardEstimator(BaseRewardEstimator):
         if tol is None:
             tol = self.fit_tol if self.fit_tol is not None else 1.0 / self.n_samples_
         self.theta_, self.last_converged_, self.last_newton_iters_ = _projected_newton(
-            Z, labels, self.theta_.copy(), self.B, tol, self.max_newton_iters
-        )
+            _logistic_objective(Z, labels), self.theta_.copy(), self.B, tol,
+            self.max_newton_iters)
         return self.theta_
 
     def permute_buffer(self, order: np.ndarray) -> None:
@@ -331,18 +358,17 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
         self.local_norm_ = LocalNormMatrix.scaled_identity(self.dim, self.lam_)
         self.last_converged_ = True
         self.last_inner_iters_ = 0
+        self.newton_iters_hist_ = Counter()
         return self
 
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)
         check_label(y)
-        Z = z[None, :]
-        labels = np.array([float(y)])
-        prox = (self.theta_.copy(), self.local_norm_.mat, 1.0 / self.eta_)
+        objective = _proximal_objective(z, y, self.theta_.copy(), self.local_norm_.mat,
+                                        1.0 / self.eta_)
         theta_next, self.last_converged_, self.last_inner_iters_ = _projected_newton(
-            Z, labels, self.theta_.copy(), self.B,
-            self.inner_tol, self.max_inner_iters, prox=prox,
-        )
+            objective, self.theta_.copy(), self.B, self.inner_tol, self.max_inner_iters)
+        self.newton_iters_hist_[self.last_inner_iters_] += 1
         _, hw_next = sigmoid_pair(float(z @ theta_next))
         self.local_norm_.rank_one_update(z, hw_next)
         self.theta_ = theta_next

@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 from .exceptions import ConfigError
 from .linkmath import kappa_bound
 from .onepass import RADIUS_MODES, default_regularization, default_step_size
+from .scenarios import ENUMERATE_BUDGET
 
 __all__ = ["ExperimentConfig", "parse_config", "mix_seed", "resolve_seeds"]
 
@@ -171,6 +172,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not math.isfinite(kappa):
         raise ConfigError(f"configuration key 'B' is too large for L={cfg.L}: "
                           f"kappa = 3 + exp(2*B*L) is not finite at B={cfg.B}")
+    # A**X past 64 contexts is over the budget for any A >= 2 (and 1 for A = 1),
+    # so the power is capped rather than formed for a huge X
+    if (cfg.scenario == "passive" and cfg.policy_mode == "enumerate"
+            and cfg.actions ** min(cfg.contexts, 64) > ENUMERATE_BUDGET):
+        raise ConfigError(f"configuration key 'policy_mode' 'enumerate' would scan "
+                          f"actions**contexts = {cfg.actions}**{cfg.contexts} policies "
+                          f"(> {ENUMERATE_BUDGET}); use 'greedy_percontext'")
     if cfg.delta > 1:
         raise ConfigError(f"configuration key 'delta' must lie in (0, 1], got {cfg.delta}")
     if not (0.0 <= cfg.coverage_skew <= 1.0):

@@ -435,7 +435,7 @@ def _base_summary(rec: RunRecord, estimator, theta_star, aborted: Optional[str])
     for f in rec.flags:
         if f:
             flag_counts[f] = flag_counts.get(f, 0) + 1
-    return {
+    summary = {
         "scenario": rec.scenario,
         "seed": rec.seed,
         "T": rec.T,
@@ -450,6 +450,11 @@ def _base_summary(rec: RunRecord, estimator, theta_star, aborted: Optional[str])
         "flag_counts": flag_counts,
         "estimator_stats": _estimator_stats(estimator),
     }
+    hist = getattr(estimator, "newton_iters_hist_", None)
+    if hist is not None:
+        # entry k: the updates whose damped-Newton solve took k iterations
+        summary["newton_iters_hist"] = [hist[k] for k in range(max(hist, default=-1) + 1)]
+    return summary
 
 
 def _seeds(env, estimator):

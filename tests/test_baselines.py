@@ -190,6 +190,50 @@ class TestExactHelpers:
                 x = (Q.T @ r) / (lam + mu)
                 assert probe(float(mu)) == math.sqrt(float(np.dot(x, x)))
 
+    @staticmethod
+    def n_row_objective(z, y, theta, center, matrix, inv_step):
+        """The proximal objective as the n-row solver formed it on Z = z[None, :]."""
+        Z = z[None, :]
+        labels = np.array([float(y)])
+        s = Z @ theta
+        diff = theta - center
+        value = float((np.logaddexp(0.0, -s) * labels
+                       + np.logaddexp(0.0, s) * (1 - labels)).sum())
+        value += 0.5 * inv_step * float(diff @ matrix @ diff)
+        sig = np.empty_like(s)
+        pos = s >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+        e = np.exp(s[~pos])
+        sig[~pos] = e / (1.0 + e)
+        g = Z.T @ (sig - labels)
+        w = sig * (1.0 - sig)
+        H = Z.T @ (w[:, None] * Z)
+        g = g + inv_step * (matrix @ (theta - center))
+        H = H + inv_step * matrix
+        return value, g, H
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 32), st.sampled_from([0, 1]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, -0.0]) | st.floats(-700.0, 700.0))
+    def test_proximal_objective_matches_n_row_arithmetic(self, d, y, seed, s_target):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(d)
+        if s_target == 0.0:
+            theta = np.full(d, s_target)  # +0.0 or -0.0 in every entry
+        else:
+            theta = rng.standard_normal(d)
+            theta += (s_target - z @ theta) * z / (z @ z)
+        center = rng.standard_normal(d)
+        A = rng.standard_normal((d, d))
+        matrix = A @ A.T + 0.1 * np.eye(d)
+        inv_step = float(rng.uniform(0.01, 2.0))
+        value, grad_hess = baselines._proximal_objective(z, y, center, matrix, inv_step)
+        g, H = grad_hess(theta)
+        ref_value, ref_g, ref_H = self.n_row_objective(z, y, theta, center, matrix, inv_step)
+        assert value(theta) == ref_value
+        assert np.array_equal(g, ref_g)
+        assert np.array_equal(H, ref_H)
+
 
 class TestImplicitOmd:
     def test_zero_feature_difference_is_no_op(self):
@@ -262,16 +306,25 @@ class TestTimeScaling:
         zs = rng.standard_normal((n, d))
         ys = rng.integers(0, 2, size=n)
 
-        def window_means(est):
-            times = np.empty(n)
-            for i in range(n):
-                start = time.perf_counter_ns()
-                est.update(zs[i], int(ys[i]))
-                times[i] = time.perf_counter_ns() - start
-            return float(times[99:200].mean()), float(times[n - 101:].mean())
+        def window_means(make):
+            # one copy brought to update 99, one to update n - 101, on the same
+            # stream; their timed updates alternate, so host drift hits both
+            # windows alike
+            early, late = make().reset(), make().reset()
+            for i in range(n - 101):
+                if i < 99:
+                    early.update(zs[i], int(ys[i]))
+                late.update(zs[i], int(ys[i]))
+            times = np.empty((2, 101))
+            for k in range(101):
+                for row, (est, i) in enumerate(((early, 99 + k), (late, n - 101 + k))):
+                    start = time.perf_counter_ns()
+                    est.update(zs[i], int(ys[i]))
+                    times[row, k] = time.perf_counter_ns() - start
+            return float(times[0].mean()), float(times[1].mean())
 
-        early, late = window_means(MleRewardEstimator(dim=d).reset())
+        early, late = window_means(lambda: MleRewardEstimator(dim=d))
         assert late / early >= 1.5
 
-        early_i, late_i = window_means(ImplicitOmdRewardEstimator(dim=d).reset())
+        early_i, late_i = window_means(lambda: ImplicitOmdRewardEstimator(dim=d))
         assert late_i / early_i <= 2.0

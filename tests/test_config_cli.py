@@ -20,6 +20,7 @@ from duelbandits.config import (DAMPING_FNS, ESTIMATORS, POLICY_MODES, RADIUS_MO
                                 parse_config, resolve_seeds)
 from duelbandits.exceptions import ConfigError
 from duelbandits.runner import aggregate_summaries, run_experiment
+from duelbandits.scenarios import ENUMERATE_BUDGET
 from duelbandits.verify import (
     check_sherman_morrison_agreement,
     check_domination_zero_case,
@@ -102,6 +103,19 @@ class TestParseConfig:
         # T = 0 is the pessimistic policy of the prior alone
         assert parse_config({"scenario": "passive", "T": 0}).T == 0
 
+    def test_enumerate_over_budget_names_policy_mode(self):
+        # 4**11 policies: each seed used to fail at its first checkpoint
+        for contexts, actions in ((11, 4), (10**9, 2)):
+            with pytest.raises(ConfigError, match="'policy_mode'"):
+                parse_config({"scenario": "passive", "contexts": contexts, "actions": actions})
+        # exactly the budget (10**6), one action, greedy mode and other scenarios pass
+        for data in ({"scenario": "passive", "contexts": 6, "actions": 10},
+                     {"scenario": "passive", "contexts": 10**9, "actions": 1},
+                     {"scenario": "passive", "contexts": 11, "actions": 4,
+                      "policy_mode": "greedy_percontext"},
+                     {"scenario": "active", "contexts": 11, "actions": 4}):
+            assert parse_config(data).contexts == data["contexts"]
+
 
 FLOAT_FIELDS = sorted(k for k, target in _FIELD_TYPES.items() if target is float)
 INT_FIELDS = sorted(k for k, target in _FIELD_TYPES.items() if target is int)
@@ -134,10 +148,20 @@ FIELD_STRATEGIES = {
     "output_dir": st.text(min_size=1, max_size=20),
     "workers": st.integers(1, 8),
 }
+
+
+def within_enumerate_budget(data) -> bool:
+    """Whether a passive enumerate config has at most ENUMERATE_BUDGET policies."""
+    if data["scenario"] != "passive" or data.get("policy_mode", "enumerate") != "enumerate":
+        return True
+    actions = data.get("actions", ExperimentConfig.actions)
+    return actions ** data.get("contexts", ExperimentConfig.contexts) <= ENUMERATE_BUDGET
+
+
 VALID_CONFIGS = st.fixed_dictionaries(
     {"scenario": FIELD_STRATEGIES["scenario"]},
     optional={k: v for k, v in FIELD_STRATEGIES.items() if k != "scenario"},
-)
+).filter(within_enumerate_budget)
 # the flag of every config key that has one; the seed list has none
 FLAGS = {
     "scenario": "--scenario", "estimator": "--estimator", "d": "--d",

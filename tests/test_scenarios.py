@@ -489,6 +489,32 @@ class TestRunDeploy:
         rec = run_deploy(default_env, est, 20)
         assert set(rec.summary["estimator_stats"]) == keys
 
+    @pytest.mark.parametrize("cls, attr", [
+        (MleRewardEstimator, "last_newton_iters_"),
+        (ImplicitOmdRewardEstimator, "last_inner_iters_"),
+    ], ids=["mle", "implicit"])
+    def test_newton_iteration_histogram(self, default_env, tmp_path, cls, attr):
+        counts = []
+
+        class Recording(cls):
+            def update(self, z, y):
+                super().update(z, y)
+                counts.append(getattr(self, attr))
+
+        est = Recording(dim=5)
+        _, rec = run_passive(default_env, est, 60, checkpoints=(60,))
+        hist = rec.summary["newton_iters_hist"]
+        assert hist == [counts.count(k) for k in range(max(counts) + 1)]
+        assert sum(hist) == 60 and hist[-1] > 0
+        # kept out of the pinned estimator_stats and of the snapshot
+        assert set(rec.summary["estimator_stats"]) == {"inverse_drift"}
+        est.save(tmp_path / "est.json")
+        assert "hist" not in (tmp_path / "est.json").read_text()
+
+    def test_no_histogram_without_a_newton_solve(self, default_env):
+        rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 20)
+        assert "newton_iters_hist" not in rec.summary
+
 
 def expected_row(rec, i):
     """Row i of a run CSV: str of each id, repr of each float, NaN as an empty cell."""

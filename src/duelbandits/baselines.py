@@ -26,6 +26,9 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
 EPS = np.finfo(float).eps
+SECULAR_STEPS = 20
+
+_solve1 = np.linalg._umath_linalg.solve1
 
 
 def _ball_projection(v: np.ndarray, B: float) -> np.ndarray:
@@ -50,23 +53,124 @@ def _nll(Z: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
 
 
 def _model_norm(H: np.ndarray, r: np.ndarray):
-    """Return mu -> ||(H + mu I)^-1 r|| for symmetric H, each call O(d).
+    """Return (lam, b, probe) for the damped model norm of symmetric H.
 
     One eigendecomposition H = Q diag(lam) Q^T gives
-    ||(H + mu I)^-1 r||^2 = sum_i b_i^2 / (lam_i + mu)^2 with b = Q^T r, so the
-    damping search probes the norm without a dense solve per probe. Every
+    ||(H + mu I)^-1 r||^2 = sum_i b_i^2 / (lam_i + mu)^2 with b = Q^T r, so
+    ``probe(mu)`` returns that norm in O(d), without a dense solve. Every
     probe of one returned function writes b / (lam + mu) into the same buffer.
     """
     lam, Q = np.linalg.eigh(H)
     b = Q.T @ r
     x = np.empty_like(b)
 
-    def model_norm(mu: float) -> float:
+    def probe(mu: float) -> float:
         np.add(lam, mu, out=x)
         np.divide(b, x, out=x)
         return _norm(x)
 
-    return model_norm
+    return lam, b, probe
+
+
+def _secular_seeds(lam, b, B, mu0, radial_tol):
+    """Two damping values just below and just above the boundary root.
+
+    Newton's method on the secular equation 1/B - 1/||b / (lam + mu)|| = 0
+    (Moré & Sorensen 1983), which is concave and decreasing in mu: from
+    max(mu0, ||b||/B - lam_max) its iterates pass to the right of the root
+    and then fall to it. The seeds sit two radial-band half-widths either
+    side of the last iterate. They only decide which probes the damping
+    search makes, never its result.
+    """
+    mu = max(mu0, _norm(b) / B - float(lam[-1]))
+    width = math.nan
+    for _ in range(SECULAR_STEPS):
+        shifted = lam + mu
+        if not shifted[0] > 0.0:
+            return math.nan, math.nan
+        x = b / shifted
+        nrm2 = float(x.dot(x))
+        curv = float((x / shifted).dot(x))  # sum_i b_i^2 / (lam_i + mu)^3
+        if not curv > 0.0:
+            return math.nan, math.nan
+        nrm = math.sqrt(nrm2)
+        # mu-width of the radial band: radial_tol over |d||x||/dmu| = curv/||x||
+        width = radial_tol * nrm / curv
+        step = (nrm / B - 1.0) * nrm2 / curv
+        mu += step
+        if abs(step) <= 0.5 * width:
+            break
+    return mu - 2.0 * width, mu + 2.0 * width
+
+
+def _boundary_damping(H, rhs, mu0, B, radial_tol):
+    """The damping whose model minimizer lands on the B-sphere, and the real probes made.
+
+    Brackets the damping by fours from max(mu0, 1e-6), then bisects until the
+    model norm is within radial_tol of B. Each norm the two loops ask for is
+    answered by a certificate when one holds, else by a real probe. While
+    every lam_i + mu > 0 the probe is monotone non-increasing in mu in
+    floating point too (np.add, np.divide, a dot of squares and sqrt each
+    round monotonically), so a real probe outside the radial band and above B
+    answers every smaller mu, and one outside the band and below B every
+    larger mu; a probe inside the band answers nothing. The loops therefore
+    end on the mid they end on with a real probe at every call. When
+    lam_min + mu0 <= 0 every call is a real probe.
+    """
+    lam, b, probe = _model_norm(H, rhs)
+    probes = 0
+    above, below = -math.inf, math.inf
+    certify = lam[0] + mu0 > 0.0
+
+    def model_norm(mu):
+        nonlocal above, below, probes
+        if mu <= above:
+            return math.inf
+        if mu >= below:
+            return 0.0
+        probes += 1
+        nrm = probe(mu)
+        if certify and abs(nrm - B) > radial_tol:
+            if nrm > B:
+                above = mu
+            else:
+                below = mu
+        return nrm
+
+    if certify:
+        for seed in _secular_seeds(lam, b, B, mu0, radial_tol):
+            if seed >= mu0:  # never true for a NaN
+                model_norm(seed)
+    lo, hi = mu0, max(mu0, 1e-6)
+    for _ in range(200):
+        if model_norm(hi) < B:
+            break
+        hi *= 4.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        nrm = model_norm(mid)
+        if abs(nrm - B) <= radial_tol:
+            break
+        if nrm > B:
+            lo = mid
+        else:
+            hi = mid
+    return mid, probes
+
+
+def _solve(A: np.ndarray, b: np.ndarray):
+    """(A^-1 b, its norm) for float64 A (d, d) and b (d,), bit for bit ``np.linalg.solve``.
+
+    Calls the LAPACK gufunc ``np.linalg.solve`` itself calls, with the same
+    signature, without its wrapper. The wrapper turns a singular A into a
+    LinAlgError through an errstate handler; the gufunc alone returns NaN, so
+    a non-finite solution raises LinAlgError here.
+    """
+    x = _solve1(A, b, signature="dd->d")
+    nrm = _norm(x)
+    if not math.isfinite(nrm):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x, nrm
 
 
 def _logistic_objective(Z, y):
@@ -115,7 +219,7 @@ def _proximal_objective(z, y, center, matrix, inv_step):
     return value, grad_hess
 
 
-def _projected_newton(objective, theta, B, tol, max_iters):
+def _projected_newton(objective, theta, B, tol, max_iters, counts):
     """Minimize a smooth convex objective over the B-ball.
 
     ``objective`` is a (value, grad_hess) pair of functions of theta: the
@@ -128,6 +232,8 @@ def _projected_newton(objective, theta, B, tol, max_iters):
 
     Returns (theta, converged, iterations). Convergence is measured by the
     norm of the unit-step gradient mapping theta - Proj(theta - grad).
+    ``counts`` (a Counter) gains the boundary damping searches run and the
+    real norm probes they made.
     """
     value, grad_hess = objective
     dim = theta.shape[0]
@@ -151,32 +257,20 @@ def _projected_newton(objective, theta, B, tol, max_iters):
         # solvability damping, scaled down with the mapping so its bias on the
         # fixed point stays far below any convergence tolerance
         mu0 = (1e-12 + 1e-3 * min(mapping_norm, 1.0)) * (1.0 + float(H.trace()) / dim)
-        target = np.linalg.solve(H + mu0 * eye, rhs)
-        if _norm(target) > B:
+        target, target_norm = _solve(H + mu0 * eye, rhs)
+        if target_norm > B:
             # Newton wants to leave the ball: raise the damping until the
             # model minimizer lands on the boundary (norm decreases in mu).
             # The radial tolerance tightens with the mapping so its slop never
             # dominates the remaining step near a pinned optimum.
             radial_tol = max(1e-14, min(1e-10, 1e-3 * mapping_norm)) * B
-            model_norm = _model_norm(H, rhs)
-            lo, hi = mu0, max(mu0, 1e-6)
-            for _ in range(200):
-                if model_norm(hi) < B:
-                    break
-                hi *= 4.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                nrm = model_norm(mid)
-                if abs(nrm - B) <= radial_tol:
-                    break
-                if nrm > B:
-                    lo = mid
-                else:
-                    hi = mid
-            target = np.linalg.solve(H + mid * eye, rhs)
+            mid, probes = _boundary_damping(H, rhs, mu0, B, radial_tol)
+            counts["boundary_searches"] += 1
+            counts["boundary_probes"] += probes
+            target, target_norm = _solve(H + mid * eye, rhs)
             # land exactly on the boundary: any inward radial slop turns the
             # direction ascent at a pinned optimum and stalls the line search
-            target = target * (B / _norm(target))
+            target = target * (B / target_norm)
         direction = target - theta
         step = 1.0
         # slack admits steps whose true decrease sits below the float
@@ -252,6 +346,7 @@ class MleRewardEstimator(BaseRewardEstimator):
         self.last_converged_ = True
         self.last_newton_iters_ = 0
         self.newton_iters_hist_ = Counter()
+        self.boundary_counts_ = Counter()
         return self
 
     def _append(self, z: np.ndarray, y: int) -> None:
@@ -275,7 +370,7 @@ class MleRewardEstimator(BaseRewardEstimator):
         tol = self.fit_tol if self.fit_tol is not None else 1.0 / self.n_samples_
         self.theta_, self.last_converged_, self.last_newton_iters_ = _projected_newton(
             _logistic_objective(Z, labels), self.theta_.copy(), self.B, tol,
-            self.max_newton_iters)
+            self.max_newton_iters, self.boundary_counts_)
         self.newton_iters_hist_[self.last_newton_iters_] += 1
         self.V_.rank_one_update(z, 1.0)
         self.theta_sum_ = self.theta_sum_ + self.theta_
@@ -291,7 +386,7 @@ class MleRewardEstimator(BaseRewardEstimator):
             tol = self.fit_tol if self.fit_tol is not None else 1.0 / self.n_samples_
         self.theta_, self.last_converged_, self.last_newton_iters_ = _projected_newton(
             _logistic_objective(Z, labels), self.theta_.copy(), self.B, tol,
-            self.max_newton_iters)
+            self.max_newton_iters, self.boundary_counts_)
         return self.theta_
 
     def permute_buffer(self, order: np.ndarray) -> None:
@@ -359,6 +454,7 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
         self.last_converged_ = True
         self.last_inner_iters_ = 0
         self.newton_iters_hist_ = Counter()
+        self.boundary_counts_ = Counter()
         return self
 
     def update(self, z: np.ndarray, y: int) -> None:
@@ -367,7 +463,8 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
         objective = _proximal_objective(z, y, self.theta_.copy(), self.local_norm_.mat,
                                         1.0 / self.eta_)
         theta_next, self.last_converged_, self.last_inner_iters_ = _projected_newton(
-            objective, self.theta_.copy(), self.B, self.inner_tol, self.max_inner_iters)
+            objective, self.theta_.copy(), self.B, self.inner_tol, self.max_inner_iters,
+            self.boundary_counts_)
         self.newton_iters_hist_[self.last_inner_iters_] += 1
         _, hw_next = sigmoid_pair(float(z @ theta_next))
         self.local_norm_.rank_one_update(z, hw_next)

@@ -454,6 +454,12 @@ def _base_summary(rec: RunRecord, estimator, theta_star, aborted: Optional[str])
     if hist is not None:
         # entry k: the updates whose damped-Newton solve took k iterations
         summary["newton_iters_hist"] = [hist[k] for k in range(max(hist, default=-1) + 1)]
+    counts = getattr(estimator, "boundary_counts_", None)
+    if counts is not None:
+        # damped-Newton steps that left the ball, and the real norm probes
+        # their damping searches made
+        summary["boundary_searches"] = counts["boundary_searches"]
+        summary["boundary_probes"] = counts["boundary_probes"]
     return summary
 
 

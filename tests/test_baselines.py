@@ -1,7 +1,9 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -131,13 +133,13 @@ class TestBoundarySearch:
         model_norm = baselines._model_norm
 
         def recording(H, r):
-            norm = model_norm(H, r)
+            lam, b, norm = model_norm(H, r)
 
             def probe(mu):
                 probes.append((H, r, mu, norm(mu)))
                 return probes[-1][3]
 
-            return probe
+            return lam, b, probe
 
         monkeypatch.setattr(baselines, "_model_norm", recording)
         self.fit(est, Z[350:], y[350:])
@@ -145,6 +147,92 @@ class TestBoundarySearch:
         for H, r, mu, nrm in probes:
             dense = float(np.linalg.norm(np.linalg.solve(H + mu * np.eye(d), r)))
             assert abs(nrm - dense) <= 1e-12 * dense
+
+    @staticmethod
+    def plain_damping(H, r, mu0, B, radial_tol):
+        """The damping search's bracket and bisection with a real probe at every call.
+
+        Returns (mid, calls)."""
+        _, _, model_norm = baselines._model_norm(H, r)
+        calls = 0
+
+        def probe(mu):
+            nonlocal calls
+            calls += 1
+            return model_norm(mu)
+
+        lo, hi = mu0, max(mu0, 1e-6)
+        for _ in range(200):
+            if probe(hi) < B:
+                break
+            hi *= 4.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            nrm = probe(mid)
+            if abs(nrm - B) <= radial_tol:
+                break
+            if nrm > B:
+                lo = mid
+            else:
+                hi = mid
+        return mid, calls
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 32), st.integers(0, 2**32 - 1), st.floats(0.0, 6.0),
+           st.sampled_from(["full", "rank_deficient", "indefinite"]), st.floats(0.1, 10.0),
+           st.floats(-14.0, -10.0), st.floats(0.0, 1.0), st.floats(1e-6, 4.0),
+           st.sampled_from(["newton", "nan", "far_low", "far_high", "answer"]))
+    def test_certified_search_ends_on_the_plain_mid(self, d, seed, log_cond, shape, B,
+                                                    log_tol, mapping, log_excess, seeds):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-2.0, 3.0)
+        if shape == "rank_deficient" and d > 1:
+            # n < d rows: eigh returns zeros as tiny eigenvalues of either sign
+            Z = rng.standard_normal((int(rng.integers(1, d)), d))
+            H = scale * (Z.T @ Z)
+        else:
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            H = (Q * (scale * np.geomspace(1.0, 10.0 ** -log_cond, d))) @ Q.T
+            H = 0.5 * (H + H.T)
+        mu0 = (1e-12 + 1e-3 * mapping) * (1.0 + float(H.trace()) / d)
+        if shape == "indefinite":
+            # lam_min + mu0 <= 0: the probe is not monotone there
+            H = H - (mu0 + scale * rng.uniform(0.0, 1.0)) * np.eye(d)
+        lam = np.linalg.eigh(H)[0]
+        r = rng.standard_normal(d)
+        if lam[0] + mu0 > 0.0:
+            # the model minimizer at mu0 lies outside the ball, as in the solver
+            r *= B * 10.0 ** log_excess / baselines._model_norm(H, r)[2](mu0)
+        radial_tol = 10.0 ** log_tol * B
+        ref_mid, calls = self.plain_damping(H, r, mu0, B, radial_tol)
+        forced = {"nan": (math.nan, math.nan), "far_low": (mu0, mu0 + 1e-9 * ref_mid),
+                  "far_high": (1e6 * ref_mid, 1e12 * ref_mid), "answer": (ref_mid, ref_mid)}
+        seeder = (baselines._secular_seeds if seeds == "newton"
+                  else lambda *args: forced[seeds])
+        with mock.patch.object(baselines, "_secular_seeds", seeder):
+            mid, probes = baselines._boundary_damping(H, r, mu0, B, radial_tol)
+        assert mid == ref_mid
+        assert probes <= calls + 2
+        if not lam[0] + mu0 > 0.0:
+            assert probes == calls  # no certificate: a real probe at every call
+
+    def test_certified_search_probes_few_and_seeds_change_only_the_count(self):
+        Z, y, B = self.pinned_problem()
+
+        def fit(seeder):
+            est = MleRewardEstimator(dim=Z.shape[1], B=B, fit_tol=1e-10,
+                                     max_newton_iters=200).reset()
+            with mock.patch.object(baselines, "_secular_seeds", seeder):
+                return self.fit(est, Z, y)
+
+        newton = fit(baselines._secular_seeds)
+        nan = fit(lambda *args: (math.nan, math.nan))
+        assert np.array_equal(newton.theta_, nan.theta_)
+        searches = newton.boundary_counts_["boundary_searches"]
+        assert searches == nan.boundary_counts_["boundary_searches"] > 300
+        assert newton.boundary_counts_["boundary_probes"] <= 8 * searches
+        assert nan.boundary_counts_["boundary_probes"] > 2 * newton.boundary_counts_[
+            "boundary_probes"]
 
     def test_fit_lands_on_boundary_with_kkt(self):
         Z, y, B = self.pinned_problem()
@@ -180,7 +268,7 @@ class TestExactHelpers:
         for _ in range(2):
             A = rng.standard_normal((d + 2, d))
             problems.append((A.T @ A, rng.standard_normal(d)))
-        probes = [baselines._model_norm(H, r) for H, r in problems]
+        probes = [baselines._model_norm(H, r)[2] for H, r in problems]
         mus = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 15)])
         order = rng.permutation(len(mus))
         for mu in np.concatenate([mus[order], mus[order[::-1]]]):
@@ -189,6 +277,30 @@ class TestExactHelpers:
                 lam, Q = np.linalg.eigh(H)
                 x = (Q.T @ r) / (lam + mu)
                 assert probe(float(mu)) == math.sqrt(float(np.dot(x, x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.booleans())
+    def test_solve_matches_numpy(self, d, seed, spd):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((d, d))
+        if spd:  # the damped Hessians the solver passes
+            A = A @ A.T + 10.0 ** rng.uniform(-12.0, 0.0) * np.eye(d)
+        b = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0)
+        x, nrm = baselines._solve(A, b)
+        ref = np.linalg.solve(A, b)
+        assert x.tobytes() == ref.tobytes()
+        assert nrm == baselines._norm(ref)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("A", [np.zeros((1, 1)), np.ones((3, 3)),
+                                   np.array([[1.0, 2.0], [2.0, 4.0]])],
+                             ids=["zero", "ones", "rank_one"])
+    def test_solve_raises_on_a_singular_matrix(self, A):
+        b = np.ones(A.shape[0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, b)
+        with pytest.raises(np.linalg.LinAlgError):
+            baselines._solve(A, b)
 
     @staticmethod
     def n_row_objective(z, y, theta, center, matrix, inv_step):

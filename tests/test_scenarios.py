@@ -13,7 +13,7 @@ from duelbandits.environment import (
     Policy,
     make_environment,
 )
-from duelbandits import onepass, scenarios
+from duelbandits import baselines, onepass, scenarios
 from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from duelbandits.config import resolve_seeds
 from duelbandits.exceptions import NumericFailure
@@ -511,9 +511,37 @@ class TestRunDeploy:
         est.save(tmp_path / "est.json")
         assert "hist" not in (tmp_path / "est.json").read_text()
 
+    @pytest.mark.parametrize("est", [
+        MleRewardEstimator(dim=5),
+        ImplicitOmdRewardEstimator(dim=5, B=0.1, eta=10.0, lam=1e-3),
+    ], ids=["mle", "implicit"])
+    def test_boundary_search_counts(self, default_env, tmp_path, monkeypatch, est):
+        searches, probes = [], []
+        model_norm = baselines._model_norm
+
+        def recording(H, r):
+            lam, b, probe = model_norm(H, r)
+            searches.append(H)
+
+            def real_probe(mu):
+                probes.append(mu)
+                return probe(mu)
+
+            return lam, b, real_probe
+
+        monkeypatch.setattr(baselines, "_model_norm", recording)
+        _, rec = run_passive(default_env, est, 60, checkpoints=(60,))
+        assert rec.summary["boundary_searches"] == len(searches) > 20
+        assert rec.summary["boundary_probes"] == len(probes) < 8 * len(searches)
+        # kept out of the pinned estimator_stats and of the snapshot
+        assert set(rec.summary["estimator_stats"]) == {"inverse_drift"}
+        est.save(tmp_path / "est.json")
+        assert "boundary" not in (tmp_path / "est.json").read_text()
+
     def test_no_histogram_without_a_newton_solve(self, default_env):
         rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 20)
-        assert "newton_iters_hist" not in rec.summary
+        assert not {"newton_iters_hist", "boundary_searches",
+                    "boundary_probes"} & set(rec.summary)
 
 
 def expected_row(rec, i):

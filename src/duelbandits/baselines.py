@@ -76,18 +76,16 @@ def _secular_seeds(lam, b, B, mu0, radial_tol):
     """Two damping values just below and just above the boundary root.
 
     Newton's method on the secular equation 1/B - 1/||b / (lam + mu)|| = 0
-    (Moré & Sorensen 1983), which is concave and decreasing in mu: from
-    max(mu0, ||b||/B - lam_max) its iterates pass to the right of the root
-    and then fall to it. The seeds sit two radial-band half-widths either
-    side of the last iterate. They only decide which probes the damping
-    search makes, never its result.
+    (Moré & Sorensen 1983), which is convex and decreasing in mu: from
+    max(mu0, ||b||/B - lam_max), which lies at or left of the root, its
+    iterates rise monotonically to it. The seeds sit two radial-band
+    half-widths either side of the last iterate. They only decide which
+    probes the damping search makes, never its result.
     """
     mu = max(mu0, _norm(b) / B - float(lam[-1]))
     width = math.nan
     for _ in range(SECULAR_STEPS):
         shifted = lam + mu
-        if not shifted[0] > 0.0:
-            return math.nan, math.nan
         x = b / shifted
         nrm2 = float(x.dot(x))
         curv = float((x / shifted).dot(x))  # sum_i b_i^2 / (lam_i + mu)^3

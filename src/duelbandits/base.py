@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .linalg import LocalNormMatrix
+from .linkmath import sigmoid_rows
 
 __all__ = ["check_vector", "check_label", "check_pair_samples", "practical_radius",
            "BaseRewardEstimator"]
@@ -142,13 +143,7 @@ class BaseRewardEstimator:
 
     def predict_proba(self, Z) -> np.ndarray:
         """P(first action preferred) = sigma(z . theta) for feature-difference rows."""
-        logits = self.predict(Z)
-        out = np.empty_like(logits)
-        pos = logits >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-        e = np.exp(logits[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        return sigmoid_rows(self.predict(Z))
 
     def averaged_theta(self) -> np.ndarray:
         """Average of all iterates produced so far, the zero initial one included."""

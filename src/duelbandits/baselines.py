@@ -17,7 +17,7 @@ import numpy as np
 
 from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .linalg import LocalNormMatrix
-from .linkmath import kappa_bound, sigmoid_pair
+from .linkmath import kappa_bound, sigmoid_pair, sigmoid_rows
 from .onepass import _norm, default_regularization, default_step_size
 
 __all__ = ["MleRewardEstimator", "ImplicitOmdRewardEstimator"]
@@ -36,15 +36,6 @@ def _ball_projection(v: np.ndarray, B: float) -> np.ndarray:
     if nrm <= B:
         return v
     return v * (B / nrm)
-
-
-def _sigmoid_rows(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def _nll(Z: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
@@ -178,7 +169,7 @@ def _logistic_objective(Z, y):
         return _nll(Z, y, th)
 
     def grad_hess(th):
-        sig = _sigmoid_rows(Z @ th)
+        sig = sigmoid_rows(Z @ th)
         w = sig * (1.0 - sig)
         return Z.T @ (sig - y), Z.T @ (w[:, None] * Z)
 
@@ -363,19 +354,14 @@ class MleRewardEstimator(BaseRewardEstimator):
         z = check_vector(z, self.dim)
         check_label(y)
         self._append(z, y)
-        Z = self._Z[: self.n_samples_]
-        labels = self._y[: self.n_samples_]
-        tol = self.fit_tol if self.fit_tol is not None else 1.0 / self.n_samples_
-        self.theta_, self.last_converged_, self.last_newton_iters_ = _projected_newton(
-            _logistic_objective(Z, labels), self.theta_.copy(), self.B, tol,
-            self.max_newton_iters, self.boundary_counts_)
+        self.refit()
         self.newton_iters_hist_[self.last_newton_iters_] += 1
         self.V_.rank_one_update(z, 1.0)
         self.theta_sum_ = self.theta_sum_ + self.theta_
         self.t_ += 1
 
     def refit(self, tol: Optional[float] = None) -> np.ndarray:
-        """Re-run the constrained fit on the current buffer (e.g. after a permutation)."""
+        """Fit the constrained MLE to the current buffer, from theta_ (each update; a permutation)."""
         if self.n_samples_ == 0:
             return self.theta_
         Z = self._Z[: self.n_samples_]

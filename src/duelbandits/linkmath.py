@@ -9,6 +9,7 @@ import numpy as np
 
 __all__ = [
     "sigmoid_pair",
+    "sigmoid_rows",
     "log_loss",
     "bt_sample",
     "kappa_bound",
@@ -43,6 +44,16 @@ def sigmoid_pair(w) -> Tuple[float, float]:
     return s, s * (1.0 - s)
 
 
+def sigmoid_rows(s: np.ndarray) -> np.ndarray:
+    """sigma(s) for an array of arguments, each through exp of a non-positive number."""
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    e = np.exp(s[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def log_loss(w: float, y: int) -> float:
     """Binary logistic loss -y*log(sigma(w)) - (1-y)*log(1-sigma(w)), overflow-safe."""
     if y not in (0, 1):
@@ -57,10 +68,10 @@ def bt_sample(reward_a, reward_b, rng):
     """Draw a Bradley-Terry preference label.
 
     Returns 1 (first action preferred) with probability sigma(reward_a - reward_b).
-    For numpy arrays of rewards, one pair per seed of a lockstep stack, ``rng`` is
-    the array of uniform draws, each taken from its own seed's generator at
-    the point a single run would call ``rng.random()``; the labels come back
-    as an int array.
+    ``rng`` is a generator, or the float uniform draw it would give at this
+    point. For numpy arrays of rewards, one pair per seed of a lockstep stack,
+    ``rng`` is the array of uniform draws, each taken from its own seed's
+    generator; the labels come back as an int array.
     """
     if isinstance(reward_a, np.ndarray) and reward_a.ndim:
         diffs = np.subtract(reward_a, reward_b).tolist()
@@ -70,7 +81,7 @@ def bt_sample(reward_a, reward_b, rng):
     if not (math.isfinite(reward_a) and math.isfinite(reward_b)):
         raise ValueError("rewards must be finite")
     p, _ = sigmoid_pair(reward_a - reward_b)
-    return 1 if rng.random() < p else 0
+    return 1 if (rng if isinstance(rng, float) else rng.random()) < p else 0
 
 
 def kappa_bound(B: float, L: float) -> float:

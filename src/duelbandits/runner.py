@@ -43,8 +43,8 @@ def run_single(cfg: ExperimentConfig, seed):
     """Seeded runs: a fresh environment and estimator per seed, one scenario loop.
 
     ``seed`` is one seed, giving one RunRecord, or a list of seeds, giving one
-    RunRecord each. Several seeds of an estimator with a stacked update (omd)
-    run in lockstep; other estimators run them one after another.
+    RunRecord each. The scenario groups them: several seeds of an estimator
+    with a stacked update (omd) run in lockstep, other seeds one at a time.
     """
     single = not isinstance(seed, (list, tuple))
     seeds = [seed] if single else list(seed)
@@ -63,14 +63,8 @@ def run_single(cfg: ExperimentConfig, seed):
 
 
 def _seed_chunks(cfg: ExperimentConfig) -> List[List[int]]:
-    """The seed groups that run as one lockstep stack each.
-
-    omd runs split into one contiguous chunk per worker; every other estimator
-    has no stacked update and runs one seed at a time.
-    """
+    """One contiguous chunk of seeds per worker; each chunk is one ``run_single`` call."""
     seeds = list(cfg.seeds)
-    if cfg.estimator != "omd":
-        return [[s] for s in seeds]
     n = min(cfg.workers, len(seeds))
     size, extra = divmod(len(seeds), n)
     bounds = [k * size + min(k, extra) for k in range(n + 1)]

@@ -8,16 +8,20 @@ plus an exploration-bonused partner and pays dueling regret against the
 optimal action.
 
 Each scenario runs one seed, or equal-length sequences of environments and
-estimators. Several seeds whose estimator has a stacked update
-(``stack``/``unstack``) run in lockstep: one round advances every seed, and
-one update call steps them all. Other seeds run one after another. Every
-seed's record is exactly the one it would get alone.
+estimators, through one round loop, ``_run_loop``, a group of seeds at a
+time. Several seeds whose estimator has a stacked update (``stack``/
+``unstack``) form one lockstep group: one round advances every seed, and one
+update call steps them all. Any other seed is a group of its own, indexed by
+the int 0 so that its rounds work on plain (d,) vectors. Each scenario builds
+one chooser per group from stacked tables. Every seed's record is exactly the
+one it would get alone.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -338,7 +342,7 @@ def select_most_uncertain(pair_diffs: np.ndarray, norm_inv: np.ndarray,
         idx = _certified_argmax(pair_diffs, norm_inv, memo)
     if idx.ndim == 0:
         x, rest = divmod(int(idx), len(pairs))
-        return (x, *pairs[rest])
+        return (x, *np.asarray(pairs[rest]).tolist())
     x, rest = np.divmod(idx, len(pairs))
     a, b = np.asarray(pairs)[rest].T
     return x, a, b
@@ -473,15 +477,18 @@ def _seeds(env, estimator):
     return envs, estimators, False
 
 
-def _lockstep(estimators) -> bool:
-    """Whether the seeds step as one stack: several of them, with a stacked update."""
-    return len(estimators) > 1 and hasattr(type(estimators[0]), "stack")
+def _groups(envs: Sequence[Environment], estimators, stream_seed: Optional[int]):
+    """The (environments, estimators, streams) of each group ``_run_loop`` runs, in seed order.
 
-
-def _streams(envs: Sequence[Environment], stream_seed: Optional[int]):
-    """Each seed's random stream: from its environment's seed unless overridden."""
-    return [np.random.default_rng((env.rng_seed, 1) if stream_seed is None else stream_seed)
-            for env in envs]
+    Several seeds of an estimator with a stacked update (``stack``/``unstack``)
+    form one lockstep group; any other seed is a group of its own. Each seed's
+    random stream comes from its environment's seed unless overridden.
+    """
+    streams = [np.random.default_rng((env.rng_seed, 1) if stream_seed is None else stream_seed)
+               for env in envs]
+    if len(envs) > 1 and hasattr(type(estimators[0]), "stack"):
+        return [(envs, estimators, streams)]
+    return [([e], [est], [rng]) for e, est, rng in zip(envs, estimators, streams)]
 
 
 class _Draws:
@@ -489,31 +496,31 @@ class _Draws:
 
     ``rng.random(n)`` gives the same doubles as n calls of ``rng.random()``,
     so each seed's stream is read a block of rounds at a time, and memory
-    stays O(S) whatever the horizon. ``draws(rows, i)`` is round i's
-    (seeds, per_round) block.
+    stays O(S) whatever the horizon. ``draws(rows, i, k)`` is round i's k-th
+    draw for the seeds ``rows``. Given the (S, contexts) cumulative context
+    weights ``cum_rho``, draw 0 of a round is instead the context id the
+    inverse-CDF lookup of ``Environment.draw_context`` picks with it, found
+    once a block for every seed.
     """
 
     BLOCK_ROUNDS = 256
 
-    def __init__(self, streams, per_round: int):
-        self.streams, self.per_round = streams, per_round
-        self.block, self.first = None, None
+    def __init__(self, streams, per_round: int, cum_rho: Optional[np.ndarray] = None):
+        self.streams, self.per_round, self.cum_rho = streams, per_round, cum_rho
+        self.columns, self.first = None, None
 
-    def __call__(self, rows, i: int) -> np.ndarray:
+    def __call__(self, rows, i: int, k: int):
         first = i - i % self.BLOCK_ROUNDS
         if first != self.first:
             n = self.BLOCK_ROUNDS * self.per_round
-            self.block = np.stack([rng.random(n).reshape(-1, self.per_round)
-                                   for rng in self.streams])
+            block = np.stack([rng.random(n).reshape(-1, self.per_round) for rng in self.streams])
+            self.columns = list(np.moveaxis(block, 2, 0))
+            if self.cum_rho is not None:
+                found = [np.searchsorted(cum, u, side="right")
+                         for cum, u in zip(self.cum_rho, self.columns[0])]
+                self.columns[0] = np.minimum(found, self.cum_rho.shape[1] - 1)
             self.first = first
-        return self.block[rows, i - first]
-
-
-def _start(estimators, T: int) -> None:
-    for est in estimators:
-        if getattr(est, "horizon", False) is None:
-            est.horizon = max(T, 1)
-        est.reset()
+        return self.columns[k][rows, i - first]
 
 
 def _finish(rec: _Recorder, s: int, env: Environment, estimator, aborted: Optional[str],
@@ -530,96 +537,59 @@ def _finish(rec: _Recorder, s: int, env: Environment, estimator, aborted: Option
     return final, record
 
 
-def _run_loop(scenario: str, env: Environment, estimator, T: int, choose: Callable,
-              policy: Optional[Callable] = None,
-              checkpoints: Optional[Sequence[int]] = None,
-              on_step: Optional[Callable] = None) -> Tuple[Optional[Policy], RunRecord]:
-    """The round structure all three scenarios share, for one seed.
+def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
+              choose: Callable, policy: Optional[Callable] = None,
+              checkpoints: Optional[Sequence[int]] = None
+              ) -> List[Tuple[Optional[Policy], RunRecord]]:
+    """The round structure all three scenarios share, for one group of seeds (``_groups``).
 
-    Each round ``choose()`` returns the played (x, a, a', y) and the radius
-    its choice used. The estimate is captured before the timed update; a
-    NumericFailure there flags the round ``update_failed`` and ends the run.
-    After a successful update come ``on_step(rec, i, x, a, a')``, the step
-    flag, the domination audit, and the suboptimality of
-    ``policy(estimator, env)`` at the rounds in ``checkpoints`` (default:
-    ``default_checkpoints(T)``). A run with a ``policy`` that no failure cut
-    short ends by extracting it. The record is row 0 of a one-seed recorder.
-    """
-    _start([estimator], T)
-    ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
-    theta_star = env.truth.theta_star
-    rec = _Recorder(scenario, [env.rng_seed], T)
-    audit = _DominationAudit([estimator], [env], T)
-    aborted = None
-    for t in range(1, T + 1):
-        i = t - 1
-        x, a, b, yy, beta = choose()
-        z = env.z_of(x, a, b)
-        diff = estimator.theta_ - theta_star
-        rec.err_l2[0, i] = math.sqrt(float(diff @ diff))
-        rec.err_local[0, i] = estimator.local_norm(diff)
-        rec.beta[0, i] = beta
-        rec.x[0, i], rec.a[0, i], rec.a_prime[0, i], rec.y[0, i] = x, a, b, yy
-        try:
-            start = time.perf_counter_ns()
-            estimator.update(z, yy)
-            rec.wall[0, i] = time.perf_counter_ns() - start
-        except NumericFailure as exc:
-            rec.flags[0][i] = "update_failed"
-            rec.n[0] = t
-            aborted = str(exc)
-            break
-        if on_step is not None:
-            on_step(rec, i, x, a, b)
-        if not getattr(estimator, "last_converged_", True):
-            rec.flags[0][i] = "inner_nonconverged"
-        audit.step(z, 0)
-        if t in audit.points:
-            audit.check(t, (0,))
-        rec.n[0] = t
-        if t in ckpts:
-            rec.subopt_ckpt[0, i] = subopt(policy(estimator, env), env)
-    return _finish(rec, 0, env, estimator, aborted, audit, policy)
+    A lone seed steps its own estimator, and ``idx`` and ``rows`` are the int
+    0, so every array of its rounds stays a (d,) vector. A lockstep group
+    steps one stack: ``idx`` holds the positions of the seeds still running,
+    in stack-row order, and ``rows`` selects the same seeds (a plain slice
+    while every seed runs). Each round ``choose(stack, idx, rows, i)`` returns
+    the played x, a, a', y (one per running seed) and the radius the choice
+    used. The estimate is captured before the timed update, and each running
+    seed's ``wall_nanos`` is an equal share of the update time. A
+    NumericFailure in the update flags the failing seed's round
+    ``update_failed`` and ends that seed's run; the others in a stack retry
+    the round without it. After a successful update come the
+    ``inner_nonconverged`` flag, the domination audit, and the suboptimality
+    of ``policy(estimator, env)`` at the rounds in ``checkpoints`` (default:
+    ``default_checkpoints(T)``). A seed with a ``policy`` that no failure cut
+    short ends by extracting it.
 
-
-def _run_lockstep(scenario: str, envs: Sequence[Environment], estimators, T: int,
-                  choose: Callable, policy: Optional[Callable] = None,
-                  checkpoints: Optional[Sequence[int]] = None,
-                  on_step: Optional[Callable] = None) -> List[Tuple[Optional[Policy], RunRecord]]:
-    """``_run_loop`` for S seeds whose estimators have a stacked update.
-
-    ``live`` holds the positions of the seeds still running, in stack-row
-    order, for indexing paired with per-seed choices; ``rows`` selects the
-    same seeds (a plain slice while every seed runs). Each round
-    ``choose(stack, live, rows, i)`` returns the played x, a, a', y (one per
-    live seed) and the radius the choice used, and
-    ``on_step(rec, live, rows, i, x, a, a')`` sees the same arrays. Every live
-    row's ``wall_nanos`` is the stacked update time divided by the live seeds.
-    A NumericFailure in the update flags the failing seed's round
-    ``update_failed`` and ends that seed's run; the others retry the round
-    without it. Every seed's record is exactly its ``_run_loop`` record.
-
-    The stack owns the state while the rounds run; each seed's own estimator
+    A stack owns the state while the rounds run; each seed's own estimator
     is brought up to date whenever it is read (audits, checkpoints, a failure
     and the end), so the estimators end the run holding their final state.
+    Every seed's record is exactly the one it gets as a lone seed.
     """
-    _start(estimators, T)
+    for est in estimators:
+        if getattr(est, "horizon", False) is None:
+            est.horizon = max(T, 1)
+        est.reset()
     S = len(envs)
+    stacked = S > 1
     ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
     theta_star = np.stack([env.truth.theta_star for env in envs])
     phi = np.stack([env.features.phi for env in envs])
     rec = _Recorder(scenario, [env.rng_seed for env in envs], T)
     audit = _DominationAudit(estimators, envs, T)
     aborted: List[Optional[str]] = [None] * S
-    live, rows = np.arange(S), slice(None)
-    stack = type(estimators[0]).stack(estimators)
+    live = np.arange(S)
+    if stacked:
+        stack, idx, rows = type(estimators[0]).stack(estimators), live, slice(None)
+    else:
+        stack, idx, rows = estimators[0], 0, 0
     t = 0
     for t in range(1, T + 1):
         i = t - 1
-        x, a, b, yy, beta = choose(stack, live, rows, i)
-        z = phi[live, x, a] - phi[live, x, b]
+        x, a, b, yy, beta = choose(stack, idx, rows, i)
+        z = phi[idx, x, a] - phi[idx, x, b]
         diff = stack.theta_ - theta_star[rows]
-        rec.err_l2[rows, i] = np.sqrt(np.vecdot(diff, diff))
+        # math.sqrt of one dot gives np.vecdot's bits without the numpy-scalar cost
+        rec.err_l2[rows, i] = (math.sqrt(diff @ diff) if diff.ndim == 1
+                               else np.sqrt(np.vecdot(diff, diff)))
         rec.err_local[rows, i] = stack.local_norm(diff)
         rec.beta[rows, i] = beta
         rec.x[rows, i], rec.a[rows, i], rec.a_prime[rows, i], rec.y[rows, i] = x, a, b, yy
@@ -630,24 +600,27 @@ def _run_lockstep(scenario: str, envs: Sequence[Environment], estimators, T: int
                 rec.wall[rows, i] = (time.perf_counter_ns() - start) // len(live)
                 break
             except NumericFailure as exc:
-                k = exc.index
+                k = exc.index if stacked else 0
                 if k is None:
                     raise
                 rec.flags[live[k]][i] = "update_failed"
                 rec.n[live[k]] = t
                 aborted[live[k]] = str(exc)
-                stack.unstack([estimators[s] for s in live])
+                if stacked:
+                    stack.unstack([estimators[s] for s in live])
                 keep = np.arange(len(live)) != k
-                live, x, a, b, yy, z = (v[keep] for v in (live, x, a, b, yy, z))
-                rows = live
-                if len(live):
+                live = live[keep]
+                if stacked and len(live):
+                    x, a, b, yy, z = (v[keep] for v in (x, a, b, yy, z))
+                    idx = rows = live
                     stack = type(estimators[0]).stack([estimators[s] for s in live])
         if not len(live):
             break
-        if on_step is not None:
-            on_step(rec, live, rows, i, x, a, b)
+        # only a lone seed's estimator runs an inner solve that can stop short
+        if not getattr(stack, "last_converged_", True):
+            rec.flags[0][i] = "inner_nonconverged"
         audit.step(z, rows)
-        if t in audit.points or t in ckpts:
+        if stacked and (t in audit.points or t in ckpts):
             stack.unstack([estimators[s] for s in live])
         if t in audit.points:
             audit.check(t, live)
@@ -655,7 +628,8 @@ def _run_lockstep(scenario: str, envs: Sequence[Environment], estimators, T: int
             for s in live:
                 rec.subopt_ckpt[s, i] = subopt(policy(estimators[s], envs[s]), envs[s])
     rec.n[live] = t
-    stack.unstack([estimators[s] for s in live])
+    if stacked:
+        stack.unstack([estimators[s] for s in live])
     return [_finish(rec, s, env, est, aborted[s], audit, policy)
             for s, (env, est) in enumerate(zip(envs, estimators))]
 
@@ -673,28 +647,27 @@ def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
     envs, estimators, single = _seeds(env, estimator)
-    rngs = _streams(envs, stream_seed)
-
-    def draw(s: int):
-        e, rng = envs[s], rngs[s]
-        x, a, b = draw_passive_pair(e, rng)
-        return x, a, b, bt_sample(e.reward(x, a), e.reward(x, b), rng)
 
     def policy(est, e) -> Policy:
         return pessimistic_policy(est.theta_, est.inv_norm_matrix(), est.radius(), e, policy_mode)
 
-    if _lockstep(estimators):
-        def choose_live(stack, live, rows, i):
-            x, a, b, y = np.array([draw(s) for s in live], dtype=np.int64).reshape(-1, 4).T
+    def chooser(envs, rngs):
+        def draw(s: int):
+            e, rng = envs[s], rngs[s]
+            x, a, b = draw_passive_pair(e, rng)
+            return x, a, b, bt_sample(e.reward(x, a), e.reward(x, b), rng)
+
+        def choose(stack, idx, rows, i):
+            if isinstance(idx, int):
+                return (*draw(idx), stack.radius())
+            x, a, b, y = np.array([draw(s) for s in idx], dtype=np.int64).reshape(-1, 4).T
             return x, a, b, y, stack.radius()
 
-        out = _run_lockstep("passive", envs, estimators, T, choose_live, policy, checkpoints)
-    else:
-        def one(s, e, est):
-            return _run_loop("passive", e, est, T, lambda: (*draw(s), est.radius()),
-                             policy, checkpoints)
+        return choose
 
-        out = [one(s, *args) for s, args in enumerate(zip(envs, estimators))]
+    out = [run for group_envs, group_ests, rngs in _groups(envs, estimators, stream_seed)
+           for run in _run_loop("passive", group_envs, group_ests, T,
+                                chooser(group_envs, rngs), policy, checkpoints)]
     return out[0] if single else out
 
 
@@ -710,12 +683,11 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     envs, estimators, single = _seeds(env, estimator)
-    streams = _streams(envs, stream_seed)
 
     def policy(est, e) -> Policy:
         return greedy_policy(est.averaged_theta(), e)
 
-    if _lockstep(estimators):
+    def chooser(envs, streams):
         draws = _Draws(streams, 1)  # the label
         pair_diffs = np.stack([e.pair_diffs() for e in envs])
         pairs = np.array(envs[0].action_pairs())
@@ -723,28 +695,20 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
         # dots give the same bits for the whole table at once
         reward_of = np.vecdot(np.stack([e.features.phi for e in envs]),
                               np.stack([e.truth.theta_star for e in envs])[:, None, None, :])
+        # one scan memo per stack: seeds only ever leave it, so its shape names it
+        memos = defaultdict(dict)
 
-        # one scan memo per stack: seeds only ever leave it, so their count names it
-        memos = {}
-
-        def choose_live(stack, live, rows, i):
+        def choose(stack, idx, rows, i):
             x, a, b = select_most_uncertain(pair_diffs[rows], stack.inv_norm_matrix(), pairs,
-                                            memos.setdefault(len(live), {}))
-            y = bt_sample(reward_of[live, x, a], reward_of[live, x, b], draws(rows, i)[:, 0])
+                                            memos[stack.theta_.shape])
+            y = bt_sample(reward_of[idx, x, a], reward_of[idx, x, b], draws(rows, i, 0))
             return x, a, b, y, stack.radius()
 
-        out = _run_lockstep("active", envs, estimators, T, choose_live, policy, checkpoints)
-    else:
-        def one(e, est, rng):
-            pair_diffs, pairs, memo = e.pair_diffs(), e.action_pairs(), {}
+        return choose
 
-            def choose():
-                x, a, b = select_most_uncertain(pair_diffs, est.inv_norm_matrix(), pairs, memo)
-                return x, a, b, bt_sample(e.reward(x, a), e.reward(x, b), rng), est.radius()
-
-            return _run_loop("active", e, est, T, choose, policy, checkpoints)
-
-        out = [one(*args) for args in zip(envs, estimators, streams)]
+    out = [run for group_envs, group_ests, streams in _groups(envs, estimators, stream_seed)
+           for run in _run_loop("active", group_envs, group_ests, T,
+                                chooser(group_envs, streams), policy, checkpoints)]
     for (final, rec), est, e in zip(out, estimators, envs):
         if final is not None:
             rec.summary["subopt_last_iterate"] = subopt(greedy_policy(est.theta_, e), e)
@@ -761,58 +725,31 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     envs, estimators, single = _seeds(env, estimator)
-    streams = _streams(envs, stream_seed)
-    regret = [0.0] * len(envs)
-    if _lockstep(estimators):
-        draws = _Draws(streams, 2)  # the context, then the label
+
+    def chooser(envs, streams):
         phi = np.stack([e.features.phi for e in envs])
         rewards = np.stack([e.rewards() for e in envs])
-        star = rewards.argmax(axis=2)
-        cum_rho = np.stack([np.cumsum(e.rho) for e in envs])
-        last_context = cum_rho.shape[1] - 1
-        cum = np.zeros(len(envs))
+        draws = _Draws(streams, 2, np.stack([np.cumsum(e.rho) for e in envs]))  # context, label
 
-        def choose_live(stack, live, rows, i):
-            u = draws(rows, i)
-            # the inverse-CDF lookup of Environment.draw_context, for every live seed
-            x = np.minimum((cum_rho[rows] <= u[:, :1]).sum(axis=1), last_context)
+        def choose(stack, idx, rows, i):
+            x = draws(rows, i, 0)
             beta = stack.radius()
             a, b = select_deploy_actions(stack.theta_, stack.inv_norm_matrix(), beta,
-                                         phi[live, x], explore_coeff)
-            return x, a, b, bt_sample(rewards[live, x, a], rewards[live, x, b], u[:, 1]), beta
+                                         phi[idx, x], explore_coeff)
+            y = bt_sample(rewards[idx, x, a], rewards[idx, x, b], draws(rows, i, 1))
+            return x, a, b, y, beta
 
-        def on_step_live(rec: _Recorder, live, rows, i: int, x, a, b) -> None:
-            cum[rows] += (rewards[live, x, star[live, x]]
-                          - 0.5 * (rewards[live, x, a] + rewards[live, x, b]))
-            rec.cum_regret[rows, i] = cum[rows]
+        return choose
 
-        out = _run_lockstep("deploy", envs, estimators, T, choose_live, checkpoints=(),
-                            on_step=on_step_live)
-        regret = cum.tolist()
-    else:
-        def one(s, e, est, rng):
-            phi = e.features.phi
-            rewards = e.rewards()
-            star = np.argmax(rewards, axis=1).tolist()
-            reward_of = rewards.tolist()
-
-            def choose():
-                x = e.draw_context(rng)
-                beta = est.radius()
-                a, b = select_deploy_actions(est.theta_, est.inv_norm_matrix(), beta,
-                                             phi[x], explore_coeff)
-                r_x = reward_of[x]
-                return x, a, b, bt_sample(r_x[a], r_x[b], rng), beta
-
-            def on_step(rec: _Recorder, i: int, x: int, a: int, b: int) -> None:
-                r_x = reward_of[x]
-                regret[s] += r_x[star[x]] - 0.5 * (r_x[a] + r_x[b])
-                rec.cum_regret[0, i] = regret[s]
-
-            return _run_loop("deploy", e, est, T, choose, checkpoints=(), on_step=on_step)
-
-        out = [one(s, *args) for s, args in enumerate(zip(envs, estimators, streams))]
-    records = [rec for _, rec in out]
-    for rec, total in zip(records, regret):
-        rec.summary["cum_regret"] = float(total)
+    records = [rec for group_envs, group_ests, streams in _groups(envs, estimators, stream_seed)
+               for _, rec in _run_loop("deploy", group_envs, group_ests, T,
+                                       chooser(group_envs, streams), checkpoints=())]
+    for rec, e in zip(records, envs):
+        # every round whose update went through pays r(x, a*) - (r(x, a) + r(x, a')) / 2;
+        # np.cumsum adds them in round order, as a running total would
+        n = len(rec) - rec.flags[-1:].count("update_failed")
+        x, rewards = rec.x[:n], e.rewards()
+        paid = rewards.max(axis=1)[x] - 0.5 * (rewards[x, rec.a[:n]] + rewards[x, rec.a_prime[:n]])
+        np.cumsum(paid, out=rec.cum_regret[:n])
+        rec.summary["cum_regret"] = float(rec.cum_regret[n - 1]) if n else 0.0
     return records[0] if single else records

@@ -110,6 +110,14 @@ class TestBtSample:
         with pytest.raises(ValueError):
             bt_sample(float("nan"), 0.0, rng)
 
+    @given(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.integers(0, 2**32 - 1))
+    def test_float_draw_gives_the_generator_label(self, reward_a, reward_b, seed):
+        want = bt_sample(reward_a, reward_b, np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random()
+        assert bt_sample(reward_a, reward_b, u) == want
+        # the scenario loops read their draws from an array, as numpy floats
+        assert bt_sample(np.float64(reward_a), np.float64(reward_b), np.float64(u)) == want
+
 
 class TestKappa:
     def test_bound_closed_form(self):

@@ -424,6 +424,24 @@ class TestRunPassive:
         assert np.isnan(rec.subopt_checkpoint[20])
 
 
+    def test_inner_nonconverged_flags_the_rounds_that_stopped_short(self, default_env):
+        class Recording(MleRewardEstimator):
+            def reset(self):
+                self.converged_log = []
+                return super().reset()
+
+            def update(self, z, y):
+                super().update(z, y)
+                self.converged_log.append(self.last_converged_)
+
+        est = Recording(dim=5, max_newton_iters=1, fit_tol=1e-14)
+        _, rec = run_passive(default_env, est, 60, checkpoints=())
+        flagged = [f == "inner_nonconverged" for f in rec.flags]
+        assert flagged == [not ok for ok in est.converged_log]
+        assert 0 < sum(flagged) < len(flagged)
+        assert rec.summary["flag_counts"] == {"inner_nonconverged": sum(flagged)}
+
+
 class TestRunActive:
     def test_oracle_reaches_zero_subopt(self, default_env):
         oracle = OracleEstimator(default_env.truth.theta_star)
@@ -662,19 +680,27 @@ def assert_same_run(got, want):
     assert strip(got.summary) == strip(want.summary)
 
 
+ESTIMATORS = {"omd": OnePassRewardEstimator, "mle": MleRewardEstimator,
+              "implicit": ImplicitOmdRewardEstimator, "hvpcg": HvpCgRewardEstimator}
+
+
 class TestLockstep:
     SEEDS = resolve_seeds(0, 6)
 
-    @pytest.mark.parametrize("scenario", ["passive", "active", "deploy"])
-    def test_stack_equals_solo_runs(self, scenario):
+    # omd keeps the bare scenario ids it had before the other estimators joined
+    @pytest.mark.parametrize("scenario, kind", [
+        pytest.param(scenario, kind, id=scenario if kind == "omd" else f"{scenario}-{kind}")
+        for kind in ESTIMATORS for scenario in ("passive", "active", "deploy")])
+    def test_stack_equals_solo_runs(self, scenario, kind):
+        """A list of seeds gives each seed its solo run: in one stack, or one group each."""
         run = {"passive": lambda e, est: run_passive(e, est, 40, checkpoints=(10, 40)),
                "active": lambda e, est: run_active(e, est, 40, checkpoints=(10, 40)),
                "deploy": lambda e, est: run_deploy(e, est, 40)}[scenario]
         envs = [make_environment(5, 8, 4, seed=s) for s in self.SEEDS[:3]]
-        ests = [OnePassRewardEstimator(dim=5) for _ in envs]
+        ests = [ESTIMATORS[kind](dim=5) for _ in envs]
         stacked = run(envs, ests)
         for env, est, got in zip(envs, ests, stacked):
-            solo_est = OnePassRewardEstimator(dim=5)
+            solo_est = ESTIMATORS[kind](dim=5)
             want = run(env, solo_est)
             if scenario == "deploy":
                 assert_same_run(got, want)
@@ -683,7 +709,18 @@ class TestLockstep:
                 assert_same_run(got[1], want[1])
             # each seed's own estimator ends holding its final state
             assert np.array_equal(est.theta_, solo_est.theta_)
-            assert np.array_equal(est.hess_.inv, solo_est.hess_.inv)
+            assert np.array_equal(est.inv_norm_matrix(), solo_est.inv_norm_matrix())
+
+    @pytest.mark.parametrize("scenario", ["passive", "active", "deploy"])
+    def test_lone_seed_never_stacks(self, monkeypatch, default_env, scenario):
+        """A lone seed steps its own estimator on (d,) vectors, never a stack of one."""
+        def refuse(cls, estimators):
+            raise AssertionError("a lone seed was stacked")
+
+        monkeypatch.setattr(OnePassRewardEstimator, "stack", classmethod(refuse))
+        run = {"passive": run_passive, "active": run_active, "deploy": run_deploy}[scenario]
+        run(default_env, OnePassRewardEstimator(dim=5), 30)
+        run([default_env], [OnePassRewardEstimator(dim=5)], 30)
 
     def test_failing_seed_ends_as_alone_and_the_others_go_on(self, monkeypatch):
         def refuse(theta_prime, norm_mat, B):

@@ -361,7 +361,10 @@ class MleRewardEstimator(BaseRewardEstimator):
         self.t_ += 1
 
     def refit(self, tol: Optional[float] = None) -> np.ndarray:
-        """Fit the constrained MLE to the current buffer, from theta_ (each update; a permutation)."""
+        """Fit the constrained MLE to the current buffer, warm-started at theta_.
+
+        Every update calls it; call it again after ``permute_buffer``.
+        """
         if self.n_samples_ == 0:
             return self.theta_
         Z = self._Z[: self.n_samples_]

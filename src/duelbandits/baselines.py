@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
-from .linalg import LocalNormMatrix
+from .linalg import LocalNormMatrix, _identity
 from .linkmath import kappa_bound, sigmoid_pair, sigmoid_rows
 from .onepass import _norm, default_regularization, default_step_size
 
@@ -29,6 +29,7 @@ EPS = np.finfo(float).eps
 SECULAR_STEPS = 20
 
 _solve1 = np.linalg._umath_linalg.solve1
+_eigh = np.linalg._umath_linalg.eigh_lo
 
 
 def _ball_projection(v: np.ndarray, B: float) -> np.ndarray:
@@ -38,11 +39,6 @@ def _ball_projection(v: np.ndarray, B: float) -> np.ndarray:
     return v * (B / nrm)
 
 
-def _nll(Z: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
-    s = Z @ theta
-    return float((np.logaddexp(0.0, -s) * y + np.logaddexp(0.0, s) * (1 - y)).sum())
-
-
 def _model_norm(H: np.ndarray, r: np.ndarray):
     """Return (lam, b, probe) for the damped model norm of symmetric H.
 
@@ -50,8 +46,15 @@ def _model_norm(H: np.ndarray, r: np.ndarray):
     ||(H + mu I)^-1 r||^2 = sum_i b_i^2 / (lam_i + mu)^2 with b = Q^T r, so
     ``probe(mu)`` returns that norm in O(d), without a dense solve. Every
     probe of one returned function writes b / (lam + mu) into the same buffer.
+
+    Calls the LAPACK gufunc ``np.linalg.eigh`` itself calls, without its
+    wrapper, so lam and Q have its bits. The wrapper turns a failed
+    decomposition into a LinAlgError; the gufunc alone returns NaN
+    eigenvalues, at least at one end of the sorted lam, so those raise here.
     """
-    lam, Q = np.linalg.eigh(H)
+    lam, Q = _eigh(H)
+    if not (math.isfinite(lam[0]) and math.isfinite(lam[-1])):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     b = Q.T @ r
     x = np.empty_like(b)
 
@@ -112,11 +115,8 @@ def _boundary_damping(H, rhs, mu0, B, radial_tol):
     certify = lam[0] + mu0 > 0.0
 
     def model_norm(mu):
+        """A real probe at mu, which the loops make only where no certificate answers."""
         nonlocal above, below, probes
-        if mu <= above:
-            return math.inf
-        if mu >= below:
-            return 0.0
         probes += 1
         nrm = probe(mu)
         if certify and abs(nrm - B) > radial_tol:
@@ -128,16 +128,17 @@ def _boundary_damping(H, rhs, mu0, B, radial_tol):
 
     if certify:
         for seed in _secular_seeds(lam, b, B, mu0, radial_tol):
-            if seed >= mu0:  # never true for a NaN
+            if mu0 <= seed and above < seed < below:  # never true for a NaN
                 model_norm(seed)
+    # certified without a probe: the norm exceeds B at mu <= above, falls short at mu >= below
     lo, hi = mu0, max(mu0, 1e-6)
     for _ in range(200):
-        if model_norm(hi) < B:
+        if hi >= below or (hi > above and model_norm(hi) < B):
             break
         hi *= 4.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        nrm = model_norm(mid)
+        nrm = math.inf if mid <= above else 0.0 if mid >= below else model_norm(mid)
         if abs(nrm - B) <= radial_tol:
             break
         if nrm > B:
@@ -150,26 +151,52 @@ def _boundary_damping(H, rhs, mu0, B, radial_tol):
 def _solve(A: np.ndarray, b: np.ndarray):
     """(A^-1 b, its norm) for float64 A (d, d) and b (d,), bit for bit ``np.linalg.solve``.
 
-    Calls the LAPACK gufunc ``np.linalg.solve`` itself calls, with the same
-    signature, without its wrapper. The wrapper turns a singular A into a
-    LinAlgError through an errstate handler; the gufunc alone returns NaN, so
-    a non-finite solution raises LinAlgError here.
+    Calls the LAPACK gufunc ``np.linalg.solve`` itself calls, without its
+    wrapper; on float64 operands the gufunc picks the wrapper's signature. The
+    wrapper turns a singular A into a LinAlgError through an errstate handler;
+    the gufunc alone returns NaN, so a non-finite solution raises LinAlgError
+    here.
     """
-    x = _solve1(A, b, signature="dd->d")
+    x = _solve1(A, b)
     nrm = _norm(x)
     if not math.isfinite(nrm):
         raise np.linalg.LinAlgError("Singular matrix")
     return x, nrm
 
 
+def _on_last_theta(f):
+    """f memoized on the theta object it was last called with.
+
+    Sound because the solver never writes into a theta it holds; the memo's
+    reference keeps that object alive, so no other array can take its id.
+    """
+    last_theta = last = None
+
+    def memo(th):
+        nonlocal last_theta, last
+        if th is not last_theta:
+            last_theta, last = th, f(th)
+        return last
+
+    return memo
+
+
 def _logistic_objective(Z, y):
-    """(value, grad_hess) of the logistic loss over the rows of Z with labels y."""
+    """(value, grad_hess) of the logistic loss over the rows of Z with labels y.
+
+    Row i's loss is logaddexp(0, -s_i) for y_i = 1 and logaddexp(0, s_i) for
+    y_i = 0, so one pass over s * (1 - 2y) gives each row's term the bits of
+    the label-weighted sum of both passes. value and grad_hess called with the
+    same theta object share one Z @ theta.
+    """
+    sign = 1.0 - 2.0 * y
+    margins = _on_last_theta(lambda th: Z @ th)
 
     def value(th):
-        return _nll(Z, y, th)
+        return float(np.logaddexp(0.0, margins(th) * sign).sum())
 
     def grad_hess(th):
-        sig = sigmoid_rows(Z @ th)
+        sig = sigmoid_rows(margins(th))
         w = sig * (1.0 - sig)
         return Z.T @ (sig - y), Z.T @ (w[:, None] * Z)
 
@@ -184,25 +211,28 @@ def _proximal_objective(z, y, center, matrix, inv_step):
     loss forms over a single row is one multiplication, so every value,
     gradient and Hessian has the bits of ``_logistic_objective(z[None, :],
     [y])`` plus the proximal terms. ``np.exp`` and ``np.logaddexp`` give a
-    float the bits they give a one-element array; ``math.exp`` does not.
+    float the bits they give a one-element array; ``math.exp`` does not. The
+    link arithmetic runs on Python floats, which round as float64 does.
+    value and grad_hess called with the same theta object share s and
+    theta - center.
     """
     prox_hess = inv_step * matrix
+    shared = _on_last_theta(lambda th: (float(z @ th), th - center))
 
     def value(th):
-        s = float(z @ th)
-        diff = th - center
+        s, diff = shared(th)
         return (float(np.logaddexp(0.0, -s if y else s))
                 + 0.5 * inv_step * float(diff @ matrix @ diff))
 
     def grad_hess(th):
-        s = float(z @ th)
+        s, diff = shared(th)
         if s >= 0:
-            sig = 1.0 / (1.0 + np.exp(-s))
+            sig = 1.0 / (1.0 + float(np.exp(-s)))
         else:
-            e = np.exp(s)
+            e = float(np.exp(s))
             sig = e / (1.0 + e)
         w = sig * (1.0 - sig)
-        g = z * (sig - y) + inv_step * (matrix @ (th - center))
+        g = z * (sig - y) + inv_step * (matrix @ diff)
         return g, z[:, None] * (w * z) + prox_hess
 
     return value, grad_hess
@@ -222,11 +252,12 @@ def _projected_newton(objective, theta, B, tol, max_iters, counts):
     Returns (theta, converged, iterations). Convergence is measured by the
     norm of the unit-step gradient mapping theta - Proj(theta - grad).
     ``counts`` (a Counter) gains the boundary damping searches run and the
-    real norm probes they made.
+    real norm probes they made. No theta the solver is given or forms is ever
+    written into, so the objective may key work on the theta object.
     """
     value, grad_hess = objective
     dim = theta.shape[0]
-    eye = np.eye(dim)
+    eye = _identity(dim)
 
     iters = 0
     # the objective at theta: computed once, then carried over from the
@@ -267,7 +298,7 @@ def _projected_newton(objective, theta, B, tol, max_iters, counts):
         # convergence certificate
         noise = 16.0 * EPS * (abs(base) + 1.0)
         for _ in range(MAX_BACKTRACKS):
-            cand = theta + step * direction
+            cand = theta + (direction if step == 1.0 else step * direction)
             delta = cand - theta
             descent = float(g @ delta)
             if descent < 0.0:
@@ -372,7 +403,7 @@ class MleRewardEstimator(BaseRewardEstimator):
         if tol is None:
             tol = self.fit_tol if self.fit_tol is not None else 1.0 / self.n_samples_
         self.theta_, self.last_converged_, self.last_newton_iters_ = _projected_newton(
-            _logistic_objective(Z, labels), self.theta_.copy(), self.B, tol,
+            _logistic_objective(Z, labels), self.theta_, self.B, tol,
             self.max_newton_iters, self.boundary_counts_)
         return self.theta_
 
@@ -447,10 +478,10 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)
         check_label(y)
-        objective = _proximal_objective(z, y, self.theta_.copy(), self.local_norm_.mat,
+        objective = _proximal_objective(z, y, self.theta_, self.local_norm_.mat,
                                         1.0 / self.eta_)
         theta_next, self.last_converged_, self.last_inner_iters_ = _projected_newton(
-            objective, self.theta_.copy(), self.B, self.inner_tol, self.max_inner_iters,
+            objective, self.theta_, self.B, self.inner_tol, self.max_inner_iters,
             self.boundary_counts_)
         self.newton_iters_hist_[self.last_inner_iters_] += 1
         _, hw_next = sigmoid_pair(float(z @ theta_next))

@@ -9,6 +9,7 @@ stacked products are numpy's gufuncs (``np.vecdot``, ``np.matvec``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -25,6 +26,14 @@ __all__ = [
     "LocalNormMatrix",
     "inverse_drift",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The (dim, dim) identity, built once per dimension and read-only."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .exceptions import NumericFailure
-from .linalg import LocalNormMatrix, cg_solve, rank_one_inverse
+from .linalg import LocalNormMatrix, _identity, cg_solve, rank_one_inverse
 from .linkmath import log_loss, sigmoid_pair
 
 __all__ = [
@@ -421,4 +421,4 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
         return _norm(v) / math.sqrt(self._damping())
 
     def inv_norm_matrix(self) -> np.ndarray:
-        return np.eye(self.dim) / self._damping()
+        return _identity(self.dim) / self._damping()

@@ -346,6 +346,103 @@ class TestExactHelpers:
         assert np.array_equal(g, ref_g)
         assert np.array_equal(H, ref_H)
 
+    @staticmethod
+    def n_row_logistic(Z, y, theta):
+        """The logistic loss as computed before the single pass: two logaddexp
+        passes weighted by y and 1 - y, and its own Z @ theta per call."""
+        s = Z @ theta
+        value = float((np.logaddexp(0.0, -s) * y + np.logaddexp(0.0, s) * (1 - y)).sum())
+        s = Z @ theta
+        sig = np.empty_like(s)
+        pos = s >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+        e = np.exp(s[~pos])
+        sig[~pos] = e / (1.0 + e)
+        w = sig * (1.0 - sig)
+        return value, Z.T @ (sig - y), Z.T @ (w[:, None] * Z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 32), st.sampled_from(["zeros", "ones", "mixed"]),
+           st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, -0.0]) | st.floats(-700.0, 700.0))
+    def test_logistic_objective_matches_two_pass_arithmetic(self, n, d, labels, seed, s_max):
+        rng = np.random.default_rng(seed)
+        y = {"zeros": np.zeros(n), "ones": np.ones(n),
+             "mixed": rng.integers(0, 2, size=n).astype(float)}[labels]
+        Z = rng.standard_normal((n, d))
+        if s_max == 0.0:
+            thetas = [np.full(d, s_max), rng.standard_normal(d)]  # every margin +-0.0
+        else:
+            # margins spread over [-|s_max|, |s_max|], both signs
+            theta = rng.standard_normal(d)
+            targets = s_max * rng.uniform(-1.0, 1.0, size=n)
+            Z += np.outer(targets - Z @ theta, theta) / (theta @ theta)
+            thetas = [theta, -theta]
+        value, grad_hess = baselines._logistic_objective(Z, y)
+        # value and grad_hess in both orders on one theta object, then a new one
+        for theta, value_first in zip(thetas, (True, False)):
+            ref_value, ref_g, ref_H = self.n_row_logistic(Z, y, theta)
+            if value_first:
+                got_value = value(theta)
+            g, H = grad_hess(theta)
+            if not value_first:
+                got_value = value(theta)
+            assert np.float64(got_value).tobytes() == np.float64(ref_value).tobytes()
+            assert g.tobytes() == ref_g.tobytes()
+            assert H.tobytes() == ref_H.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 32), st.integers(0, 2**32 - 1),
+           st.sampled_from(["full", "rank_deficient", "indefinite"]))
+    def test_model_norm_eigenpairs_match_numpy(self, d, seed, shape):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((int(rng.integers(1, d + 1)) if shape == "rank_deficient"
+                                 else d + 2, d))
+        H = A.T @ A
+        if shape == "indefinite":
+            H -= rng.uniform(0.0, 2.0) * float(H.trace()) / d * np.eye(d)
+        r = rng.standard_normal(d)
+        lam, b, _ = baselines._model_norm(H, r)
+        ref_lam, Q = np.linalg.eigh(H)
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert b.tobytes() == (Q.T @ r).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("where", ["all", "lower", "diagonal"])
+    def test_model_norm_raises_on_a_nan_matrix(self, where):
+        H = np.eye(4) + 0.1
+        if where == "all":
+            H[:] = np.nan
+        elif where == "lower":
+            H[3, 1] = np.nan
+        else:
+            H[2, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(H)
+        with pytest.raises(np.linalg.LinAlgError):
+            baselines._model_norm(H, np.ones(4))
+
+
+class TestReadOnlyTheta:
+    """The solver never writes into a theta it is given: the objectives key their
+    shared work on the theta object, so a write would hand them stale margins."""
+
+    @pytest.mark.parametrize("make", [
+        lambda d: MleRewardEstimator(dim=d, fit_tol=1e-10, max_newton_iters=200),
+        lambda d: ImplicitOmdRewardEstimator(dim=d, B=2.0, eta=1.0, lam=0.1),
+    ], ids=["mle", "implicit"])
+    def test_updates_take_a_read_only_theta(self, make):
+        Z, y, _ = TestBoundarySearch.pinned_problem(seed=3, d=6, n=60)
+        free, locked = make(6).reset(), make(6).reset()
+        for z, label in zip(Z, y):
+            free.update(z, int(label))
+            locked.theta_.flags.writeable = False
+            locked.update(z, int(label))
+            assert locked.theta_.tobytes() == free.theta_.tobytes()
+        # the fits took several Newton steps and searched the boundary
+        assert max(free.newton_iters_hist_) >= 2
+        assert free.boundary_counts_["boundary_searches"] > 0
+
 
 class TestImplicitOmd:
     def test_zero_feature_difference_is_no_op(self):

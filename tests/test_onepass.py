@@ -373,6 +373,16 @@ class TestHvpCg:
         with pytest.raises(ValueError):
             HvpCgRewardEstimator(dim=2).reset()
 
+    def test_inv_norm_matrix_is_a_fresh_scaled_identity(self):
+        rng = np.random.default_rng(4)
+        est = HvpCgRewardEstimator(dim=5, horizon=50).reset()
+        for _ in range(20):
+            est.update(rng.standard_normal(5), int(rng.integers(0, 2)))
+            first = est.inv_norm_matrix()
+            assert first.tobytes() == (np.eye(5) / est._damping()).tobytes()
+            first[:] = 0.0  # a caller may write into it; the next call is unaffected
+            assert est.inv_norm_matrix().tobytes() == (np.eye(5) / est._damping()).tobytes()
+
 
 class TestSklearnSurface:
     def test_get_set_params_roundtrip(self):

@@ -23,7 +23,6 @@ from .environment import (
     FeatureTable,
     GroundTruth,
     Policy,
-    PreferenceSample,
     make_environment,
 )
 from .exceptions import ConfigError, NumericFailure
@@ -31,7 +30,6 @@ from .linalg import LocalNormMatrix, cg_solve, mahalanobis_inv, sherman_morrison
 from .linkmath import bt_sample, kappa_bound, kappa_empirical, sigmoid_pair
 from .onepass import (
     HvpCgRewardEstimator,
-    OnePassConfig,
     OnePassRewardEstimator,
     confidence_radius,
     default_regularization,
@@ -68,10 +66,8 @@ __all__ = [
     "LocalNormMatrix",
     "MleRewardEstimator",
     "NumericFailure",
-    "OnePassConfig",
     "OnePassRewardEstimator",
     "Policy",
-    "PreferenceSample",
     "RunRecord",
     "bt_sample",
     "build_estimator",

@@ -1,5 +1,6 @@
 """Shared estimator surface: sklearn-style params, fit/predict, input checks,
-and the curvature-matrix core (norms, snapshots) the estimators share.
+the hyperparameters and iterates every estimator keeps, and the
+curvature-matrix core (norms, snapshots) the estimators share.
 
 The estimators follow the scikit-learn conventions closely enough to compose
 with that ecosystem (``get_params``/``set_params`` as used by ``sklearn.clone``,
@@ -17,10 +18,57 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .linalg import LocalNormMatrix
-from .linkmath import sigmoid_rows
+from .linkmath import kappa_bound, sigmoid_rows
 
 __all__ = ["check_vector", "check_label", "check_pair_samples", "practical_radius",
+           "default_step_size", "default_regularization", "resolve_hyperparameters",
            "BaseRewardEstimator"]
+
+
+def default_step_size(B: float, L: float) -> float:
+    """Step size (1/2) log 2 + (B*L + 1) that the confidence guarantee assumes."""
+    return 0.5 * math.log(2.0) + (B * L + 1.0)
+
+
+def default_regularization(eta: float, dim: int, B: float, L: float) -> float:
+    """Regularization 84*sqrt(2)*eta*(d*L^2 + B*L^3) paired with the default step size."""
+    return 84.0 * math.sqrt(2.0) * eta * (dim * L**2 + B * L**3)
+
+
+def resolve_hyperparameters(dim: int, B: float, L: float, eta: Optional[float],
+                            lam: Optional[float], c_beta: float,
+                            delta: float) -> Tuple[float, float]:
+    """(eta, lam), each one left None filled from its closed form, once every value checks.
+
+    A bad value raises ValueError whose message starts with the parameter's
+    name. Besides being positive and finite, lam must keep 1/lam and
+    kappa_bound(B, L) * lam finite: the first seeds the maintained inverse, the
+    second is the floor of MLE's scatter matrix and of the domination audit's.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    for name, value in (("B", B), ("L", L)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    try:
+        kappa = kappa_bound(B, L)
+    except OverflowError:
+        raise ValueError(f"B is too large for L={L}: "
+                         f"kappa = 3 + exp(2*B*L) is not finite at B={B}") from None
+    if not c_beta >= 0:
+        raise ValueError(f"c_beta must be >= 0, got {c_beta}")
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    if eta is None:
+        eta = default_step_size(B, L)
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if lam is None:
+        lam = default_regularization(eta, dim, B, L)
+    if not (0 < lam < math.inf and 1.0 / lam < math.inf and kappa * lam < math.inf):
+        raise ValueError(f"lam must be positive with 1/lam and kappa*lam = "
+                         f"(3 + exp(2*B*L))*lam finite, got {lam}")
+    return eta, lam
 
 
 def practical_radius(coeff: float, dim: int, t: int, delta: float) -> float:
@@ -67,10 +115,13 @@ def check_pair_samples(Z, y, dim: int) -> Tuple[np.ndarray, np.ndarray]:
 class BaseRewardEstimator:
     """Common surface of the online reward estimators.
 
-    Subclasses store hyperparameters verbatim in ``__init__``, create state in
-    ``reset``, and implement ``update`` for a single preference sample
-    (feature difference ``z``, binary label ``y``) and ``radius``. Everything
-    else here is derived from those pieces.
+    Subclasses store hyperparameters verbatim in ``__init__``, add their own
+    state to the base's ``reset``, and implement ``update`` for a single
+    preference sample (feature difference ``z``, binary label ``y``), ending it
+    with ``_advance``. The base ``reset`` checks the shared hyperparameters and
+    resolves ``eta_`` and ``lam_``; an estimator that takes no ``eta`` or
+    ``lam`` gets the closed form. Everything else here is derived from those
+    pieces.
 
     An estimator that keeps a ``LocalNormMatrix`` names the attribute holding
     it in ``curvature_attr``; the norms, the matrices and the snapshot all read
@@ -79,6 +130,8 @@ class BaseRewardEstimator:
 
     curvature_attr: Optional[str] = None
     kind: str
+    eta: Optional[float] = None
+    lam: Optional[float] = None
 
     # --- sklearn-style parameter handling -------------------------------
 
@@ -105,20 +158,27 @@ class BaseRewardEstimator:
     # --- lifecycle -------------------------------------------------------
 
     def reset(self) -> "BaseRewardEstimator":
-        raise NotImplementedError
+        """Check the hyperparameters, resolve eta_ and lam_, and start at theta = 0, t = 1."""
+        self.eta_, self.lam_ = resolve_hyperparameters(
+            self.dim, self.B, self.L, self.eta, self.lam, self.c_beta, self.delta)
+        self.theta_ = np.zeros(self.dim)
+        self.theta_sum_ = np.zeros(self.dim)
+        self.t_ = 1
+        return self
 
     def update(self, z: np.ndarray, y: int) -> None:
         """Consume one preference sample. Subclasses implement the actual step."""
         raise NotImplementedError
 
+    def _advance(self, theta_next: np.ndarray) -> None:
+        """Make theta_next the current iterate, add it to the running sum, and count the step."""
+        self.theta_ = theta_next
+        self.theta_sum_ = self.theta_sum_ + theta_next
+        self.t_ += 1
+
     def _ensure_state(self) -> None:
         if not hasattr(self, "theta_"):
             self.reset()
-
-    def observe(self, sample) -> None:
-        """Consume a PreferenceSample record."""
-        self._ensure_state()
-        self.update(sample.z, sample.y)
 
     def partial_fit(self, Z, y) -> "BaseRewardEstimator":
         """Feed samples one at a time in row order, keeping existing state."""
@@ -177,26 +237,30 @@ class BaseRewardEstimator:
     # --- snapshotting ------------------------------------------------------
 
     def _snapshot(self) -> dict:
-        return {
+        payload = {
             "kind": self.kind,
             "params": self.get_params(),
             "t": self.t_,
             "theta": self.theta_.tolist(),
             "theta_sum": self.theta_sum_.tolist(),
-            self.curvature_attr[:-1]: self.local_norm_matrix().reshape(-1).tolist(),
         }
+        if self.curvature_attr is not None:
+            payload[self.curvature_attr[:-1]] = self.local_norm_matrix().reshape(-1).tolist()
+        return payload
 
     def _restore(self, payload: dict) -> None:
         self.t_ = int(payload["t"])
         self.theta_ = np.asarray(payload["theta"], dtype=float)
         self.theta_sum_ = np.asarray(payload["theta_sum"], dtype=float)
+        if self.curvature_attr is None:
+            return
         mat = np.asarray(payload[self.curvature_attr[:-1]], dtype=float)
         mat = mat.reshape(self.dim, self.dim)
         setattr(self, self.curvature_attr,
                 LocalNormMatrix(mat=mat, inv=np.linalg.inv(mat), dim=self.dim))
 
     def save(self, path) -> None:
-        """Write a text snapshot: params, counter, iterates, curvature row-major."""
+        """Write a text snapshot: params, counter, iterates, any curvature matrix row-major."""
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self._snapshot(), fh)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .linalg import LocalNormMatrix, _identity
 from .linkmath import kappa_bound, sigmoid_pair, sigmoid_rows
-from .onepass import _norm, default_regularization, default_step_size
+from .onepass import _norm
 
 __all__ = ["MleRewardEstimator", "ImplicitOmdRewardEstimator"]
 
@@ -348,17 +348,11 @@ class MleRewardEstimator(BaseRewardEstimator):
         self.delta = delta
 
     def reset(self) -> "MleRewardEstimator":
-        lam = self.lam
-        if lam is None:
-            lam = default_regularization(default_step_size(self.B, self.L),
-                                         self.dim, self.B, self.L)
-        v_reg = self.v_reg if self.v_reg is not None else lam * kappa_bound(self.B, self.L)
-        self.v_reg_ = v_reg
-        self.radius_scale_ = math.sqrt(kappa_bound(self.B, self.L))
-        self.theta_ = np.zeros(self.dim)
-        self.theta_sum_ = np.zeros(self.dim)
-        self.t_ = 1
-        self.V_ = LocalNormMatrix.scaled_identity(self.dim, v_reg)
+        super().reset()
+        kappa = kappa_bound(self.B, self.L)
+        self.v_reg_ = self.v_reg if self.v_reg is not None else self.lam_ * kappa
+        self.radius_scale_ = math.sqrt(kappa)
+        self.V_ = LocalNormMatrix.scaled_identity(self.dim, self.v_reg_)
         self._capacity = 64
         self._Z = np.empty((self._capacity, self.dim))
         self._y = np.empty(self._capacity, dtype=float)
@@ -388,8 +382,7 @@ class MleRewardEstimator(BaseRewardEstimator):
         self.refit()
         self.newton_iters_hist_[self.last_newton_iters_] += 1
         self.V_.rank_one_update(z, 1.0)
-        self.theta_sum_ = self.theta_sum_ + self.theta_
-        self.t_ += 1
+        self._advance(self.theta_)
 
     def refit(self, tol: Optional[float] = None) -> np.ndarray:
         """Fit the constrained MLE to the current buffer, warm-started at theta_.
@@ -462,12 +455,7 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
         self.delta = delta
 
     def reset(self) -> "ImplicitOmdRewardEstimator":
-        self.eta_ = default_step_size(self.B, self.L) if self.eta is None else self.eta
-        self.lam_ = (default_regularization(self.eta_, self.dim, self.B, self.L)
-                     if self.lam is None else self.lam)
-        self.theta_ = np.zeros(self.dim)
-        self.theta_sum_ = np.zeros(self.dim)
-        self.t_ = 1
+        super().reset()
         self.local_norm_ = LocalNormMatrix.scaled_identity(self.dim, self.lam_)
         self.last_converged_ = True
         self.last_inner_iters_ = 0
@@ -486,6 +474,4 @@ class ImplicitOmdRewardEstimator(BaseRewardEstimator):
         self.newton_iters_hist_[self.last_inner_iters_] += 1
         _, hw_next = sigmoid_pair(float(z @ theta_next))
         self.local_norm_.rank_one_update(z, hw_next)
-        self.theta_ = theta_next
-        self.theta_sum_ = self.theta_sum_ + theta_next
-        self.t_ += 1
+        self._advance(theta_next)

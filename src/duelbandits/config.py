@@ -10,9 +10,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .base import resolve_hyperparameters
 from .exceptions import ConfigError
-from .linkmath import kappa_bound
-from .onepass import RADIUS_MODES, default_regularization, default_step_size
+from .onepass import RADIUS_MODES
 from .scenarios import ENUMERATE_BUDGET
 
 __all__ = ["ExperimentConfig", "parse_config", "mix_seed", "resolve_seeds"]
@@ -158,20 +158,23 @@ def parse_config(data: dict) -> ExperimentConfig:
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"configuration key '{key}' must be one of {allowed}, got {getattr(cfg, key)!r}")
     # only passive runs have a use for T = 0: the policy of the prior alone
-    for key, minimum in (("d", 1), ("contexts", 1), ("actions", 1), ("num_seeds", 1),
+    for key, minimum in (("contexts", 1), ("actions", 1), ("num_seeds", 1),
                          ("workers", 1), ("T", 0 if cfg.scenario == "passive" else 1)):
         if getattr(cfg, key) < minimum:
             raise ConfigError(f"configuration key '{key}' must be >= {minimum}, got {getattr(cfg, key)}")
-    for key in ("B", "L", "delta", "lambda0"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"configuration key '{key}' must be positive, got {getattr(cfg, key)}")
+    # the estimators' own check; it also resolves eta/lam, so the echoed config
+    # is self-contained
     try:
-        kappa = kappa_bound(cfg.B, cfg.L)
-    except OverflowError:
-        kappa = math.inf
-    if not math.isfinite(kappa):
-        raise ConfigError(f"configuration key 'B' is too large for L={cfg.L}: "
-                          f"kappa = 3 + exp(2*B*L) is not finite at B={cfg.B}")
+        cfg.eta, cfg.lam = resolve_hyperparameters(cfg.d, cfg.B, cfg.L, cfg.eta, cfg.lam,
+                                                   cfg.c_beta, cfg.delta)
+    except ValueError as exc:
+        name, rule = str(exc).split(" ", 1)
+        if name == "lam" and cfg.lam is None:
+            raise ConfigError(f"configuration keys 'eta', 'd', 'B' and 'L' resolve lam = "
+                              f"84*sqrt(2)*eta*(d*L^2 + B*L^3), which {rule}") from None
+        raise ConfigError(f"configuration key '{'d' if name == 'dim' else name}' {rule}") from None
+    if cfg.lambda0 <= 0:
+        raise ConfigError(f"configuration key 'lambda0' must be positive, got {cfg.lambda0}")
     # A**X past 64 contexts is over the budget for any A >= 2 (and 1 for A = 1),
     # so the power is capped rather than formed for a huge X
     if (cfg.scenario == "passive" and cfg.policy_mode == "enumerate"
@@ -179,18 +182,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"configuration key 'policy_mode' 'enumerate' would scan "
                           f"actions**contexts = {cfg.actions}**{cfg.contexts} policies "
                           f"(> {ENUMERATE_BUDGET}); use 'greedy_percontext'")
-    if cfg.delta > 1:
-        raise ConfigError(f"configuration key 'delta' must lie in (0, 1], got {cfg.delta}")
     if not (0.0 <= cfg.coverage_skew <= 1.0):
         raise ConfigError(f"configuration key 'coverage_skew' must lie in [0, 1], got {cfg.coverage_skew}")
-    if cfg.c_beta < 0:
-        raise ConfigError(f"configuration key 'c_beta' must be >= 0, got {cfg.c_beta}")
     if cfg.explore_coeff < 0:
         raise ConfigError(f"configuration key 'explore_coeff' must be >= 0, got {cfg.explore_coeff}")
-    if cfg.eta is not None and cfg.eta <= 0:
-        raise ConfigError(f"configuration key 'eta' must be positive, got {cfg.eta}")
-    if cfg.lam is not None and cfg.lam <= 0:
-        raise ConfigError(f"configuration key 'lam' must be positive, got {cfg.lam}")
     if cfg.seeds is not None:
         if len(cfg.seeds) < 1:
             raise ConfigError("configuration key 'seeds' must list at least one seed")
@@ -202,11 +197,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         if repeated:
             raise ConfigError(f"configuration key 'seeds' lists seeds {repeated} more than once")
 
-    # resolve defaults so the echoed config is self-contained
-    if cfg.eta is None:
-        cfg.eta = default_step_size(cfg.B, cfg.L)
-    if cfg.lam is None:
-        cfg.lam = default_regularization(cfg.eta, cfg.d, cfg.B, cfg.L)
     if cfg.seeds is None:
         cfg.seeds = resolve_seeds(cfg.base_seed, cfg.num_seeds)
     cfg.num_seeds = len(cfg.seeds)

@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "FeatureTable",
     "GroundTruth",
-    "PreferenceSample",
     "BehaviorSpec",
     "Policy",
     "Environment",
@@ -60,25 +59,6 @@ class GroundTruth:
         self.theta_star = np.asarray(self.theta_star, dtype=float)
         if float(np.linalg.norm(self.theta_star)) > self.B * (1 + 1e-9):
             raise ValueError("theta_star lies outside the B-ball")
-
-
-@dataclass
-class PreferenceSample:
-    """One interaction: context, action pair, feature difference, binary label."""
-
-    context: int
-    action_a: int
-    action_b: int
-    z: np.ndarray
-    y: int
-
-    @classmethod
-    def from_environment(cls, env: "Environment", x: int, a: int, b: int,
-                         y: int) -> "PreferenceSample":
-        """Build a record with z = phi(x, a) - phi(x, b) computed exactly."""
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
-        return cls(context=x, action_a=a, action_b=b, z=env.z_of(x, a, b), y=y)
 
 
 @dataclass

@@ -10,18 +10,17 @@ how many samples have been seen; no sample is ever stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
+from .base import (BaseRewardEstimator, check_label, check_vector, default_regularization,
+                   default_step_size, practical_radius)
 from .exceptions import NumericFailure
 from .linalg import LocalNormMatrix, _identity, cg_solve, rank_one_inverse
 from .linkmath import log_loss, sigmoid_pair
 
 __all__ = [
-    "OnePassConfig",
     "default_step_size",
     "default_regularization",
     "confidence_radius",
@@ -34,65 +33,8 @@ __all__ = [
 RADIUS_MODES = ("practical", "theory")
 
 
-def default_step_size(B: float, L: float) -> float:
-    """Step size (1/2) log 2 + (B*L + 1) that the confidence guarantee assumes."""
-    return 0.5 * math.log(2.0) + (B * L + 1.0)
-
-
-def default_regularization(eta: float, dim: int, B: float, L: float) -> float:
-    """Regularization 84*sqrt(2)*eta*(d*L^2 + B*L^3) paired with the default step size."""
-    return 84.0 * math.sqrt(2.0) * eta * (dim * L**2 + B * L**3)
-
-
-@dataclass(frozen=True)
-class OnePassConfig:
-    """Resolved hyperparameters of the one-pass estimator."""
-
-    dim: int
-    B: float
-    L: float
-    eta: float
-    lam: float
-    radius_mode: str = "practical"
-    c_beta: float = 1.0
-    delta: float = 0.1
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        for name in ("B", "L", "eta", "lam"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.radius_mode not in RADIUS_MODES:
-            raise ValueError(f"radius_mode must be one of {RADIUS_MODES}, got {self.radius_mode!r}")
-        if self.c_beta < 0:
-            raise ValueError(f"c_beta must be nonnegative, got {self.c_beta}")
-        if not (0 < self.delta <= 1):
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-
-    @classmethod
-    def resolve(
-        cls,
-        dim: int,
-        B: float,
-        L: float,
-        eta: Optional[float] = None,
-        lam: Optional[float] = None,
-        radius_mode: str = "practical",
-        c_beta: float = 1.0,
-        delta: float = 0.1,
-    ) -> "OnePassConfig":
-        """Fill eta/lam from their closed-form defaults when not overridden."""
-        if eta is None:
-            eta = default_step_size(B, L)
-        if lam is None:
-            lam = default_regularization(eta, dim, B, L)
-        return cls(dim=dim, B=B, L=L, eta=eta, lam=lam,
-                   radius_mode=radius_mode, c_beta=c_beta, delta=delta)
-
-
-def confidence_radius(t: int, config: OnePassConfig) -> float:
-    """Confidence-set radius at iteration t.
+def confidence_radius(t: int, est: "OnePassRewardEstimator") -> float:
+    """Confidence-set radius at iteration t of a reset one-pass estimator.
 
     Practical mode scales sqrt(d log((t+1)/delta)) by c_beta. Theory mode
     evaluates the full constant from the guarantee's proof, which is loose by
@@ -100,13 +42,13 @@ def confidence_radius(t: int, config: OnePassConfig) -> float:
     """
     if t < 1:
         raise ValueError(f"iteration counter must be >= 1, got {t}")
-    if config.radius_mode == "practical":
-        return practical_radius(config.c_beta, config.dim, t, config.delta)
-    eta, lam, B, L, d = config.eta, config.lam, config.B, config.L, config.dim
+    if est.radius_mode == "practical":
+        return practical_radius(est.c_beta, est.dim, t, est.delta)
+    eta, lam, B, L, d = est.eta_, est.lam_, est.B, est.L, est.dim
     c = 7.0 * eta / 6.0
     big_c = (
         22.0 * eta * (3.0 * math.log(1.0 + 2.0 * t) + 2.0 + L * B)
-        * math.log(2.0 * math.sqrt(1.0 + 2.0 * t) / config.delta)
+        * math.log(2.0 * math.sqrt(1.0 + 2.0 * t) / est.delta)
         + 4.0 * eta
         + 2.0 * eta * math.sqrt(6.0) * c * d * math.log(1.0 + 2.0 * t * L**2 / (d * lam))
         + 4.0 * lam * B**2
@@ -194,6 +136,7 @@ class OnePassRewardEstimator(BaseRewardEstimator):
 
     Attributes (after reset/fit)
     ----------
+    eta_, lam_ : the resolved step size and regularization.
     theta_ : current parameter iterate, always inside the B-ball.
     hess_ : running lookahead curvature matrix and its maintained inverse.
     theta_sum_ : running sum of all iterates, for averaged-parameter policies.
@@ -218,14 +161,10 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         self.delta = delta
 
     def reset(self) -> "OnePassRewardEstimator":
-        self.config_ = OnePassConfig.resolve(
-            self.dim, self.B, self.L, self.eta, self.lam,
-            self.radius_mode, self.c_beta, self.delta,
-        )
-        self.theta_ = np.zeros(self.dim)
-        self.hess_ = LocalNormMatrix.scaled_identity(self.dim, self.config_.lam)
-        self.theta_sum_ = np.zeros(self.dim)
-        self.t_ = 1
+        if self.radius_mode not in RADIUS_MODES:
+            raise ValueError(f"radius_mode must be one of {RADIUS_MODES}, got {self.radius_mode!r}")
+        super().reset()
+        self.hess_ = LocalNormMatrix.scaled_identity(self.dim, self.lam_)
         self.projections_ = 0
         return self
 
@@ -242,7 +181,7 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         if any(e.get_params() != params or e.t_ != first.t_ for e in estimators):
             raise ValueError("stacked estimators must share parameters and counter")
         est = cls(**params)
-        est.config_, est.t_ = first.config_, first.t_
+        est.eta_, est.lam_, est.t_ = first.eta_, first.lam_, first.t_
         est.theta_ = np.stack([e.theta_ for e in estimators])
         est.theta_sum_ = np.stack([e.theta_sum_ for e in estimators])
         est.hess_ = LocalNormMatrix.stack([e.hess_ for e in estimators])
@@ -252,7 +191,7 @@ class OnePassRewardEstimator(BaseRewardEstimator):
     def unstack(self, estimators: Sequence["OnePassRewardEstimator"]) -> None:
         """Write each row's state into its own single estimator, in row order."""
         for k, est in enumerate(estimators):
-            est.config_, est.t_ = self.config_, self.t_
+            est.t_ = self.t_
             est.theta_, est.theta_sum_ = self.theta_[k], self.theta_sum_[k]
             est.hess_ = self.hess_[k]
             est.projections_ = int(self.projections_[k])
@@ -264,29 +203,26 @@ class OnePassRewardEstimator(BaseRewardEstimator):
             return
         z = check_vector(z, self.dim)
         check_label(y)
-        cfg = self.config_
         hess = self.hess_
         sig, hw = sigmoid_pair(float(np.dot(z, self.theta_)))
         grad = (sig - y) * z
-        step_weight = cfg.eta * hw
+        step_weight = self.eta_ * hw
         # u = H^-1 z serves both rank-one updates: the scratch inverse of the
         # step geometry H + eta*hw*zz^T below, and the lookahead accumulation
         # into H, which therefore needs no downdate of the scratch matrix.
         u = hess.inv @ z
         zu = float(z @ u)
         tilde_inv = rank_one_inverse(hess.inv, u, zu, step_weight)
-        theta_prime = self.theta_ - cfg.eta * (tilde_inv @ grad)
-        if _norm(theta_prime) <= cfg.B:
+        theta_prime = self.theta_ - self.eta_ * (tilde_inv @ grad)
+        if _norm(theta_prime) <= self.B:
             theta_next = theta_prime
         else:
             self.projections_ += 1
             tilde_mat = hess.mat + step_weight * np.multiply(z[:, None], z)
-            theta_next = project_localnorm_ball(theta_prime, tilde_mat, cfg.B)
+            theta_next = project_localnorm_ball(theta_prime, tilde_mat, self.B)
         _, hw_next = sigmoid_pair(float(np.dot(z, theta_next)))
         hess.rank_one_update(z, hw_next, u, zu)
-        self.theta_ = theta_next
-        self.theta_sum_ = self.theta_sum_ + theta_next
-        self.t_ += 1
+        self._advance(theta_next)
 
     def _update_rows(self, z: np.ndarray, y) -> None:
         """The step of ``update`` for every row of a stack, each with a single run's bits.
@@ -298,23 +234,22 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         z = check_vector(z, self.dim, lead=self.theta_.shape[:-1])
         y = np.asarray(y)
         check_label(y)
-        cfg = self.config_
         hess = self.hess_
         sig, hw = sigmoid_pair(np.vecdot(z, self.theta_))
         grad = (sig - y)[:, None] * z
-        step_weight = cfg.eta * hw
+        step_weight = self.eta_ * hw
         u = np.matvec(hess.inv, z)
         zu = np.vecdot(z, u)
         tilde_inv = rank_one_inverse(hess.inv, u, zu, step_weight)
-        theta_next = self.theta_ - cfg.eta * np.matvec(tilde_inv, grad)
+        theta_next = self.theta_ - self.eta_ * np.matvec(tilde_inv, grad)
         # projection is the rare case, so it runs row by row where it fires
         norms = np.vecdot(theta_next, theta_next).tolist()
-        fired = [k for k, sq in enumerate(norms) if not math.sqrt(sq) <= cfg.B]
+        fired = [k for k, sq in enumerate(norms) if not math.sqrt(sq) <= self.B]
         try:
             for k in fired:
                 tilde_mat = hess.mat[k] + step_weight[k] * np.multiply(z[k][:, None], z[k])
                 try:
-                    theta_next[k] = project_localnorm_ball(theta_next[k], tilde_mat, cfg.B)
+                    theta_next[k] = project_localnorm_ball(theta_next[k], tilde_mat, self.B)
                 except NumericFailure as exc:
                     raise NumericFailure(str(exc), index=k) from exc
             _, hw_next = sigmoid_pair(np.vecdot(z, theta_next))
@@ -324,12 +259,10 @@ class OnePassRewardEstimator(BaseRewardEstimator):
                 self.projections_[exc.index] += 1
             raise
         self.projections_[fired] += 1
-        self.theta_ = theta_next
-        self.theta_sum_ = self.theta_sum_ + theta_next
-        self.t_ += 1
+        self._advance(theta_next)
 
     def radius(self, t: Optional[int] = None) -> float:
-        return confidence_radius(self.t_ if t is None else t, self.config_)
+        return confidence_radius(self.t_ if t is None else t, self)
 
 
 def damping_value(t: int, horizon: int, lambda0: float, damping: str) -> float:
@@ -352,19 +285,22 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
     The projection is plain Euclidean rescaling since no curvature norm is
     available; ``projections_`` counts the updates it rescaled. ``horizon``
     anchors the damping schedule and must be set before the first update.
+
+    The CG right-hand side is a multiple of z, an eigenvector of the system
+    matrix lam_t*I + s*zz^T, so CG is exact after its first iteration and runs
+    with fixed settings (3 iterations, tolerance 1e-10).
     """
 
+    kind = "hvpcg"
+
     def __init__(self, dim: int, B: float = 1.0, L: float = 1.0,
-                 eta: Optional[float] = None, cg_iters: int = 3,
-                 cg_tol: float = 1e-10, lambda0: float = 0.8,
+                 eta: Optional[float] = None, lambda0: float = 0.8,
                  damping: str = "linear", horizon: Optional[int] = None,
                  c_beta: float = 1.0, delta: float = 0.1):
         self.dim = dim
         self.B = B
         self.L = L
         self.eta = eta
-        self.cg_iters = cg_iters
-        self.cg_tol = cg_tol
         self.lambda0 = lambda0
         self.damping = damping
         self.horizon = horizon
@@ -374,14 +310,9 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
     def reset(self) -> "HvpCgRewardEstimator":
         if self.horizon is None or self.horizon < 1:
             raise ValueError("horizon must be a positive iteration budget")
-        if self.cg_iters < 1:
-            raise ValueError(f"cg_iters must be >= 1, got {self.cg_iters}")
         if self.lambda0 <= 0:
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        self.eta_ = default_step_size(self.B, self.L) if self.eta is None else self.eta
-        self.theta_ = np.zeros(self.dim)
-        self.theta_sum_ = np.zeros(self.dim)
-        self.t_ = 1
+        super().reset()
         self.projections_ = 0
         return self
 
@@ -400,15 +331,13 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
         def apply(p: np.ndarray) -> np.ndarray:
             return lam_t * p + scale * float(z @ p) * z
 
-        v, _ = cg_solve(apply, grad, self.cg_iters, self.cg_tol)
+        v, _ = cg_solve(apply, grad, 3, 1e-10)
         theta_next = self.theta_ - self.eta_ * v
         nrm = _norm(theta_next)
         if nrm > self.B:
             self.projections_ += 1
             theta_next = theta_next * (self.B / nrm)
-        self.theta_ = theta_next
-        self.theta_sum_ = self.theta_sum_ + theta_next
-        self.t_ += 1
+        self._advance(theta_next)
 
     # --- scenario hooks ----------------------------------------------------
     # The damping term is this estimator's whole model of accumulated

@@ -374,14 +374,9 @@ def select_deploy_actions(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
 # run loops
 
 
-def _domination_parts(estimator):
-    mat = estimator.local_norm_matrix()
-    cfg = getattr(estimator, "config_", None)
-    if mat is not None and cfg is not None:
-        return mat, cfg.lam
-    if mat is not None and hasattr(estimator, "lam_"):
-        return mat, estimator.lam_
-    return None
+# the estimators whose curvature matrix is lam*I plus lookahead Hessians; MLE's
+# is the scatter matrix V itself, and hvpcg forms none
+_AUDITED_KINDS = ("onepass", "implicit")
 
 
 class _DominationAudit:
@@ -393,12 +388,11 @@ class _DominationAudit:
 
     def __init__(self, estimators, envs: Sequence[Environment], T: int,
                  points: Sequence[int] = DOMINATION_AUDIT_POINTS):
-        parts = [_domination_parts(est) for est in estimators]
         self.records: List[List[dict]] = [[] for _ in estimators]
-        if parts[0] is None:
+        if getattr(estimators[0], "kind", None) not in _AUDITED_KINDS:
             self.points = frozenset()
             return
-        self.lams = [lam for _, lam in parts]
+        self.lams = [est.lam_ for est in estimators]
         self.kappas = [kappa_bound(env.truth.B, env.truth.L) for env in envs]
         dim = envs[0].features.dim
         self.v_sum = np.zeros((len(envs), dim, dim))

@@ -212,7 +212,7 @@ def check_curvature_domination(seed: int) -> CheckResult:
     est = OnePassRewardEstimator(dim=5)
     _, rec = run_passive(env, est, 2000, checkpoints=())
     audits = rec.summary["domination_audits"]
-    floor_ok = float(np.linalg.eigvalsh(est.hess_.mat)[0]) >= est.config_.lam - 1e-8
+    floor_ok = float(np.linalg.eigvalsh(est.hess_.mat)[0]) >= est.lam_ - 1e-8
     min_eig = min(a["min_eig"] for a in audits)
     return (min_eig >= -1e-8 and floor_ok), (
         f"min domination eigenvalue {min_eig:.2e} over audits {[a['t'] for a in audits]}"

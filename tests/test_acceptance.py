@@ -331,8 +331,8 @@ def test_criterion_8_hvpcg_fidelity():
     # first-step equivalence in d=1: horizon 1 pins the damping at lambda0
     exact = db.OnePassRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, lam=1.0).reset()
     exact.update(np.array([1.0]), 1)
-    fast = db.HvpCgRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, cg_iters=3,
-                                   lambda0=1.0, damping="linear", horizon=1).reset()
+    fast = db.HvpCgRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, lambda0=1.0,
+                                   damping="linear", horizon=1).reset()
     fast.update(np.array([1.0]), 1)
     first_step_gap = abs(fast.theta_[0] - exact.theta_[0])
     assert first_step_gap <= 1e-15
@@ -341,8 +341,8 @@ def test_criterion_8_hvpcg_fidelity():
         errs = {"hvpcg": [], "omd": []}
         for seed in SEEDS_20:
             env = db.make_environment(10, 8, 4, seed=seed)
-            est = db.HvpCgRewardEstimator(dim=10, cg_iters=3, lambda0=0.8,
-                                          damping="linear", horizon=2000)
+            est = db.HvpCgRewardEstimator(dim=10, lambda0=0.8, damping="linear",
+                                          horizon=2000)
             _, rec = db.run_passive(env, est, 2000, checkpoints=())
             errs["hvpcg"].append(rec.summary["final_est_err_l2"])
             env = db.make_environment(10, 8, 4, seed=seed)

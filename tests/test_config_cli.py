@@ -81,7 +81,22 @@ class TestParseConfig:
         # kappa_bound = 3 + exp(2*B*L) overflows a double past 2*B*L ~ 709.78
         with pytest.raises(ConfigError, match="'B'"):
             parse_config({"scenario": "deploy", "B": 400})
-        assert parse_config({"scenario": "deploy", "B": 350}).B == 350.0
+        assert parse_config({"scenario": "deploy", "B": 350, "lam": 1.0}).B == 350.0
+        # at the default lam ~ 1.5e7, kappa * lam overflows: the domination audit
+        # failed every omd seed with a LinAlgError
+        with pytest.raises(ConfigError, match="'B'"):
+            parse_config({"scenario": "deploy", "B": 350})
+
+    @pytest.mark.parametrize("key, value", [
+        ("eta", 1e308),   # lam resolves to inf
+        ("lam", 1e308),   # kappa * lam overflows
+        ("lam", 1e-320),  # 1 / lam overflows
+        ("L", 1e-200),    # lam underflows to 0
+    ], ids=["eta-huge", "lam-huge", "lam-tiny", "L-tiny"])
+    def test_unusable_resolved_hyperparameter_names_key(self, key, value):
+        # each of these used to parse and then fail inside every seed
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config({"scenario": "deploy", key: value})
 
     def test_explicit_seed_list(self):
         cfg = parse_config({"scenario": "deploy", "seeds": [5, 6, 7]})

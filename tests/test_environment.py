@@ -150,26 +150,3 @@ class TestTypes:
         env = make_environment(2, 2, 1, seed=6)
         assert env.action_pairs() == [(0, 0)]
         assert np.allclose(env.pair_diffs(), 0.0)
-
-    def test_preference_sample_from_environment(self):
-        from duelbandits.environment import PreferenceSample
-
-        env = make_environment(3, 2, 3, seed=12)
-        sample = PreferenceSample.from_environment(env, 1, 0, 2, 1)
-        assert sample.context == 1 and sample.y == 1
-        assert np.array_equal(sample.z, env.features.phi[1, 0] - env.features.phi[1, 2])
-        assert np.linalg.norm(sample.z) <= 2 * env.truth.L + 1e-12
-        with pytest.raises(ValueError):
-            PreferenceSample.from_environment(env, 0, 0, 1, 2)
-
-    def test_estimator_observe_consumes_sample(self):
-        from duelbandits.environment import PreferenceSample
-        from duelbandits.onepass import OnePassRewardEstimator
-
-        env = make_environment(3, 2, 3, seed=13)
-        sample = PreferenceSample.from_environment(env, 0, 0, 1, 1)
-        a = OnePassRewardEstimator(dim=3).reset()
-        a.observe(sample)
-        b = OnePassRewardEstimator(dim=3).reset()
-        b.update(sample.z, sample.y)
-        assert np.array_equal(a.theta_, b.theta_)

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from duelbandits.linalg import LocalNormMatrix
 from duelbandits.linkmath import sigmoid_pair
 from duelbandits.onepass import (
     HvpCgRewardEstimator,
-    OnePassConfig,
     OnePassRewardEstimator,
     confidence_radius,
     damping_value,
@@ -39,18 +39,18 @@ class TestInit:
     def test_default_parameter_formulas(self):
         est = OnePassRewardEstimator(dim=4, B=1.0, L=1.0).reset()
         eta = 0.5 * math.log(2.0) + 2.0
-        assert abs(est.config_.eta - eta) < 1e-12
-        assert abs(est.config_.eta - 2.3466) < 1e-4
+        assert abs(est.eta_ - eta) < 1e-12
+        assert abs(est.eta_ - 2.3466) < 1e-4
         lam = 84.0 * math.sqrt(2.0) * eta * 5.0
-        assert abs(est.config_.lam - lam) < 1e-9
-        assert abs(est.config_.lam - 1393.8) < 0.05
+        assert abs(est.lam_ - lam) < 1e-9
+        assert abs(est.lam_ - 1393.8) < 0.05
 
     def test_deterministic_init(self):
         a = OnePassRewardEstimator(dim=5).reset()
         b = OnePassRewardEstimator(dim=5).reset()
         assert np.array_equal(a.theta_, b.theta_)
         assert np.array_equal(a.hess_.mat, b.hess_.mat)
-        assert a.config_ == b.config_
+        assert (a.eta_, a.lam_) == (b.eta_, b.lam_)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -59,6 +59,43 @@ class TestInit:
             OnePassRewardEstimator(dim=2, B=-1.0).reset()
         with pytest.raises(ValueError):
             OnePassRewardEstimator(dim=2, radius_mode="bogus").reset()
+
+
+# every estimator kind, with what it needs beyond the shared hyperparameters
+KINDS = {
+    "omd": (OnePassRewardEstimator, {}),
+    "mle": (MleRewardEstimator, {}),
+    "implicit": (ImplicitOmdRewardEstimator, {}),
+    "hvpcg": (HvpCgRewardEstimator, {"horizon": 10}),
+}
+BAD_VALUES = [("dim", 0), ("B", 0.0), ("B", -1.0), ("L", 0.0), ("L", -1.0),
+              ("eta", 0.0), ("eta", -1.0), ("lam", 0.0), ("lam", -1.0),
+              ("c_beta", -0.5), ("delta", 0.0), ("delta", -0.1), ("delta", 1.5)]
+
+
+class TestSharedHyperparameters:
+    @pytest.mark.parametrize("kind, name, value", [
+        (kind, name, value) for kind, (cls, _) in KINDS.items()
+        for name, value in BAD_VALUES if name in cls._param_names()])
+    def test_bad_value_rejected_at_reset(self, kind, name, value):
+        cls, extra = KINDS[kind]
+        params = {"dim": 3, **extra, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            cls(**params).reset()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eta_and_lam_follow_the_closed_forms(self, kind):
+        cls, extra = KINDS[kind]
+        B, L, d = 1.5, 0.8, 4
+        est = cls(dim=d, B=B, L=L, **extra).reset()
+        eta = 0.5 * math.log(2.0) + (B * L + 1.0)
+        assert est.eta_ == eta
+        assert est.lam_ == 84.0 * math.sqrt(2.0) * eta * (d * L**2 + B * L**3)
+        if "eta" in cls._param_names():
+            est = cls(dim=d, B=B, L=L, eta=2.0, **extra).reset()
+            assert est.lam_ == 84.0 * math.sqrt(2.0) * 2.0 * (d * L**2 + B * L**3)
+        if "lam" in cls._param_names():
+            assert cls(dim=d, B=B, L=L, lam=3.0, **extra).reset().lam_ == 3.0
 
 
 class TestLossDerivatives:
@@ -247,37 +284,37 @@ class TestProjection:
 
 class TestConfidenceRadius:
     def test_practical_zero_scale(self):
-        cfg = OnePassConfig.resolve(4, 1.0, 1.0, c_beta=0.0)
-        assert confidence_radius(5, cfg) == 0.0
+        est = OnePassRewardEstimator(dim=4, B=1.0, L=1.0, c_beta=0.0).reset()
+        assert confidence_radius(5, est) == 0.0
 
     def test_practical_worked_value(self):
-        cfg = OnePassConfig.resolve(4, 1.0, 1.0, c_beta=1.0, delta=0.1)
+        est = OnePassRewardEstimator(dim=4, B=1.0, L=1.0, c_beta=1.0, delta=0.1).reset()
         want = math.sqrt(4 * math.log(2.0 / 0.1))
-        got = confidence_radius(1, cfg)
+        got = confidence_radius(1, est)
         assert abs(got - want) < 1e-12
         assert abs(got - 3.462) < 1e-3
 
     def test_theory_nondecreasing_in_t(self):
-        cfg = OnePassConfig.resolve(5, 1.0, 1.0, radius_mode="theory", delta=0.1)
-        values = [confidence_radius(t, cfg) for t in (1, 10, 100, 1000)]
+        est = OnePassRewardEstimator(dim=5, B=1.0, L=1.0, radius_mode="theory", delta=0.1).reset()
+        values = [confidence_radius(t, est) for t in (1, 10, 100, 1000)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[0] > 0
 
     def test_theory_formula_terms(self):
         # direct evaluation of the proof constant at t=1
-        cfg = OnePassConfig.resolve(2, 1.0, 1.0, radius_mode="theory", delta=0.5)
-        eta, lam = cfg.eta, cfg.lam
+        est = OnePassRewardEstimator(dim=2, B=1.0, L=1.0, radius_mode="theory", delta=0.5).reset()
+        eta, lam = est.eta_, est.lam_
         c = 7 * eta / 6
         C = (22 * eta * (3 * math.log(3.0) + 2 + 1.0) * math.log(2 * math.sqrt(3.0) / 0.5)
              + 4 * eta
              + 2 * eta * math.sqrt(6) * c * 2 * math.log(1 + 2 * 1 / (2 * lam))
              + 4 * lam)
-        assert abs(confidence_radius(1, cfg) - math.sqrt(C)) < 1e-12
+        assert abs(confidence_radius(1, est) - math.sqrt(C)) < 1e-12
 
     def test_bad_iteration_rejected(self):
-        cfg = OnePassConfig.resolve(2, 1.0, 1.0)
+        est = OnePassRewardEstimator(dim=2, B=1.0, L=1.0).reset()
         with pytest.raises(ValueError):
-            confidence_radius(0, cfg)
+            confidence_radius(0, est)
 
 
 class TestSnapshot:
@@ -300,6 +337,23 @@ class TestSnapshot:
         loaded.update(z, 1)
         assert np.allclose(loaded.theta_, est.theta_, atol=1e-12)
 
+
+    def test_hvpcg_roundtrip_and_continuation(self, tmp_path):
+        rng = np.random.default_rng(11)
+        est = HvpCgRewardEstimator(dim=4, B=2.0, horizon=100).reset()
+        for _ in range(30):
+            est.update(rng.standard_normal(4), int(rng.integers(0, 2)))
+        path = tmp_path / "state.json"
+        est.save(path)
+        assert json.loads(path.read_text())["kind"] == "hvpcg"
+        loaded = HvpCgRewardEstimator.load(path)
+        for _ in range(30):
+            z, y = rng.standard_normal(4), int(rng.integers(0, 2))
+            est.update(z, y)
+            loaded.update(z, y)
+            assert loaded.t_ == est.t_
+            assert loaded.theta_.tobytes() == est.theta_.tobytes()
+            assert loaded.theta_sum_.tobytes() == est.theta_sum_.tobytes()
 
     @pytest.mark.parametrize("kind, params", [
         (OnePassRewardEstimator, {"eta": 1.0, "lam": 1.0}),
@@ -328,8 +382,8 @@ class TestHvpCg:
         exact = OnePassRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, lam=1.0).reset()
         exact.update(np.array([1.0]), 1)
         # horizon 1 with lambda0 = 1 puts the damping at exactly 1 = lam
-        fast = HvpCgRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, cg_iters=3,
-                                    lambda0=1.0, damping="linear", horizon=1).reset()
+        fast = HvpCgRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, lambda0=1.0,
+                                    damping="linear", horizon=1).reset()
         fast.update(np.array([1.0]), 1)
         assert abs(fast.theta_[0] - exact.theta_[0]) <= 1e-15
         assert abs(fast.theta_[0] - 2.0 / 3.0) <= 1e-15

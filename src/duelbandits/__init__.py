@@ -6,11 +6,10 @@ baselines, the passive/active/deployment interaction loops, and runtime
 diagnostics for the statistical guarantees.
 """
 
-from .base import BaseRewardEstimator
+from .base import BaseRewardEstimator, default_regularization, default_step_size
 from .baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from .config import ExperimentConfig, mix_seed, parse_config
 from .diagnostics import (
-    DiagnosticsReport,
     coverage_check,
     diagnostics_report,
     elliptic_potential_check,
@@ -32,9 +31,6 @@ from .onepass import (
     HvpCgRewardEstimator,
     OnePassRewardEstimator,
     confidence_radius,
-    default_regularization,
-    default_step_size,
-    loss_derivatives,
     project_localnorm_ball,
 )
 from .runner import build_estimator, run_experiment, run_single
@@ -56,7 +52,6 @@ __all__ = [
     "BaseRewardEstimator",
     "BehaviorSpec",
     "ConfigError",
-    "DiagnosticsReport",
     "Environment",
     "ExperimentConfig",
     "FeatureTable",
@@ -81,7 +76,6 @@ __all__ = [
     "greedy_policy",
     "kappa_bound",
     "kappa_empirical",
-    "loss_derivatives",
     "mahalanobis_inv",
     "make_environment",
     "mix_seed",

@@ -1,11 +1,9 @@
-"""Shared estimator surface: sklearn-style params, fit/predict, input checks,
-the hyperparameters and iterates every estimator keeps, and the
-curvature-matrix core (norms, snapshots) the estimators share.
+"""Shared estimator surface: constructor parameters, input checks, the
+hyperparameters and iterates every estimator keeps, and the curvature-matrix
+core (norms, snapshots) the estimators share.
 
-The estimators follow the scikit-learn conventions closely enough to compose
-with that ecosystem (``get_params``/``set_params`` as used by ``sklearn.clone``,
-constructor-only hyperparameters, learned attributes with trailing underscores)
-without importing it.
+Hyperparameters are constructor-only and stored verbatim; learned state has a
+trailing underscore.
 """
 
 from __future__ import annotations
@@ -18,11 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .linalg import LocalNormMatrix
-from .linkmath import kappa_bound, sigmoid_rows
-
-__all__ = ["check_vector", "check_label", "check_pair_samples", "practical_radius",
-           "default_step_size", "default_regularization", "resolve_hyperparameters",
-           "BaseRewardEstimator"]
+from .linkmath import kappa_bound
 
 
 def default_step_size(B: float, L: float) -> float:
@@ -97,21 +91,6 @@ def check_label(y) -> None:
         raise ValueError(f"label must be 0 or 1, got {y!r}")
 
 
-def check_pair_samples(Z, y, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Coerce (Z, y) to a (n, dim) float matrix and an (n,) array of 0/1 labels."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.ndim != 2 or Z.shape[1] != dim:
-        raise ValueError(f"Z must have shape (n, {dim}), got {Z.shape}")
-    if not np.isfinite(Z).all():
-        raise ValueError("Z contains non-finite entries")
-    y = np.asarray(y).reshape(-1)
-    if y.shape[0] != Z.shape[0]:
-        raise ValueError(f"y has length {y.shape[0]}, expected {Z.shape[0]}")
-    if not np.all(np.isin(y, (0, 1))):
-        raise ValueError("labels must be 0 or 1")
-    return Z, y.astype(int)
-
-
 class BaseRewardEstimator:
     """Common surface of the online reward estimators.
 
@@ -133,23 +112,16 @@ class BaseRewardEstimator:
     eta: Optional[float] = None
     lam: Optional[float] = None
 
-    # --- sklearn-style parameter handling -------------------------------
+    # --- constructor parameters -----------------------------------------
 
     @classmethod
     def _param_names(cls):
         sig = inspect.signature(cls.__init__)
         return [p for p in sig.parameters if p != "self"]
 
-    def get_params(self, deep: bool = True) -> dict:
+    def get_params(self) -> dict:
+        """The constructor arguments, by name."""
         return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "BaseRewardEstimator":
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
@@ -176,38 +148,8 @@ class BaseRewardEstimator:
         self.theta_sum_ = self.theta_sum_ + theta_next
         self.t_ += 1
 
-    def _ensure_state(self) -> None:
-        if not hasattr(self, "theta_"):
-            self.reset()
-
-    def partial_fit(self, Z, y) -> "BaseRewardEstimator":
-        """Feed samples one at a time in row order, keeping existing state."""
-        self._ensure_state()
-        Z, y = check_pair_samples(Z, y, self.dim)
-        for row, label in zip(Z, y):
-            self.update(row, int(label))
-        return self
-
-    def fit(self, Z, y) -> "BaseRewardEstimator":
-        """Reset, then consume the samples in one sequential pass."""
-        self.reset()
-        return self.partial_fit(Z, y)
-
-    # --- prediction ------------------------------------------------------
-
-    def predict(self, X) -> np.ndarray:
-        """Estimated rewards X @ theta for feature rows X."""
-        self._ensure_state()
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X @ self.theta_
-
-    def predict_proba(self, Z) -> np.ndarray:
-        """P(first action preferred) = sigma(z . theta) for feature-difference rows."""
-        return sigmoid_rows(self.predict(Z))
-
     def averaged_theta(self) -> np.ndarray:
         """Average of all iterates produced so far, the zero initial one included."""
-        self._ensure_state()
         return self.theta_sum_ / self.t_
 
     # --- hooks used by the scenario loops --------------------------------
@@ -215,10 +157,6 @@ class BaseRewardEstimator:
     def local_norm(self, v: np.ndarray) -> float:
         """Norm of v under the estimator's curvature matrix."""
         return getattr(self, self.curvature_attr).norm(v)
-
-    def inv_norm(self, v: np.ndarray) -> float:
-        """Norm of v under the inverse curvature matrix (uncertainty scale)."""
-        return getattr(self, self.curvature_attr).inv_norm(v)
 
     def inv_norm_matrix(self) -> np.ndarray:
         """The inverse curvature matrix itself, for policy/selection helpers."""

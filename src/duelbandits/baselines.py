@@ -20,8 +20,6 @@ from .linalg import LocalNormMatrix, _identity
 from .linkmath import kappa_bound, sigmoid_pair, sigmoid_rows
 from .onepass import _norm
 
-__all__ = ["MleRewardEstimator", "ImplicitOmdRewardEstimator"]
-
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
@@ -71,12 +69,13 @@ def _secular_seeds(lam, b, B, mu0, radial_tol):
 
     Newton's method on the secular equation 1/B - 1/||b / (lam + mu)|| = 0
     (Moré & Sorensen 1983), which is convex and decreasing in mu: from
-    max(mu0, ||b||/B - lam_max), which lies at or left of the root, its
-    iterates rise monotonically to it. The seeds sit two radial-band
-    half-widths either side of the last iterate. They only decide which
-    probes the damping search makes, never its result.
+    max(mu0, ||b||/B - lam_max, max_i(|b_i|/B - lam_i)), which lies at or
+    left of the root, its iterates rise monotonically to it. The last bound
+    holds because ||b / (lam + mu)|| >= |b_i| / (lam_i + mu). The seeds sit
+    two radial-band half-widths either side of the last iterate. They only
+    decide which probes the damping search makes, never its result.
     """
-    mu = max(mu0, _norm(b) / B - float(lam[-1]))
+    mu = max(mu0, _norm(b) / B - float(lam[-1]), float((np.abs(b) / B - lam).max()))
     width = math.nan
     for _ in range(SECULAR_STEPS):
         shifted = lam + mu
@@ -384,7 +383,7 @@ class MleRewardEstimator(BaseRewardEstimator):
         self.V_.rank_one_update(z, 1.0)
         self._advance(self.theta_)
 
-    def refit(self, tol: Optional[float] = None) -> np.ndarray:
+    def refit(self) -> np.ndarray:
         """Fit the constrained MLE to the current buffer, warm-started at theta_.
 
         Every update calls it; call it again after ``permute_buffer``.
@@ -393,8 +392,7 @@ class MleRewardEstimator(BaseRewardEstimator):
             return self.theta_
         Z = self._Z[: self.n_samples_]
         labels = self._y[: self.n_samples_]
-        if tol is None:
-            tol = self.fit_tol if self.fit_tol is not None else 1.0 / self.n_samples_
+        tol = self.fit_tol if self.fit_tol is not None else 1.0 / self.n_samples_
         self.theta_, self.last_converged_, self.last_newton_iters_ = _projected_newton(
             _logistic_objective(Z, labels), self.theta_, self.B, tol,
             self.max_newton_iters, self.boundary_counts_)

@@ -15,8 +15,6 @@ from .exceptions import ConfigError
 from .onepass import RADIUS_MODES
 from .scenarios import ENUMERATE_BUDGET
 
-__all__ = ["ExperimentConfig", "parse_config", "mix_seed", "resolve_seeds"]
-
 SCENARIOS = ("passive", "active", "deploy")
 ESTIMATORS = ("omd", "mle", "implicit", "hvpcg")
 DAMPING_FNS = ("linear", "log")

@@ -8,7 +8,6 @@ scatter matrix, and does the per-iteration cost stay flat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,36 +17,14 @@ from .linalg import sherman_morrison
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import RunRecord
 
-__all__ = [
-    "coverage_check",
-    "elliptic_potential_check",
-    "norm_domination_check",
-    "timing_profile",
-    "DiagnosticsReport",
-    "diagnostics_report",
-]
-
-
-@dataclass
-class DiagnosticsReport:
-    coverage_ok: bool
-    first_violation: Optional[int]
-    potential_lhs: float
-    potential_rhs: float
-    domination_min_eig: float
-    timing_early_ns: float
-    timing_late_ns: float
-    timing_ratio: float
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
 
 def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"],
-                       potential_lambda: float = 1.0) -> List[DiagnosticsReport]:
-    """Bundle every lemma-level check, one report per finished run.
+                       potential_lambda: float = 1.0) -> List[dict]:
+    """Bundle every lemma-level check, one report dict per finished run.
+
+    Each report holds coverage_ok, first_violation, potential_lhs,
+    potential_rhs, domination_min_eig, timing_early_ns, timing_late_ns and
+    timing_ratio.
 
     ``envs`` and ``records`` pair each run with its environment. The
     domination eigenvalue comes from the audits each run itself recorded (NaN
@@ -68,7 +45,7 @@ def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"],
     return [_report(rec, *potentials[k]) for k, rec in enumerate(records)]
 
 
-def _report(record: "RunRecord", lhs: float, rhs: float) -> DiagnosticsReport:
+def _report(record: "RunRecord", lhs: float, rhs: float) -> dict:
     cov_ok, first = coverage_check(record)
     audits = record.summary.get("domination_audits", [])
     dom = min((a["min_eig"] for a in audits), default=float("nan"))
@@ -79,12 +56,12 @@ def _report(record: "RunRecord", lhs: float, rhs: float) -> DiagnosticsReport:
     else:
         early = late = float(record.wall_nanos.mean()) if n else 0.0
         ratio = 1.0
-    return DiagnosticsReport(
-        coverage_ok=cov_ok, first_violation=first,
-        potential_lhs=lhs, potential_rhs=rhs,
-        domination_min_eig=dom,
-        timing_early_ns=early, timing_late_ns=late, timing_ratio=ratio,
-    )
+    return {
+        "coverage_ok": cov_ok, "first_violation": first,
+        "potential_lhs": lhs, "potential_rhs": rhs,
+        "domination_min_eig": dom,
+        "timing_early_ns": early, "timing_late_ns": late, "timing_ratio": ratio,
+    }
 
 
 def coverage_check(record: "RunRecord",

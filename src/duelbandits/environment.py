@@ -8,16 +8,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "FeatureTable",
-    "GroundTruth",
-    "BehaviorSpec",
-    "Policy",
-    "Environment",
-    "make_environment",
-    "draw_passive_pair",
-]
-
 
 @dataclass
 class FeatureTable:

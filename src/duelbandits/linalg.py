@@ -18,15 +18,6 @@ import numpy as np
 
 from .exceptions import NumericFailure
 
-__all__ = [
-    "sherman_morrison",
-    "rank_one_inverse",
-    "mahalanobis_inv",
-    "cg_solve",
-    "LocalNormMatrix",
-    "inverse_drift",
-]
-
 
 @functools.lru_cache(maxsize=None)
 def _identity(dim: int) -> np.ndarray:
@@ -253,10 +244,6 @@ class LocalNormMatrix:
     def norm(self, v: np.ndarray):
         """sqrt(v^T M v), one per row on a stack."""
         return mahalanobis_inv(v, self.mat)
-
-    def inv_norm(self, v: np.ndarray):
-        """sqrt(v^T M^-1 v), one per row on a stack."""
-        return mahalanobis_inv(v, self.inv)
 
     def inverse_drift(self) -> float:
         """Relative Frobenius distance between the maintained inverse and a fresh one."""

@@ -7,15 +7,6 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-__all__ = [
-    "sigmoid_pair",
-    "sigmoid_rows",
-    "log_loss",
-    "bt_sample",
-    "kappa_bound",
-    "kappa_empirical",
-]
-
 
 def _sigmoid(w: float) -> float:
     e = math.exp(-abs(w))
@@ -52,16 +43,6 @@ def sigmoid_rows(s: np.ndarray) -> np.ndarray:
     e = np.exp(s[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def log_loss(w: float, y: int) -> float:
-    """Binary logistic loss -y*log(sigma(w)) - (1-y)*log(1-sigma(w)), overflow-safe."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    # log sigma(w) = -log(1+e^-w), log(1-sigma(w)) = -log(1+e^w)
-    if y == 1:
-        return float(np.logaddexp(0.0, -w))
-    return float(np.logaddexp(0.0, w))
 
 
 def bt_sample(reward_a, reward_b, rng):

@@ -10,25 +10,14 @@ how many samples have been seen; no sample is ever stored.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .base import (BaseRewardEstimator, check_label, check_vector, default_regularization,
-                   default_step_size, practical_radius)
+from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .exceptions import NumericFailure
 from .linalg import LocalNormMatrix, _identity, cg_solve, rank_one_inverse
-from .linkmath import log_loss, sigmoid_pair
-
-__all__ = [
-    "default_step_size",
-    "default_regularization",
-    "confidence_radius",
-    "loss_derivatives",
-    "project_localnorm_ball",
-    "OnePassRewardEstimator",
-    "HvpCgRewardEstimator",
-]
+from .linkmath import sigmoid_pair
 
 RADIUS_MODES = ("practical", "theory")
 
@@ -59,19 +48,6 @@ def confidence_radius(t: int, est: "OnePassRewardEstimator") -> float:
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a vector: the sqrt-of-dot np.linalg.norm computes, without its overhead."""
     return math.sqrt(v.dot(v))
-
-
-def loss_derivatives(theta: np.ndarray, z: np.ndarray, y: int) -> Tuple[float, np.ndarray, float]:
-    """Loss, gradient, and Hessian weight of the logistic preference loss at theta.
-
-    The gradient is (sigma(z.theta) - y) z; the Hessian is hess_weight * z z^T
-    with hess_weight = sigma'(z.theta), returned as the scalar so callers choose
-    whether to materialize it.
-    """
-    check_label(y)
-    s = float(np.dot(z, theta))
-    sig, ds = sigmoid_pair(s)
-    return log_loss(s, y), (sig - y) * z, ds
 
 
 def project_localnorm_ball(theta_prime: np.ndarray, norm_mat: np.ndarray, B: float) -> np.ndarray:
@@ -134,7 +110,7 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         settings the confidence guarantee assumes.
     radius_mode, c_beta, delta : confidence-radius configuration.
 
-    Attributes (after reset/fit)
+    Attributes (after reset)
     ----------
     eta_, lam_ : the resolved step size and regularization.
     theta_ : current parameter iterate, always inside the B-ball.
@@ -345,9 +321,6 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
 
     def local_norm(self, v: np.ndarray) -> float:
         return math.sqrt(self._damping()) * _norm(v)
-
-    def inv_norm(self, v: np.ndarray) -> float:
-        return _norm(v) / math.sqrt(self._damping())
 
     def inv_norm_matrix(self) -> np.ndarray:
         return _identity(self.dim) / self._damping()

@@ -17,8 +17,6 @@ from .environment import make_environment
 from .onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from .scenarios import run_active, run_deploy, run_passive, shared_csv_cells
 
-__all__ = ["build_estimator", "run_single", "run_experiment", "ExperimentResult"]
-
 
 def build_estimator(cfg: ExperimentConfig):
     """Instantiate the estimator a config asks for. eta/lam are already resolved."""
@@ -169,7 +167,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             continue
         stem = f"{cfg.scenario}_{cfg.estimator}_seed{seed}"
         rec.write_csv(out_dir / f"{stem}.csv", shared)
-        rec.summary["diagnostics"] = next(reports).to_dict()
+        rec.summary["diagnostics"] = next(reports)
         rec.summary["config"] = cfg.to_dict()
         (out_dir / f"{stem}_summary.json").write_text(
             json.dumps(rec.summary, indent=2, sort_keys=True), encoding="utf-8")

@@ -32,22 +32,6 @@ from .exceptions import NumericFailure
 from .linalg import inverse_drift
 from .linkmath import bt_sample, kappa_bound
 
-__all__ = [
-    "RunRecord",
-    "CSV_COLUMNS",
-    "shared_csv_cells",
-    "greedy_policy",
-    "pessimistic_policy",
-    "pessimistic_value",
-    "subopt",
-    "select_most_uncertain",
-    "select_deploy_actions",
-    "run_passive",
-    "run_active",
-    "run_deploy",
-    "default_checkpoints",
-]
-
 CSV_COLUMNS = (
     "t", "wall_nanos", "est_err_l2", "est_err_local", "beta",
     "cum_regret", "subopt_checkpoint", "x", "a", "a_prime", "y", "flags",

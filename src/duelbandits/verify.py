@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
+from .baselines import ImplicitOmdRewardEstimator, MleRewardEstimator, _logistic_objective
 from .config import parse_config
 from .diagnostics import (
     coverage_check,
@@ -27,11 +27,7 @@ from .diagnostics import (
 from .environment import make_environment
 from .linalg import LocalNormMatrix, cg_solve, sherman_morrison
 from .linkmath import bt_sample, kappa_bound, kappa_empirical, sigmoid_pair
-from .onepass import (
-    OnePassRewardEstimator,
-    loss_derivatives,
-    project_localnorm_ball,
-)
+from .onepass import OnePassRewardEstimator, project_localnorm_ball
 from .runner import aggregate_summaries
 from .scenarios import (
     RunRecord,
@@ -46,9 +42,9 @@ from .scenarios import (
 CheckResult = Tuple[bool, str]
 
 
-def _random_pd(rng: np.random.Generator, d: int, spread: float = 4.0) -> np.ndarray:
+def _random_pd(rng: np.random.Generator, d: int, lo: float = 1.0, hi: float = 5.0) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    eigs = rng.uniform(1.0, 1.0 + spread, size=d)
+    eigs = rng.uniform(lo, hi, size=d)
     return q @ np.diag(eigs) @ q.T
 
 
@@ -98,7 +94,7 @@ def check_cg_exactness(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(25):
         d = int(rng.integers(2, 21))
-        A = _random_pd(rng, d)
+        A = _random_pd(rng, d, 0.5, 5.0)
         b = rng.standard_normal(d)
         v, _ = cg_solve(lambda p: A @ p, b, max_iters=d, tol=0.0)
         ref = np.linalg.solve(A, b)
@@ -162,7 +158,7 @@ def check_projection_kkt(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 12))
-        M = _random_pd(rng, d, spread=9.0)
+        M = _random_pd(rng, d, 0.3, 10.0)
         theta_prime = rng.standard_normal(d) * rng.uniform(1.5, 5.0)
         B = 1.0
         theta = project_localnorm_ball(theta_prime, M, B)
@@ -177,31 +173,32 @@ def check_projection_kkt(seed: int) -> CheckResult:
 
 
 def check_derivatives_match_fd(seed: int) -> CheckResult:
+    """The logistic objective MLE minimizes: gradient and Hessian against central differences.
+
+    Over 1 to 8 rows; with one row the gradient is OMD's (sigma - y) z and the
+    Hessian its sigma' z z^T.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     componentwise = True
+    h = 1e-5
     for _ in range(50):
         d = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 9))
         theta = rng.standard_normal(d) * 0.5
-        z = rng.standard_normal(d)
-        y = int(rng.integers(0, 2))
-        loss, grad, hw = loss_derivatives(theta, z, y)
-        h = 1e-5
-        fd_grad = np.empty(d)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            lp = loss_derivatives(theta + e, z, y)[0]
-            lm = loss_derivatives(theta - e, z, y)[0]
-            fd_grad[j] = (lp - lm) / (2 * h)
+        Z = rng.standard_normal((n, d))
+        y = rng.integers(0, 2, size=n).astype(float)
+        value, grad_hess = _logistic_objective(Z, y)
+        grad, hess = grad_hess(theta)
+        fd_grad = np.array([(value(theta + h * e) - value(theta - h * e)) / (2 * h)
+                            for e in np.eye(d)])
         rel_g = np.linalg.norm(fd_grad - grad) / max(1e-12, np.linalg.norm(grad))
         componentwise = componentwise and bool(
             np.all(np.abs(fd_grad - grad) <= 1e-6 * np.maximum(1.0, np.abs(grad))))
         direction = rng.standard_normal(d)
-        gp = loss_derivatives(theta + h * direction, z, y)[1]
-        gm = loss_derivatives(theta - h * direction, z, y)[1]
-        fd_hess_dir = (gp - gm) / (2 * h)
-        hess_dir = hw * z * float(z @ direction)
+        fd_hess_dir = (grad_hess(theta + h * direction)[0]
+                       - grad_hess(theta - h * direction)[0]) / (2 * h)
+        hess_dir = hess @ direction
         rel_h = np.linalg.norm(fd_hess_dir - hess_dir) / max(1e-8, np.linalg.norm(hess_dir))
         worst = max(worst, float(rel_g), float(rel_h))
     return worst <= 1e-6 and componentwise, f"max relative derivative mismatch {worst:.2e}"

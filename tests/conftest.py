@@ -31,9 +31,6 @@ class OracleEstimator:
     def local_norm(self, v):
         return 0.0
 
-    def inv_norm(self, v):
-        return float(np.linalg.norm(v))
-
     def inv_norm_matrix(self):
         return np.eye(self.dim)
 

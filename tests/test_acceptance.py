@@ -185,35 +185,11 @@ def test_criterion_5_passive_pessimism(passive_runs):
 
 
 def test_criterion_6_oracle_equivalences():
-    rng = np.random.default_rng(1234)
+    # the Sherman-Morrison chain, CG, projection KKT residuals and loss
+    # derivatives are verify checks, which tests/test_verify.py runs
     details = []
 
-    # (a) Sherman-Morrison chain vs direct inversion
-    mat, inv = np.eye(20), np.eye(20)
-    for _ in range(1000):
-        z = rng.standard_normal(20)
-        w = float(rng.random())
-        mat += w * np.outer(z, z)
-        inv = db.sherman_morrison(inv, z, w)
-    direct = np.linalg.inv(mat)
-    sm_err = float(np.linalg.norm(inv - direct) / np.linalg.norm(direct))
-    details.append(f"SM drift {sm_err:.1e}")
-    assert sm_err <= 1e-8
-
-    # (b) CG with K=d vs direct solve
-    worst_cg = 0.0
-    for _ in range(20):
-        d = int(rng.integers(2, 21))
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        A = q @ np.diag(rng.uniform(0.5, 5.0, size=d)) @ q.T
-        b = rng.standard_normal(d)
-        v, _ = db.cg_solve(lambda p: A @ p, b, max_iters=d, tol=0.0)
-        worst_cg = max(worst_cg, float(np.linalg.norm(v - np.linalg.solve(A, b))
-                                       / np.linalg.norm(np.linalg.solve(A, b))))
-    details.append(f"CG err {worst_cg:.1e}")
-    assert worst_cg <= 1e-6
-
-    # (c) local-norm projection: worked example and KKT residuals
+    # (a) local-norm projection: worked example
     M = np.diag([4.0, 1.0])
     theta_prime = np.array([2.0, 2.0])
     out = db.project_localnorm_ball(theta_prime, M, 1.0)
@@ -226,47 +202,9 @@ def test_criterion_6_oracle_equivalences():
     assert abs(nu_star - 4.5713232) < 1e-6
     assert proj_err <= 1e-6
     assert abs(nu_rec - nu_star) <= 1e-6
-    worst_kkt = 0.0
-    for _ in range(30):
-        d = int(rng.integers(2, 10))
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        M = q @ np.diag(rng.uniform(0.3, 9.0, size=d)) @ q.T
-        tp = rng.standard_normal(d) * rng.uniform(1.5, 4.0)
-        if np.linalg.norm(tp) <= 1.0:
-            continue
-        out = db.project_localnorm_ball(tp, M, 1.0)
-        rv = M @ (out - tp)
-        nu = -float(out @ rv) / float(out @ out)
-        resid = float(np.linalg.norm(rv + nu * out))
-        worst_kkt = max(worst_kkt, resid / (1e-6 * (1 + np.linalg.norm(tp) * np.linalg.norm(M))))
-    details.append(f"nu* {nu_rec:.6f}, KKT at {worst_kkt:.2f} of allowance")
-    assert worst_kkt <= 1.0
+    details.append(f"nu* {nu_rec:.6f}")
 
-    # (d) analytic derivatives vs central differences
-    worst_fd = 0.0
-    for _ in range(30):
-        d = int(rng.integers(1, 7))
-        theta = rng.standard_normal(d) * 0.5
-        z = rng.standard_normal(d)
-        y = int(rng.integers(0, 2))
-        _, grad, hw = db.loss_derivatives(theta, z, y)
-        h = 1e-5
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            fd = (db.loss_derivatives(theta + e, z, y)[0]
-                  - db.loss_derivatives(theta - e, z, y)[0]) / (2 * h)
-            worst_fd = max(worst_fd, abs(fd - grad[j]) / max(1.0, abs(grad[j])))
-        direction = rng.standard_normal(d)
-        fd_h = (db.loss_derivatives(theta + h * direction, z, y)[1]
-                - db.loss_derivatives(theta - h * direction, z, y)[1]) / (2 * h)
-        analytic = hw * z * float(z @ direction)
-        worst_fd = max(worst_fd, float(np.linalg.norm(fd_h - analytic)
-                                       / max(1.0, np.linalg.norm(analytic))))
-    details.append(f"FD mismatch {worst_fd:.1e}")
-    assert worst_fd <= 1e-6
-
-    # (e) d=1 MLE closed forms
+    # (b) d=1 MLE closed forms
     est = db.MleRewardEstimator(dim=1, B=1.0, fit_tol=1e-10, max_newton_iters=200).reset()
     est.update(np.array([1.0]), 1)
     est.update(np.array([1.0]), 0)
@@ -280,7 +218,7 @@ def test_criterion_6_oracle_equivalences():
     assert abs(est.theta_[0] - math.log(3.0)) <= 1e-6
     details.append("MLE closed forms {0, B, log3} ok")
 
-    # (f) d=1 implicit proximal root
+    # (c) d=1 implicit proximal root
     est = db.ImplicitOmdRewardEstimator(dim=1, B=1.0, eta=1.0, lam=1.0,
                                         inner_tol=1e-12, max_inner_iters=200).reset()
     est.update(np.array([1.0]), 1)

@@ -118,7 +118,7 @@ class TestBoundarySearch:
         return Z, y, B
 
     @staticmethod
-    def fit(est, Z, y):
+    def feed(est, Z, y):
         for z, label in zip(Z, y):
             est.update(z, int(label))
         return est
@@ -128,7 +128,7 @@ class TestBoundarySearch:
         d = Z.shape[1]
         est = MleRewardEstimator(dim=d, B=B, fit_tol=1e-10, max_newton_iters=200).reset()
         # warm up unrecorded, so the probed Hessians are past the rank-deficient start
-        self.fit(est, Z[:350], y[:350])
+        self.feed(est, Z[:350], y[:350])
         probes = []
         model_norm = baselines._model_norm
 
@@ -142,7 +142,7 @@ class TestBoundarySearch:
             return lam, b, probe
 
         monkeypatch.setattr(baselines, "_model_norm", recording)
-        self.fit(est, Z[350:], y[350:])
+        self.feed(est, Z[350:], y[350:])
         assert len(probes) > 100
         for H, r, mu, nrm in probes:
             dense = float(np.linalg.norm(np.linalg.solve(H + mu * np.eye(d), r)))
@@ -219,14 +219,14 @@ class TestBoundarySearch:
     def test_certified_search_probes_few_and_seeds_change_only_the_count(self):
         Z, y, B = self.pinned_problem()
 
-        def fit(seeder):
+        def fit_with(seeder):
             est = MleRewardEstimator(dim=Z.shape[1], B=B, fit_tol=1e-10,
                                      max_newton_iters=200).reset()
             with mock.patch.object(baselines, "_secular_seeds", seeder):
-                return self.fit(est, Z, y)
+                return self.feed(est, Z, y)
 
-        newton = fit(baselines._secular_seeds)
-        nan = fit(lambda *args: (math.nan, math.nan))
+        newton = fit_with(baselines._secular_seeds)
+        nan = fit_with(lambda *args: (math.nan, math.nan))
         assert np.array_equal(newton.theta_, nan.theta_)
         searches = newton.boundary_counts_["boundary_searches"]
         assert searches == nan.boundary_counts_["boundary_searches"] > 300
@@ -238,7 +238,7 @@ class TestBoundarySearch:
         Z, y, B = self.pinned_problem()
         est = MleRewardEstimator(dim=Z.shape[1], B=B, fit_tol=1e-10,
                                  max_newton_iters=200).reset()
-        self.fit(est, Z, y)
+        self.feed(est, Z, y)
         assert est.last_converged_
         theta = est.theta_
         assert abs(np.linalg.norm(theta) - B) <= 1e-12 * B

@@ -108,13 +108,12 @@ class TestDiagnosticsReport:
         est = OnePassRewardEstimator(dim=5, radius_mode="theory")
         rec = run_deploy(default_env, est, 150)
         [report] = diagnostics_report([default_env], [rec])
-        assert report.coverage_ok
-        assert report.first_violation is None
-        assert 0 < report.potential_lhs <= report.potential_rhs + 1e-9
-        assert report.domination_min_eig >= -1e-8
-        assert report.timing_ratio > 0
-        as_dict = report.to_dict()
-        assert set(as_dict) == {
+        assert report["coverage_ok"]
+        assert report["first_violation"] is None
+        assert 0 < report["potential_lhs"] <= report["potential_rhs"] + 1e-9
+        assert report["domination_min_eig"] >= -1e-8
+        assert report["timing_ratio"] > 0
+        assert set(report) == {
             "coverage_ok", "first_violation", "potential_lhs", "potential_rhs",
             "domination_min_eig", "timing_early_ns", "timing_late_ns", "timing_ratio",
         }
@@ -126,8 +125,8 @@ class TestDiagnosticsReport:
         # error sqrt(lam)*||theta*|| dwarfs it, and the report must say so
         rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 50)
         [report] = diagnostics_report([default_env], [rec])
-        assert not report.coverage_ok
-        assert report.first_violation == 1
+        assert not report["coverage_ok"]
+        assert report["first_violation"] == 1
 
 
 class TestTimingProfile:

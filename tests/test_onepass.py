@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from duelbandits import onepass
-from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
+from duelbandits.baselines import (ImplicitOmdRewardEstimator, MleRewardEstimator,
+                                   _logistic_objective)
 from duelbandits.exceptions import NumericFailure
 from duelbandits.linalg import LocalNormMatrix
 from duelbandits.linkmath import sigmoid_pair
@@ -18,7 +19,6 @@ from duelbandits.onepass import (
     OnePassRewardEstimator,
     confidence_radius,
     damping_value,
-    loss_derivatives,
     project_localnorm_ball,
 )
 
@@ -98,27 +98,41 @@ class TestSharedHyperparameters:
             assert cls(dim=d, B=B, L=L, lam=3.0, **extra).reset().lam_ == 3.0
 
 
+def one_row_objective(theta, z, y):
+    """(loss, gradient, Hessian) of the one-row logistic objective MLE minimizes."""
+    value, grad_hess = _logistic_objective(np.asarray(z)[None, :], np.array([float(y)]))
+    return value(theta), *grad_hess(theta)
+
+
 class TestLossDerivatives:
+    """One row of the logistic objective is OMD's loss: gradient (sigma - y) z, Hessian sigma' z z^T."""
+
     def test_zero_theta_label_one(self):
         z = np.array([0.3, -0.7])
-        loss, grad, hw = loss_derivatives(np.zeros(2), z, 1)
+        loss, grad, hess = one_row_objective(np.zeros(2), z, 1)
+        sig, hw = sigmoid_pair(0.0)
         assert abs(loss - math.log(2.0)) < 1e-15
+        assert np.allclose(grad, (sig - 1) * z, atol=1e-15)
         assert np.allclose(grad, -0.5 * z, atol=1e-15)
         assert hw == 0.25
+        assert np.allclose(hess, hw * np.outer(z, z), atol=1e-15)
 
     def test_zero_theta_label_zero(self):
         z = np.array([0.3, -0.7])
-        loss, grad, hw = loss_derivatives(np.zeros(2), z, 0)
+        loss, grad, hess = one_row_objective(np.zeros(2), z, 0)
         assert abs(loss - math.log(2.0)) < 1e-15
         assert np.allclose(grad, 0.5 * z, atol=1e-15)
-        assert hw == 0.25
+        assert np.allclose(hess, 0.25 * np.outer(z, z), atol=1e-15)
 
     def test_log3_margin(self):
         z = np.array([math.log(3.0)])
-        loss, grad, hw = loss_derivatives(np.array([1.0]), z, 1)
+        loss, grad, hess = one_row_objective(np.array([1.0]), z, 1)
+        sig, hw = sigmoid_pair(math.log(3.0))
         assert abs(loss - math.log(4.0 / 3.0)) < 1e-12
+        assert np.allclose(grad, (sig - 1) * z, atol=1e-15)
         assert np.allclose(grad, -0.25 * z, atol=1e-12)
         assert abs(hw - 0.1875) < 1e-12
+        assert np.allclose(hess, hw * z * z, atol=1e-15)
 
 
 class TestOmdStep:
@@ -182,7 +196,7 @@ class TestOmdStep:
             iterates.append(est.theta_.copy())
         expected = 1.5 * np.eye(4)
         for (z, _), theta_next in zip(samples, iterates):
-            _, _, hw = loss_derivatives(theta_next, z, 0)
+            _, hw = sigmoid_pair(float(z @ theta_next))
             expected += hw * np.outer(z, z)
         assert np.allclose(est.hess_.mat, expected, atol=1e-10)
 
@@ -438,37 +452,13 @@ class TestHvpCg:
             assert est.inv_norm_matrix().tobytes() == (np.eye(5) / est._damping()).tobytes()
 
 
-class TestSklearnSurface:
-    def test_get_set_params_roundtrip(self):
+class TestEstimatorSurface:
+    def test_get_params_roundtrip(self):
         est = OnePassRewardEstimator(dim=3, B=2.0, c_beta=0.5)
         params = est.get_params()
         assert params["dim"] == 3 and params["B"] == 2.0 and params["c_beta"] == 0.5
         clone = OnePassRewardEstimator(**params)
         assert clone.get_params() == params
-        est.set_params(c_beta=1.5)
-        assert est.c_beta == 1.5
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-
-    def test_fit_predict_shapes(self):
-        rng = np.random.default_rng(8)
-        Z = rng.standard_normal((40, 3))
-        y = rng.integers(0, 2, size=40)
-        est = OnePassRewardEstimator(dim=3).fit(Z, y)
-        scores = est.predict(Z[:5])
-        assert scores.shape == (5,)
-        probs = est.predict_proba(Z[:5])
-        assert np.all((probs > 0) & (probs < 1))
-
-    def test_fit_equals_sequential_updates(self):
-        rng = np.random.default_rng(9)
-        Z = rng.standard_normal((30, 3))
-        y = rng.integers(0, 2, size=30)
-        a = OnePassRewardEstimator(dim=3).fit(Z, y)
-        b = OnePassRewardEstimator(dim=3).reset()
-        for row, label in zip(Z, y):
-            b.update(row, int(label))
-        assert np.array_equal(a.theta_, b.theta_)
 
     def test_input_validation(self):
         est = OnePassRewardEstimator(dim=3).reset()

@@ -30,14 +30,16 @@ def default_regularization(eta: float, dim: int, B: float, L: float) -> float:
 
 
 def resolve_hyperparameters(dim: int, B: float, L: float, eta: Optional[float],
-                            lam: Optional[float], c_beta: float,
-                            delta: float) -> Tuple[float, float]:
+                            lam: Optional[float], c_beta: float, delta: float,
+                            uses_lam: bool = True) -> Tuple[float, Optional[float]]:
     """(eta, lam), each one left None filled from its closed form, once every value checks.
 
     A bad value raises ValueError whose message starts with the parameter's
     name. Besides being positive and finite, lam must keep 1/lam and
     kappa_bound(B, L) * lam finite: the first seeds the maintained inverse, the
     second is the floor of MLE's scatter matrix and of the domination audit's.
+    For an estimator that takes no lam (``uses_lam`` false), lam is neither
+    resolved nor checked and comes back None.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -57,6 +59,8 @@ def resolve_hyperparameters(dim: int, B: float, L: float, eta: Optional[float],
         eta = default_step_size(B, L)
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not uses_lam:
+        return eta, None
     if lam is None:
         lam = default_regularization(eta, dim, B, L)
     if not (0 < lam < math.inf and 1.0 / lam < math.inf and kappa * lam < math.inf):
@@ -98,9 +102,10 @@ class BaseRewardEstimator:
     state to the base's ``reset``, and implement ``update`` for a single
     preference sample (feature difference ``z``, binary label ``y``), ending it
     with ``_advance``. The base ``reset`` checks the shared hyperparameters and
-    resolves ``eta_`` and ``lam_``; an estimator that takes no ``eta`` or
-    ``lam`` gets the closed form. Everything else here is derived from those
-    pieces.
+    resolves ``eta_`` and ``lam_``; an estimator that takes no ``eta`` gets
+    the closed form, and one that takes no ``lam`` (hvpcg, whose damping
+    schedule stands in for it) gets ``lam_`` None. Everything else here is
+    derived from those pieces.
 
     An estimator that keeps a ``LocalNormMatrix`` names the attribute holding
     it in ``curvature_attr``; the norms, the matrices and the snapshot all read
@@ -132,7 +137,8 @@ class BaseRewardEstimator:
     def reset(self) -> "BaseRewardEstimator":
         """Check the hyperparameters, resolve eta_ and lam_, and start at theta = 0, t = 1."""
         self.eta_, self.lam_ = resolve_hyperparameters(
-            self.dim, self.B, self.L, self.eta, self.lam, self.c_beta, self.delta)
+            self.dim, self.B, self.L, self.eta, self.lam, self.c_beta, self.delta,
+            uses_lam="lam" in self._param_names())
         self.theta_ = np.zeros(self.dim)
         self.theta_sum_ = np.zeros(self.dim)
         self.t_ = 1

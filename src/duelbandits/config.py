@@ -139,7 +139,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     Unknown keys, type mismatches, and out-of-range values raise ConfigError
     naming the offending key. eta/lam left unset resolve to their closed-form
-    defaults; the seed list resolves from (base_seed, num_seeds) when absent.
+    defaults, except that hvpcg takes no lam and keeps it None; the seed list
+    resolves from (base_seed, num_seeds) when absent.
     """
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a key/value mapping")
@@ -160,11 +161,16 @@ def parse_config(data: dict) -> ExperimentConfig:
                          ("workers", 1), ("T", 0 if cfg.scenario == "passive" else 1)):
         if getattr(cfg, key) < minimum:
             raise ConfigError(f"configuration key '{key}' must be >= {minimum}, got {getattr(cfg, key)}")
+    # hvpcg takes no lam: its damping schedule (lambda0, damping_fn) stands in
+    uses_lam = cfg.estimator != "hvpcg"
+    if not uses_lam and cfg.lam is not None:
+        raise ConfigError("configuration key 'lam' has no effect with estimator 'hvpcg', "
+                          "whose damping is set by 'lambda0' and 'damping_fn'; leave it unset")
     # the estimators' own check; it also resolves eta/lam, so the echoed config
     # is self-contained
     try:
         cfg.eta, cfg.lam = resolve_hyperparameters(cfg.d, cfg.B, cfg.L, cfg.eta, cfg.lam,
-                                                   cfg.c_beta, cfg.delta)
+                                                   cfg.c_beta, cfg.delta, uses_lam)
     except ValueError as exc:
         name, rule = str(exc).split(" ", 1)
         if name == "lam" and cfg.lam is None:

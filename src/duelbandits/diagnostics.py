@@ -8,7 +8,7 @@ scatter matrix, and does the per-iteration cost stay flat.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +16,10 @@ from .linalg import sherman_morrison
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import RunRecord
+
+
+# rounds of played rows that the potential replay gathers and holds at a time
+REPLAY_BLOCK_ROWS = 128
 
 
 def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"],
@@ -30,19 +34,35 @@ def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"],
     domination eigenvalue comes from the audits each run itself recorded (NaN
     when the estimator exposes no curvature matrix); the timing windows are
     the first and last tenth of the run. The elliptic potentials of
-    equal-length records are replayed as one stack.
+    equal-length records are replayed as one stack, fed a block of rounds at
+    a time (``_z_blocks``), so the played rows are never held whole.
     """
     groups: dict = {}
     for k, (env, rec) in enumerate(zip(envs, records)):
-        groups.setdefault((len(rec), env.truth.L), []).append(k)
+        groups.setdefault((len(rec), env.truth.L, env.features.phi.shape), []).append(k)
     potentials = {}
-    for (n, L), ks in groups.items():
-        zs = np.empty((len(ks), n, envs[ks[0]].features.dim))
-        for j, k in enumerate(ks):
-            zs[j] = records[k].z_rows(envs[k])
-        lhs, rhs, _ = elliptic_potential_check(zs, potential_lambda, 2 * L)
+    for (n, L, _), ks in groups.items():
+        blocks = _z_blocks([envs[k] for k in ks], [records[k] for k in ks], n)
+        lhs, rhs, _ = elliptic_potential_check(blocks, potential_lambda, 2 * L)
         potentials.update((k, (float(v), rhs)) for k, v in zip(ks, lhs))
     return [_report(rec, *potentials[k]) for k, rec in enumerate(records)]
+
+
+def _z_blocks(envs: Sequence, records: Sequence["RunRecord"], n: int) -> Iterator[np.ndarray]:
+    """The played z rows of S equal-length records as (S, m, d) blocks of consecutive rounds.
+
+    Each block is gathered from the records' logged x, a, a' ids and the
+    stacked features, the same values ``RunRecord.z_rows`` gives. A record
+    of no rounds gives one empty block.
+    """
+    phi = np.stack([env.features.phi for env in envs])
+    seed = np.arange(len(records))[:, None]
+    for lo in range(0, max(n, 1), REPLAY_BLOCK_ROWS):
+        x, a, b = (np.stack([getattr(rec, name)[lo:lo + REPLAY_BLOCK_ROWS] for rec in records])
+                   for name in ("x", "a", "a_prime"))
+        z = phi[seed, x, a]
+        z -= phi[seed, x, b]
+        yield z
 
 
 def _report(record: "RunRecord", lhs: float, rhs: float) -> dict:
@@ -81,7 +101,7 @@ def coverage_check(record: "RunRecord",
     return False, int(record.t[int(np.argmax(bad))])
 
 
-def elliptic_potential_check(zs: np.ndarray, lambda_v: float, L: float):
+def elliptic_potential_check(zs, lambda_v: float, L: float):
     """Sum of squared self-normalized norms against its closed-form ceiling.
 
     Computes lhs = sum_s ||z_s||^2 in the inverse of V_s = lambda*I + sum_{i<s}
@@ -91,19 +111,31 @@ def elliptic_potential_check(zs: np.ndarray, lambda_v: float, L: float):
     one lhs and one verdict per leading index: scalars for one (n, d)
     sequence, arrays of S for a stack of equal-length sequences (S, n, d),
     which are replayed together.
+
+    ``zs`` is one such array, or an iterable of consecutive row blocks
+    ((m, d) or (S, m, d), one leading shape throughout), so a long sequence
+    is replayed without being held whole; the blocking does not change a bit
+    of lhs. A block is checked against ``L`` when it arrives.
     """
     if lambda_v <= 0:
         raise ValueError(f"lambda_v must be positive, got {lambda_v}")
-    zs = np.asarray(zs, dtype=float)
-    n, d = zs.shape[-2:]
-    if np.any(np.sqrt(np.vecdot(zs, zs)) > L * (1 + 1e-9)):
-        raise ValueError("a row exceeds the stated norm bound L")
-    inv = np.eye(d) / lambda_v
-    lhs = np.zeros(zs.shape[:-2])
-    for j in range(n):
-        z = zs[..., j, :]
-        lhs = lhs + np.vecdot(np.vecmat(z, inv), z)
-        inv = sherman_morrison(inv, z, 1.0)
+    inv = lhs = None
+    n = 0
+    for block in ((zs,) if isinstance(zs, np.ndarray) else zs):
+        block = np.asarray(block, dtype=float)
+        if np.any(np.sqrt(np.vecdot(block, block)) > L * (1 + 1e-9)):
+            raise ValueError("a row exceeds the stated norm bound L")
+        if inv is None:
+            d = block.shape[-1]
+            inv = np.eye(d) / lambda_v
+            lhs = np.zeros(block.shape[:-2])
+        for j in range(block.shape[-2]):
+            z = block[..., j, :]
+            lhs = lhs + np.vecdot(np.vecmat(z, inv), z)
+            inv = sherman_morrison(inv, z, 1.0)
+        n += block.shape[-2]
+    if inv is None:
+        raise ValueError("no row blocks to replay")
     rhs = float(2.0 * d * np.log(1.0 + n * L**2 / (lambda_v * d)))
     return lhs[()], rhs, (lhs <= rhs + 1e-9)[()]
 

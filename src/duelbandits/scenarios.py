@@ -38,6 +38,7 @@ CSV_COLUMNS = (
 )
 
 ENUMERATE_BUDGET = 10**6
+ENUMERATE_BLOCK = 256
 LAZY_CANDIDATES = 32
 CSV_BLOCK_ROWS = 64
 DOMINATION_AUDIT_POINTS = (100, 1000)
@@ -79,7 +80,12 @@ def shared_csv_cells(records: Sequence["RunRecord"]) -> dict:
 
 @dataclass
 class RunRecord:
-    """Per-iteration log of one scenario run plus its summary."""
+    """Per-iteration log of one scenario run plus its summary.
+
+    A run's records keep x, a, a' and y in the narrowest unsigned type that
+    holds its ids, and share t, beta and every column the run never writes
+    as read-only views.
+    """
 
     scenario: str
     seed: int
@@ -126,33 +132,49 @@ class RunRecord:
 
 
 class _Recorder:
-    """(S, T) record columns, one row per seed; a one-seed run writes row 0."""
+    """(S, T) record columns, one row per seed; a one-seed run writes row 0.
 
-    def __init__(self, scenario: str, seeds: Sequence[int], T: int):
+    The ids x, a, a' and y take the narrowest unsigned type that holds the
+    context and action counts. A column that is the same for every seed is
+    kept once, read-only, and every record views it: the round counter t,
+    the radius beta (a stack reads one radius per round), and a NaN
+    broadcast for each column the run never writes: cum_regret (a deploy run
+    fills its own after the rounds) and, when no checkpoint falls in the
+    run, subopt_checkpoint.
+    """
+
+    def __init__(self, scenario: str, seeds: Sequence[int], T: int,
+                 contexts: int, actions: int, checkpoints: bool):
         self.scenario, self.seeds, self.T = scenario, list(seeds), T
         shape = (len(self.seeds), T)
+        self.t = np.arange(1, T + 1, dtype=np.int64)
+        self.t.flags.writeable = False
+        self.cum_regret = np.broadcast_to(np.nan, shape)
+        self.subopt_ckpt = np.full(shape, np.nan) if checkpoints else self.cum_regret
+        self.beta = np.full(T, np.nan)
         self.wall = np.zeros(shape, dtype=np.int64)
         self.err_l2 = np.full(shape, np.nan)
         self.err_local = np.full(shape, np.nan)
-        self.beta = np.full(shape, np.nan)
-        self.cum_regret = np.full(shape, np.nan)
-        self.subopt_ckpt = np.full(shape, np.nan)
-        self.x = np.zeros(shape, dtype=np.int64)
-        self.a = np.zeros(shape, dtype=np.int64)
-        self.a_prime = np.zeros(shape, dtype=np.int64)
-        self.y = np.zeros(shape, dtype=np.int64)
+        self.x = np.zeros(shape, dtype=np.min_scalar_type(contexts - 1))
+        self.a = np.zeros(shape, dtype=np.min_scalar_type(actions - 1))
+        self.a_prime = np.zeros_like(self.a)
+        self.y = np.zeros(shape, dtype=np.uint8)
         self.flags = [[""] * T for _ in self.seeds]
         self.n = np.zeros(len(self.seeds), dtype=np.int64)
 
     def record(self, s: int) -> RunRecord:
-        """Seed row s as its own record, cut at the rounds it completed."""
+        """Seed row s as its own record, cut at the rounds it completed.
+
+        Records are cut once the rounds are over, so the shared beta row
+        turns read-only here.
+        """
+        self.beta.flags.writeable = False
         n = int(self.n[s])
         return RunRecord(
             scenario=self.scenario, seed=self.seeds[s], T=self.T,
-            t=np.arange(1, n + 1, dtype=np.int64),
-            wall_nanos=self.wall[s, :n],
+            t=self.t[:n], wall_nanos=self.wall[s, :n],
             est_err_l2=self.err_l2[s, :n], est_err_local=self.err_local[s, :n],
-            beta=self.beta[s, :n], cum_regret=self.cum_regret[s, :n],
+            beta=self.beta[:n], cum_regret=self.cum_regret[s, :n],
             subopt_checkpoint=self.subopt_ckpt[s, :n],
             x=self.x[s, :n], a=self.a[s, :n], a_prime=self.a_prime[s, :n], y=self.y[s, :n],
             flags=self.flags[s][:n],
@@ -233,17 +255,35 @@ def pessimistic_policy(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
         )
     # Expand the table one context at a time, carrying each partial policy's
     # linear value and quadratic form, q(p + r) = q(p) + 2 (p M).r + r M r^T,
-    # so the full A**X x d table of averaged features is never formed.
-    lin, quad, prefix = np.zeros(1), np.zeros(1), np.zeros((1, d))
-    for x in range(X):
+    # so the full A**X x d table of averaged features is never formed. The
+    # last two contexts are expanded ENUMERATE_BLOCK partial policies at a
+    # time, so the widest level is never formed either; a running argmax
+    # keeps np.argmax's answer: the first maximum, or the first NaN.
+    def expand(lin, quad, prefix, x):
         rows = env.rho[x] * phi[x]
         cross = (prefix @ norm_inv) @ rows.T
         lin = (lin[:, None] + rows @ theta).ravel()
         quad = (quad[:, None] + 2.0 * cross + _quad_forms(rows, norm_inv)).ravel()
         if x < X - 1:
             prefix = (prefix[:, None, :] + rows[None, :, :]).reshape(-1, d)
-    values = lin - beta * np.sqrt(np.maximum(quad, 0.0))
-    best = int(np.argmax(values))
+        return lin, quad, prefix
+
+    head = max(X - 2, 0)
+    table = np.zeros(1), np.zeros(1), np.zeros((1, d))
+    for x in range(head):
+        table = expand(*table, x)
+    best, best_value = 0, None
+    for lo in range(0, len(table[0]), ENUMERATE_BLOCK):
+        block = tuple(column[lo:lo + ENUMERATE_BLOCK] for column in table)
+        for x in range(head, X):
+            block = expand(*block, x)
+        lin, quad, _ = block
+        values = lin - beta * np.sqrt(np.maximum(quad, 0.0))
+        k = int(np.argmax(values))
+        if best_value is None or not values[k] <= best_value:
+            best, best_value = lo * A ** (X - head) + k, values[k]
+            if best_value != best_value:
+                break
     actions = np.empty(X, dtype=int)
     for x in range(X - 1, -1, -1):
         actions[x] = best % A
@@ -551,7 +591,8 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
     theta_star = np.stack([env.truth.theta_star for env in envs])
     phi = np.stack([env.features.phi for env in envs])
-    rec = _Recorder(scenario, [env.rng_seed for env in envs], T)
+    rec = _Recorder(scenario, [env.rng_seed for env in envs], T, *phi.shape[1:3],
+                    checkpoints=any(1 <= p <= T for p in ckpts))
     audit = _DominationAudit(estimators, envs, T)
     aborted: List[Optional[str]] = [None] * S
     live = np.arange(S)
@@ -569,7 +610,7 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
         rec.err_l2[rows, i] = (math.sqrt(diff @ diff) if diff.ndim == 1
                                else np.sqrt(np.vecdot(diff, diff)))
         rec.err_local[rows, i] = stack.local_norm(diff)
-        rec.beta[rows, i] = beta
+        rec.beta[i] = beta
         rec.x[rows, i], rec.a[rows, i], rec.a_prime[rows, i], rec.y[rows, i] = x, a, b, yy
         while len(live):
             try:
@@ -728,6 +769,7 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
         n = len(rec) - rec.flags[-1:].count("update_failed")
         x, rewards = rec.x[:n], e.rewards()
         paid = rewards.max(axis=1)[x] - 0.5 * (rewards[x, rec.a[:n]] + rewards[x, rec.a_prime[:n]])
+        rec.cum_regret = np.full(len(rec), np.nan)
         np.cumsum(paid, out=rec.cum_regret[:n])
         rec.summary["cum_regret"] = float(rec.cum_regret[n - 1]) if n else 0.0
     return records[0] if single else records

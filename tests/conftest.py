@@ -44,3 +44,29 @@ class OracleEstimator:
 @pytest.fixture
 def default_env():
     return make_environment(5, 8, 4, seed=11)
+
+
+def one_table_policy(theta, norm_inv, beta, env):
+    """``pessimistic_policy(..., "enumerate")`` scoring every policy in one table.
+
+    Each context's expansion spans every partial policy, and one np.argmax
+    over all A**X values picks the answer: the reference for the blocked
+    enumeration, which must pick the same policy.
+    """
+    phi = env.features.phi
+    X, A, d = phi.shape
+    lin, quad, prefix = np.zeros(1), np.zeros(1), np.zeros((1, d))
+    for x in range(X):
+        rows = env.rho[x] * phi[x]
+        cross = (prefix @ norm_inv) @ rows.T
+        lin = (lin[:, None] + rows @ theta).ravel()
+        quad = (quad[:, None] + 2.0 * cross
+                + np.einsum("ij,ij->i", rows @ norm_inv, rows)).ravel()
+        if x < X - 1:
+            prefix = (prefix[:, None, :] + rows[None, :, :]).reshape(-1, d)
+    best = int(np.argmax(lin - beta * np.sqrt(np.maximum(quad, 0.0))))
+    actions = np.empty(X, dtype=int)
+    for x in range(X - 1, -1, -1):
+        actions[x] = best % A
+        best //= A
+    return actions

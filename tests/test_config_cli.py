@@ -87,6 +87,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'B'"):
             parse_config({"scenario": "deploy", "B": 350})
 
+    def test_explicit_lam_with_hvpcg_names_lam(self):
+        # hvpcg's damping schedule stands in for lam, so a lam could change nothing
+        with pytest.raises(ConfigError, match="'lam'"):
+            parse_config({"scenario": "active", "estimator": "hvpcg", "lam": 5.0})
+        with pytest.raises(ConfigError, match="'lam'"):
+            parse_config(run_flags_config(["--scenario", "active", "--estimator", "hvpcg",
+                                           "--lambda", "5"]))
+
+    def test_hvpcg_resolves_and_checks_no_lam(self):
+        # omd refuses B=350 at its default lam (kappa * lam overflows); hvpcg forms no lam
+        cfg = parse_config({"scenario": "deploy", "estimator": "hvpcg", "B": 350, "T": 20,
+                            "num_seeds": 1})
+        assert cfg.lam is None and cfg.eta is not None
+        assert runner.run_single(cfg, cfg.seeds[0]).summary["aborted"] is None
+
+    def test_hvpcg_echo_shows_lam_null(self):
+        cfg = parse_config({"scenario": "active", "estimator": "hvpcg"})
+        echoed = json.loads(cfg.echo_json())
+        assert echoed["lam"] is None
+        assert parse_config(echoed) == cfg
+        assert json.loads(parse_config({"scenario": "active"}).echo_json())["lam"] > 0
+
     @pytest.mark.parametrize("key, value", [
         ("eta", 1e308),   # lam resolves to inf
         ("lam", 1e308),   # kappa * lam overflows
@@ -173,10 +195,15 @@ def within_enumerate_budget(data) -> bool:
     return actions ** data.get("contexts", ExperimentConfig.contexts) <= ENUMERATE_BUDGET
 
 
+def lam_where_taken(data) -> bool:
+    """Whether an explicit lam goes to an estimator that takes one (hvpcg does not)."""
+    return data.get("lam") is None or data.get("estimator") != "hvpcg"
+
+
 VALID_CONFIGS = st.fixed_dictionaries(
     {"scenario": FIELD_STRATEGIES["scenario"]},
     optional={k: v for k, v in FIELD_STRATEGIES.items() if k != "scenario"},
-).filter(within_enumerate_budget)
+).filter(within_enumerate_budget).filter(lam_where_taken)
 # the flag of every config key that has one; the seed list has none
 FLAGS = {
     "scenario": "--scenario", "estimator": "--estimator", "d": "--d",

@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelbandits.diagnostics import (
+    REPLAY_BLOCK_ROWS,
     coverage_check,
+    diagnostics_report,
     elliptic_potential_check,
     norm_domination_check,
     timing_profile,
 )
+from duelbandits.environment import make_environment
 from duelbandits.linkmath import kappa_bound, sigmoid_pair
 from duelbandits.onepass import OnePassRewardEstimator
 from duelbandits.scenarios import RunRecord, run_deploy
@@ -79,6 +86,71 @@ class TestEllipticPotential:
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValueError):
             elliptic_potential_check(np.array([[1.0]]), 0.0, 1.0)
+
+
+BLOCK = REPLAY_BLOCK_ROWS
+
+
+class TestStreamedReplay:
+    @settings(max_examples=30, deadline=None)
+    @given(S=st.sampled_from([1, 2, 7, 20]), d=st.integers(1, 24),
+           n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_replay_the_one_array_bits(self, S, d, n, seed):
+        """The report's block-gathered replay gives the (S, n, d) replay's lhs to the bit."""
+        rng = np.random.default_rng(seed)
+        envs = [make_environment(d, 6, 3, seed=seed + k) for k in range(S)]
+        recs = []
+        for _ in envs:
+            rec = synthetic_record(n, wall=np.ones(n))
+            # the ids as the recorder stores them
+            rec.x = rng.integers(0, 6, n).astype(np.uint8)
+            rec.a, rec.a_prime = rng.integers(0, 3, (2, n)).astype(np.uint8)
+            recs.append(rec)
+        zs = np.stack([rec.z_rows(env) for env, rec in zip(envs, recs)])
+        L = 2 * envs[0].truth.L
+        lhs, rhs, _ = elliptic_potential_check(zs, 1.0, L)
+        want = np.atleast_1d(lhs).tolist()
+        blocks = (zs[:, lo:lo + BLOCK] for lo in range(0, n, BLOCK))
+        assert np.atleast_1d(elliptic_potential_check(blocks, 1.0, L)[0]).tolist() == want
+        reports = diagnostics_report(envs, recs)
+        assert [r["potential_lhs"] for r in reports] == want
+        assert all(r["potential_rhs"] == rhs for r in reports)
+
+    @pytest.mark.parametrize("bad", [0, BLOCK - 1, BLOCK, 2 * BLOCK + 2])
+    def test_long_row_raises_from_its_block(self, bad):
+        rng = np.random.default_rng(3)
+        n = 2 * BLOCK + 3
+        zs = rng.standard_normal((2, n, 4))
+        zs /= 2.0 * np.linalg.norm(zs, axis=-1, keepdims=True)
+        zs[1, bad] *= 5.0  # norm 2.5 against L = 2
+        served = []
+
+        def blocks():
+            for lo in range(0, n, BLOCK):
+                served.append(lo)
+                yield zs[:, lo:lo + BLOCK]
+
+        with pytest.raises(ValueError, match="norm bound"):
+            elliptic_potential_check(blocks(), 1.0, 2.0)
+        assert served[-1] == bad - bad % BLOCK
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValueError):
+            elliptic_potential_check(iter(()), 1.0, 1.0)
+
+    def test_report_holds_one_block_of_rows(self):
+        """20 seeds x 2000 rounds at d=5: the report's peak stays far below the 1.6 MB of rows."""
+        envs = [make_environment(5, 8, 4, seed=s) for s in range(20)]
+        recs = run_deploy(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 2000)
+        all_rows = 20 * 2000 * 5 * 8
+        tracemalloc.start()
+        try:
+            diagnostics_report(envs, recs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < all_rows // 2, peak
 
 
 class TestNormDomination:

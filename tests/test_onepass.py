@@ -90,12 +90,15 @@ class TestSharedHyperparameters:
         est = cls(dim=d, B=B, L=L, **extra).reset()
         eta = 0.5 * math.log(2.0) + (B * L + 1.0)
         assert est.eta_ == eta
+        if "lam" not in cls._param_names():
+            # hvpcg takes no lam, so none is resolved
+            assert est.lam_ is None
+            return
         assert est.lam_ == 84.0 * math.sqrt(2.0) * eta * (d * L**2 + B * L**3)
         if "eta" in cls._param_names():
             est = cls(dim=d, B=B, L=L, eta=2.0, **extra).reset()
             assert est.lam_ == 84.0 * math.sqrt(2.0) * 2.0 * (d * L**2 + B * L**3)
-        if "lam" in cls._param_names():
-            assert cls(dim=d, B=B, L=L, lam=3.0, **extra).reset().lam_ == 3.0
+        assert cls(dim=d, B=B, L=L, lam=3.0, **extra).reset().lam_ == 3.0
 
 
 def one_row_objective(theta, z, y):
@@ -436,6 +439,13 @@ class TestHvpCg:
             assert est.projections_ - before == int(on_boundary)
             rescaled += int(on_boundary)
         assert 0 < est.projections_ == rescaled < 300
+
+    def test_reset_resolves_and_checks_no_lam(self):
+        # at B=350 the closed-form lam would overflow kappa * lam; hvpcg forms neither
+        est = HvpCgRewardEstimator(dim=3, B=350.0, horizon=10).reset()
+        assert est.lam_ is None
+        est.update(np.array([0.5, 0.0, 0.0]), 1)
+        assert np.isfinite(est.theta_).all()
 
     def test_requires_horizon(self):
         with pytest.raises(ValueError):

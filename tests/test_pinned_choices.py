@@ -35,8 +35,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from duelbandits import scenarios
 from duelbandits.config import parse_config
 from duelbandits.runner import build_estimator, run_experiment, run_single
+from conftest import one_table_policy
 
 PINNED = Path(__file__).parent / "pinned_choices.json"
 CASES = json.loads(PINNED.read_text())
@@ -144,6 +146,29 @@ def observe(case: dict, workdir: Path) -> dict:
 def test_choices_match_recording(case, tmp_path):
     pinned = {k: v for k, v in case.items() if k not in ("name", "config")}
     assert observe(case, tmp_path) == pinned
+
+
+ENUMERATING = [c for c in CASES if c["config"]["scenario"] == "passive"
+               and c["config"].get("policy_mode", "enumerate") == "enumerate"
+               and "save_sha256" not in c]
+
+
+@pytest.mark.parametrize("case", ENUMERATING, ids=[c["name"] for c in ENUMERATING])
+def test_blocked_enumeration_picks_the_one_table_policy(case, tmp_path, monkeypatch):
+    """Every policy a pinned passive run enumerates, checkpoints included, is the oracle's."""
+    blocked = scenarios.pessimistic_policy
+    calls = []
+
+    def checked(theta, norm_inv, beta, env, mode="enumerate"):
+        policy = blocked(theta, norm_inv, beta, env, mode)
+        calls.append(policy.action_of.tolist())
+        assert calls[-1] == one_table_policy(theta, norm_inv, beta, env).tolist()
+        return policy
+
+    monkeypatch.setattr(scenarios, "pessimistic_policy", checked)
+    pinned = {k: v for k, v in case.items() if k not in ("name", "config")}
+    assert observe(case, tmp_path) == pinned
+    assert calls
 
 
 def repin() -> None:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from duelbandits.scenarios import (
     shared_csv_cells,
     subopt,
 )
-from conftest import OracleEstimator
+from conftest import OracleEstimator, one_table_policy
 
 
 def manual_env(phi, theta_star, rho, B=None, L=None, seed=0):
@@ -154,6 +156,33 @@ class TestPessimisticPolicy:
                 pessimistic_policy(theta, M, beta, default_env, "greedy_percontext"),
                 theta, M, beta, default_env)
             assert v_enum >= v_greedy - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 24),
+           shape=st.sampled_from([(1, 5), (2, 7), (3, 4), (5, 5), (6, 5), (8, 4), (9, 3)]),
+           kind=st.sampled_from(["plain", "ties", "nan"]))
+    def test_blocked_enumeration_matches_one_table(self, seed, d, shape, kind):
+        """The blocked scan picks the one-table argmax: first maximum, or first NaN."""
+        X, A = shape
+        rng = np.random.default_rng(seed)
+        phi = rng.standard_normal((X, A, d))
+        rho = rng.dirichlet(np.ones(X))
+        theta = rng.standard_normal(d)
+        G = rng.standard_normal((d, d))
+        M = G @ G.T / d + 0.1 * np.eye(d)
+        beta = float(rng.uniform(0.0, 3.0))
+        if kind == "ties" and A > 1:
+            # equal features give exact ties between policies
+            phi[:, 1] = phi[:, 0]
+        if kind == "nan":
+            # policies that play this feature row score NaN
+            phi[rng.integers(X), rng.integers(A)] = np.inf
+            beta = max(beta, 0.5)
+        env = SimpleNamespace(features=SimpleNamespace(phi=phi), rho=rho)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = pessimistic_policy(theta, M, beta, env, "enumerate").action_of
+            want = one_table_policy(theta, M, beta, env)
+        assert got.tolist() == want.tolist()
 
     def test_enumerate_budget_guard(self):
         env = make_environment(2, 21, 2, seed=5)
@@ -589,6 +618,9 @@ class TestRunRecord:
         # long enough for several full row blocks and a partial last one
         rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 600)
         rec.flags[300] = "inner_nonconverged"
+        # beta and the unwritten subopt_checkpoint view read-only rows the
+        # recorder shares across seeds: give this record its own copies
+        rec.beta, rec.subopt_checkpoint = rec.beta.copy(), rec.subopt_checkpoint.copy()
         # float columns with some NaN cells, an all-NaN block, and an infinite value
         rec.beta[[3, 280]] = np.nan
         rec.subopt_checkpoint[[0, 255, 256, 599]] = [0.5, 1e-300, -0.0, np.inf]
@@ -639,6 +671,43 @@ class TestRunRecord:
                 rec.write_csv(path, cells)
                 assert path.read_bytes() == want.encode(), (rec.seed, cells is None)
         assert shared_csv_cells(recs[:1]) == {}
+
+    @pytest.mark.parametrize("contexts, actions", [(300, 3), (2, 300)])
+    def test_wide_ids_write_the_int64_rows(self, tmp_path, contexts, actions):
+        """Ids past 255 take uint16, and the CSV prints them as the int64 record does."""
+        env = make_environment(3, contexts, actions, seed=4)
+        if contexts > 255:
+            rec = run_deploy(env, OnePassRewardEstimator(dim=3), 700)
+            wide = rec.x
+        else:
+            # behavior-drawn pairs cover the actions
+            _, rec = run_passive(env, OnePassRewardEstimator(dim=3), 700,
+                                 policy_mode="greedy_percontext", checkpoints=())
+            wide = rec.a
+        assert wide.dtype == np.uint16 and wide.max() > 255
+        assert rec.y.dtype == np.uint8
+        oracle = dataclasses.replace(rec, **{name: getattr(rec, name).astype(np.int64)
+                                             for name in ("x", "a", "a_prime", "y")})
+        rec.write_csv(tmp_path / "narrow.csv")
+        oracle.write_csv(tmp_path / "int64.csv")
+        lines = (tmp_path / "narrow.csv").read_text().splitlines()[1:]
+        assert len(lines) == 700
+        for i, line in enumerate(lines):
+            assert line.split(",") == expected_row(oracle, i), i
+        assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "int64.csv").read_bytes()
+
+    def test_shared_columns_are_read_only_views(self, default_env):
+        envs = [default_env, make_environment(5, 8, 4, seed=12)]
+        recs = run_deploy(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 30)
+        for name in ("t", "beta", "subopt_checkpoint"):
+            first, second = (getattr(rec, name) for rec in recs)
+            assert np.shares_memory(first, second), name
+            assert not first.flags.writeable, name
+        assert np.isnan(recs[0].subopt_checkpoint).all()
+        # the regret each seed paid is its own
+        assert not np.shares_memory(recs[0].cum_regret, recs[1].cum_regret)
+        _, rec = run_passive(default_env, OnePassRewardEstimator(dim=5), 30, checkpoints=())
+        assert np.isnan(rec.cum_regret).all() and not rec.cum_regret.flags.writeable
 
     def test_default_checkpoints(self):
         assert default_checkpoints(10) == (1, 2, 4, 8, 10)
@@ -735,6 +804,35 @@ class TestLockstep:
         assert "projection refused" in aborted and None in aborted
         for got, want in zip(stacked, solo):
             assert_same_run(got, want)
+
+    def test_failing_seed_writes_its_solo_csv(self, monkeypatch, tmp_path):
+        """A seed that fails mid-stack writes its solo run's CSV, shared cells or not."""
+        def refuse(theta_prime, norm_mat, B):
+            raise NumericFailure("projection refused")
+
+        def text(rec, path, shared=None):
+            rec.write_csv(path, shared)
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            wall = rows[0].index("wall_nanos")
+            return [row[:wall] + row[wall + 1:] for row in rows]
+
+        monkeypatch.setattr(onepass, "project_localnorm_ball", refuse)
+        envs = [make_environment(5, 8, 4, B=1.0, seed=s) for s in self.SEEDS]
+        params = dict(dim=5, B=1.0, lam=10.0)
+        stacked = run_deploy(envs, [OnePassRewardEstimator(**params) for _ in envs], 150)
+        shared = shared_csv_cells(stacked)
+        failed = [k for k, rec in enumerate(stacked) if rec.summary["aborted"]]
+        assert failed and len(failed) < len(envs) and "beta" in shared
+        for k in failed:
+            got = stacked[k]
+            want = run_deploy(envs[k], OnePassRewardEstimator(**params), 150)
+            solo = text(want, tmp_path / "solo.csv")
+            assert text(got, tmp_path / "stacked.csv") == solo
+            assert text(got, tmp_path / "shared.csv", shared) == solo
+            # the failed round's own cells: its flag, and no share of the retried update
+            i = len(got) - 1
+            assert got.flags[i] == "update_failed" and got.wall_nanos[i] == 0
+            assert any(len(rec) > i and rec.wall_nanos[i] > 0 for rec in stacked)
 
     def test_rows_time_an_equal_share_of_the_update(self, default_env):
         envs = [default_env, make_environment(5, 8, 4, seed=12)]

@@ -188,6 +188,8 @@ class BaseRewardEstimator:
             "theta": self.theta_.tolist(),
             "theta_sum": self.theta_sum_.tolist(),
         }
+        if hasattr(self, "projections_"):
+            payload["projections"] = int(self.projections_)
         if self.curvature_attr is not None:
             payload[self.curvature_attr[:-1]] = self.local_norm_matrix().reshape(-1).tolist()
         return payload
@@ -196,6 +198,8 @@ class BaseRewardEstimator:
         self.t_ = int(payload["t"])
         self.theta_ = np.asarray(payload["theta"], dtype=float)
         self.theta_sum_ = np.asarray(payload["theta_sum"], dtype=float)
+        if hasattr(self, "projections_"):
+            self.projections_ = int(payload.get("projections", 0))
         if self.curvature_attr is None:
             return
         mat = np.asarray(payload[self.curvature_attr[:-1]], dtype=float)
@@ -204,7 +208,7 @@ class BaseRewardEstimator:
                 LocalNormMatrix(mat=mat, inv=np.linalg.inv(mat), dim=self.dim))
 
     def save(self, path) -> None:
-        """Write a text snapshot: params, counter, iterates, any curvature matrix row-major."""
+        """Write a text snapshot: params, counter, iterates, projections, any curvature matrix."""
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self._snapshot(), fh)
 

@@ -6,7 +6,7 @@ class NumericFailure(ArithmeticError):
 
     Raised when a quantity that is positive by construction (a Sherman-Morrison
     denominator, a quadratic form in a PD matrix, a CG curvature term) comes out
-    non-positive or non-finite, or when a bracketing search fails to converge.
+    non-positive or non-finite, or when the local-norm projection misses its tolerance.
 
     When the failing routine worked on a stack (one row per seed run in
     lockstep) ``index`` is the row that failed; otherwise it is None. The

@@ -1,4 +1,4 @@
-"""Rank-one inverse maintenance, weighted norms, and a matrix-free CG solver.
+"""Rank-one inverse upkeep, weighted norms, matrix-free CG, and the boundary search.
 
 The rank-one kernels and the norms take an optional leading axis: a stack of
 S matrices (S, d, d) with one vector (S, d) and one weight per row, for seeds
@@ -17,6 +17,15 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import NumericFailure
+
+SECULAR_STEPS = 20
+
+_eigh = np.linalg._umath_linalg.eigh_lo
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector: the sqrt-of-dot np.linalg.norm computes, without its overhead."""
+    return math.sqrt(v.dot(v))
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,6 +168,123 @@ def cg_solve(
         p = r + (rs_new / rs) * p
         rs = rs_new
     return v, math.sqrt(rs)
+
+
+def _model_norm(H: np.ndarray, r: np.ndarray):
+    """Return (lam, b, probe) for the damped model norm of symmetric H.
+
+    One eigendecomposition H = Q diag(lam) Q^T gives
+    ||(H + mu I)^-1 r||^2 = sum_i b_i^2 / (lam_i + mu)^2 with b = Q^T r, so
+    ``probe(mu)`` (see ``_probe``) returns that norm in O(d), without a dense
+    solve.
+
+    Calls the LAPACK gufunc ``np.linalg.eigh`` itself calls, without its
+    wrapper, so lam and Q have its bits. The wrapper turns a failed
+    decomposition into a LinAlgError; the gufunc alone returns NaN
+    eigenvalues, at least at one end of the sorted lam, so those raise here.
+    """
+    lam, Q = _eigh(H)
+    if not (math.isfinite(lam[0]) and math.isfinite(lam[-1])):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    b = Q.T @ r
+    return lam, b, _probe(lam, b)
+
+
+def _probe(lam: np.ndarray, b: np.ndarray):
+    """probe(mu) = ||b / (lam + mu)||; every call writes b / (lam + mu) into one buffer."""
+    x = np.empty_like(b)
+
+    def probe(mu: float) -> float:
+        np.add(lam, mu, out=x)
+        np.divide(b, x, out=x)
+        return _norm(x)
+
+    return probe
+
+
+def _secular_seeds(lam, b, B, mu0, radial_tol):
+    """Two damping values just below and just above the boundary root.
+
+    Newton's method on the secular equation 1/B - 1/||b / (lam + mu)|| = 0
+    (Moré & Sorensen 1983), which is convex and decreasing in mu: from
+    max(mu0, ||b||/B - lam_max, max_i(|b_i|/B - lam_i)), which lies at or
+    left of the root, its iterates rise monotonically to it. The last bound
+    holds because ||b / (lam + mu)|| >= |b_i| / (lam_i + mu). The seeds sit
+    two radial-band half-widths either side of the last iterate. They only
+    decide which probes the damping search makes, never its result.
+    """
+    mu = max(mu0, _norm(b) / B - float(lam[-1]), float((np.abs(b) / B - lam).max()))
+    width = math.nan
+    for _ in range(SECULAR_STEPS):
+        shifted = lam + mu
+        x = b / shifted
+        nrm2 = float(x.dot(x))
+        curv = float((x / shifted).dot(x))  # sum_i b_i^2 / (lam_i + mu)^3
+        if not curv > 0.0:
+            return math.nan, math.nan
+        nrm = math.sqrt(nrm2)
+        # mu-width of the radial band: radial_tol over |d||x||/dmu| = curv/||x||
+        width = radial_tol * nrm / curv
+        step = (nrm / B - 1.0) * nrm2 / curv
+        mu += step
+        if abs(step) <= 0.5 * width:
+            break
+    return mu - 2.0 * width, mu + 2.0 * width
+
+
+def _boundary_damping(H, rhs, mu0, B, radial_tol, model=None):
+    """The damping mu with ||(H + mu I)^-1 rhs|| = B, and the real probes made.
+
+    The baselines' damped Newton step and onepass's projection both solve this
+    boundary equation here. Brackets the damping by fours from max(mu0, 1e-6), then bisects until the
+    model norm is within radial_tol of B. Each norm the two loops ask for is
+    answered by a certificate when one holds, else by a real probe. While
+    every lam_i + mu > 0 the probe is monotone non-increasing in mu in
+    floating point too (np.add, np.divide, a dot of squares and sqrt each
+    round monotonically), so a real probe outside the radial band and above B
+    answers every smaller mu, and one outside the band and below B every
+    larger mu; a probe inside the band answers nothing. The loops therefore
+    end on the mid they end on with a real probe at every call. When
+    lam_min + mu0 <= 0 every call is a real probe. A caller holding H's
+    eigendecomposition passes ``model``, the (lam, b, probe) of ``_model_norm``.
+    """
+    lam, b, probe = _model_norm(H, rhs) if model is None else model
+    probes = 0
+    above, below = -math.inf, math.inf
+    certify = lam[0] + mu0 > 0.0
+
+    def model_norm(mu):
+        """A real probe at mu, which the loops make only where no certificate answers."""
+        nonlocal above, below, probes
+        probes += 1
+        nrm = probe(mu)
+        if certify and abs(nrm - B) > radial_tol:
+            if nrm > B:
+                above = mu
+            else:
+                below = mu
+        return nrm
+
+    if certify:
+        for seed in _secular_seeds(lam, b, B, mu0, radial_tol):
+            if mu0 <= seed and above < seed < below:  # never true for a NaN
+                model_norm(seed)
+    # certified without a probe: the norm exceeds B at mu <= above, falls short at mu >= below
+    lo, hi = mu0, max(mu0, 1e-6)
+    for _ in range(200):
+        if hi >= below or (hi > above and model_norm(hi) < B):
+            break
+        hi *= 4.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        nrm = math.inf if mid <= above else 0.0 if mid >= below else model_norm(mid)
+        if abs(nrm - B) <= radial_tol:
+            break
+        if nrm > B:
+            lo = mid
+        else:
+            hi = mid
+    return mid, probes
 
 
 @dataclass

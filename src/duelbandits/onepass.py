@@ -16,7 +16,8 @@ import numpy as np
 
 from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .exceptions import NumericFailure
-from .linalg import LocalNormMatrix, _identity, cg_solve, rank_one_inverse
+from .linalg import (LocalNormMatrix, _boundary_damping, _eigh, _identity, _norm, _probe,
+                     cg_solve, rank_one_inverse)
 from .linkmath import sigmoid_pair
 
 RADIUS_MODES = ("practical", "theory")
@@ -45,56 +46,34 @@ def confidence_radius(t: int, est: "OnePassRewardEstimator") -> float:
     return math.sqrt(big_c)
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector: the sqrt-of-dot np.linalg.norm computes, without its overhead."""
-    return math.sqrt(v.dot(v))
-
-
 def project_localnorm_ball(theta_prime: np.ndarray, norm_mat: np.ndarray, B: float) -> np.ndarray:
     """Project theta_prime onto the Euclidean ball of radius B in the norm of norm_mat.
 
     Interior points pass through. Otherwise the KKT system gives
-    theta(nu) = (M + nu I)^-1 M theta_prime with ||theta(nu)|| strictly
-    decreasing in nu, so the multiplier is bracketed by geometric growth and
-    pinned by bisection to |norm - B| <= 1e-10 * B.
+    theta(nu) = (M + nu I)^-1 M theta_prime, whose norm falls strictly in nu.
+    One eigendecomposition M = Q diag(lam) Q^T serves ``_boundary_damping``
+    (mu0 = 0), which pins nu to |norm - B| <= 1e-10 * B, and the result
+    theta = Q (b / (lam + nu)), b = Q^T M theta_prime, which ends on
+    ||theta|| <= B exactly. A search that misses the tolerance (a failed eigh
+    and a non-finite M among its causes) raises NumericFailure.
     """
     if B <= 0:
         raise ValueError(f"B must be positive, got {B}")
     theta_prime = np.asarray(theta_prime, dtype=float)
     if _norm(theta_prime) <= B:
         return theta_prime.copy()
-    rhs = norm_mat @ theta_prime
-    eye = np.eye(theta_prime.shape[0])
-
-    def candidate(nu: float) -> np.ndarray:
-        return np.linalg.solve(norm_mat + nu * eye, rhs)
-
-    hi = 1.0
-    for _ in range(201):
-        if _norm(candidate(hi)) < B:
-            break
-        hi *= 2.0
-    else:
-        raise NumericFailure("projection multiplier bracket exceeded 200 doublings")
-
-    lo = 0.0
     tol = 1e-10 * B
-    theta = None
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        theta = candidate(mid)
-        nrm = _norm(theta)
-        if abs(nrm - B) <= tol:
-            break
-        if nrm > B:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise NumericFailure("projection bisection did not reach tolerance")
+    rhs = norm_mat @ theta_prime
+    lam, Q = _eigh(norm_mat)
+    b = Q.T @ rhs
+    nu, _ = _boundary_damping(norm_mat, rhs, 0.0, B, tol, model=(lam, b, _probe(lam, b)))
+    theta = Q @ (b / (lam + nu))
     nrm = _norm(theta)
-    if nrm > B:
+    if not abs(nrm - B) <= tol:  # a NaN from a failed eigh lands here too
+        raise NumericFailure(f"projection ended at norm {nrm}, not within {tol} of B = {B}")
+    while nrm > B:  # the rescale rounds, up to 2 ulps above B
         theta = theta * (B / nrm)
+        nrm = _norm(theta)
     return theta
 
 

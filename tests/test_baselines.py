@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from duelbandits import baselines
+from duelbandits import baselines, linalg
 from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from duelbandits.linkmath import kappa_bound
 
@@ -130,7 +130,7 @@ class TestBoundarySearch:
         # warm up unrecorded, so the probed Hessians are past the rank-deficient start
         self.feed(est, Z[:350], y[:350])
         probes = []
-        model_norm = baselines._model_norm
+        model_norm = linalg._model_norm
 
         def recording(H, r):
             lam, b, norm = model_norm(H, r)
@@ -141,7 +141,7 @@ class TestBoundarySearch:
 
             return lam, b, probe
 
-        monkeypatch.setattr(baselines, "_model_norm", recording)
+        monkeypatch.setattr(linalg, "_model_norm", recording)
         self.feed(est, Z[350:], y[350:])
         assert len(probes) > 100
         for H, r, mu, nrm in probes:
@@ -153,7 +153,7 @@ class TestBoundarySearch:
         """The damping search's bracket and bisection with a real probe at every call.
 
         Returns (mid, calls)."""
-        _, _, model_norm = baselines._model_norm(H, r)
+        _, _, model_norm = linalg._model_norm(H, r)
         calls = 0
 
         def probe(mu):
@@ -202,15 +202,15 @@ class TestBoundarySearch:
         r = rng.standard_normal(d)
         if lam[0] + mu0 > 0.0:
             # the model minimizer at mu0 lies outside the ball, as in the solver
-            r *= B * 10.0 ** log_excess / baselines._model_norm(H, r)[2](mu0)
+            r *= B * 10.0 ** log_excess / linalg._model_norm(H, r)[2](mu0)
         radial_tol = 10.0 ** log_tol * B
         ref_mid, calls = self.plain_damping(H, r, mu0, B, radial_tol)
         forced = {"nan": (math.nan, math.nan), "far_low": (mu0, mu0 + 1e-9 * ref_mid),
                   "far_high": (1e6 * ref_mid, 1e12 * ref_mid), "answer": (ref_mid, ref_mid)}
-        seeder = (baselines._secular_seeds if seeds == "newton"
+        seeder = (linalg._secular_seeds if seeds == "newton"
                   else lambda *args: forced[seeds])
-        with mock.patch.object(baselines, "_secular_seeds", seeder):
-            mid, probes = baselines._boundary_damping(H, r, mu0, B, radial_tol)
+        with mock.patch.object(linalg, "_secular_seeds", seeder):
+            mid, probes = linalg._boundary_damping(H, r, mu0, B, radial_tol)
         assert mid == ref_mid
         assert probes <= calls + 2
         if not lam[0] + mu0 > 0.0:
@@ -222,10 +222,10 @@ class TestBoundarySearch:
         def fit_with(seeder):
             est = MleRewardEstimator(dim=Z.shape[1], B=B, fit_tol=1e-10,
                                      max_newton_iters=200).reset()
-            with mock.patch.object(baselines, "_secular_seeds", seeder):
+            with mock.patch.object(linalg, "_secular_seeds", seeder):
                 return self.feed(est, Z, y)
 
-        newton = fit_with(baselines._secular_seeds)
+        newton = fit_with(linalg._secular_seeds)
         nan = fit_with(lambda *args: (math.nan, math.nan))
         assert np.array_equal(newton.theta_, nan.theta_)
         searches = newton.boundary_counts_["boundary_searches"]
@@ -268,7 +268,7 @@ class TestExactHelpers:
         for _ in range(2):
             A = rng.standard_normal((d + 2, d))
             problems.append((A.T @ A, rng.standard_normal(d)))
-        probes = [baselines._model_norm(H, r)[2] for H, r in problems]
+        probes = [linalg._model_norm(H, r)[2] for H, r in problems]
         mus = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 15)])
         order = rng.permutation(len(mus))
         for mu in np.concatenate([mus[order], mus[order[::-1]]]):
@@ -402,7 +402,7 @@ class TestExactHelpers:
         if shape == "indefinite":
             H -= rng.uniform(0.0, 2.0) * float(H.trace()) / d * np.eye(d)
         r = rng.standard_normal(d)
-        lam, b, _ = baselines._model_norm(H, r)
+        lam, b, _ = linalg._model_norm(H, r)
         ref_lam, Q = np.linalg.eigh(H)
         assert lam.tobytes() == ref_lam.tobytes()
         assert b.tobytes() == (Q.T @ r).tobytes()
@@ -420,7 +420,7 @@ class TestExactHelpers:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.eigh(H)
         with pytest.raises(np.linalg.LinAlgError):
-            baselines._model_norm(H, np.ones(4))
+            linalg._model_norm(H, np.ones(4))
 
 
 class TestReadOnlyTheta:

@@ -15,7 +15,7 @@ from duelbandits.environment import (
     Policy,
     make_environment,
 )
-from duelbandits import baselines, onepass, scenarios
+from duelbandits import linalg, onepass, scenarios
 from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from duelbandits.config import resolve_seeds
 from duelbandits.exceptions import NumericFailure
@@ -564,7 +564,7 @@ class TestRunDeploy:
     ], ids=["mle", "implicit"])
     def test_boundary_search_counts(self, default_env, tmp_path, monkeypatch, est):
         searches, probes = [], []
-        model_norm = baselines._model_norm
+        model_norm = linalg._model_norm
 
         def recording(H, r):
             lam, b, probe = model_norm(H, r)
@@ -576,7 +576,7 @@ class TestRunDeploy:
 
             return lam, b, real_probe
 
-        monkeypatch.setattr(baselines, "_model_norm", recording)
+        monkeypatch.setattr(linalg, "_model_norm", recording)
         _, rec = run_passive(default_env, est, 60, checkpoints=(60,))
         assert rec.summary["boundary_searches"] == len(searches) > 20
         assert rec.summary["boundary_probes"] == len(probes) < 8 * len(searches)

@@ -6,6 +6,8 @@ baselines, the passive/active/deployment interaction loops, and runtime
 diagnostics for the statistical guarantees.
 """
 
+import types
+
 from .base import BaseRewardEstimator, default_regularization, default_step_size
 from .baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from .config import ExperimentConfig, mix_seed, parse_config
@@ -48,50 +50,6 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseRewardEstimator",
-    "BehaviorSpec",
-    "ConfigError",
-    "Environment",
-    "ExperimentConfig",
-    "FeatureTable",
-    "GroundTruth",
-    "HvpCgRewardEstimator",
-    "ImplicitOmdRewardEstimator",
-    "LocalNormMatrix",
-    "MleRewardEstimator",
-    "NumericFailure",
-    "OnePassRewardEstimator",
-    "Policy",
-    "RunRecord",
-    "bt_sample",
-    "build_estimator",
-    "cg_solve",
-    "confidence_radius",
-    "coverage_check",
-    "default_regularization",
-    "default_step_size",
-    "diagnostics_report",
-    "elliptic_potential_check",
-    "greedy_policy",
-    "kappa_bound",
-    "kappa_empirical",
-    "mahalanobis_inv",
-    "make_environment",
-    "mix_seed",
-    "norm_domination_check",
-    "parse_config",
-    "pessimistic_policy",
-    "project_localnorm_ball",
-    "run_active",
-    "run_deploy",
-    "run_experiment",
-    "run_passive",
-    "run_single",
-    "select_deploy_actions",
-    "select_most_uncertain",
-    "sherman_morrison",
-    "sigmoid_pair",
-    "subopt",
-    "timing_profile",
-]
+# every public name the imports above bind; the submodules they bind are not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

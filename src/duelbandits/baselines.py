@@ -271,10 +271,7 @@ class MleRewardEstimator(BaseRewardEstimator):
         self._advance(self.theta_)
 
     def refit(self) -> np.ndarray:
-        """Fit the constrained MLE to the current buffer, warm-started at theta_.
-
-        Every update calls it; call it again after ``permute_buffer``.
-        """
+        """Fit the constrained MLE to the current buffer, warm-started at theta_."""
         if self.n_samples_ == 0:
             return self.theta_
         Z = self._Z[: self.n_samples_]
@@ -284,14 +281,6 @@ class MleRewardEstimator(BaseRewardEstimator):
             _logistic_objective(Z, labels), self.theta_, self.B, tol,
             self.max_newton_iters, self.boundary_counts_)
         return self.theta_
-
-    def permute_buffer(self, order: np.ndarray) -> None:
-        """Reorder the stored samples; the loss is order-invariant so fits should agree."""
-        order = np.asarray(order)
-        if sorted(order.tolist()) != list(range(self.n_samples_)):
-            raise ValueError("order must be a permutation of the buffer indices")
-        self._Z[: self.n_samples_] = self._Z[: self.n_samples_][order]
-        self._y[: self.n_samples_] = self._y[: self.n_samples_][order]
 
     def radius(self, t: Optional[int] = None) -> float:
         return practical_radius(self.c_beta * self.radius_scale_, self.dim,

@@ -11,12 +11,16 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .base import resolve_hyperparameters
+from .baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from .exceptions import ConfigError
-from .onepass import RADIUS_MODES
+from .onepass import RADIUS_MODES, HvpCgRewardEstimator, OnePassRewardEstimator
 from .scenarios import ENUMERATE_BUDGET
 
 SCENARIOS = ("passive", "active", "deploy")
-ESTIMATORS = ("omd", "mle", "implicit", "hvpcg")
+# the estimator catalogue: each --estimator name and the class it builds
+ESTIMATOR_CLASSES = {"omd": OnePassRewardEstimator, "mle": MleRewardEstimator,
+                     "implicit": ImplicitOmdRewardEstimator, "hvpcg": HvpCgRewardEstimator}
+ESTIMATORS = tuple(ESTIMATOR_CLASSES)
 DAMPING_FNS = ("linear", "log")
 POLICY_MODES = ("enumerate", "greedy_percontext")
 # the value set of every enumerated key
@@ -161,10 +165,10 @@ def parse_config(data: dict) -> ExperimentConfig:
                          ("workers", 1), ("T", 0 if cfg.scenario == "passive" else 1)):
         if getattr(cfg, key) < minimum:
             raise ConfigError(f"configuration key '{key}' must be >= {minimum}, got {getattr(cfg, key)}")
-    # hvpcg takes no lam: its damping schedule (lambda0, damping_fn) stands in
-    uses_lam = cfg.estimator != "hvpcg"
+    # a kind takes lam if its constructor does (hvpcg's damping schedule stands in)
+    uses_lam = "lam" in ESTIMATOR_CLASSES[cfg.estimator]._param_names()
     if not uses_lam and cfg.lam is not None:
-        raise ConfigError("configuration key 'lam' has no effect with estimator 'hvpcg', "
+        raise ConfigError(f"configuration key 'lam' has no effect with estimator '{cfg.estimator}', "
                           "whose damping is set by 'lambda0' and 'damping_fn'; leave it unset")
     # the estimators' own check; it also resolves eta/lam, so the echoed config
     # is self-contained

@@ -331,9 +331,6 @@ class LocalNormMatrix:
             raise ValueError(f"need dim >= 1 and scale > 0, got dim={dim}, scale={scale}")
         return cls(mat=scale * np.eye(dim), inv=(1.0 / scale) * np.eye(dim), dim=dim)
 
-    def copy(self) -> "LocalNormMatrix":
-        return LocalNormMatrix(mat=self.mat, inv=self.inv, dim=self.dim)
-
     def rank_one_update(self, z: np.ndarray, w, u: Optional[np.ndarray] = None,
                         zu=None) -> None:
         """Add w * z z^T to the matrix and apply the paired inverse update.

@@ -10,31 +10,22 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
-from .config import ExperimentConfig
+from .config import ESTIMATOR_CLASSES, ExperimentConfig
 from .diagnostics import diagnostics_report
 from .environment import make_environment
-from .onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from .scenarios import run_active, run_deploy, run_passive, shared_csv_cells
 
 
+# constructor parameters whose config key has another name
+_RENAMED = {"dim": "d", "damping": "damping_fn", "horizon": "T"}
+
+
 def build_estimator(cfg: ExperimentConfig):
-    """Instantiate the estimator a config asks for. eta/lam are already resolved."""
-    if cfg.estimator == "omd":
-        return OnePassRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, eta=cfg.eta,
-                                      lam=cfg.lam, radius_mode=cfg.radius_mode,
-                                      c_beta=cfg.c_beta, delta=cfg.delta)
-    if cfg.estimator == "mle":
-        return MleRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, lam=cfg.lam,
-                                  c_beta=cfg.c_beta, delta=cfg.delta)
-    if cfg.estimator == "implicit":
-        return ImplicitOmdRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, eta=cfg.eta,
-                                          lam=cfg.lam, c_beta=cfg.c_beta, delta=cfg.delta)
-    if cfg.estimator == "hvpcg":
-        return HvpCgRewardEstimator(dim=cfg.d, B=cfg.B, L=cfg.L, eta=cfg.eta,
-                                    lambda0=cfg.lambda0, damping=cfg.damping_fn,
-                                    horizon=cfg.T, c_beta=cfg.c_beta, delta=cfg.delta)
-    raise ValueError(f"unknown estimator kind {cfg.estimator!r}")
+    """The estimator a config asks for; a parameter the config has no key for keeps its default."""
+    cls = ESTIMATOR_CLASSES[cfg.estimator]
+    values = vars(cfg)
+    keys = {name: _RENAMED.get(name, name) for name in cls._param_names()}
+    return cls(**{name: values[key] for name, key in keys.items() if key in values})
 
 
 def run_single(cfg: ExperimentConfig, seed):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from duelbandits import cli, runner
 from duelbandits.cli import main
-from duelbandits.config import (DAMPING_FNS, ESTIMATORS, POLICY_MODES, RADIUS_MODES, SCENARIOS,
-                                ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
+from duelbandits.config import (DAMPING_FNS, ESTIMATOR_CLASSES, ESTIMATORS, POLICY_MODES,
+                                RADIUS_MODES, SCENARIOS, ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
                                 parse_config, resolve_seeds)
 from duelbandits.exceptions import ConfigError
 from duelbandits.runner import aggregate_summaries, run_experiment
@@ -89,7 +90,9 @@ class TestParseConfig:
 
     def test_explicit_lam_with_hvpcg_names_lam(self):
         # hvpcg's damping schedule stands in for lam, so a lam could change nothing
-        with pytest.raises(ConfigError, match="'lam'"):
+        with pytest.raises(ConfigError, match="^configuration key 'lam' has no effect with "
+                           "estimator 'hvpcg', whose damping is set by 'lambda0' and "
+                           "'damping_fn'; leave it unset$"):
             parse_config({"scenario": "active", "estimator": "hvpcg", "lam": 5.0})
         with pytest.raises(ConfigError, match="'lam'"):
             parse_config(run_flags_config(["--scenario", "active", "--estimator", "hvpcg",
@@ -298,6 +301,40 @@ class TestConfigFields:
         assert parse_config({"scenario": "deploy", "seeds": [1.0, "2", 3]}).seeds == [1, 2, 3]
 
 
+# each kind with every config key it takes set off its default, and the
+# constructor parameters the key must reach (d, damping_fn and T are renamed)
+COMMON_KEYS = {"d": 3, "B": 0.5, "L": 2.0, "c_beta": 0.5, "delta": 0.05}
+COMMON_PARAMS = {"dim": 3, "B": 0.5, "L": 2.0, "c_beta": 0.5, "delta": 0.05}
+CATALOGUE_CASES = {
+    "omd": ({"eta": 0.25, "lam": 3.0, "radius_mode": "theory"},
+            {"eta": 0.25, "lam": 3.0, "radius_mode": "theory"}),
+    "mle": ({"lam": 3.0}, {"lam": 3.0}),
+    "implicit": ({"eta": 0.25, "lam": 3.0}, {"eta": 0.25, "lam": 3.0}),
+    "hvpcg": ({"eta": 0.25, "lambda0": 0.5, "damping_fn": "log", "T": 321},
+              {"eta": 0.25, "lambda0": 0.5, "damping": "log", "horizon": 321}),
+}
+
+
+class TestEstimatorCatalogue:
+    def test_every_kind_has_a_case(self):
+        assert ESTIMATORS == tuple(ESTIMATOR_CLASSES) == tuple(CATALOGUE_CASES)
+
+    @pytest.mark.parametrize("kind", list(CATALOGUE_CASES))
+    def test_build_fills_the_constructor_by_name(self, kind):
+        keys, params = CATALOGUE_CASES[kind]
+        cfg = parse_config({"scenario": "active", "estimator": kind, **COMMON_KEYS, **keys})
+        est = runner.build_estimator(cfg)
+        assert type(est) is ESTIMATOR_CLASSES[kind]
+        # a parameter the config has no key for keeps its constructor default
+        defaults = {name: p.default for name, p in inspect.signature(type(est)).parameters.items()}
+        assert est.get_params() == {**defaults, **COMMON_PARAMS, **params}
+
+    def test_mle_takes_lam_but_no_eta(self):
+        cfg = parse_config({"scenario": "passive", "estimator": "mle", "lam": 3.0, "eta": 0.25})
+        params = runner.build_estimator(cfg).get_params()
+        assert params["lam"] == 3.0 and "eta" not in params
+
+
 class TestSeedFanout:
     def test_prefix_stability(self):
         assert resolve_seeds(0, 5) == resolve_seeds(0, 20)[:5]
@@ -352,7 +389,7 @@ class TestRunExperiment:
                 assert ca == cb
 
     def test_all_estimators_run(self, tmp_path):
-        for kind in ("omd", "mle", "implicit", "hvpcg"):
+        for kind in ESTIMATORS:
             cfg = parse_config({"scenario": "active", "estimator": kind, "T": 25,
                                 "num_seeds": 1, "output_dir": str(tmp_path / kind)})
             result = run_experiment(cfg)

@@ -158,12 +158,6 @@ class TestLocalNormMatrix:
         assert abs(lm.norm(v) - 2.0) < 1e-15
         assert abs(mahalanobis_inv(v, lm.inv) - 0.5) < 1e-15
 
-    def test_copy_is_independent(self):
-        lm = LocalNormMatrix.scaled_identity(2, 1.0)
-        cp = lm.copy()
-        cp.rank_one_update(np.array([1.0, 0.0]), 1.0)
-        assert np.array_equal(lm.mat, np.eye(2))
-
     def test_bad_init_rejected(self):
         with pytest.raises(ValueError):
             LocalNormMatrix.scaled_identity(0, 1.0)

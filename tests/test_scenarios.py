@@ -17,7 +17,7 @@ from duelbandits.environment import (
 )
 from duelbandits import linalg, onepass, scenarios
 from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
-from duelbandits.config import resolve_seeds
+from duelbandits.config import ESTIMATOR_CLASSES, resolve_seeds
 from duelbandits.exceptions import NumericFailure
 from duelbandits.linalg import LocalNormMatrix, rank_one_inverse
 from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
@@ -749,27 +749,23 @@ def assert_same_run(got, want):
     assert strip(got.summary) == strip(want.summary)
 
 
-ESTIMATORS = {"omd": OnePassRewardEstimator, "mle": MleRewardEstimator,
-              "implicit": ImplicitOmdRewardEstimator, "hvpcg": HvpCgRewardEstimator}
-
-
 class TestLockstep:
     SEEDS = resolve_seeds(0, 6)
 
     # omd keeps the bare scenario ids it had before the other estimators joined
     @pytest.mark.parametrize("scenario, kind", [
         pytest.param(scenario, kind, id=scenario if kind == "omd" else f"{scenario}-{kind}")
-        for kind in ESTIMATORS for scenario in ("passive", "active", "deploy")])
+        for kind in ESTIMATOR_CLASSES for scenario in ("passive", "active", "deploy")])
     def test_stack_equals_solo_runs(self, scenario, kind):
         """A list of seeds gives each seed its solo run: in one stack, or one group each."""
         run = {"passive": lambda e, est: run_passive(e, est, 40, checkpoints=(10, 40)),
                "active": lambda e, est: run_active(e, est, 40, checkpoints=(10, 40)),
                "deploy": lambda e, est: run_deploy(e, est, 40)}[scenario]
         envs = [make_environment(5, 8, 4, seed=s) for s in self.SEEDS[:3]]
-        ests = [ESTIMATORS[kind](dim=5) for _ in envs]
+        ests = [ESTIMATOR_CLASSES[kind](dim=5) for _ in envs]
         stacked = run(envs, ests)
         for env, est, got in zip(envs, ests, stacked):
-            solo_est = ESTIMATORS[kind](dim=5)
+            solo_est = ESTIMATOR_CLASSES[kind](dim=5)
             want = run(env, solo_est)
             if scenario == "deploy":
                 assert_same_run(got, want)

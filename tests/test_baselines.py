@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from duelbandits import baselines, linalg
 from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
@@ -14,6 +15,43 @@ from duelbandits.linkmath import kappa_bound
 
 def sigmoid(w):
     return 1.0 / (1.0 + math.exp(-w))
+
+
+class TestMleClosedForms:
+    def test_symmetric_labels_give_zero(self):
+        est = MleRewardEstimator(dim=1, B=1.0, fit_tol=1e-10, max_newton_iters=200).reset()
+        est.update(np.array([1.0]), 1)
+        est.update(np.array([1.0]), 0)
+        assert abs(est.theta_[0]) <= 1e-6
+
+    def test_single_positive_sample_hits_boundary(self):
+        est = MleRewardEstimator(dim=1, B=1.0, fit_tol=1e-10, max_newton_iters=200).reset()
+        est.update(np.array([1.0]), 1)
+        assert abs(est.theta_[0] - 1.0) <= 1e-6
+
+    def test_three_to_one_gives_log3(self):
+        est = MleRewardEstimator(dim=1, B=2.0, fit_tol=1e-12, max_newton_iters=200).reset()
+        for y in (1, 1, 1, 0):
+            est.update(np.array([1.0]), y)
+        assert abs(est.theta_[0] - math.log(3.0)) <= 1e-6
+
+    def test_interior_optimum_matches_root_oracle(self):
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            n = int(rng.integers(8, 40))
+            zs = rng.uniform(0.5, 1.5, size=n)
+            ys = rng.integers(0, 2, size=n)
+            if ys.min() == ys.max():
+                ys[0] = 1 - ys[0]
+            est = MleRewardEstimator(dim=1, B=5.0, fit_tol=1e-11, max_newton_iters=300).reset()
+            for z, y in zip(zs, ys):
+                est.update(np.array([z]), int(y))
+
+            def score(theta):
+                return float(np.sum((1 / (1 + np.exp(-zs * theta)) - ys) * zs))
+
+            root = brentq(score, -5.0, 5.0, xtol=1e-13)
+            assert abs(est.theta_[0] - root) <= 1e-6
 
 
 class TestMleBehavior:
@@ -411,6 +449,14 @@ class TestImplicitOmd:
         est = ImplicitOmdRewardEstimator(dim=3, eta=1.0, lam=1.0).reset()
         est.update(np.zeros(3), 1)
         assert np.allclose(est.theta_, np.zeros(3), atol=1e-12)
+
+    def test_worked_1d_proximal_root(self):
+        est = ImplicitOmdRewardEstimator(dim=1, B=1.0, eta=1.0, lam=1.0,
+                                         inner_tol=1e-12, max_inner_iters=100).reset()
+        est.update(np.array([1.0]), 1)
+        root = brentq(lambda th: th - 1.0 + sigmoid(th), 0.0, 1.0, xtol=1e-15)
+        assert abs(root - 0.40105813754154673) < 1e-12
+        assert abs(est.theta_[0] - root) <= 1e-6
 
     def test_inner_tolerance_contract(self):
         rng = np.random.default_rng(5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from duelbandits import onepass
 from duelbandits.baselines import (ImplicitOmdRewardEstimator, MleRewardEstimator,
@@ -229,6 +230,20 @@ class TestProjection:
         out = project_localnorm_ball(np.array([2.0, 0.0]), np.eye(2), 1.0)
         assert np.allclose(out, [1.0, 0.0], atol=1e-10)
 
+    def test_worked_anisotropic_example(self):
+        M = np.diag([4.0, 1.0])
+        theta_prime = np.array([2.0, 2.0])
+        out = project_localnorm_ball(theta_prime, M, 1.0)
+        nu_star = brentq(lambda nu: math.hypot(8 / (4 + nu), 2 / (1 + nu)) - 1.0,
+                         0.0, 100.0, xtol=1e-14)
+        assert abs(nu_star - 4.571323176251141) < 1e-9
+        expected = np.array([8 / (4 + nu_star), 2 / (1 + nu_star)])
+        assert np.allclose(out, expected, atol=1e-6)
+        resid_vec = M @ (out - theta_prime)
+        nu = -float(out @ resid_vec) / float(out @ out)
+        assert abs(nu - nu_star) < 1e-6
+        assert np.linalg.norm(resid_vec + nu * out) <= 1e-6
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 12), st.floats(0.05, 20.0), st.floats(0.1, 6.0),
            st.integers(0, 2**32 - 1))
@@ -420,6 +435,16 @@ class TestSnapshot:
 
 
 class TestHvpCg:
+    def test_first_step_matches_exact_omd_in_1d(self):
+        exact = OnePassRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, lam=1.0).reset()
+        exact.update(np.array([1.0]), 1)
+        # horizon 1 with lambda0 = 1 puts the damping at exactly 1 = lam
+        fast = HvpCgRewardEstimator(dim=1, B=1.0, L=1.0, eta=2.0, lambda0=1.0,
+                                    damping="linear", horizon=1).reset()
+        fast.update(np.array([1.0]), 1)
+        assert abs(fast.theta_[0] - exact.theta_[0]) <= 1e-15
+        assert abs(fast.theta_[0] - 2.0 / 3.0) <= 1e-15
+
     def test_zero_gradient_is_no_op(self):
         est = HvpCgRewardEstimator(dim=3, horizon=10).reset()
         est.update(np.zeros(3), 1)

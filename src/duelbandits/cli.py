@@ -14,8 +14,6 @@ from .verify import CHECKS, run_verify
 
 # config keys whose flag is not the key with "-" for "_"
 _FLAG_NAMES = {"lam": "--lambda", "num_seeds": "--seeds", "output_dir": "--out"}
-# keys with a flag on `run` only (scenario, estimator) or none (the seed list)
-_NOT_COMMON = ("scenario", "estimator", "seeds")
 
 
 def _add_field_flags(p: argparse.ArgumentParser, keys) -> None:
@@ -24,11 +22,6 @@ def _add_field_flags(p: argparse.ArgumentParser, keys) -> None:
         p.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), dest=key,
                        type=_FIELD_TYPES[key], choices=CHOICES.get(key),
                        help=f"config key '{key}'")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    _add_field_flags(p, [key for key in _FIELD_TYPES if key not in _NOT_COMMON])
 
 
 def _collect(args: argparse.Namespace) -> dict:
@@ -79,8 +72,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario across seeds")
-    _add_field_flags(run_p, ("scenario", "estimator"))
-    _add_common_flags(run_p)
+    run_p.add_argument("--config", help="JSON config file; explicit flags override it")
+    # every config key but the seed list, which has no flag
+    _add_field_flags(run_p, [key for key in _FIELD_TYPES if key != "seeds"])
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify", help="run the built-in invariant suite")

@@ -69,40 +69,38 @@ def _denominator_message(denom: float) -> str:
     return f"Sherman-Morrison denominator {denom} is not positive; inverse state corrupted"
 
 
-def _check_weights(w: np.ndarray) -> list:
-    weights = w.tolist()
-    if any(v < 0 for v in weights):
-        raise ValueError(f"rank-one weight must be nonnegative, got {w}")
-    return weights
-
-
-def sherman_morrison(inv: np.ndarray, z: np.ndarray, w) -> np.ndarray:
+def sherman_morrison(inv: np.ndarray, z: np.ndarray, w, u: Optional[np.ndarray] = None,
+                     zu=None) -> np.ndarray:
     """Return (A + w*z*z^T)^-1 given inv = A^-1, in O(d^2) arithmetic.
 
-    An update with a positive weight is explicitly symmetrized, so it is exactly
-    symmetric even when ``inv`` is not, and long update chains keep the
-    positive-definiteness detectable. A zero weight returns ``inv`` copied as
-    it is, unsymmetrized: the whole matrix, or that row of a stack (z of shape
-    (S, d)).
+    The one update of every inverse the package maintains. A caller that
+    already holds u = inv @ z and zu = z . u passes them, and the product is
+    not formed again. The result is a new array, exactly symmetric whenever
+    ``inv`` is (see ``rank_one_inverse``). A zero weight returns ``inv``
+    copied: the whole matrix, or that row of a stack (z of shape (S, d), one
+    weight per row or one for all). A negative weight raises ValueError.
     """
     if z.ndim == 1:
         if w < 0:
             raise ValueError(f"rank-one weight must be nonnegative, got {w}")
         if w == 0.0:
             return inv.copy()
-        u = inv @ z
-        return _symmetrize(rank_one_inverse(inv, u, float(z @ u), w))
-    if isinstance(w, float) and w > 0:  # one positive weight for every row
+        if u is None:
+            u = inv @ z
+            zu = float(z @ u)
+        return rank_one_inverse(inv, u, zu, w)
+    if u is None:
         u = np.matvec(inv, z)
-        return _symmetrize(rank_one_inverse(inv, u, np.vecdot(z, u), w))
-    w = np.broadcast_to(np.asarray(w, dtype=float), z.shape[:1])
-    weights = _check_weights(w)
-    if not any(weights):
-        return np.broadcast_to(inv, (*z.shape, z.shape[-1])).copy()
-    u = np.matvec(inv, z)
-    out = _symmetrize(rank_one_inverse(inv, u, np.vecdot(z, u), w))
+        zu = np.vecdot(z, u)
+    if isinstance(w, float) and w > 0:  # one positive weight for every row
+        return rank_one_inverse(inv, u, zu, w)
+    w = np.asarray(w, dtype=float)
+    weights = w.ravel().tolist()
+    if any(v < 0 for v in weights):
+        raise ValueError(f"rank-one weight must be nonnegative, got {w}")
+    out = rank_one_inverse(inv, u, zu, w)
     if not all(weights):
-        out = np.where((w == 0)[:, None, None], inv, out)
+        out = np.where((w == 0)[..., None, None], inv, out)
     return out
 
 
@@ -333,36 +331,17 @@ class LocalNormMatrix:
 
     def rank_one_update(self, z: np.ndarray, w, u: Optional[np.ndarray] = None,
                         zu=None) -> None:
-        """Add w * z z^T to the matrix and apply the paired inverse update.
+        """Add w * z z^T to the matrix and update the inverse through ``sherman_morrison``.
 
-        A caller that already holds u = inv @ z and zu = z . u for the current
-        inverse passes them, and the product is not formed again. On a stack,
-        z is (S, dim) and w (S,); rows with weight zero are left untouched.
+        ``u`` and ``zu`` are passed on to it. On a stack, z is (S, dim) and w
+        (S,); a zero-weight row adds 0 * z z^T to its matrix, which leaves it
+        as it was.
         """
+        self.inv = sherman_morrison(self.inv, z, w, u, zu)
         if z.ndim == 1:
-            if w < 0:
-                raise ValueError(f"rank-one weight must be nonnegative, got {w}")
-            if w == 0.0:
-                return
-            if u is None:
-                u = self.inv @ z
-                zu = float(z @ u)
-            self.inv = rank_one_inverse(self.inv, u, zu, w)
             self.mat = self.mat + w * np.multiply(z[:, None], z)
-            return
-        w = np.asarray(w, dtype=float)
-        weights = _check_weights(w)
-        if not any(weights):
-            return
-        if u is None:
-            u = np.matvec(self.inv, z)
-            zu = np.vecdot(z, u)
-        inv = rank_one_inverse(self.inv, u, zu, w)
-        mat = self.mat + w[:, None, None] * _outer(z)
-        if not all(weights):
-            keep = (w == 0)[:, None, None]
-            inv, mat = np.where(keep, self.inv, inv), np.where(keep, self.mat, mat)
-        self.inv, self.mat = inv, mat
+        else:
+            self.mat = self.mat + np.asarray(w, dtype=float)[..., None, None] * _outer(z)
 
     def norm(self, v: np.ndarray):
         """sqrt(v^T M v), one per row on a stack."""

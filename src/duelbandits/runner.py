@@ -17,7 +17,7 @@ from .scenarios import run_active, run_deploy, run_passive, shared_csv_cells
 
 
 # constructor parameters whose config key has another name
-_RENAMED = {"dim": "d", "damping": "damping_fn", "horizon": "T"}
+_RENAMED = {"dim": "d", "damping": "damping_fn"}
 
 
 def build_estimator(cfg: ExperimentConfig):

@@ -302,7 +302,7 @@ class TestConfigFields:
 
 
 # each kind with every config key it takes set off its default, and the
-# constructor parameters the key must reach (d, damping_fn and T are renamed)
+# constructor parameters the key must reach (d and damping_fn are renamed)
 COMMON_KEYS = {"d": 3, "B": 0.5, "L": 2.0, "c_beta": 0.5, "delta": 0.05}
 COMMON_PARAMS = {"dim": 3, "B": 0.5, "L": 2.0, "c_beta": 0.5, "delta": 0.05}
 CATALOGUE_CASES = {
@@ -310,8 +310,8 @@ CATALOGUE_CASES = {
             {"eta": 0.25, "lam": 3.0, "radius_mode": "theory"}),
     "mle": ({"lam": 3.0}, {"lam": 3.0}),
     "implicit": ({"eta": 0.25, "lam": 3.0}, {"eta": 0.25, "lam": 3.0}),
-    "hvpcg": ({"eta": 0.25, "lambda0": 0.5, "damping_fn": "log", "T": 321},
-              {"eta": 0.25, "lambda0": 0.5, "damping": "log", "horizon": 321}),
+    "hvpcg": ({"eta": 0.25, "lambda0": 0.5, "damping_fn": "log"},
+              {"eta": 0.25, "lambda0": 0.5, "damping": "log"}),
 }
 
 
@@ -394,6 +394,15 @@ class TestRunExperiment:
                                 "num_seeds": 1, "output_dir": str(tmp_path / kind)})
             result = run_experiment(cfg)
             assert result.aggregate["seeds_completed"] == 1, kind
+
+    @pytest.mark.parametrize("kind", ESTIMATORS)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_accepted_config_runs(self, tmp_path, scenario, kind):
+        # at the smallest T each scenario accepts; passive T = 0 is the prior's policy alone
+        cfg = parse_config({"scenario": scenario, "estimator": kind,
+                            "T": 0 if scenario == "passive" else 1, "contexts": 3,
+                            "actions": 3, "num_seeds": 2, "output_dir": str(tmp_path / "out")})
+        assert run_experiment(cfg).aggregate["failed"] == []
 
     def test_workers_do_not_change_metrics(self, tmp_path):
         base = {"scenario": "deploy", "T": 40, "num_seeds": 4}

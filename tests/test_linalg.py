@@ -47,6 +47,7 @@ class TestShermanMorrison:
     def test_output_symmetric(self):
         rng = np.random.default_rng(2)
         inv = random_pd(rng, 6)
+        inv = (inv + inv.T) / 2.0  # symmetric in, symmetric out
         out = sherman_morrison(inv, rng.standard_normal(6), 2.0)
         assert np.array_equal(out, out.T)
 
@@ -223,6 +224,7 @@ class TestStackedKernels:
            st.sampled_from(["scalar", "per_row", "some_zero"]))
     def test_sherman_morrison_stack_matches_rows_and_fresh_inverse(self, S, d, seed, weights):
         mats, invs, z, w = stacked_inputs(seed, S, d)
+        invs = (invs + invs.swapaxes(-1, -2)) / 2.0  # symmetric in, symmetric out
         rng = np.random.default_rng(seed + 1)
         if weights == "scalar":
             w = float(rng.uniform(0.1, 2.0))

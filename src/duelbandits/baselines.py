@@ -205,10 +205,9 @@ class MleRewardEstimator(BaseRewardEstimator):
 
     The unconstrained likelihood diverges on separable data, so the fit is over
     the B-ball. ``fit_tol=None`` uses the customary 1/t schedule tying the
-    optimization error to the statistical error. ``v_reg=None`` regularizes the
-    companion scatter matrix V with lam * kappa_bound(B, L) so that V matches
-    the curvature matrix's domination identity; pass an explicit value to use
-    plain lam instead.
+    optimization error to the statistical error. The companion scatter
+    matrix V starts at lam * kappa_bound(B, L) * I (``v_reg_``), so that V
+    matches the curvature matrix's domination identity.
 
     The confidence radius carries a sqrt(kappa) factor on top of the usual
     sqrt(d log) shape: scatter-matrix norms understate uncertainty by up to
@@ -220,14 +219,12 @@ class MleRewardEstimator(BaseRewardEstimator):
     kind = "mle"
 
     def __init__(self, dim: int, B: float = 1.0, L: float = 1.0,
-                 lam: Optional[float] = None, v_reg: Optional[float] = None,
-                 fit_tol: Optional[float] = None, max_newton_iters: int = 50,
-                 c_beta: float = 1.0, delta: float = 0.1):
+                 lam: Optional[float] = None, fit_tol: Optional[float] = None,
+                 max_newton_iters: int = 50, c_beta: float = 1.0, delta: float = 0.1):
         self.dim = dim
         self.B = B
         self.L = L
         self.lam = lam
-        self.v_reg = v_reg
         self.fit_tol = fit_tol
         self.max_newton_iters = max_newton_iters
         self.c_beta = c_beta
@@ -236,7 +233,7 @@ class MleRewardEstimator(BaseRewardEstimator):
     def reset(self) -> "MleRewardEstimator":
         super().reset()
         kappa = kappa_bound(self.B, self.L)
-        self.v_reg_ = self.v_reg if self.v_reg is not None else self.lam_ * kappa
+        self.v_reg_ = self.lam_ * kappa
         self.radius_scale_ = math.sqrt(kappa)
         self.V_ = LocalNormMatrix.scaled_identity(self.dim, self.v_reg_)
         self._capacity = 64

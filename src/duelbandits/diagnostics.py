@@ -131,8 +131,10 @@ def elliptic_potential_check(zs, lambda_v: float, L: float):
             lhs = np.zeros(block.shape[:-2])
         for j in range(block.shape[-2]):
             z = block[..., j, :]
-            lhs = lhs + np.vecdot(np.vecmat(z, inv), z)
-            inv = sherman_morrison(inv, z, 1.0)
+            u = np.matvec(inv, z)
+            zu = np.vecdot(z, u)
+            lhs = lhs + zu
+            inv = sherman_morrison(inv, z, 1.0, u, zu)
         n += block.shape[-2]
     if inv is None:
         raise ValueError("no row blocks to replay")

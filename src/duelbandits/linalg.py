@@ -44,41 +44,38 @@ def _outer(u: np.ndarray) -> np.ndarray:
     return u[..., :, None] * u[..., None, :]
 
 
-def rank_one_inverse(inv: np.ndarray, u: np.ndarray, zu, w) -> np.ndarray:
-    """Return (A + w*z*z^T)^-1 given inv = A^-1, u = inv @ z and zu = z . u.
-
-    The result inv - (w / (1 + w*zu)) * u u^T is a new array, exactly symmetric
-    whenever inv is, since u_i*u_j == u_j*u_i. A denominator that is not
-    positive and finite means the inverse state is corrupted; on a stack the
-    NumericFailure carries the first such row as ``index``. A stack takes one
-    weight per row, or one weight for all of them.
-    """
-    denom = 1.0 + w * zu
-    if u.ndim == 1:
-        if not 0.0 < denom < math.inf:
-            raise NumericFailure(_denominator_message(denom))
-        return inv - (w / denom) * np.multiply(u[:, None], u)
-    values = denom.tolist()
-    for k, value in enumerate(values):
-        if not 0.0 < value < math.inf:
-            raise NumericFailure(_denominator_message(value), index=k)
-    return inv - (w / denom)[:, None, None] * _outer(u)
-
-
 def _denominator_message(denom: float) -> str:
     return f"Sherman-Morrison denominator {denom} is not positive; inverse state corrupted"
 
 
+def _check_denominators(denom) -> None:
+    """Raise NumericFailure unless each denominator 1 + w*z.u is positive and finite.
+
+    One that is not means the inverse state is corrupted. An array holds one
+    denominator per row of a stack, and the failure names the first bad row
+    as ``index``.
+    """
+    if not isinstance(denom, np.ndarray) or not denom.ndim:
+        if not 0.0 < denom < math.inf:
+            raise NumericFailure(_denominator_message(denom))
+        return
+    for k, value in enumerate(denom.tolist()):
+        if not 0.0 < value < math.inf:
+            raise NumericFailure(_denominator_message(value), index=k)
+
+
 def sherman_morrison(inv: np.ndarray, z: np.ndarray, w, u: Optional[np.ndarray] = None,
                      zu=None) -> np.ndarray:
-    """Return (A + w*z*z^T)^-1 given inv = A^-1, in O(d^2) arithmetic.
+    """Return (A + w*z*z^T)^-1 = inv - w/(1 + w*zu) * u u^T given inv = A^-1, in O(d^2).
 
     The one update of every inverse the package maintains. A caller that
     already holds u = inv @ z and zu = z . u passes them, and the product is
     not formed again. The result is a new array, exactly symmetric whenever
-    ``inv`` is (see ``rank_one_inverse``). A zero weight returns ``inv``
+    ``inv`` is, since u_i*u_j == u_j*u_i. A zero weight returns ``inv``
     copied: the whole matrix, or that row of a stack (z of shape (S, d), one
-    weight per row or one for all). A negative weight raises ValueError.
+    weight per row or one for all). A negative weight raises ValueError, and
+    a denominator that is not positive and finite NumericFailure (see
+    ``_check_denominators``).
     """
     if z.ndim == 1:
         if w < 0:
@@ -88,18 +85,22 @@ def sherman_morrison(inv: np.ndarray, z: np.ndarray, w, u: Optional[np.ndarray] 
         if u is None:
             u = inv @ z
             zu = float(z @ u)
-        return rank_one_inverse(inv, u, zu, w)
+        denom = 1.0 + w * zu
+        _check_denominators(denom)
+        return inv - (w / denom) * np.multiply(u[:, None], u)
     if u is None:
         u = np.matvec(inv, z)
         zu = np.vecdot(z, u)
-    if isinstance(w, float) and w > 0:  # one positive weight for every row
-        return rank_one_inverse(inv, u, zu, w)
-    w = np.asarray(w, dtype=float)
-    weights = w.ravel().tolist()
-    if any(v < 0 for v in weights):
-        raise ValueError(f"rank-one weight must be nonnegative, got {w}")
-    out = rank_one_inverse(inv, u, zu, w)
-    if not all(weights):
+    weights = None
+    if not (isinstance(w, float) and w > 0):  # else one positive weight for every row
+        w = np.asarray(w, dtype=float)
+        weights = w.ravel().tolist()
+        if any(v < 0 for v in weights):
+            raise ValueError(f"rank-one weight must be nonnegative, got {w}")
+    denom = 1.0 + w * zu
+    _check_denominators(denom)
+    out = inv - (w / denom)[:, None, None] * _outer(u)
+    if weights is not None and not all(weights):
         out = np.where((w == 0)[..., None, None], inv, out)
     return out
 

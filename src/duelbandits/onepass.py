@@ -16,8 +16,8 @@ import numpy as np
 
 from .base import BaseRewardEstimator, check_label, check_vector, practical_radius
 from .exceptions import NumericFailure
-from .linalg import (LocalNormMatrix, _boundary_damping, _eigh, _identity, _norm, _probe,
-                     cg_solve, rank_one_inverse)
+from .linalg import (LocalNormMatrix, _boundary_damping, _check_denominators, _eigh, _identity,
+                     _norm, _outer, _probe, cg_solve)
 from .linkmath import sigmoid_pair
 
 RADIUS_MODES = ("practical", "theory")
@@ -152,69 +152,61 @@ class OnePassRewardEstimator(BaseRewardEstimator):
             est.projections_ = int(self.projections_[k])
 
     def update(self, z: np.ndarray, y) -> None:
-        """One step on one sample; on a stack, z is (S, d) and y (S,), one per row."""
-        if self.theta_.ndim > 1:
-            self._update_rows(z, y)
-            return
-        z = check_vector(z, self.dim)
-        check_label(y)
-        hess = self.hess_
-        sig, hw = sigmoid_pair(float(np.dot(z, self.theta_)))
-        grad = (sig - y) * z
-        step_weight = self.eta_ * hw
-        # u = H^-1 z serves both rank-one updates: the scratch inverse of the
-        # step geometry H + eta*hw*zz^T below, and the lookahead accumulation
-        # into H, which therefore needs no downdate of the scratch matrix.
-        u = hess.inv @ z
-        zu = float(z @ u)
-        tilde_inv = rank_one_inverse(hess.inv, u, zu, step_weight)
-        theta_prime = self.theta_ - self.eta_ * (tilde_inv @ grad)
-        if _norm(theta_prime) <= self.B:
-            theta_next = theta_prime
-        else:
-            self.projections_ += 1
-            tilde_mat = hess.mat + step_weight * np.multiply(z[:, None], z)
-            theta_next = project_localnorm_ball(theta_prime, tilde_mat, self.B)
-        _, hw_next = sigmoid_pair(float(np.dot(z, theta_next)))
-        hess.rank_one_update(z, hw_next, u, zu)
-        self._advance(theta_next)
+        """One step on one sample; on a stack, z is (S, d) and y (S,), one per row.
 
-    def _update_rows(self, z: np.ndarray, y) -> None:
-        """The step of ``update`` for every row of a stack, each with a single run's bits.
-
-        A NumericFailure names its row as ``index`` and leaves every row as it
+        The step against the lookahead geometry H + eta*hw*zz^T has the closed
+        form theta - eta*(sig - y) / (1 + eta*hw*z.u) * u with u = H^-1 z, the
+        vector the curvature fold reuses, so a step that stays in the ball
+        forms no d x d matrix. A lone estimator is one row of the same
+        arithmetic, so a stacked row keeps a single run's bits. On a stack, a
+        NumericFailure names its row as ``index`` and leaves every row as it
         was, except that the failing row has counted a projection that fired
         before the failure, as a single run does.
         """
+        stacked = self.theta_.ndim > 1
         z = check_vector(z, self.dim, lead=self.theta_.shape[:-1])
-        y = np.asarray(y)
+        if stacked:
+            y = np.asarray(y)
         check_label(y)
         hess = self.hess_
         sig, hw = sigmoid_pair(np.vecdot(z, self.theta_))
-        grad = (sig - y)[:, None] * z
         step_weight = self.eta_ * hw
         u = np.matvec(hess.inv, z)
         zu = np.vecdot(z, u)
-        tilde_inv = rank_one_inverse(hess.inv, u, zu, step_weight)
-        theta_next = self.theta_ - self.eta_ * np.matvec(tilde_inv, grad)
+        denom = 1.0 + step_weight * zu
+        _check_denominators(denom)
+        theta_next = self.theta_ - (self.eta_ * (sig - y) / denom)[..., None] * u
         # projection is the rare case, so it runs row by row where it fires
         norms = np.vecdot(theta_next, theta_next).tolist()
-        fired = [k for k, sq in enumerate(norms) if not math.sqrt(sq) <= self.B]
+        fired = [k for k, sq in enumerate(norms if stacked else [norms])
+                 if not math.sqrt(sq) <= self.B]
         try:
-            for k in fired:
-                tilde_mat = hess.mat[k] + step_weight[k] * np.multiply(z[k][:, None], z[k])
-                try:
-                    theta_next[k] = project_localnorm_ball(theta_next[k], tilde_mat, self.B)
-                except NumericFailure as exc:
-                    raise NumericFailure(str(exc), index=k) from exc
+            if fired:
+                d = self.dim
+                rows = theta_next.reshape(-1, d)
+                tilde_mats = (hess.mat.reshape(-1, d, d)[fired]
+                              + np.reshape(step_weight, -1)[fired, None, None]
+                              * _outer(z.reshape(-1, d)[fired]))
+                for k, tilde_mat in zip(fired, tilde_mats):
+                    try:
+                        rows[k] = project_localnorm_ball(rows[k], tilde_mat, self.B)
+                    except NumericFailure as exc:
+                        raise NumericFailure(str(exc), index=k if stacked else None) from exc
             _, hw_next = sigmoid_pair(np.vecdot(z, theta_next))
             hess.rank_one_update(z, hw_next, u, zu)
         except NumericFailure as exc:
-            if exc.index in fired:
-                self.projections_[exc.index] += 1
+            failing = 0 if exc.index is None else exc.index
+            self._count_projections([k for k in fired if k == failing])
             raise
-        self.projections_[fired] += 1
+        self._count_projections(fired)
         self._advance(theta_next)
+
+    def _count_projections(self, rows: list) -> None:
+        """Count one projection for each listed row; a lone estimator is row 0."""
+        if self.theta_.ndim > 1:
+            self.projections_[rows] += 1
+        else:
+            self.projections_ += len(rows)
 
     def radius(self, t: Optional[int] = None) -> float:
         return confidence_radius(self.t_ if t is None else t, self)

@@ -72,10 +72,11 @@ class TestMleBehavior:
             assert np.linalg.norm(est.theta_) <= 0.5 + 1e-9
 
     def test_v_matrix_accumulates(self):
-        est = MleRewardEstimator(dim=2, lam=1.0, v_reg=1.0).reset()
+        est = MleRewardEstimator(dim=2, lam=1.0).reset()
         z = np.array([1.0, 0.0])
         est.update(z, 1)
-        assert np.allclose(est.V_.mat, np.diag([2.0, 1.0]), atol=1e-12)
+        v = est.v_reg_
+        assert np.allclose(est.V_.mat, np.diag([v + 1.0, v]), atol=1e-12)
 
     def test_default_v_reg_is_lam_kappa(self):
         est = MleRewardEstimator(dim=2, lam=3.0).reset()

@@ -8,7 +8,6 @@ from duelbandits.linalg import (
     LocalNormMatrix,
     cg_solve,
     mahalanobis_inv,
-    rank_one_inverse,
     sherman_morrison,
 )
 
@@ -185,15 +184,15 @@ class TestStackedKernels:
     def test_stack_equals_per_row_calls(self, S, d, seed):
         mats, invs, z, w = stacked_inputs(seed, S, d)
         u = np.matvec(invs, z)
-        inverse = rank_one_inverse(invs, u, np.vecdot(z, u), w)
+        inverse = sherman_morrison(invs, z, w, u, np.vecdot(z, u))
         sm = sherman_morrison(invs, z, w)
         stack = LocalNormMatrix(mats, invs)
         stack.rank_one_update(z, w)
         norms = stack.norm(z)
         for s in range(S):
             u_s = invs[s] @ z[s]
-            assert np.array_equal(inverse[s],
-                                  rank_one_inverse(invs[s], u_s, float(z[s] @ u_s), float(w[s])))
+            assert np.array_equal(inverse[s], sherman_morrison(invs[s], z[s], float(w[s]),
+                                                               u_s, float(z[s] @ u_s)))
             assert np.array_equal(sm[s], sherman_morrison(invs[s], z[s], float(w[s])))
             single = LocalNormMatrix(mats[s], invs[s])
             single.rank_one_update(z[s], float(w[s]))
@@ -212,10 +211,10 @@ class TestStackedKernels:
         zu[bad] = -1.0 / max(w[bad], 0.5) - 1.0  # 1 + w*zu < 0 for that row
         w[bad] = max(w[bad], 0.5)
         with pytest.raises(NumericFailure) as stacked:
-            rank_one_inverse(invs, u, zu, w)
+            sherman_morrison(invs, z, w, u, zu)
         assert stacked.value.index == bad
         with pytest.raises(NumericFailure) as single:
-            rank_one_inverse(invs[bad], u[bad], float(zu[bad]), float(w[bad]))
+            sherman_morrison(invs[bad], z[bad], float(w[bad]), u[bad], float(zu[bad]))
         assert single.value.index is None
         assert str(stacked.value) == str(single.value)
 

@@ -220,6 +220,68 @@ class TestOmdStep:
         assert 0 < est.projections_ == len(calls) < 200
 
 
+def exact_omd_step(est, z, y):
+    """theta - eta * (H + eta*hw*zz^T)^-1 (sig - y) z by a dense solve, and that lookahead matrix."""
+    sig, hw = sigmoid_pair(float(z @ est.theta_))
+    tilde = est.hess_.mat + est.eta_ * hw * np.outer(z, z)
+    return est.theta_ - est.eta_ * np.linalg.solve(tilde, (sig - y) * z), tilde
+
+
+class TestClosedFormStep:
+    """The closed-form step is OMD's step against the lookahead norm, alone and on every row."""
+
+    @pytest.mark.parametrize("d", [1, 5, 20])
+    def test_matches_a_dense_solve_alone_and_per_row(self, d):
+        rng = np.random.default_rng(d)
+        B = 1.5
+        singles, samples = [], []
+        for k in range(3):
+            est = OnePassRewardEstimator(dim=d, B=B, eta=1.0, lam=1.0).reset()
+            mat = random_pd(rng, d)
+            est.hess_ = LocalNormMatrix(mat, np.linalg.inv(mat))
+            direction = rng.standard_normal(d)
+            direction /= np.linalg.norm(direction)
+            if k < 2:
+                est.theta_ = 0.25 * direction
+                z = 0.5 * rng.standard_normal(d) / math.sqrt(d)
+            else:  # on the ball's edge, stepping outward: the projection fires
+                est.theta_ = 0.999 * B * direction
+                z = -direction
+            singles.append(est)
+            samples.append((z, k % 2))
+        stack = OnePassRewardEstimator.stack(singles)
+        stack.update(np.array([z for z, _ in samples]), np.array([y for _, y in samples]))
+        fired = []
+        for k, (est, (z, y)) in enumerate(zip(singles, samples)):
+            want, tilde = exact_omd_step(est, z, y)
+            fired.append(np.linalg.norm(want) > B)
+            if fired[-1]:
+                want = project_localnorm_ball(want, tilde, B)
+            est.update(z, y)
+            for got in (est.theta_, stack.theta_[k]):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert fired == [False, False, True]
+        assert stack.projections_.tolist() == [0, 0, 1] and singles[2].projections_ == 1
+
+    def test_corrupted_inverse_raises_alone_and_names_the_row(self):
+        d = 4
+        z = np.full(d, 0.5)
+        single = OnePassRewardEstimator(dim=d, lam=1.0).reset()
+        single.hess_.inv = -10.0 * np.eye(d)  # negative definite: 1 + eta*hw*z.u < 0
+        with pytest.raises(NumericFailure, match="Sherman-Morrison denominator") as alone:
+            single.update(z, 1)
+        assert alone.value.index is None
+        assert single.t_ == 1 and not single.theta_.any()
+        stack = OnePassRewardEstimator.stack(
+            [OnePassRewardEstimator(dim=d, lam=1.0).reset() for _ in range(3)])
+        stack.hess_.inv[1] = -10.0 * np.eye(d)
+        with pytest.raises(NumericFailure) as stacked:
+            stack.update(np.tile(z, (3, 1)), np.array([1, 1, 1]))
+        assert stacked.value.index == 1
+        assert str(stacked.value) == str(alone.value)
+        assert stack.t_ == 1 and not stack.theta_.any()
+
+
 class TestProjection:
     def test_interior_point_unchanged(self):
         theta = np.array([0.3, 0.2])
@@ -414,7 +476,7 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("kind, params", [
         (OnePassRewardEstimator, {"eta": 1.0, "lam": 1.0}),
-        (MleRewardEstimator, {"v_reg": 1.0}),
+        (MleRewardEstimator, {"lam": 1.0}),
         (ImplicitOmdRewardEstimator, {"eta": 1.0, "lam": 1.0}),
     ], ids=["omd", "mle", "implicit"])
     def test_loaded_curvature_stays_exactly_symmetric(self, kind, params, tmp_path):

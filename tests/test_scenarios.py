@@ -19,7 +19,7 @@ from duelbandits import linalg, onepass, scenarios
 from duelbandits.baselines import ImplicitOmdRewardEstimator, MleRewardEstimator
 from duelbandits.config import ESTIMATOR_CLASSES, resolve_seeds
 from duelbandits.exceptions import NumericFailure
-from duelbandits.linalg import LocalNormMatrix, rank_one_inverse
+from duelbandits.linalg import LocalNormMatrix, sherman_morrison
 from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from duelbandits.scenarios import (
     CSV_COLUMNS,
@@ -274,7 +274,7 @@ def shrink(rng, M, rows, chosen):
     z = [chosen, rows[rng.integers(len(rows))], rng.standard_normal(len(M))][
         rng.choice(3, p=[0.5, 0.3, 0.2])]
     u = M @ z
-    return rank_one_inverse(M, u, float(z @ u), rng.uniform(0.0, 30.0))
+    return sherman_morrison(M, z, rng.uniform(0.0, 30.0), u, float(z @ u))
 
 
 FIVE_ACTION_PAIRS = [(a, b) for a in range(5) for b in range(a + 1, 5)]
@@ -348,15 +348,15 @@ class TestLazyScan:
             calls.append((memo, bool(memo), len(pair_diffs)))
             return plain(pair_diffs, norm_inv, pairs, memo)
 
-        update_rows = OnePassRewardEstimator._update_rows
+        update = OnePassRewardEstimator.update
 
         def fail_row_one(self, z, y):
             if self.t_ == 20 and len(self.theta_) == 3:
                 raise NumericFailure("synthetic fault", index=1)
-            update_rows(self, z, y)
+            update(self, z, y)
 
         monkeypatch.setattr(scenarios, "select_most_uncertain", spy)
-        monkeypatch.setattr(OnePassRewardEstimator, "_update_rows", fail_row_one)
+        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
         envs = [make_environment(5, 12, 5, seed=s) for s in (3, 4, 5)]
         got = run_active(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 60)
         assert [rec.summary["aborted"] for _, rec in got] == [None, "synthetic fault", None]

@@ -8,7 +8,7 @@ scatter matrix, and does the per-iteration cost stay flat.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,70 +18,111 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import RunRecord
 
 
-# rounds of played rows that the potential replay gathers and holds at a time
-REPLAY_BLOCK_ROWS = 128
+POTENTIAL_LAMBDA = 1.0
 
 
-def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"],
-                       potential_lambda: float = 1.0) -> List[dict]:
+def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"]) -> List[dict]:
     """Bundle every lemma-level check, one report dict per finished run.
 
     Each report holds coverage_ok, first_violation, potential_lhs,
     potential_rhs, domination_min_eig, timing_early_ns, timing_late_ns and
     timing_ratio.
 
-    ``envs`` and ``records`` pair each run with its environment. The
-    domination eigenvalue comes from the audits each run itself recorded (NaN
-    when the estimator exposes no curvature matrix); the timing windows are
-    the first and last tenth of the run. The elliptic potentials of
-    equal-length records are replayed as one stack, fed a block of rounds at
-    a time (``_z_blocks``), so the played rows are never held whole.
+    ``envs`` and ``records`` pair each run with its environment. A record
+    that a file sink wrote carries the checks it streamed (``checks``), and
+    its environment is not read. The rounds of the other records are fed
+    to ``RunChecks`` a block at a time, equal-length records as one stack,
+    so the played rows are never held whole. The domination eigenvalue
+    comes from the audits each run itself recorded (NaN when the estimator
+    exposes no curvature matrix).
     """
+    from .scenarios import CSV_BLOCK_ROWS
+
+    checks = [rec.checks for rec in records]
     groups: dict = {}
     for k, (env, rec) in enumerate(zip(envs, records)):
-        groups.setdefault((len(rec), env.truth.L, env.features.phi.shape), []).append(k)
-    potentials = {}
-    for (n, L, _), ks in groups.items():
-        blocks = _z_blocks([envs[k] for k in ks], [records[k] for k in ks], n)
-        lhs, rhs, _ = elliptic_potential_check(blocks, potential_lambda, 2 * L)
-        potentials.update((k, (float(v), rhs)) for k, v in zip(ks, lhs))
-    return [_report(rec, *potentials[k]) for k, rec in enumerate(records)]
+        if rec.checks is None:
+            groups.setdefault((len(rec), env.truth.L, env.features.phi.shape), []).append(k)
+    for (n, _, _), ks in groups.items():
+        group = [records[k] for k in ks]
+        run = RunChecks([envs[k] for k in ks], n)
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            run.feed(np.arange(len(ks)), group[0].t[block],
+                     *(np.stack([getattr(rec, name)[block] for rec in group])
+                       for name in ("x", "a", "a_prime", "est_err_local", "beta", "wall_nanos")))
+        for i, k in enumerate(ks):
+            checks[k] = run.report(i, n)
+    return [{**c, "domination_min_eig": min(
+                (a["min_eig"] for a in rec.summary.get("domination_audits", [])),
+                default=float("nan"))}
+            for c, rec in zip(checks, records)]
 
 
-def _z_blocks(envs: Sequence, records: Sequence["RunRecord"], n: int) -> Iterator[np.ndarray]:
-    """The played z rows of S equal-length records as (S, m, d) blocks of consecutive rounds.
+def _window_sums(t: np.ndarray, wall: np.ndarray, n: int) -> np.ndarray:
+    """Summed wall_nanos of rounds t in the first and the last tenth of n rounds (all of them when n < 10)."""
+    w = n // 10 if n >= 10 else n
+    return np.stack([np.where(t <= w, wall, 0).sum(axis=-1),
+                     np.where(t > n - w, wall, 0).sum(axis=-1)], axis=-1)
 
-    Each block is gathered from the records' logged x, a, a' ids and the
-    stacked features, the same values ``RunRecord.z_rows`` gives. A record
-    of no rounds gives one empty block.
+
+class RunChecks:
+    """A report's streamed inputs for a group of runs, fed a block of rounds at a time.
+
+    ``envs`` holds one environment per run, and ``n`` the rounds a run is
+    expected to complete, which places the timing windows. Each ``feed``
+    takes the next rounds of the runs at positions ``rows``; a run missing
+    from a feed has stopped. The elliptic potentials of the runs still fed
+    are replayed as one stack through ``elliptic_potential_check``, which
+    carries the replay from feed to feed, so the played rows are held one
+    block at a time.
     """
-    phi = np.stack([env.features.phi for env in envs])
-    seed = np.arange(len(records))[:, None]
-    for lo in range(0, max(n, 1), REPLAY_BLOCK_ROWS):
-        x, a, b = (np.stack([getattr(rec, name)[lo:lo + REPLAY_BLOCK_ROWS] for rec in records])
-                   for name in ("x", "a", "a_prime"))
-        z = phi[seed, x, a]
-        z -= phi[seed, x, b]
-        yield z
 
+    def __init__(self, envs: Sequence, n: int):
+        self.phi = np.stack([env.features.phi for env in envs])
+        self.L, self.n = 2 * envs[0].truth.L, n
+        self.first: List[Optional[int]] = [None] * len(envs)
+        self.potential = [(0.0, 0.0)] * len(envs)
+        self.windows = np.zeros((len(envs), 2), dtype=np.int64)
+        self.rows = np.arange(len(envs))
+        self.replay: dict = {}
 
-def _report(record: "RunRecord", lhs: float, rhs: float) -> dict:
-    cov_ok, first = coverage_check(record)
-    audits = record.summary.get("domination_audits", [])
-    dom = min((a["min_eig"] for a in audits), default=float("nan"))
-    n = len(record)
-    if n >= 10:
-        tenth = n // 10
-        early, late, ratio = timing_profile(record, (1, tenth), (n - tenth + 1, n))
-    else:
-        early = late = float(record.wall_nanos.mean()) if n else 0.0
-        ratio = 1.0
-    return {
-        "coverage_ok": cov_ok, "first_violation": first,
-        "potential_lhs": lhs, "potential_rhs": rhs,
-        "domination_min_eig": dom,
-        "timing_early_ns": early, "timing_late_ns": late, "timing_ratio": ratio,
-    }
+    def feed(self, rows: np.ndarray, t: np.ndarray, x, a, a_prime, err_local, beta,
+             wall) -> None:
+        """Rounds ``t`` of the runs ``rows``; the other arguments hold one row per run.
+
+        ``beta`` may be one (m,) row that every run shares.
+        """
+        if len(rows) < len(self.rows):
+            keep = np.isin(self.rows, rows)
+            self.replay.update(inv=self.replay["inv"][keep], lhs=self.replay["lhs"][keep])
+        self.rows = rows
+        seed = rows[:, None]
+        z = self.phi[seed, x, a]
+        z -= self.phi[seed, x, a_prime]
+        lhs, rhs, _ = elliptic_potential_check(z, POTENTIAL_LAMBDA, self.L, self.replay)
+        bad = err_local > beta
+        for k, s in enumerate(rows.tolist()):
+            self.potential[s] = (float(lhs[k]), rhs)
+            if self.first[s] is None and bad[k].any():
+                self.first[s] = int(t[bad[k].argmax()])
+        self.windows[rows] += _window_sums(t, wall, self.n)
+
+    def report(self, s: int, n: int, wall: Optional[np.ndarray] = None) -> dict:
+        """Run s's checks after n rounds.
+
+        A run that stopped short of the expected rounds passes its whole
+        ``wall`` column, from which its timing windows are placed again.
+        """
+        windows = self.windows[s] if wall is None else _window_sums(np.arange(1, n + 1), wall, n)
+        early, late = (windows / (n // 10 if n >= 10 else n)).tolist() if n else (0.0, 0.0)
+        lhs, rhs = self.potential[s]
+        return {
+            "coverage_ok": self.first[s] is None, "first_violation": self.first[s],
+            "potential_lhs": lhs, "potential_rhs": rhs,
+            "timing_early_ns": early, "timing_late_ns": late,
+            "timing_ratio": late / early if n >= 10 else 1.0,
+        }
 
 
 def coverage_check(record: "RunRecord",
@@ -101,7 +142,7 @@ def coverage_check(record: "RunRecord",
     return False, int(record.t[int(np.argmax(bad))])
 
 
-def elliptic_potential_check(zs, lambda_v: float, L: float):
+def elliptic_potential_check(zs, lambda_v: float, L: float, replay: Optional[dict] = None):
     """Sum of squared self-normalized norms against its closed-form ceiling.
 
     Computes lhs = sum_s ||z_s||^2 in the inverse of V_s = lambda*I + sum_{i<s}
@@ -115,30 +156,36 @@ def elliptic_potential_check(zs, lambda_v: float, L: float):
     ``zs`` is one such array, or an iterable of consecutive row blocks
     ((m, d) or (S, m, d), one leading shape throughout), so a long sequence
     is replayed without being held whole; the blocking does not change a bit
-    of lhs. A block is checked against ``L`` when it arrives.
+    of lhs. A block is checked against ``L`` when it arrives. ``replay``, an
+    initially empty dict passed on every call, carries the replay from call
+    to call: each call then feeds the next rows, and lhs and rhs cover every
+    row fed so far. Once a row is fed, its ``inv`` and ``lhs`` hold one
+    entry per sequence of a stack, and a caller whose sequences stop early
+    keeps the entries of the others.
     """
     if lambda_v <= 0:
         raise ValueError(f"lambda_v must be positive, got {lambda_v}")
-    inv = lhs = None
-    n = 0
+    state = {} if replay is None else replay
     for block in ((zs,) if isinstance(zs, np.ndarray) else zs):
         block = np.asarray(block, dtype=float)
         if np.any(np.sqrt(np.vecdot(block, block)) > L * (1 + 1e-9)):
             raise ValueError("a row exceeds the stated norm bound L")
-        if inv is None:
-            d = block.shape[-1]
-            inv = np.eye(d) / lambda_v
-            lhs = np.zeros(block.shape[:-2])
+        if not state:
+            state.update(inv=np.eye(block.shape[-1]) / lambda_v,
+                         lhs=np.zeros(block.shape[:-2]), n=0)
+        inv, lhs = state["inv"], state["lhs"]
         for j in range(block.shape[-2]):
             z = block[..., j, :]
             u = np.matvec(inv, z)
             zu = np.vecdot(z, u)
             lhs = lhs + zu
             inv = sherman_morrison(inv, z, 1.0, u, zu)
-        n += block.shape[-2]
-    if inv is None:
+        state.update(inv=inv, lhs=lhs, n=state["n"] + block.shape[-2])
+    if not state:
         raise ValueError("no row blocks to replay")
-    rhs = float(2.0 * d * np.log(1.0 + n * L**2 / (lambda_v * d)))
+    d = state["inv"].shape[-1]
+    lhs = state["lhs"]
+    rhs = float(2.0 * d * np.log(1.0 + state["n"] * L**2 / (lambda_v * d)))
     return lhs[()], rhs, (lhs <= rhs + 1e-9)[()]
 
 

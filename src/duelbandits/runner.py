@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .config import ESTIMATOR_CLASSES, ExperimentConfig
 from .diagnostics import diagnostics_report
 from .environment import make_environment
-from .scenarios import run_active, run_deploy, run_passive, shared_csv_cells
+from .scenarios import FileSink, MemorySink, run_active, run_deploy, run_passive
 
 
 # constructor parameters whose config key has another name
@@ -28,12 +29,13 @@ def build_estimator(cfg: ExperimentConfig):
     return cls(**{name: values[key] for name, key in keys.items() if key in values})
 
 
-def run_single(cfg: ExperimentConfig, seed):
+def run_single(cfg: ExperimentConfig, seed, sink=MemorySink):
     """Seeded runs: a fresh environment and estimator per seed, one scenario loop.
 
     ``seed`` is one seed, giving one RunRecord, or a list of seeds, giving one
     RunRecord each. The scenario groups them: several seeds of an estimator
     with a stacked update (omd) run in lockstep, other seeds one at a time.
+    ``sink`` takes each group's rounds (``scenarios._run_loop``).
     """
     single = not isinstance(seed, (list, tuple))
     seeds = [seed] if single else list(seed)
@@ -41,11 +43,12 @@ def run_single(cfg: ExperimentConfig, seed):
                              seed=s, coverage_skew=cfg.coverage_skew) for s in seeds]
     ests = [build_estimator(cfg) for _ in seeds]
     if cfg.scenario == "passive":
-        recs = [rec for _, rec in run_passive(envs, ests, cfg.T, policy_mode=cfg.policy_mode)]
+        recs = [rec for _, rec in run_passive(envs, ests, cfg.T, policy_mode=cfg.policy_mode,
+                                              sink=sink)]
     elif cfg.scenario == "active":
-        recs = [rec for _, rec in run_active(envs, ests, cfg.T)]
+        recs = [rec for _, rec in run_active(envs, ests, cfg.T, sink=sink)]
     elif cfg.scenario == "deploy":
-        recs = run_deploy(envs, ests, cfg.T, explore_coeff=cfg.explore_coeff)
+        recs = run_deploy(envs, ests, cfg.T, explore_coeff=cfg.explore_coeff, sink=sink)
     else:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     return recs[0] if single else recs
@@ -60,23 +63,23 @@ def _seed_chunks(cfg: ExperimentConfig) -> List[List[int]]:
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_seed_task(args: Tuple[ExperimentConfig, List[int]]):
+def _run_seed_task(args: Tuple[ExperimentConfig, List[int], Callable]):
     """(seed, record, error) for each seed of a chunk.
 
     A chunk that raises runs again one seed at a time, so the error lands on
     the seed that raised and the other seeds complete.
     """
-    cfg, seeds = args
+    cfg, seeds, sink = args
     try:
-        return list(zip(seeds, run_single(cfg, seeds), [None] * len(seeds)))
+        return list(zip(seeds, run_single(cfg, seeds, sink), [None] * len(seeds)))
     except Exception as exc:  # algorithmic failure: record, let other seeds run
         if len(seeds) > 1:
-            return [r for seed in seeds for r in _run_seed_task((cfg, [seed]))]
+            return [r for seed in seeds for r in _run_seed_task((cfg, [seed], sink))]
         return [(seeds[0], None, f"{type(exc).__name__}: {exc}")]
 
 
-def _run_all(cfg: ExperimentConfig):
-    tasks = [(cfg, chunk) for chunk in _seed_chunks(cfg)]
+def _run_all(cfg: ExperimentConfig, sink: Callable):
+    tasks = [(cfg, chunk, sink) for chunk in _seed_chunks(cfg)]
     if cfg.workers > 1:
         # imported here: loading multiprocessing costs a one-worker run memory and start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -140,31 +143,33 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run every seed of a config, write per-seed CSV + summary, and aggregate."""
+    """Run every seed of a config, write per-seed CSV + summary, and aggregate.
+
+    The rounds stream to the CSVs (``FileSink``) under a temporary name,
+    renamed here once every seed has run; a seed that raised leaves no CSV.
+    """
     out_dir = Path(cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     (out_dir / "config.json").write_text(cfg.echo_json(), encoding="utf-8")
 
-    results = _run_all(cfg)
+    stem = f"{cfg.scenario}_{cfg.estimator}_seed{{}}"
+    part = str(out_dir / f"{stem}.csv.part")
+    results = _run_all(cfg, functools.partial(FileSink, part))
     done = [rec for _, rec, _ in results if rec is not None]
-    envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L,
-                             seed=rec.seed, coverage_skew=cfg.coverage_skew) for rec in done]
-    reports = iter(diagnostics_report(envs, done))
-    shared = shared_csv_cells(done)
+    reports = iter(diagnostics_report([None] * len(done), done))
     summaries = []
     for seed, rec, error in results:
         if rec is None:
+            Path(part.format(seed)).unlink(missing_ok=True)
             summaries.append({"seed": seed, "error": error})
             continue
-        stem = f"{cfg.scenario}_{cfg.estimator}_seed{seed}"
-        rec.write_csv(out_dir / f"{stem}.csv", shared)
+        os.replace(part.format(seed), out_dir / f"{stem.format(seed)}.csv")
         rec.summary["diagnostics"] = next(reports)
         rec.summary["config"] = cfg.to_dict()
-        (out_dir / f"{stem}_summary.json").write_text(
+        (out_dir / f"{stem.format(seed)}_summary.json").write_text(
             json.dumps(rec.summary, indent=2, sort_keys=True), encoding="utf-8")
         summaries.append(rec.summary)
     aggregate = aggregate_summaries(summaries, cfg.scenario)
     (out_dir / "aggregate.json").write_text(
         json.dumps(aggregate, indent=2, sort_keys=True), encoding="utf-8")
     return ExperimentResult(cfg, summaries, aggregate, out_dir)
-

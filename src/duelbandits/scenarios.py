@@ -59,65 +59,50 @@ def _csv_cells(name: str, values: np.ndarray) -> list:
     return [_ID_CELLS[v] if -1 < v < len(_ID_CELLS) else str(v) for v in values.tolist()]
 
 
-def shared_csv_cells(records: Sequence["RunRecord"]) -> dict:
-    """The CSV cells of every column that all records hold byte for byte, formatted once.
-
-    Maps a column name to the cells of the longest record; a shorter record
-    (a seed that stopped early) shares a column when it equals that record's
-    prefix. Bytes decide, not ``==``: -0.0 == 0.0, but the two print apart.
-    A lone record shares nothing, so it keeps formatting a block at a time.
-    """
-    if len(records) < 2:
-        return {}
-    longest = max(records, key=len)
-    shared = {}
-    for name in CSV_COLUMNS[:-1]:
-        ref = getattr(longest, name)
-        if all(getattr(rec, name).tobytes() == ref[:len(rec)].tobytes() for rec in records):
-            shared[name] = _csv_cells(name, ref)
-    return shared
-
-
 @dataclass
 class RunRecord:
     """Per-iteration log of one scenario run plus its summary.
 
     A run's records keep x, a, a' and y in the narrowest unsigned type that
     holds its ids, and share t, beta and every column the run never writes
-    as read-only views.
+    as read-only views. A record that a file sink wrote holds no rounds
+    (they are in its CSV) but carries the checks it streamed for
+    ``diagnostics_report`` in ``checks``.
     """
 
     scenario: str
     seed: int
     T: int
-    t: np.ndarray
-    wall_nanos: np.ndarray
-    est_err_l2: np.ndarray
-    est_err_local: np.ndarray
-    beta: np.ndarray
-    cum_regret: np.ndarray
-    subopt_checkpoint: np.ndarray
-    x: np.ndarray
-    a: np.ndarray
-    a_prime: np.ndarray
-    y: np.ndarray
-    flags: List[str]
+    t: Optional[np.ndarray] = None
+    wall_nanos: Optional[np.ndarray] = None
+    est_err_l2: Optional[np.ndarray] = None
+    est_err_local: Optional[np.ndarray] = None
+    beta: Optional[np.ndarray] = None
+    cum_regret: Optional[np.ndarray] = None
+    subopt_checkpoint: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
+    a: Optional[np.ndarray] = None
+    a_prime: Optional[np.ndarray] = None
+    y: Optional[np.ndarray] = None
+    flags: Optional[List[str]] = None
     summary: dict = field(default_factory=dict)
+    checks: Optional[dict] = None
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def write_csv(self, path, shared: Optional[dict] = None) -> None:
-        """One row per iteration.
+    def write_csv(self, path, shared: Optional[dict] = None, append: bool = False) -> None:
+        """One row per iteration, after a header line, or after the file's rows with ``append``.
 
         Cells are formatted a column and a block of rows at a time, so the
         converted copy stays small. ``shared`` holds the preformatted cells of
-        columns this record has in common with others (``shared_csv_cells``).
+        columns this record has in common with others.
         """
         shared = shared or {}
         n = len(self.t)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
+        with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
+            if not append:
+                fh.write(",".join(CSV_COLUMNS) + "\n")
             for lo in range(0, n, CSV_BLOCK_ROWS):
                 block = slice(lo, min(lo + CSV_BLOCK_ROWS, n))
                 columns = [shared[name][block] if name in shared
@@ -131,54 +116,147 @@ class RunRecord:
         return phi[self.x, self.a] - phi[self.x, self.a_prime]
 
 
-class _Recorder:
-    """(S, T) record columns, one row per seed; a one-seed run writes row 0.
+FLAGS = ("", "inner_nonconverged", "update_failed")
+_SEED_COLUMNS = ("wall_nanos", "est_err_l2", "est_err_local", "cum_regret",
+                 "subopt_checkpoint", "x", "a", "a_prime", "y")
+
+
+class MemorySink:
+    """The rounds of one ``_run_loop`` run, kept whole: (S, T) columns, one RunRecord per seed.
+
+    A sink holds ``width`` rounds of columns named as the CSV's, one row per
+    seed; round i of the block the loop opened at round ``lo`` lives at
+    column i - ``open(lo)``. ``put`` closes the block's rounds for the seeds
+    that ran them and streams what a summary reads: rounds completed, the
+    ``wall_nanos`` sum, flag counts (``flags`` holds indices into FLAGS) and,
+    when the run pays ``regret``, its running total, which ``put`` carries
+    into the block's ``np.cumsum`` so the bits are those of one sum over the
+    run. This sink's width is T, so its one block is the whole run.
 
     The ids x, a, a' and y take the narrowest unsigned type that holds the
     context and action counts. A column that is the same for every seed is
     kept once, read-only, and every record views it: the round counter t,
     the radius beta (a stack reads one radius per round), and a NaN
-    broadcast for each column the run never writes: cum_regret (a deploy run
-    fills its own after the rounds) and, when no checkpoint falls in the
-    run, subopt_checkpoint.
+    broadcast for each column the run never writes: cum_regret outside
+    deploy and, when no checkpoint falls in the run, subopt_checkpoint.
     """
 
-    def __init__(self, scenario: str, seeds: Sequence[int], T: int,
-                 contexts: int, actions: int, checkpoints: bool):
-        self.scenario, self.seeds, self.T = scenario, list(seeds), T
-        shape = (len(self.seeds), T)
-        self.t = np.arange(1, T + 1, dtype=np.int64)
+    def __init__(self, scenario: str, envs: Sequence[Environment], T: int,
+                 checkpoints: bool, regret: bool, width: Optional[int] = None):
+        self.scenario, self.seeds, self.T = scenario, [env.rng_seed for env in envs], T
+        self.width = T if width is None else width
+        contexts, actions = envs[0].features.phi.shape[:2]
+        shape = (len(self.seeds), self.width)
+        self.t = np.arange(1, self.width + 1, dtype=np.int64)
         self.t.flags.writeable = False
-        self.cum_regret = np.broadcast_to(np.nan, shape)
-        self.subopt_ckpt = np.full(shape, np.nan) if checkpoints else self.cum_regret
-        self.beta = np.full(T, np.nan)
-        self.wall = np.zeros(shape, dtype=np.int64)
-        self.err_l2 = np.full(shape, np.nan)
-        self.err_local = np.full(shape, np.nan)
+        nan = np.broadcast_to(np.nan, shape)
+        self.cum_regret = np.full(shape, np.nan) if regret else nan
+        self.subopt_checkpoint = np.full(shape, np.nan) if checkpoints else nan
+        self.shared = ("t", "beta") + tuple(name for name in ("cum_regret", "subopt_checkpoint")
+                                            if getattr(self, name) is nan)
+        self.beta = np.full(self.width, np.nan)
+        self.wall_nanos = np.zeros(shape, dtype=np.int64)
+        self.est_err_l2 = np.full(shape, np.nan)
+        self.est_err_local = np.full(shape, np.nan)
         self.x = np.zeros(shape, dtype=np.min_scalar_type(contexts - 1))
         self.a = np.zeros(shape, dtype=np.min_scalar_type(actions - 1))
         self.a_prime = np.zeros_like(self.a)
         self.y = np.zeros(shape, dtype=np.uint8)
-        self.flags = [[""] * T for _ in self.seeds]
+        self.flags = np.zeros(shape, dtype=np.uint8)
         self.n = np.zeros(len(self.seeds), dtype=np.int64)
+        self.wall_ns = np.zeros(len(self.seeds), dtype=np.int64)
+        self.flag_counts = np.zeros((len(self.seeds), len(FLAGS)), dtype=np.int64)
+        self.regret = np.zeros(len(self.seeds)) if regret else None
+
+    base = 0  # the round at column 0
+
+    def open(self, lo: int) -> int:
+        """Start a block at round ``lo``; returns the round at column 0."""
+        return self.base
+
+    def put(self, lo: int, hi: int, seeds: np.ndarray) -> slice:
+        """Close rounds lo..hi-1 of ``seeds``; returns their columns."""
+        cols = slice(lo - self.base, hi - self.base)
+        if self.regret is not None:
+            # each round holds what it paid, NaN where the update failed
+            paid = self.cum_regret[seeds, cols]
+            if lo:
+                paid = np.concatenate((self.regret[seeds, None], paid), axis=1)
+            total = np.cumsum(paid, axis=1)
+            last = total[:, -2] if total.shape[1] > 1 else self.regret[seeds]
+            self.regret[seeds] = np.where(np.isnan(total[:, -1]), last, total[:, -1])
+            self.cum_regret[seeds, cols] = total[:, -(hi - lo):]
+        self.n[seeds] = hi
+        self.wall_ns[seeds] += self.wall_nanos[seeds, cols].sum(axis=1)
+        for s in seeds.tolist():
+            self.flag_counts[s] += np.bincount(self.flags[s, cols], minlength=len(FLAGS))
+        return cols
+
+    def _record(self, s: int, cols: slice) -> RunRecord:
+        return RunRecord(self.scenario, self.seeds[s], self.T, t=self.t[cols], beta=self.beta[cols],
+                         flags=[FLAGS[f] for f in self.flags[s, cols].tolist()],
+                         **{name: getattr(self, name)[s, cols] for name in _SEED_COLUMNS})
 
     def record(self, s: int) -> RunRecord:
-        """Seed row s as its own record, cut at the rounds it completed.
+        """Seed s's record, cut at the rounds it completed.
 
         Records are cut once the rounds are over, so the shared beta row
         turns read-only here.
         """
         self.beta.flags.writeable = False
-        n = int(self.n[s])
-        return RunRecord(
-            scenario=self.scenario, seed=self.seeds[s], T=self.T,
-            t=self.t[:n], wall_nanos=self.wall[s, :n],
-            est_err_l2=self.err_l2[s, :n], est_err_local=self.err_local[s, :n],
-            beta=self.beta[:n], cum_regret=self.cum_regret[s, :n],
-            subopt_checkpoint=self.subopt_ckpt[s, :n],
-            x=self.x[s, :n], a=self.a[s, :n], a_prime=self.a_prime[s, :n], y=self.y[s, :n],
-            flags=self.flags[s][:n],
-        )
+        return self._record(s, slice(0, int(self.n[s])))
+
+
+class FileSink(MemorySink):
+    """The rounds of one ``_run_loop`` run, streamed to one CSV per seed: flat in T.
+
+    ``path`` names each seed's CSV with a ``{}`` for its seed; the file is
+    written under that name, which ``runner.run_experiment`` renames once
+    the run set is done, so a run cut short never leaves a CSV that looks
+    complete. The sink holds one block of CSV_BLOCK_ROWS rounds. Each
+    closed block's rows are appended to the seeds' files through
+    ``RunRecord.write_csv``, with the shared columns formatted once, and fed
+    to a ``RunChecks``, whose report each seed's record carries.
+    """
+
+    def __init__(self, path: str, scenario: str, envs: Sequence[Environment], T: int,
+                 checkpoints: bool, regret: bool):
+        from .diagnostics import RunChecks
+
+        super().__init__(scenario, envs, T, checkpoints, regret, width=CSV_BLOCK_ROWS)
+        self.paths = [path.format(seed) for seed in self.seeds]
+        self.checks = RunChecks(envs, T)
+        for s, file in enumerate(self.paths):
+            self._record(s, slice(0, 0)).write_csv(file)
+
+    def open(self, lo: int) -> int:
+        self.base = lo
+        self.t = np.arange(lo + 1, lo + 1 + self.width, dtype=np.int64)
+        self.wall_nanos.fill(0)
+        self.flags.fill(0)
+        for name in ("cum_regret", "subopt_checkpoint"):
+            if name not in self.shared:
+                getattr(self, name).fill(np.nan)
+        return lo
+
+    def put(self, lo: int, hi: int, seeds: np.ndarray) -> slice:
+        cols = super().put(lo, hi, seeds)
+        records = [self._record(s, cols) for s in seeds.tolist()]
+        shared = {name: _csv_cells(name, getattr(records[0], name)) for name in self.shared}
+        for s, rec in zip(seeds.tolist(), records):
+            rec.write_csv(self.paths[s], shared, append=True)
+        self.checks.feed(seeds, self.t[cols], self.x[seeds, cols], self.a[seeds, cols],
+                         self.a_prime[seeds, cols], self.est_err_local[seeds, cols],
+                         self.beta[cols], self.wall_nanos[seeds, cols])
+        return cols
+
+    def record(self, s: int) -> RunRecord:
+        n, wall = int(self.n[s]), None
+        if n < self.T:  # stopped early: its timing windows come from the column it wrote
+            with open(self.paths[s], encoding="utf-8") as fh:
+                next(fh)
+                wall = np.array([int(line.split(",", 2)[1]) for line in fh], dtype=np.int64)
+        return RunRecord(self.scenario, self.seeds[s], self.T, checks=self.checks.report(s, n, wall))
 
 
 def default_checkpoints(T: int) -> Tuple[int, ...]:
@@ -450,26 +528,24 @@ def _estimator_stats(estimator) -> dict:
     return stats
 
 
-def _base_summary(rec: RunRecord, estimator, theta_star, aborted: Optional[str]) -> dict:
-    n = len(rec)
+def _base_summary(out: MemorySink, s: int, estimator, theta_star,
+                  aborted: Optional[str]) -> dict:
+    n, wall = int(out.n[s]), int(out.wall_ns[s])
     diff = estimator.theta_ - theta_star
-    flag_counts: dict = {}
-    for f in rec.flags:
-        if f:
-            flag_counts[f] = flag_counts.get(f, 0) + 1
     summary = {
-        "scenario": rec.scenario,
-        "seed": rec.seed,
-        "T": rec.T,
+        "scenario": out.scenario,
+        "seed": out.seeds[s],
+        "T": out.T,
         "estimator": type(estimator).__name__,
         "completed": n,
         "aborted": aborted,
         "final_est_err_l2": float(np.linalg.norm(diff)),
         "final_est_err_local": float(estimator.local_norm(diff)),
         "final_beta": float(estimator.radius()),
-        "update_ns_total": int(rec.wall_nanos.sum()),
-        "update_ns_mean": float(rec.wall_nanos.mean()) if n else 0.0,
-        "flag_counts": flag_counts,
+        "update_ns_total": wall,
+        "update_ns_mean": wall / n if n else 0.0,
+        "flag_counts": {FLAGS[f]: c for f, c in enumerate(out.flag_counts[s].tolist())
+                        if f and c},
         "estimator_stats": _estimator_stats(estimator),
     }
     hist = getattr(estimator, "newton_iters_hist_", None)
@@ -541,12 +617,14 @@ class _Draws:
         return self.columns[k][rows, i - first]
 
 
-def _finish(rec: _Recorder, s: int, env: Environment, estimator, aborted: Optional[str],
+def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optional[str],
             audit: _DominationAudit, policy: Optional[Callable]):
-    """Seed row s's (final policy, record) with its summary."""
-    record = rec.record(s)
-    record.summary = _base_summary(record, estimator, env.truth.theta_star, aborted)
+    """Seed s's (final policy, record) with its summary."""
+    record = out.record(s)
+    record.summary = _base_summary(out, s, estimator, env.truth.theta_star, aborted)
     record.summary["domination_audits"] = audit.records[s]
+    if out.regret is not None:
+        record.summary["cum_regret"] = float(out.regret[s])
     final = None
     if policy is not None and aborted is None:
         final = policy(estimator, env)
@@ -557,8 +635,8 @@ def _finish(rec: _Recorder, s: int, env: Environment, estimator, aborted: Option
 
 def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
               choose: Callable, policy: Optional[Callable] = None,
-              checkpoints: Optional[Sequence[int]] = None
-              ) -> List[Tuple[Optional[Policy], RunRecord]]:
+              checkpoints: Optional[Sequence[int]] = None, regret: Optional[Callable] = None,
+              sink: Callable = MemorySink) -> List[Tuple[Optional[Policy], RunRecord]]:
     """The round structure all three scenarios share, for one group of seeds (``_groups``).
 
     A lone seed steps its own estimator, and ``idx`` and ``rows`` are the int
@@ -571,11 +649,17 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     seed's ``wall_nanos`` is an equal share of the update time. A
     NumericFailure in the update flags the failing seed's round
     ``update_failed`` and ends that seed's run; the others in a stack retry
-    the round without it. After a successful update come the
-    ``inner_nonconverged`` flag, the domination audit, and the suboptimality
-    of ``policy(estimator, env)`` at the rounds in ``checkpoints`` (default:
+    the round without it. After a successful update come what the round
+    paid, ``regret(idx, x, a, a')`` (deploy), the ``inner_nonconverged``
+    flag, the domination audit, and the suboptimality of
+    ``policy(estimator, env)`` at the rounds in ``checkpoints`` (default:
     ``default_checkpoints(T)``). A seed with a ``policy`` that no failure cut
     short ends by extracting it.
+
+    The rounds go to one sink, ``sink(scenario, envs, T, checkpoints,
+    regret)`` (``MemorySink`` or ``FileSink``): the loop fills the block it
+    opened and puts it once full, at the end, and whenever a seed stops, so
+    a block's rounds are the same for each seed it holds.
 
     A stack owns the state while the rounds run; each seed's own estimator
     is brought up to date whenever it is read (audits, checkpoints, a failure
@@ -591,39 +675,39 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
     theta_star = np.stack([env.truth.theta_star for env in envs])
     phi = np.stack([env.features.phi for env in envs])
-    rec = _Recorder(scenario, [env.rng_seed for env in envs], T, *phi.shape[1:3],
-                    checkpoints=any(1 <= p <= T for p in ckpts))
+    out = sink(scenario, envs, T, any(1 <= p <= T for p in ckpts), regret is not None)
     audit = _DominationAudit(estimators, envs, T)
     aborted: List[Optional[str]] = [None] * S
-    live = np.arange(S)
+    live = held = np.arange(S)
     if stacked:
         stack, idx, rows = type(estimators[0]).stack(estimators), live, slice(None)
     else:
         stack, idx, rows = estimators[0], 0, 0
-    t = 0
+    lo = 0
+    base = out.open(lo)
     for t in range(1, T + 1):
         i = t - 1
+        j = i - base
         x, a, b, yy, beta = choose(stack, idx, rows, i)
         z = phi[idx, x, a] - phi[idx, x, b]
         diff = stack.theta_ - theta_star[rows]
         # math.sqrt of one dot gives np.vecdot's bits without the numpy-scalar cost
-        rec.err_l2[rows, i] = (math.sqrt(diff @ diff) if diff.ndim == 1
-                               else np.sqrt(np.vecdot(diff, diff)))
-        rec.err_local[rows, i] = stack.local_norm(diff)
-        rec.beta[i] = beta
-        rec.x[rows, i], rec.a[rows, i], rec.a_prime[rows, i], rec.y[rows, i] = x, a, b, yy
+        out.est_err_l2[rows, j] = (math.sqrt(diff @ diff) if diff.ndim == 1
+                                   else np.sqrt(np.vecdot(diff, diff)))
+        out.est_err_local[rows, j] = stack.local_norm(diff)
+        out.beta[j] = beta
+        out.x[rows, j], out.a[rows, j], out.a_prime[rows, j], out.y[rows, j] = x, a, b, yy
         while len(live):
             try:
                 start = time.perf_counter_ns()
                 stack.update(z, yy)
-                rec.wall[rows, i] = (time.perf_counter_ns() - start) // len(live)
+                out.wall_nanos[rows, j] = (time.perf_counter_ns() - start) // len(live)
                 break
             except NumericFailure as exc:
                 k = exc.index if stacked else 0
                 if k is None:
                     raise
-                rec.flags[live[k]][i] = "update_failed"
-                rec.n[live[k]] = t
+                out.flags[live[k], j] = FLAGS.index("update_failed")
                 aborted[live[k]] = str(exc)
                 if stacked:
                     stack.unstack([estimators[s] for s in live])
@@ -633,33 +717,40 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
                     x, a, b, yy, z = (v[keep] for v in (x, a, b, yy, z))
                     idx = rows = live
                     stack = type(estimators[0]).stack([estimators[s] for s in live])
+        if len(live):
+            if regret is not None:
+                out.cum_regret[rows, j] = regret(idx, x, a, b)
+            # only a lone seed's estimator runs an inner solve that can stop short
+            if not getattr(stack, "last_converged_", True):
+                out.flags[0, j] = FLAGS.index("inner_nonconverged")
+            audit.step(z, rows)
+            if stacked and (t in audit.points or t in ckpts):
+                stack.unstack([estimators[s] for s in live])
+            if t in audit.points:
+                audit.check(t, live)
+            if t in ckpts:
+                for s in live:
+                    out.subopt_checkpoint[s, j] = subopt(policy(estimators[s], envs[s]), envs[s])
+        if t == T or t - base == out.width or len(live) < len(held):
+            out.put(lo, t, held)
+            lo, held = t, live
+            base = out.open(lo)
         if not len(live):
             break
-        # only a lone seed's estimator runs an inner solve that can stop short
-        if not getattr(stack, "last_converged_", True):
-            rec.flags[0][i] = "inner_nonconverged"
-        audit.step(z, rows)
-        if stacked and (t in audit.points or t in ckpts):
-            stack.unstack([estimators[s] for s in live])
-        if t in audit.points:
-            audit.check(t, live)
-        if t in ckpts:
-            for s in live:
-                rec.subopt_ckpt[s, i] = subopt(policy(estimators[s], envs[s]), envs[s])
-    rec.n[live] = t
     if stacked:
         stack.unstack([estimators[s] for s in live])
-    return [_finish(rec, s, env, est, aborted[s], audit, policy)
+    return [_finish(out, s, env, est, aborted[s], audit, policy)
             for s, (env, est) in enumerate(zip(envs, estimators))]
 
 
 def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
                 checkpoints: Optional[Sequence[int]] = None,
-                stream_seed: Optional[int] = None):
+                stream_seed: Optional[int] = None, sink: Callable = MemorySink):
     """Observe behavior-distributed pairs for T rounds, then extract a pessimistic policy.
 
     Returns (policy, record); for sequences of environments and estimators, a
-    list of them, one per seed. Pair draws interleave integer and double
+    list of them, one per seed. ``sink`` takes the rounds (``_run_loop``).
+    Pair draws interleave integer and double
     draws, so every seed draws from its own stream round by round, also in
     lockstep.
     """
@@ -686,16 +777,16 @@ def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
 
     out = [run for group_envs, group_ests, rngs in _groups(envs, estimators, stream_seed)
            for run in _run_loop("passive", group_envs, group_ests, T,
-                                chooser(group_envs, rngs), policy, checkpoints)]
+                                chooser(group_envs, rngs), policy, checkpoints, sink=sink)]
     return out[0] if single else out
 
 
 def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = None,
-               stream_seed: Optional[int] = None):
+               stream_seed: Optional[int] = None, sink: Callable = MemorySink):
     """Query the most uncertain pair each round; play the averaged-parameter greedy policy.
 
     Returns (policy, record); for sequences of environments and estimators, a
-    list of them, one per seed. The scan keeps a memo per run, which is exact
+    list of them, one per seed. ``sink`` takes the rounds (``_run_loop``). The scan keeps a memo per run, which is exact
     as long as ``inv_norm_matrix()`` never grows between rounds: every
     estimator here only adds curvature.
     """
@@ -727,7 +818,7 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
 
     out = [run for group_envs, group_ests, streams in _groups(envs, estimators, stream_seed)
            for run in _run_loop("active", group_envs, group_ests, T,
-                                chooser(group_envs, streams), policy, checkpoints)]
+                                chooser(group_envs, streams), policy, checkpoints, sink=sink)]
     for (final, rec), est, e in zip(out, estimators, envs):
         if final is not None:
             rec.summary["subopt_last_iterate"] = subopt(greedy_policy(est.theta_, e), e)
@@ -735,11 +826,12 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
 
 
 def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
-               stream_seed: Optional[int] = None):
+               stream_seed: Optional[int] = None, sink: Callable = MemorySink):
     """Serve arriving contexts with a greedy + exploratory pair, accumulating dueling regret.
 
     Returns the record; for sequences of environments and estimators, a list
-    of them, one per seed.
+    of them, one per seed. ``sink`` takes the rounds (``_run_loop``). Every
+    round whose update went through pays r(x, a*) - (r(x, a) + r(x, a')) / 2.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -748,6 +840,7 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
     def chooser(envs, streams):
         phi = np.stack([e.features.phi for e in envs])
         rewards = np.stack([e.rewards() for e in envs])
+        best = rewards.max(axis=2)
         draws = _Draws(streams, 2, np.stack([np.cumsum(e.rho) for e in envs]))  # context, label
 
         def choose(stack, idx, rows, i):
@@ -758,18 +851,14 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
             y = bt_sample(rewards[idx, x, a], rewards[idx, x, b], draws(rows, i, 1))
             return x, a, b, y, beta
 
-        return choose
+        def regret(idx, x, a, b):
+            return best[idx, x] - 0.5 * (rewards[idx, x, a] + rewards[idx, x, b])
 
-    records = [rec for group_envs, group_ests, streams in _groups(envs, estimators, stream_seed)
-               for _, rec in _run_loop("deploy", group_envs, group_ests, T,
-                                       chooser(group_envs, streams), checkpoints=())]
-    for rec, e in zip(records, envs):
-        # every round whose update went through pays r(x, a*) - (r(x, a) + r(x, a')) / 2;
-        # np.cumsum adds them in round order, as a running total would
-        n = len(rec) - rec.flags[-1:].count("update_failed")
-        x, rewards = rec.x[:n], e.rewards()
-        paid = rewards.max(axis=1)[x] - 0.5 * (rewards[x, rec.a[:n]] + rewards[x, rec.a_prime[:n]])
-        rec.cum_regret = np.full(len(rec), np.nan)
-        np.cumsum(paid, out=rec.cum_regret[:n])
-        rec.summary["cum_regret"] = float(rec.cum_regret[n - 1]) if n else 0.0
+        return choose, regret
+
+    records = []
+    for group_envs, group_ests, streams in _groups(envs, estimators, stream_seed):
+        choose, regret = chooser(group_envs, streams)
+        records += [rec for _, rec in _run_loop("deploy", group_envs, group_ests, T, choose,
+                                                checkpoints=(), regret=regret, sink=sink)]
     return records[0] if single else records

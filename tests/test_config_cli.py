@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 
 from duelbandits import cli, runner
 from duelbandits.cli import main
+from duelbandits.diagnostics import diagnostics_report
+from duelbandits.environment import make_environment
 from duelbandits.config import (DAMPING_FNS, ESTIMATOR_CLASSES, ESTIMATORS, POLICY_MODES,
                                 RADIUS_MODES, SCENARIOS, ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
                                 parse_config, resolve_seeds)
-from duelbandits.exceptions import ConfigError
+from duelbandits.exceptions import ConfigError, NumericFailure
+from duelbandits.onepass import OnePassRewardEstimator
 from duelbandits.runner import aggregate_summaries, run_experiment
-from duelbandits.scenarios import ENUMERATE_BUDGET
+from duelbandits.scenarios import ENUMERATE_BUDGET, FileSink
 from duelbandits.verify import (
     check_sherman_morrison_agreement,
     check_domination_zero_case,
@@ -424,6 +427,106 @@ class TestRunExperiment:
         base = aggregate_summaries(summaries, "deploy")
         shuffled = summaries[::-1]
         assert aggregate_summaries(shuffled, "deploy") == base
+
+
+def csv_without_wall(path):
+    """A run CSV's rows with every wall_nanos cell blanked."""
+    rows = [line.split(",") for line in Path(path).read_text().split("\n")]
+    for row in rows[:len(rows) - 1]:
+        row[1] = ""
+    return rows
+
+
+TIMING_FIELDS = ("timing_early_ns", "timing_late_ns", "timing_ratio")
+
+
+def untimed(report):
+    return {k: v for k, v in report.items() if k not in TIMING_FIELDS}
+
+
+def strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path.name}: non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStreamedArtifacts:
+    """run_experiment streams the rounds to the CSVs; library calls keep them in memory."""
+
+    def test_seed_failing_mid_stack_ends_its_csv_there(self, tmp_path, monkeypatch):
+        """A lockstep seed whose update fails at round k writes k rows; the others go on."""
+        k = 70
+        update = OnePassRewardEstimator.update
+
+        def fail_row_one(self, z, y):
+            if self.t_ == k and len(self.theta_) == 3:
+                raise NumericFailure("synthetic fault", index=1)
+            update(self, z, y)
+
+        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
+        cfg = parse_config({"scenario": "deploy", "T": 150, "num_seeds": 3,
+                            "output_dir": str(tmp_path / "out")})
+        result = run_experiment(cfg)
+        assert [s["aborted"] for s in result.summaries] == [None, "synthetic fault", None]
+        recs = runner.run_single(cfg, list(cfg.seeds))
+        for rec, summary in zip(recs, result.summaries):
+            path = tmp_path / "out" / f"deploy_omd_seed{rec.seed}.csv"
+            rows = path.read_text().splitlines()[1:]
+            assert len(rows) == (k if summary["aborted"] else cfg.T) == summary["completed"]
+            assert rows[-1].endswith(",update_failed") == bool(summary["aborted"])
+            rec.write_csv(tmp_path / "memory.csv")
+            assert csv_without_wall(path) == csv_without_wall(tmp_path / "memory.csv")
+            # the aborted seed's timing windows are read back from the rows it wrote
+            wall = np.array([int(row.split(",")[1]) for row in rows])
+            tenth = len(rows) // 10
+            assert summary["diagnostics"]["timing_early_ns"] == float(wall[:tenth].mean())
+            assert summary["diagnostics"]["timing_late_ns"] == float(wall[-tenth:].mean())
+        assert sorted(p.name for p in (tmp_path / "out").iterdir() if ".part" in p.name) == []
+
+    def test_chunk_that_raises_leaves_no_stale_csv(self, tmp_path, monkeypatch):
+        """A chunk that raises mid-write reruns seed by seed; the seed that raises alone keeps no file."""
+        cfg = parse_config({"scenario": "deploy", "T": 150, "num_seeds": 3,
+                            "output_dir": str(tmp_path / "out")})
+        bad = cfg.seeds[1]
+
+        class Breaking(FileSink):
+            def put(self, lo, hi, seeds):
+                cols = super().put(lo, hi, seeds)
+                if hi > 64 and bad in [self.seeds[s] for s in seeds.tolist()]:
+                    raise RuntimeError("disk gone")
+                return cols
+
+        monkeypatch.setattr(runner, "FileSink", Breaking)
+        result = run_experiment(cfg)
+        assert result.aggregate["failed"] == [{"seed": bad, "error": "RuntimeError: disk gone"}]
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == sorted(["aggregate.json", "config.json"] + [
+            f"deploy_omd_seed{seed}{suffix}" for seed in cfg.seeds if seed != bad
+            for suffix in (".csv", "_summary.json")])
+        for rec in runner.run_single(cfg, list(cfg.seeds)):
+            if rec.seed != bad:
+                rec.write_csv(tmp_path / "memory.csv")
+                assert csv_without_wall(tmp_path / "out" / f"deploy_omd_seed{rec.seed}.csv") \
+                    == csv_without_wall(tmp_path / "memory.csv")
+
+    def test_peak_memory_does_not_grow_with_T(self, tmp_path):
+        """A 4-seed deploy run set holds one block of rounds: its peak is the same at T=500 and 5000."""
+        import tracemalloc
+
+        def peak(T):
+            cfg = parse_config({"scenario": "deploy", "T": T, "num_seeds": 4,
+                                "output_dir": str(tmp_path / str(T))})
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(70)  # first-call costs stay out of the comparison
+        short, long = peak(500), peak(5000)
+        assert abs(long - short) < 256 * 1024, (short, long)
 
 
 class TestCli:

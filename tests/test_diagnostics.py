@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duelbandits.diagnostics import (
-    REPLAY_BLOCK_ROWS,
     coverage_check,
     diagnostics_report,
     elliptic_potential_check,
@@ -88,7 +87,7 @@ class TestEllipticPotential:
             elliptic_potential_check(np.array([[1.0]]), 0.0, 1.0)
 
 
-BLOCK = REPLAY_BLOCK_ROWS
+BLOCK = 128  # rows per block fed to the replay
 
 
 class TestStreamedReplay:

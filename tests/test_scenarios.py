@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from duelbandits.linalg import LocalNormMatrix, sherman_morrison
 from duelbandits.onepass import HvpCgRewardEstimator, OnePassRewardEstimator
 from duelbandits.scenarios import (
     CSV_COLUMNS,
+    FileSink,
     RunRecord,
     default_checkpoints,
     greedy_policy,
@@ -33,7 +35,6 @@ from duelbandits.scenarios import (
     run_passive,
     select_deploy_actions,
     select_most_uncertain,
-    shared_csv_cells,
     subopt,
 )
 from conftest import OracleEstimator, one_table_policy
@@ -633,8 +634,8 @@ class TestRunRecord:
             assert line.split(",") == expected_row(rec, i), i
 
     def test_shared_cells_write_the_same_bytes(self, tmp_path):
-        # three records of one run set: the third stopped early; the second's
-        # beta differs from the first's only by the sign of one zero
+        # three records of one run set: the third stopped early; the shared
+        # cells are the longest record's, as a sink formats them once a block
         rng = np.random.default_rng(5)
         T, short = 200, 130
         beta = rng.random(T)
@@ -660,9 +661,8 @@ class TestRunRecord:
                 subopt_checkpoint=np.full(n, np.nan),
                 x=x, a=a[:n].copy(), a_prime=rng.integers(0, 4, n), y=rng.integers(0, 2, n),
                 flags=flags))
-        recs[1].beta[70] = -0.0
-        shared = shared_csv_cells(recs)
-        assert sorted(shared) == ["a", "cum_regret", "est_err_local", "subopt_checkpoint", "t"]
+        shared = {name: scenarios._csv_cells(name, getattr(recs[0], name))
+                  for name in ("a", "beta", "cum_regret", "est_err_local", "subopt_checkpoint", "t")}
         for rec in recs:
             want = "".join(",".join(row) + "\n" for row in
                            [list(CSV_COLUMNS)] + [expected_row(rec, i) for i in range(len(rec))])
@@ -670,7 +670,13 @@ class TestRunRecord:
                 path = tmp_path / f"run{rec.seed}.csv"
                 rec.write_csv(path, cells)
                 assert path.read_bytes() == want.encode(), (rec.seed, cells is None)
-        assert shared_csv_cells(recs[:1]) == {}
+            # the same rows appended a block at a time, as a file sink writes them
+            rows = lambda lo, hi: dataclasses.replace(
+                rec, **{name: getattr(rec, name)[lo:hi] for name in CSV_COLUMNS})
+            rows(0, 0).write_csv(path)
+            for lo in range(0, len(rec), 70):
+                rows(lo, lo + 70).write_csv(path, append=True)
+            assert path.read_bytes() == want.encode(), rec.seed
 
     @pytest.mark.parametrize("contexts, actions", [(300, 3), (2, 300)])
     def test_wide_ids_write_the_int64_rows(self, tmp_path, contexts, actions):
@@ -802,29 +808,35 @@ class TestLockstep:
             assert_same_run(got, want)
 
     def test_failing_seed_writes_its_solo_csv(self, monkeypatch, tmp_path):
-        """A seed that fails mid-stack writes its solo run's CSV, shared cells or not."""
+        """A seed that fails mid-stack writes its solo run's CSV, kept in memory or streamed."""
         def refuse(theta_prime, norm_mat, B):
             raise NumericFailure("projection refused")
 
-        def text(rec, path, shared=None):
-            rec.write_csv(path, shared)
+        def text(path):
             rows = [line.split(",") for line in path.read_text().splitlines()]
             wall = rows[0].index("wall_nanos")
             return [row[:wall] + row[wall + 1:] for row in rows]
+
+        def written(rec, path):
+            rec.write_csv(path)
+            return text(path)
 
         monkeypatch.setattr(onepass, "project_localnorm_ball", refuse)
         envs = [make_environment(5, 8, 4, B=1.0, seed=s) for s in self.SEEDS]
         params = dict(dim=5, B=1.0, lam=10.0)
         stacked = run_deploy(envs, [OnePassRewardEstimator(**params) for _ in envs], 150)
-        shared = shared_csv_cells(stacked)
+        streamed = run_deploy(envs, [OnePassRewardEstimator(**params) for _ in envs], 150,
+                              sink=functools.partial(FileSink, str(tmp_path / "seed{}.csv")))
         failed = [k for k, rec in enumerate(stacked) if rec.summary["aborted"]]
-        assert failed and len(failed) < len(envs) and "beta" in shared
+        assert failed and len(failed) < len(envs)
+        assert [rec.summary["aborted"] for rec in streamed] == [
+            rec.summary["aborted"] for rec in stacked]
         for k in failed:
             got = stacked[k]
             want = run_deploy(envs[k], OnePassRewardEstimator(**params), 150)
-            solo = text(want, tmp_path / "solo.csv")
-            assert text(got, tmp_path / "stacked.csv") == solo
-            assert text(got, tmp_path / "shared.csv", shared) == solo
+            solo = written(want, tmp_path / "solo.csv")
+            assert written(got, tmp_path / "stacked.csv") == solo
+            assert text(tmp_path / f"seed{envs[k].rng_seed}.csv") == solo
             # the failed round's own cells: its flag, and no share of the retried update
             i = len(got) - 1
             assert got.flags[i] == "update_failed" and got.wall_nanos[i] == 0

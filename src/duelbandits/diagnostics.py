@@ -33,8 +33,8 @@ def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"]) -> List[d
     its environment is not read. The rounds of the other records are fed
     to ``RunChecks`` a block at a time, equal-length records as one stack,
     so the played rows are never held whole. The domination eigenvalue
-    comes from the audits each run itself recorded (NaN when the estimator
-    exposes no curvature matrix).
+    comes from the audits each run itself recorded (None, so JSON null,
+    when the estimator exposes no curvature matrix).
     """
     from .scenarios import CSV_BLOCK_ROWS
 
@@ -55,7 +55,7 @@ def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"]) -> List[d
             checks[k] = run.report(i, n)
     return [{**c, "domination_min_eig": min(
                 (a["min_eig"] for a in rec.summary.get("domination_audits", [])),
-                default=float("nan"))}
+                default=None)}
             for c, rec in zip(checks, records)]
 
 

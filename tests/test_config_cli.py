@@ -454,6 +454,27 @@ def strict_json(path):
 class TestStreamedArtifacts:
     """run_experiment streams the rounds to the CSVs; library calls keep them in memory."""
 
+    @pytest.mark.parametrize("kind", ESTIMATORS)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_streamed_artifacts_match_memory_records(self, tmp_path, scenario, kind):
+        # 70 rounds: one full 64-round block and a partial one
+        cfg = parse_config({"scenario": scenario, "estimator": kind, "T": 70, "num_seeds": 2,
+                            "output_dir": str(tmp_path / "out")})
+        result = run_experiment(cfg)
+        recs = runner.run_single(cfg, list(cfg.seeds))
+        envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L, seed=seed)
+                for seed in cfg.seeds]
+        for rec, report, summary in zip(recs, diagnostics_report(envs, recs), result.summaries):
+            rec.write_csv(tmp_path / "memory.csv")
+            streamed = tmp_path / "out" / f"{scenario}_{kind}_seed{rec.seed}.csv"
+            assert csv_without_wall(streamed) == csv_without_wall(tmp_path / "memory.csv")
+            assert untimed(summary["diagnostics"]) == untimed(report)
+        artifacts = sorted((tmp_path / "out").iterdir())
+        assert len(artifacts) == 2 * len(cfg.seeds) + 2
+        for path in artifacts:
+            if path.suffix == ".json":
+                strict_json(path)
+
     def test_seed_failing_mid_stack_ends_its_csv_there(self, tmp_path, monkeypatch):
         """A lockstep seed whose update fails at round k writes k rows; the others go on."""
         k = 70

@@ -18,6 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import RunRecord
 
 
+# the report's potential replays V_s = POTENTIAL_LAMBDA * I + sum_{i<s} z_i z_i^T
 POTENTIAL_LAMBDA = 1.0
 
 
@@ -28,13 +29,12 @@ def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"]) -> List[d
     potential_rhs, domination_min_eig, timing_early_ns, timing_late_ns and
     timing_ratio.
 
-    ``envs`` and ``records`` pair each run with its environment. A record
-    that a file sink wrote carries the checks it streamed (``checks``), and
-    its environment is not read. The rounds of the other records are fed
-    to ``RunChecks`` a block at a time, equal-length records as one stack,
-    so the played rows are never held whole. The domination eigenvalue
-    comes from the audits each run itself recorded (None, so JSON null,
-    when the estimator exposes no curvature matrix).
+    ``envs`` and ``records`` pair each run with its environment. A record a
+    file sink wrote carries the checks it streamed (``checks``), and its
+    environment is not read. The other records are fed to ``RunChecks`` a
+    block of rounds at a time, equal-length records as one stack. The
+    domination eigenvalue is the least of the run's own audits (None, so
+    JSON null, when the estimator exposes no curvature matrix).
     """
     from .scenarios import CSV_BLOCK_ROWS
 
@@ -44,23 +44,21 @@ def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"]) -> List[d
         if rec.checks is None:
             groups.setdefault((len(rec), env.truth.L, env.features.phi.shape), []).append(k)
     for (n, _, _), ks in groups.items():
-        group = [records[k] for k in ks]
         run = RunChecks([envs[k] for k in ks], n)
         for lo in range(0, n, CSV_BLOCK_ROWS):
             block = slice(lo, lo + CSV_BLOCK_ROWS)
-            run.feed(np.arange(len(ks)), group[0].t[block],
-                     *(np.stack([getattr(rec, name)[block] for rec in group])
+            run.feed(np.arange(len(ks)), records[ks[0]].t[block],
+                     *(np.stack([getattr(records[k], name)[block] for k in ks])
                        for name in ("x", "a", "a_prime", "est_err_local", "beta", "wall_nanos")))
         for i, k in enumerate(ks):
             checks[k] = run.report(i, n)
     return [{**c, "domination_min_eig": min(
-                (a["min_eig"] for a in rec.summary.get("domination_audits", [])),
-                default=None)}
+                (a["min_eig"] for a in rec.summary.get("domination_audits", [])), default=None)}
             for c, rec in zip(checks, records)]
 
 
 def _window_sums(t: np.ndarray, wall: np.ndarray, n: int) -> np.ndarray:
-    """Summed wall_nanos of rounds t in the first and the last tenth of n rounds (all of them when n < 10)."""
+    """wall_nanos summed over the rounds t in the first and in the last tenth of n (all if n < 10)."""
     w = n // 10 if n >= 10 else n
     return np.stack([np.where(t <= w, wall, 0).sum(axis=-1),
                      np.where(t > n - w, wall, 0).sum(axis=-1)], axis=-1)
@@ -69,60 +67,45 @@ def _window_sums(t: np.ndarray, wall: np.ndarray, n: int) -> np.ndarray:
 class RunChecks:
     """A report's streamed inputs for a group of runs, fed a block of rounds at a time.
 
-    ``envs`` holds one environment per run, and ``n`` the rounds a run is
-    expected to complete, which places the timing windows. Each ``feed``
-    takes the next rounds of the runs at positions ``rows``; a run missing
-    from a feed has stopped. The elliptic potentials of the runs still fed
-    are replayed as one stack through ``elliptic_potential_check``, which
-    carries the replay from feed to feed, so the played rows are held one
-    block at a time.
+    ``n`` is the rounds a run is expected to complete, which places the
+    timing windows. Each ``feed`` takes the next rounds of the runs at
+    positions ``rows``; a run missing from a feed has stopped. The runs
+    still fed replay their potentials as one stack, which
+    ``elliptic_potential_check`` carries from feed to feed.
     """
 
     def __init__(self, envs: Sequence, n: int):
         self.phi = np.stack([env.features.phi for env in envs])
         self.L, self.n = 2 * envs[0].truth.L, n
-        self.first: List[Optional[int]] = [None] * len(envs)
-        self.potential = [(0.0, 0.0)] * len(envs)
+        self.rows, self.replay = np.arange(len(envs)), {}
+        self.first = np.zeros(len(envs), dtype=np.int64)  # 0: no violation yet
+        self.lhs, self.rhs = np.zeros((2, len(envs)))
         self.windows = np.zeros((len(envs), 2), dtype=np.int64)
-        self.rows = np.arange(len(envs))
-        self.replay: dict = {}
 
-    def feed(self, rows: np.ndarray, t: np.ndarray, x, a, a_prime, err_local, beta,
-             wall) -> None:
-        """Rounds ``t`` of the runs ``rows``; the other arguments hold one row per run.
-
-        ``beta`` may be one (m,) row that every run shares.
-        """
+    def feed(self, rows: np.ndarray, t: np.ndarray, x, a, a_prime, err_local, beta, wall):
+        """Rounds ``t`` of the runs ``rows``: one row per run in each other argument (beta may be shared)."""
         if len(rows) < len(self.rows):
             keep = np.isin(self.rows, rows)
             self.replay.update(inv=self.replay["inv"][keep], lhs=self.replay["lhs"][keep])
         self.rows = rows
-        seed = rows[:, None]
-        z = self.phi[seed, x, a]
-        z -= self.phi[seed, x, a_prime]
-        lhs, rhs, _ = elliptic_potential_check(z, POTENTIAL_LAMBDA, self.L, self.replay)
+        z = self.phi[rows[:, None], x, a]
+        z -= self.phi[rows[:, None], x, a_prime]
+        self.lhs[rows], self.rhs[rows], _ = elliptic_potential_check(
+            z, POTENTIAL_LAMBDA, self.L, self.replay)
         bad = err_local > beta
-        for k, s in enumerate(rows.tolist()):
-            self.potential[s] = (float(lhs[k]), rhs)
-            if self.first[s] is None and bad[k].any():
-                self.first[s] = int(t[bad[k].argmax()])
+        hit = bad.any(axis=1) & (self.first[rows] == 0)
+        self.first[rows[hit]] = t[bad[hit].argmax(axis=1)]
         self.windows[rows] += _window_sums(t, wall, self.n)
 
     def report(self, s: int, n: int, wall: Optional[np.ndarray] = None) -> dict:
-        """Run s's checks after n rounds.
-
-        A run that stopped short of the expected rounds passes its whole
-        ``wall`` column, from which its timing windows are placed again.
-        """
+        """Run s's checks after its n rounds; one that stopped short passes its whole ``wall``."""
         windows = self.windows[s] if wall is None else _window_sums(np.arange(1, n + 1), wall, n)
         early, late = (windows / (n // 10 if n >= 10 else n)).tolist() if n else (0.0, 0.0)
-        lhs, rhs = self.potential[s]
-        return {
-            "coverage_ok": self.first[s] is None, "first_violation": self.first[s],
-            "potential_lhs": lhs, "potential_rhs": rhs,
-            "timing_early_ns": early, "timing_late_ns": late,
-            "timing_ratio": late / early if n >= 10 else 1.0,
-        }
+        first = int(self.first[s]) or None
+        return {"coverage_ok": first is None, "first_violation": first,
+                "potential_lhs": float(self.lhs[s]), "potential_rhs": float(self.rhs[s]),
+                "timing_early_ns": early, "timing_late_ns": late,
+                "timing_ratio": late / early if n >= 10 else 1.0}
 
 
 def coverage_check(record: "RunRecord",

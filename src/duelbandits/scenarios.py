@@ -124,29 +124,28 @@ _SEED_COLUMNS = ("wall_nanos", "est_err_l2", "est_err_local", "cum_regret",
 class MemorySink:
     """The rounds of one ``_run_loop`` run, kept whole: (S, T) columns, one RunRecord per seed.
 
-    A sink holds ``width`` rounds of columns named as the CSV's, one row per
-    seed; round i of the block the loop opened at round ``lo`` lives at
-    column i - ``open(lo)``. ``put`` closes the block's rounds for the seeds
-    that ran them and streams what a summary reads: rounds completed, the
-    ``wall_nanos`` sum, flag counts (``flags`` holds indices into FLAGS) and,
-    when the run pays ``regret``, its running total, which ``put`` carries
-    into the block's ``np.cumsum`` so the bits are those of one sum over the
-    run. This sink's width is T, so its one block is the whole run.
+    A sink holds ``width`` rounds of the CSV's columns, one row per seed;
+    round i lives at column i - ``open(lo)`` of the block opened at round lo.
+    ``put`` closes the block's rounds for the seeds that ran them and streams
+    what a summary reads: rounds completed, the ``wall_nanos`` sum, flag
+    counts (``flags`` holds indices into FLAGS) and, in deploy, the running
+    regret, which goes in front of the block's ``np.cumsum``, so the bits are
+    those of one sum over the run. This sink's one block is the whole run.
 
-    The ids x, a, a' and y take the narrowest unsigned type that holds the
-    context and action counts. A column that is the same for every seed is
-    kept once, read-only, and every record views it: the round counter t,
-    the radius beta (a stack reads one radius per round), and a NaN
-    broadcast for each column the run never writes: cum_regret outside
-    deploy and, when no checkpoint falls in the run, subopt_checkpoint.
+    x, a, a' and y take the narrowest unsigned type that holds the ids. A
+    column the same for every seed is kept once, read-only, and every record
+    views it: t, beta (a stack reads one radius per round) and a NaN
+    broadcast for each column the run never writes.
     """
+
+    base = 0  # the round at column 0 of the open block, which starts at round lo
 
     def __init__(self, scenario: str, envs: Sequence[Environment], T: int,
                  checkpoints: bool, regret: bool, width: Optional[int] = None):
         self.scenario, self.seeds, self.T = scenario, [env.rng_seed for env in envs], T
         self.width = T if width is None else width
         contexts, actions = envs[0].features.phi.shape[:2]
-        shape = (len(self.seeds), self.width)
+        S, shape = len(self.seeds), (len(self.seeds), self.width)
         self.t = np.arange(1, self.width + 1, dtype=np.int64)
         self.t.flags.writeable = False
         nan = np.broadcast_to(np.nan, shape)
@@ -163,33 +162,29 @@ class MemorySink:
         self.a_prime = np.zeros_like(self.a)
         self.y = np.zeros(shape, dtype=np.uint8)
         self.flags = np.zeros(shape, dtype=np.uint8)
-        self.n = np.zeros(len(self.seeds), dtype=np.int64)
-        self.wall_ns = np.zeros(len(self.seeds), dtype=np.int64)
-        self.flag_counts = np.zeros((len(self.seeds), len(FLAGS)), dtype=np.int64)
-        self.regret = np.zeros(len(self.seeds)) if regret else None
-
-    base = 0  # the round at column 0
+        self.n = np.zeros(S, dtype=np.int64)
+        self.wall_ns = np.zeros(S, dtype=np.int64)
+        self.flag_counts = np.zeros((S, len(FLAGS)), dtype=np.int64)
+        # -0.0 is the exact identity of +, and a first update that fails leaves 0.0
+        self.regret = np.full(S, -0.0) if regret else None
 
     def open(self, lo: int) -> int:
         """Start a block at round ``lo``; returns the round at column 0."""
+        self.lo = lo
         return self.base
 
-    def put(self, lo: int, hi: int, seeds: np.ndarray) -> slice:
-        """Close rounds lo..hi-1 of ``seeds``; returns their columns."""
-        cols = slice(lo - self.base, hi - self.base)
-        if self.regret is not None:
-            # each round holds what it paid, NaN where the update failed
+    def put(self, hi: int, seeds: np.ndarray) -> slice:
+        """Close the open block's rounds lo..hi-1 of ``seeds``; returns their columns."""
+        cols = slice(self.lo - self.base, hi - self.base)
+        if self.regret is not None:  # each round holds what it paid, NaN where the update failed
             paid = self.cum_regret[seeds, cols]
-            if lo:
-                paid = np.concatenate((self.regret[seeds, None], paid), axis=1)
-            total = np.cumsum(paid, axis=1)
-            last = total[:, -2] if total.shape[1] > 1 else self.regret[seeds]
-            self.regret[seeds] = np.where(np.isnan(total[:, -1]), last, total[:, -1])
-            self.cum_regret[seeds, cols] = total[:, -(hi - lo):]
+            total = np.cumsum(np.concatenate((self.regret[seeds, None], np.nan_to_num(paid)),
+                                             axis=1), axis=1)
+            self.regret[seeds] = total[:, -1]
+            self.cum_regret[seeds, cols] = np.where(np.isnan(paid), np.nan, total[:, 1:])
         self.n[seeds] = hi
         self.wall_ns[seeds] += self.wall_nanos[seeds, cols].sum(axis=1)
-        for s in seeds.tolist():
-            self.flag_counts[s] += np.bincount(self.flags[s, cols], minlength=len(FLAGS))
+        self.flag_counts[seeds] += (self.flags[seeds, cols, None] == range(len(FLAGS))).sum(axis=1)
         return cols
 
     def _record(self, s: int, cols: slice) -> RunRecord:
@@ -198,25 +193,20 @@ class MemorySink:
                          **{name: getattr(self, name)[s, cols] for name in _SEED_COLUMNS})
 
     def record(self, s: int) -> RunRecord:
-        """Seed s's record, cut at the rounds it completed.
-
-        Records are cut once the rounds are over, so the shared beta row
-        turns read-only here.
-        """
+        """Seed s's record, cut at the rounds it completed; beta turns read-only here."""
         self.beta.flags.writeable = False
         return self._record(s, slice(0, int(self.n[s])))
 
 
 class FileSink(MemorySink):
-    """The rounds of one ``_run_loop`` run, streamed to one CSV per seed: flat in T.
+    """The rounds of one ``_run_loop`` run, streamed to one CSV per seed: memory flat in T.
 
-    ``path`` names each seed's CSV with a ``{}`` for its seed; the file is
-    written under that name, which ``runner.run_experiment`` renames once
-    the run set is done, so a run cut short never leaves a CSV that looks
-    complete. The sink holds one block of CSV_BLOCK_ROWS rounds. Each
-    closed block's rows are appended to the seeds' files through
-    ``RunRecord.write_csv``, with the shared columns formatted once, and fed
-    to a ``RunChecks``, whose report each seed's record carries.
+    ``path`` names a seed's CSV with ``{}`` for the seed; ``runner.run_experiment``
+    renames it once the run set is done, so a run cut short leaves no CSV
+    that looks complete. Each closed block of CSV_BLOCK_ROWS rounds is
+    appended to the seeds' files through ``RunRecord.write_csv``, the shared
+    columns formatted once, and fed to ``RunChecks``, whose report each
+    seed's record carries.
     """
 
     def __init__(self, path: str, scenario: str, envs: Sequence[Environment], T: int,
@@ -234,13 +224,12 @@ class FileSink(MemorySink):
         self.t = np.arange(lo + 1, lo + 1 + self.width, dtype=np.int64)
         self.wall_nanos.fill(0)
         self.flags.fill(0)
-        for name in ("cum_regret", "subopt_checkpoint"):
-            if name not in self.shared:
-                getattr(self, name).fill(np.nan)
-        return lo
+        for name in {"cum_regret", "subopt_checkpoint"}.difference(self.shared):
+            getattr(self, name).fill(np.nan)
+        return super().open(lo)
 
-    def put(self, lo: int, hi: int, seeds: np.ndarray) -> slice:
-        cols = super().put(lo, hi, seeds)
+    def put(self, hi: int, seeds: np.ndarray) -> slice:
+        cols = super().put(hi, seeds)
         records = [self._record(s, cols) for s in seeds.tolist()]
         shared = {name: _csv_cells(name, getattr(records[0], name)) for name in self.shared}
         for s, rec in zip(seeds.tolist(), records):
@@ -528,39 +517,6 @@ def _estimator_stats(estimator) -> dict:
     return stats
 
 
-def _base_summary(out: MemorySink, s: int, estimator, theta_star,
-                  aborted: Optional[str]) -> dict:
-    n, wall = int(out.n[s]), int(out.wall_ns[s])
-    diff = estimator.theta_ - theta_star
-    summary = {
-        "scenario": out.scenario,
-        "seed": out.seeds[s],
-        "T": out.T,
-        "estimator": type(estimator).__name__,
-        "completed": n,
-        "aborted": aborted,
-        "final_est_err_l2": float(np.linalg.norm(diff)),
-        "final_est_err_local": float(estimator.local_norm(diff)),
-        "final_beta": float(estimator.radius()),
-        "update_ns_total": wall,
-        "update_ns_mean": wall / n if n else 0.0,
-        "flag_counts": {FLAGS[f]: c for f, c in enumerate(out.flag_counts[s].tolist())
-                        if f and c},
-        "estimator_stats": _estimator_stats(estimator),
-    }
-    hist = getattr(estimator, "newton_iters_hist_", None)
-    if hist is not None:
-        # entry k: the updates whose damped-Newton solve took k iterations
-        summary["newton_iters_hist"] = [hist[k] for k in range(max(hist, default=-1) + 1)]
-    counts = getattr(estimator, "boundary_counts_", None)
-    if counts is not None:
-        # damped-Newton steps that left the ball, and the real norm probes
-        # their damping searches made
-        summary["boundary_searches"] = counts["boundary_searches"]
-        summary["boundary_probes"] = counts["boundary_probes"]
-    return summary
-
-
 def _seeds(env, estimator):
     """(environments, estimators, single) for one seed or equal-length sequences."""
     if isinstance(env, Environment):
@@ -620,16 +576,43 @@ class _Draws:
 def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optional[str],
             audit: _DominationAudit, policy: Optional[Callable]):
     """Seed s's (final policy, record) with its summary."""
+    n, wall = int(out.n[s]), int(out.wall_ns[s])
+    diff = estimator.theta_ - env.truth.theta_star
     record = out.record(s)
-    record.summary = _base_summary(out, s, estimator, env.truth.theta_star, aborted)
-    record.summary["domination_audits"] = audit.records[s]
+    record.summary = summary = {
+        "scenario": out.scenario,
+        "seed": out.seeds[s],
+        "T": out.T,
+        "estimator": type(estimator).__name__,
+        "completed": n,
+        "aborted": aborted,
+        "final_est_err_l2": float(np.linalg.norm(diff)),
+        "final_est_err_local": float(estimator.local_norm(diff)),
+        "final_beta": float(estimator.radius()),
+        "update_ns_total": wall,
+        "update_ns_mean": wall / n if n else 0.0,
+        "flag_counts": {FLAGS[f]: c for f, c in enumerate(out.flag_counts[s].tolist())
+                        if f and c},
+        "estimator_stats": _estimator_stats(estimator),
+        "domination_audits": audit.records[s],
+    }
+    hist = getattr(estimator, "newton_iters_hist_", None)
+    if hist is not None:
+        # entry k: the updates whose damped-Newton solve took k iterations
+        summary["newton_iters_hist"] = [hist[k] for k in range(max(hist, default=-1) + 1)]
+    counts = getattr(estimator, "boundary_counts_", None)
+    if counts is not None:
+        # damped-Newton steps that left the ball, and the real norm probes
+        # their damping searches made
+        summary["boundary_searches"] = counts["boundary_searches"]
+        summary["boundary_probes"] = counts["boundary_probes"]
     if out.regret is not None:
-        record.summary["cum_regret"] = float(out.regret[s])
+        summary["cum_regret"] = float(out.regret[s])
     final = None
     if policy is not None and aborted is None:
         final = policy(estimator, env)
-        record.summary["subopt"] = subopt(final, env)
-        record.summary["policy"] = final.action_of.tolist()
+        summary["subopt"] = subopt(final, env)
+        summary["policy"] = final.action_of.tolist()
     return final, record
 
 
@@ -656,10 +639,9 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ``default_checkpoints(T)``). A seed with a ``policy`` that no failure cut
     short ends by extracting it.
 
-    The rounds go to one sink, ``sink(scenario, envs, T, checkpoints,
-    regret)`` (``MemorySink`` or ``FileSink``): the loop fills the block it
-    opened and puts it once full, at the end, and whenever a seed stops, so
-    a block's rounds are the same for each seed it holds.
+    The rounds go to ``sink(scenario, envs, T, checkpoints, regret)``, a
+    ``MemorySink`` or ``FileSink``: a block is put when full, at the end and
+    when a seed stops, so it holds the same rounds for each of its seeds.
 
     A stack owns the state while the rounds run; each seed's own estimator
     is brought up to date whenever it is read (audits, checkpoints, a failure
@@ -683,8 +665,7 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
         stack, idx, rows = type(estimators[0]).stack(estimators), live, slice(None)
     else:
         stack, idx, rows = estimators[0], 0, 0
-    lo = 0
-    base = out.open(lo)
+    base = out.open(0)
     for t in range(1, T + 1):
         i = t - 1
         j = i - base
@@ -732,9 +713,8 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
                 for s in live:
                     out.subopt_checkpoint[s, j] = subopt(policy(estimators[s], envs[s]), envs[s])
         if t == T or t - base == out.width or len(live) < len(held):
-            out.put(lo, t, held)
-            lo, held = t, live
-            base = out.open(lo)
+            out.put(t, held)
+            held, base = live, out.open(t)
         if not len(live):
             break
     if stacked:

@@ -512,8 +512,8 @@ class TestStreamedArtifacts:
         bad = cfg.seeds[1]
 
         class Breaking(FileSink):
-            def put(self, lo, hi, seeds):
-                cols = super().put(lo, hi, seeds)
+            def put(self, hi, seeds):
+                cols = super().put(hi, seeds)
                 if hi > 64 and bad in [self.seeds[s] for s in seeds.tolist()]:
                     raise RuntimeError("disk gone")
                 return cols

@@ -151,8 +151,6 @@ class MemorySink:
         nan = np.broadcast_to(np.nan, shape)
         self.cum_regret = np.full(shape, np.nan) if regret else nan
         self.subopt_checkpoint = np.full(shape, np.nan) if checkpoints else nan
-        self.shared = ("t", "beta") + tuple(name for name in ("cum_regret", "subopt_checkpoint")
-                                            if getattr(self, name) is nan)
         self.beta = np.full(self.width, np.nan)
         self.wall_nanos = np.zeros(shape, dtype=np.int64)
         self.est_err_l2 = np.full(shape, np.nan)
@@ -214,6 +212,8 @@ class FileSink(MemorySink):
         from .diagnostics import RunChecks
 
         super().__init__(scenario, envs, T, checkpoints, regret, width=CSV_BLOCK_ROWS)
+        self.shared = ("t", "beta") + tuple(name for name in ("cum_regret", "subopt_checkpoint")
+                                            if not getattr(self, name).flags.writeable)
         self.paths = [path.format(seed) for seed in self.seeds]
         self.checks = RunChecks(envs, T)
         for s, file in enumerate(self.paths):

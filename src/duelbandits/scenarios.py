@@ -40,7 +40,7 @@ CSV_COLUMNS = (
 ENUMERATE_BUDGET = 10**6
 ENUMERATE_BLOCK = 256
 LAZY_CANDIDATES = 32
-CSV_BLOCK_ROWS = 64
+CSV_BLOCK_ROWS = 256
 DOMINATION_AUDIT_POINTS = (100, 1000)
 
 
@@ -56,7 +56,8 @@ def _csv_cells(name: str, values: np.ndarray) -> list:
     """One column's cells: str of each id, repr of each float with NaN as an empty cell."""
     if name in _FLOAT_COLUMNS:
         return [repr(v) if v == v else "" for v in values.tolist()]
-    return [_ID_CELLS[v] if -1 < v < len(_ID_CELLS) else str(v) for v in values.tolist()]
+    ids, n = _ID_CELLS, len(_ID_CELLS)
+    return [ids[v] if -1 < v < n else str(v) for v in values.tolist()]
 
 
 @dataclass

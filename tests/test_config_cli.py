@@ -24,7 +24,7 @@ from duelbandits.config import (DAMPING_FNS, ESTIMATOR_CLASSES, ESTIMATORS, POLI
 from duelbandits.exceptions import ConfigError, NumericFailure
 from duelbandits.onepass import OnePassRewardEstimator
 from duelbandits.runner import aggregate_summaries, run_experiment
-from duelbandits.scenarios import ENUMERATE_BUDGET, FileSink
+from duelbandits.scenarios import CSV_BLOCK_ROWS, ENUMERATE_BUDGET, FileSink
 from duelbandits.verify import (
     check_sherman_morrison_agreement,
     check_domination_zero_case,
@@ -457,9 +457,9 @@ class TestStreamedArtifacts:
     @pytest.mark.parametrize("kind", ESTIMATORS)
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_streamed_artifacts_match_memory_records(self, tmp_path, scenario, kind):
-        # 70 rounds: one full 64-round block and a partial one
-        cfg = parse_config({"scenario": scenario, "estimator": kind, "T": 70, "num_seeds": 2,
-                            "output_dir": str(tmp_path / "out")})
+        # one full block of rounds and a partial one
+        cfg = parse_config({"scenario": scenario, "estimator": kind, "T": CSV_BLOCK_ROWS + 6,
+                            "num_seeds": 2, "output_dir": str(tmp_path / "out")})
         result = run_experiment(cfg)
         recs = runner.run_single(cfg, list(cfg.seeds))
         envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L, seed=seed)
@@ -477,7 +477,7 @@ class TestStreamedArtifacts:
 
     def test_seed_failing_mid_stack_ends_its_csv_there(self, tmp_path, monkeypatch):
         """A lockstep seed whose update fails at round k writes k rows; the others go on."""
-        k = 70
+        k = CSV_BLOCK_ROWS + 6  # past the first block
         update = OnePassRewardEstimator.update
 
         def fail_row_one(self, z, y):
@@ -486,7 +486,7 @@ class TestStreamedArtifacts:
             update(self, z, y)
 
         monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
-        cfg = parse_config({"scenario": "deploy", "T": 150, "num_seeds": 3,
+        cfg = parse_config({"scenario": "deploy", "T": 2 * CSV_BLOCK_ROWS + 22, "num_seeds": 3,
                             "output_dir": str(tmp_path / "out")})
         result = run_experiment(cfg)
         assert [s["aborted"] for s in result.summaries] == [None, "synthetic fault", None]
@@ -507,14 +507,14 @@ class TestStreamedArtifacts:
 
     def test_chunk_that_raises_leaves_no_stale_csv(self, tmp_path, monkeypatch):
         """A chunk that raises mid-write reruns seed by seed; the seed that raises alone keeps no file."""
-        cfg = parse_config({"scenario": "deploy", "T": 150, "num_seeds": 3,
+        cfg = parse_config({"scenario": "deploy", "T": CSV_BLOCK_ROWS + 50, "num_seeds": 3,
                             "output_dir": str(tmp_path / "out")})
         bad = cfg.seeds[1]
 
         class Breaking(FileSink):
             def put(self, hi, seeds):
                 cols = super().put(hi, seeds)
-                if hi > 64 and bad in [self.seeds[s] for s in seeds.tolist()]:
+                if hi > CSV_BLOCK_ROWS and bad in [self.seeds[s] for s in seeds.tolist()]:
                     raise RuntimeError("disk gone")
                 return cols
 

@@ -128,10 +128,12 @@ class MemorySink:
     A sink holds ``width`` rounds of the CSV's columns, one row per seed;
     round i lives at column i - ``open(lo)`` of the block opened at round lo.
     ``put`` closes the block's rounds for the seeds that ran them and streams
-    what a summary reads: rounds completed, the ``wall_nanos`` sum, flag
-    counts (``flags`` holds indices into FLAGS) and, in deploy, the running
-    regret, which goes in front of the block's ``np.cumsum``, so the bits are
-    those of one sum over the run. This sink's one block is the whole run.
+    what a summary reads: rounds completed, the ``wall_nanos`` sum and flag
+    counts (``flags`` holds indices into FLAGS). Given ``regret(rows, x, a,
+    a')``, what rounds paid (deploy), it fills ``cum_regret`` a block at a
+    time: the running total goes in front of the block's ``np.cumsum``, so
+    the bits are those of one sum over the run. This sink's one block is
+    the whole run.
 
     x, a, a' and y take the narrowest unsigned type that holds the ids. A
     column the same for every seed is kept once, read-only, and every record
@@ -142,7 +144,7 @@ class MemorySink:
     base = 0  # the round at column 0 of the open block, which starts at round lo
 
     def __init__(self, scenario: str, envs: Sequence[Environment], T: int,
-                 checkpoints: bool, regret: bool, width: Optional[int] = None):
+                 checkpoints: bool, regret: Optional[Callable], width: Optional[int] = None):
         self.scenario, self.seeds, self.T = scenario, [env.rng_seed for env in envs], T
         self.width = T if width is None else width
         contexts, actions = envs[0].features.phi.shape[:2]
@@ -150,7 +152,7 @@ class MemorySink:
         self.t = np.arange(1, self.width + 1, dtype=np.int64)
         self.t.flags.writeable = False
         nan = np.broadcast_to(np.nan, shape)
-        self.cum_regret = np.full(shape, np.nan) if regret else nan
+        self.cum_regret = nan if regret is None else np.full(shape, np.nan)
         self.subopt_checkpoint = np.full(shape, np.nan) if checkpoints else nan
         self.beta = np.full(self.width, np.nan)
         self.wall_nanos = np.zeros(shape, dtype=np.int64)
@@ -164,8 +166,9 @@ class MemorySink:
         self.n = np.zeros(S, dtype=np.int64)
         self.wall_ns = np.zeros(S, dtype=np.int64)
         self.flag_counts = np.zeros((S, len(FLAGS)), dtype=np.int64)
-        # -0.0 is the exact identity of +, and a first update that fails leaves 0.0
-        self.regret = np.full(S, -0.0) if regret else None
+        # the running regret: -0.0 is the exact identity of +, and a first
+        # update that fails leaves 0.0
+        self.pay, self.regret = regret, None if regret is None else np.full(S, -0.0)
 
     def open(self, lo: int) -> int:
         """Start a block at round ``lo``; returns the round at column 0."""
@@ -175,12 +178,13 @@ class MemorySink:
     def put(self, hi: int, seeds: np.ndarray) -> slice:
         """Close the open block's rounds lo..hi-1 of ``seeds``; returns their columns."""
         cols = slice(self.lo - self.base, hi - self.base)
-        if self.regret is not None:  # each round holds what it paid, NaN where the update failed
-            paid = self.cum_regret[seeds, cols]
-            total = np.cumsum(np.concatenate((self.regret[seeds, None], np.nan_to_num(paid)),
-                                             axis=1), axis=1)
+        if self.pay is not None:  # a round whose update failed pays nothing and shows NaN
+            failed = self.flags[seeds, cols] == FLAGS.index("update_failed")
+            paid = np.where(failed, 0.0, self.pay(seeds[:, None], self.x[seeds, cols],
+                                                  self.a[seeds, cols], self.a_prime[seeds, cols]))
+            total = np.cumsum(np.concatenate((self.regret[seeds, None], paid), axis=1), axis=1)
             self.regret[seeds] = total[:, -1]
-            self.cum_regret[seeds, cols] = np.where(np.isnan(paid), np.nan, total[:, 1:])
+            self.cum_regret[seeds, cols] = np.where(failed, np.nan, total[:, 1:])
         self.n[seeds] = hi
         self.wall_ns[seeds] += self.wall_nanos[seeds, cols].sum(axis=1)
         self.flag_counts[seeds] += (self.flags[seeds, cols, None] == range(len(FLAGS))).sum(axis=1)
@@ -209,7 +213,7 @@ class FileSink(MemorySink):
     """
 
     def __init__(self, path: str, scenario: str, envs: Sequence[Environment], T: int,
-                 checkpoints: bool, regret: bool):
+                 checkpoints: bool, regret: Optional[Callable]):
         from .diagnostics import RunChecks
 
         super().__init__(scenario, envs, T, checkpoints, regret, width=CSV_BLOCK_ROWS)
@@ -633,16 +637,16 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     seed's ``wall_nanos`` is an equal share of the update time. A
     NumericFailure in the update flags the failing seed's round
     ``update_failed`` and ends that seed's run; the others in a stack retry
-    the round without it. After a successful update come what the round
-    paid, ``regret(idx, x, a, a')`` (deploy), the ``inner_nonconverged``
-    flag, the domination audit, and the suboptimality of
-    ``policy(estimator, env)`` at the rounds in ``checkpoints`` (default:
+    the round without it. After a successful update come the
+    ``inner_nonconverged`` flag, the domination audit, and the suboptimality
+    of ``policy(estimator, env)`` at the rounds in ``checkpoints`` (default:
     ``default_checkpoints(T)``). A seed with a ``policy`` that no failure cut
     short ends by extracting it.
 
     The rounds go to ``sink(scenario, envs, T, checkpoints, regret)``, a
     ``MemorySink`` or ``FileSink``: a block is put when full, at the end and
     when a seed stops, so it holds the same rounds for each of its seeds.
+    ``regret(rows, x, a, a')`` (deploy) gives what the rounds paid.
 
     A stack owns the state while the rounds run; each seed's own estimator
     is brought up to date whenever it is read (audits, checkpoints, a failure
@@ -658,7 +662,7 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
     theta_star = np.stack([env.truth.theta_star for env in envs])
     phi = np.stack([env.features.phi for env in envs])
-    out = sink(scenario, envs, T, any(1 <= p <= T for p in ckpts), regret is not None)
+    out = sink(scenario, envs, T, any(1 <= p <= T for p in ckpts), regret)
     audit = _DominationAudit(estimators, envs, T)
     aborted: List[Optional[str]] = [None] * S
     live = held = np.arange(S)
@@ -700,8 +704,6 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
                     idx = rows = live
                     stack = type(estimators[0]).stack([estimators[s] for s in live])
         if len(live):
-            if regret is not None:
-                out.cum_regret[rows, j] = regret(idx, x, a, b)
             # only a lone seed's estimator runs an inner solve that can stop short
             if not getattr(stack, "last_converged_", True):
                 out.flags[0, j] = FLAGS.index("inner_nonconverged")
@@ -832,8 +834,8 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
             y = bt_sample(rewards[idx, x, a], rewards[idx, x, b], draws(rows, i, 1))
             return x, a, b, y, beta
 
-        def regret(idx, x, a, b):
-            return best[idx, x] - 0.5 * (rewards[idx, x, a] + rewards[idx, x, b])
+        def regret(rows, x, a, b):
+            return best[rows, x] - 0.5 * (rewards[rows, x, a] + rewards[rows, x, b])
 
         return choose, regret
 

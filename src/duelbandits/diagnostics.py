@@ -58,7 +58,7 @@ def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"]) -> List[d
 
 
 def _window_sums(t: np.ndarray, wall: np.ndarray, n: int) -> np.ndarray:
-    """wall_nanos summed over the rounds t in the first and in the last tenth of n (all if n < 10)."""
+    """wall_nanos summed over rounds t in the first and the last tenth of n (all if n < 10)."""
     w = n // 10 if n >= 10 else n
     return np.stack([np.where(t <= w, wall, 0).sum(axis=-1),
                      np.where(t > n - w, wall, 0).sum(axis=-1)], axis=-1)
@@ -83,7 +83,10 @@ class RunChecks:
         self.windows = np.zeros((len(envs), 2), dtype=np.int64)
 
     def feed(self, rows: np.ndarray, t: np.ndarray, x, a, a_prime, err_local, beta, wall):
-        """Rounds ``t`` of the runs ``rows``: one row per run in each other argument (beta may be shared)."""
+        """Rounds ``t`` of the runs ``rows``.
+
+        Each other argument holds one row per run; beta may be one shared row.
+        """
         if len(rows) < len(self.rows):
             keep = np.isin(self.rows, rows)
             self.replay.update(inv=self.replay["inv"][keep], lhs=self.replay["lhs"][keep])

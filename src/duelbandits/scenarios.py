@@ -132,8 +132,8 @@ class MemorySink:
     counts (``flags`` holds indices into FLAGS). Given ``regret(rows, x, a,
     a')``, what rounds paid (deploy), it fills ``cum_regret`` a block at a
     time: the running total goes in front of the block's ``np.cumsum``, so
-    the bits are those of one sum over the run. This sink's one block is
-    the whole run.
+    the bits are those of one sum over the run. This sink is as wide as the
+    run, so its blocks end only at the end and where a seed stops.
 
     x, a, a' and y take the narrowest unsigned type that holds the ids. A
     column the same for every seed is kept once, read-only, and every record
@@ -191,7 +191,8 @@ class MemorySink:
         return cols
 
     def _record(self, s: int, cols: slice) -> RunRecord:
-        return RunRecord(self.scenario, self.seeds[s], self.T, t=self.t[cols], beta=self.beta[cols],
+        return RunRecord(self.scenario, self.seeds[s], self.T,
+                         t=self.t[cols], beta=self.beta[cols],
                          flags=[FLAGS[f] for f in self.flags[s, cols].tolist()],
                          **{name: getattr(self, name)[s, cols] for name in _SEED_COLUMNS})
 
@@ -250,7 +251,8 @@ class FileSink(MemorySink):
             with open(self.paths[s], encoding="utf-8") as fh:
                 next(fh)
                 wall = np.array([int(line.split(",", 2)[1]) for line in fh], dtype=np.int64)
-        return RunRecord(self.scenario, self.seeds[s], self.T, checks=self.checks.report(s, n, wall))
+        return RunRecord(self.scenario, self.seeds[s], self.T,
+                         checks=self.checks.report(s, n, wall))
 
 
 def default_checkpoints(T: int) -> Tuple[int, ...]:
@@ -733,9 +735,8 @@ def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
 
     Returns (policy, record); for sequences of environments and estimators, a
     list of them, one per seed. ``sink`` takes the rounds (``_run_loop``).
-    Pair draws interleave integer and double
-    draws, so every seed draws from its own stream round by round, also in
-    lockstep.
+    Pair draws interleave integer and double draws, so every seed draws from
+    its own stream round by round, also in lockstep.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
@@ -769,9 +770,10 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
     """Query the most uncertain pair each round; play the averaged-parameter greedy policy.
 
     Returns (policy, record); for sequences of environments and estimators, a
-    list of them, one per seed. ``sink`` takes the rounds (``_run_loop``). The scan keeps a memo per run, which is exact
-    as long as ``inv_norm_matrix()`` never grows between rounds: every
-    estimator here only adds curvature.
+    list of them, one per seed. ``sink`` takes the rounds (``_run_loop``).
+    The scan keeps a memo per run, which is exact as long as
+    ``inv_norm_matrix()`` never grows between rounds: every estimator here
+    only adds curvature.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")

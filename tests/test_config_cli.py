@@ -462,8 +462,8 @@ class TestStreamedArtifacts:
                             "num_seeds": 2, "output_dir": str(tmp_path / "out")})
         result = run_experiment(cfg)
         recs = runner.run_single(cfg, list(cfg.seeds))
-        envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L, seed=seed)
-                for seed in cfg.seeds]
+        envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L, seed=seed,
+                                 coverage_skew=cfg.coverage_skew) for seed in cfg.seeds]
         for rec, report, summary in zip(recs, diagnostics_report(envs, recs), result.summaries):
             rec.write_csv(tmp_path / "memory.csv")
             streamed = tmp_path / "out" / f"{scenario}_{kind}_seed{rec.seed}.csv"
@@ -506,7 +506,7 @@ class TestStreamedArtifacts:
         assert sorted(p.name for p in (tmp_path / "out").iterdir() if ".part" in p.name) == []
 
     def test_chunk_that_raises_leaves_no_stale_csv(self, tmp_path, monkeypatch):
-        """A chunk that raises mid-write reruns seed by seed; the seed that raises alone keeps no file."""
+        """A chunk that raises mid-write reruns by seed; the seed that raises alone keeps no file."""
         cfg = parse_config({"scenario": "deploy", "T": CSV_BLOCK_ROWS + 50, "num_seeds": 3,
                             "output_dir": str(tmp_path / "out")})
         bad = cfg.seeds[1]
@@ -532,7 +532,7 @@ class TestStreamedArtifacts:
                     == csv_without_wall(tmp_path / "memory.csv")
 
     def test_peak_memory_does_not_grow_with_T(self, tmp_path):
-        """A 4-seed deploy run set holds one block of rounds: its peak is the same at T=500 and 5000."""
+        """A 4-seed deploy run set holds one block of rounds: the same peak at T=500 and 5000."""
         import tracemalloc
 
         def peak(T):

@@ -662,7 +662,8 @@ class TestRunRecord:
                 x=x, a=a[:n].copy(), a_prime=rng.integers(0, 4, n), y=rng.integers(0, 2, n),
                 flags=flags))
         shared = {name: scenarios._csv_cells(name, getattr(recs[0], name))
-                  for name in ("a", "beta", "cum_regret", "est_err_local", "subopt_checkpoint", "t")}
+                  for name in ("a", "beta", "cum_regret", "est_err_local", "subopt_checkpoint",
+                               "t")}
         for rec in recs:
             want = "".join(",".join(row) + "\n" for row in
                            [list(CSV_COLUMNS)] + [expected_row(rec, i) for i in range(len(rec))])

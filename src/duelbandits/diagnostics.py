@@ -4,11 +4,17 @@ These turn the supporting lemmas into measured quantities: does the recorded
 confidence radius actually cover the truth, does the self-normalized potential
 stay under its closed-form ceiling, does the curvature matrix dominate the
 scatter matrix, and does the per-iteration cost stay flat.
+
+The one report path: a run's sink feeds ``RunChecks`` a block of rounds at a
+time, and ``diagnostics_report`` turns a seed's checks and audits into its
+summary's ``diagnostics``. ``coverage_check`` and ``timing_profile`` take a
+whole in-memory record and a caller's radius or windows; the streamed report
+is tested against them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,41 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # the report's potential replays V_s = POTENTIAL_LAMBDA * I + sum_{i<s} z_i z_i^T
 POTENTIAL_LAMBDA = 1.0
-
-
-def diagnostics_report(envs: Sequence, records: Sequence["RunRecord"]) -> List[dict]:
-    """Bundle every lemma-level check, one report dict per finished run.
-
-    Each report holds coverage_ok, first_violation, potential_lhs,
-    potential_rhs, domination_min_eig, timing_early_ns, timing_late_ns and
-    timing_ratio.
-
-    ``envs`` and ``records`` pair each run with its environment. A record a
-    file sink wrote carries the checks it streamed (``checks``), and its
-    environment is not read. The other records are fed to ``RunChecks`` a
-    block of rounds at a time, equal-length records as one stack. The
-    domination eigenvalue is the least of the run's own audits (None, so
-    JSON null, when the estimator exposes no curvature matrix).
-    """
-    from .scenarios import CSV_BLOCK_ROWS
-
-    checks = [rec.checks for rec in records]
-    groups: dict = {}
-    for k, (env, rec) in enumerate(zip(envs, records)):
-        if rec.checks is None:
-            groups.setdefault((len(rec), env.truth.L, env.features.phi.shape), []).append(k)
-    for (n, _, _), ks in groups.items():
-        run = RunChecks([envs[k] for k in ks], n)
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = slice(lo, lo + CSV_BLOCK_ROWS)
-            run.feed(np.arange(len(ks)), records[ks[0]].t[block],
-                     *(np.stack([getattr(records[k], name)[block] for k in ks])
-                       for name in ("x", "a", "a_prime", "est_err_local", "beta", "wall_nanos")))
-        for i, k in enumerate(ks):
-            checks[k] = run.report(i, n)
-    return [{**c, "domination_min_eig": min(
-                (a["min_eig"] for a in rec.summary.get("domination_audits", [])), default=None)}
-            for c, rec in zip(checks, records)]
 
 
 def _window_sums(t: np.ndarray, wall: np.ndarray, n: int) -> np.ndarray:
@@ -76,7 +47,7 @@ class RunChecks:
 
     def __init__(self, envs: Sequence, n: int):
         self.phi = np.stack([env.features.phi for env in envs])
-        self.L, self.n = 2 * envs[0].truth.L, n
+        self.L, self.n = 2 * np.array([env.truth.L for env in envs]), n
         self.rows, self.replay = np.arange(len(envs)), {}
         self.first = np.zeros(len(envs), dtype=np.int64)  # 0: no violation yet
         self.lhs, self.rhs = np.zeros((2, len(envs)))
@@ -94,21 +65,32 @@ class RunChecks:
         z = self.phi[rows[:, None], x, a]
         z -= self.phi[rows[:, None], x, a_prime]
         self.lhs[rows], self.rhs[rows], _ = elliptic_potential_check(
-            z, POTENTIAL_LAMBDA, self.L, self.replay)
+            z, POTENTIAL_LAMBDA, self.L[rows], self.replay)
         bad = err_local > beta
         hit = bad.any(axis=1) & (self.first[rows] == 0)
         self.first[rows[hit]] = t[bad[hit].argmax(axis=1)]
         self.windows[rows] += _window_sums(t, wall, self.n)
 
-    def report(self, s: int, n: int, wall: Optional[np.ndarray] = None) -> dict:
-        """Run s's checks after its n rounds; one that stopped short passes its whole ``wall``."""
-        windows = self.windows[s] if wall is None else _window_sums(np.arange(1, n + 1), wall, n)
-        early, late = (windows / (n // 10 if n >= 10 else n)).tolist() if n else (0.0, 0.0)
-        first = int(self.first[s]) or None
-        return {"coverage_ok": first is None, "first_violation": first,
-                "potential_lhs": float(self.lhs[s]), "potential_rhs": float(self.rhs[s]),
-                "timing_early_ns": early, "timing_late_ns": late,
-                "timing_ratio": late / early if n >= 10 else 1.0}
+
+def diagnostics_report(checks: RunChecks, s: int, n: int, wall: Optional[np.ndarray],
+                       audits: Sequence[dict]) -> dict:
+    """Run s's lemma-level checks after its n rounds: its summary's ``diagnostics`` field.
+
+    Holds coverage_ok, first_violation, potential_lhs, potential_rhs,
+    domination_min_eig, timing_early_ns, timing_late_ns and timing_ratio.
+    A run that stopped short of ``checks.n`` passes its whole ``wall``
+    column, whose windows then fall in its own n rounds. The domination
+    eigenvalue is the least of the run's ``audits`` (None, so JSON null,
+    when the estimator exposes no curvature matrix).
+    """
+    windows = checks.windows[s] if wall is None else _window_sums(np.arange(1, n + 1), wall, n)
+    early, late = (windows / (n // 10 if n >= 10 else n)).tolist() if n else (0.0, 0.0)
+    first = int(checks.first[s]) or None
+    return {"coverage_ok": first is None, "first_violation": first,
+            "potential_lhs": float(checks.lhs[s]), "potential_rhs": float(checks.rhs[s]),
+            "domination_min_eig": min((a["min_eig"] for a in audits), default=None),
+            "timing_early_ns": early, "timing_late_ns": late,
+            "timing_ratio": late / early if n >= 10 else 1.0}
 
 
 def coverage_check(record: "RunRecord",
@@ -128,16 +110,16 @@ def coverage_check(record: "RunRecord",
     return False, int(record.t[int(np.argmax(bad))])
 
 
-def elliptic_potential_check(zs, lambda_v: float, L: float, replay: Optional[dict] = None):
+def elliptic_potential_check(zs, lambda_v: float, L, replay: Optional[dict] = None):
     """Sum of squared self-normalized norms against its closed-form ceiling.
 
     Computes lhs = sum_s ||z_s||^2 in the inverse of V_s = lambda*I + sum_{i<s}
     z_i z_i^T via incremental rank-one inverse updates, and
     rhs = 2 d log(1 + t L^2 / (lambda d)). ``L`` must bound the supplied rows
-    (callers pass 2L for preference differences). Returns (lhs, rhs, ok) with
-    one lhs and one verdict per leading index: scalars for one (n, d)
-    sequence, arrays of S for a stack of equal-length sequences (S, n, d),
-    which are replayed together.
+    (callers pass 2L for preference differences); a stack may pass one bound
+    per sequence. Returns (lhs, rhs, ok) with one value per leading index:
+    scalars for one (n, d) sequence, arrays of S for a stack of equal-length
+    sequences (S, n, d), which are replayed together.
 
     ``zs`` is one such array, or an iterable of consecutive row blocks
     ((m, d) or (S, m, d), one leading shape throughout), so a long sequence
@@ -152,9 +134,10 @@ def elliptic_potential_check(zs, lambda_v: float, L: float, replay: Optional[dic
     if lambda_v <= 0:
         raise ValueError(f"lambda_v must be positive, got {lambda_v}")
     state = {} if replay is None else replay
+    L = np.asarray(L, dtype=float)
     for block in ((zs,) if isinstance(zs, np.ndarray) else zs):
         block = np.asarray(block, dtype=float)
-        if np.any(np.sqrt(np.vecdot(block, block)) > L * (1 + 1e-9)):
+        if np.any(np.sqrt(np.vecdot(block, block)) > L[..., None] * (1 + 1e-9)):
             raise ValueError("a row exceeds the stated norm bound L")
         if not state:
             state.update(inv=np.eye(block.shape[-1]) / lambda_v,
@@ -171,8 +154,8 @@ def elliptic_potential_check(zs, lambda_v: float, L: float, replay: Optional[dic
         raise ValueError("no row blocks to replay")
     d = state["inv"].shape[-1]
     lhs = state["lhs"]
-    rhs = float(2.0 * d * np.log(1.0 + state["n"] * L**2 / (lambda_v * d)))
-    return lhs[()], rhs, (lhs <= rhs + 1e-9)[()]
+    rhs = 2.0 * d * np.log(1.0 + state["n"] * L**2 / (lambda_v * d))
+    return lhs[()], rhs[()], (lhs <= rhs + 1e-9)[()]
 
 
 def norm_domination_check(H: np.ndarray, V: np.ndarray, kappa: float) -> float:

@@ -12,7 +12,6 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .config import ESTIMATOR_CLASSES, ExperimentConfig
-from .diagnostics import diagnostics_report
 from .environment import make_environment
 from .scenarios import FileSink, MemorySink, run_active, run_deploy, run_passive
 
@@ -147,6 +146,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     The rounds stream to the CSVs (``FileSink``) under a temporary name,
     renamed here once every seed has run; a seed that raised leaves no CSV.
+    Each summary, its ``diagnostics`` included, comes from the scenario loop.
     """
     out_dir = Path(cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -155,8 +155,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     stem = f"{cfg.scenario}_{cfg.estimator}_seed{{}}"
     part = str(out_dir / f"{stem}.csv.part")
     results = _run_all(cfg, functools.partial(FileSink, part))
-    done = [rec for _, rec, _ in results if rec is not None]
-    reports = iter(diagnostics_report([None] * len(done), done))
     summaries = []
     for seed, rec, error in results:
         if rec is None:
@@ -164,7 +162,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             summaries.append({"seed": seed, "error": error})
             continue
         os.replace(part.format(seed), out_dir / f"{stem.format(seed)}.csv")
-        rec.summary["diagnostics"] = next(reports)
         rec.summary["config"] = cfg.to_dict()
         (out_dir / f"{stem.format(seed)}_summary.json").write_text(
             json.dumps(rec.summary, indent=2, sort_keys=True), encoding="utf-8")

@@ -15,6 +15,10 @@ update call steps them all. Any other seed is a group of its own, indexed by
 the int 0 so that its rounds work on plain (d,) vectors. Each scenario builds
 one chooser per group from stacked tables. Every seed's record is exactly the
 one it would get alone.
+
+The rounds go to one sink per group, in memory or to CSV files. Either sink
+feeds the group's ``diagnostics.RunChecks``, so every seed's summary carries
+its ``diagnostics``, whichever sink it ran with.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .diagnostics import RunChecks, diagnostics_report, norm_domination_check
 from .environment import Environment, Policy, draw_passive_pair
 from .exceptions import NumericFailure
 from .linalg import inverse_drift
@@ -66,9 +71,8 @@ class RunRecord:
 
     A run's records keep x, a, a' and y in the narrowest unsigned type that
     holds its ids, and share t, beta and every column the run never writes
-    as read-only views. A record that a file sink wrote holds no rounds
-    (they are in its CSV) but carries the checks it streamed for
-    ``diagnostics_report`` in ``checks``.
+    as read-only views. A record that a file sink wrote holds no rounds:
+    they are in its CSV.
     """
 
     scenario: str
@@ -87,10 +91,10 @@ class RunRecord:
     y: Optional[np.ndarray] = None
     flags: Optional[List[str]] = None
     summary: dict = field(default_factory=dict)
-    checks: Optional[dict] = None
 
     def __len__(self) -> int:
-        return len(self.t)
+        """The rounds the seed completed; a record without rounds counts them in its summary."""
+        return self.summary["completed"] if self.t is None else len(self.t)
 
     def write_csv(self, path, shared: Optional[dict] = None, append: bool = False) -> None:
         """One row per iteration, after a header line, or after the file's rows with ``append``.
@@ -128,12 +132,13 @@ class MemorySink:
     A sink holds ``width`` rounds of the CSV's columns, one row per seed;
     round i lives at column i - ``open(lo)`` of the block opened at round lo.
     ``put`` closes the block's rounds for the seeds that ran them and streams
-    what a summary reads: rounds completed, the ``wall_nanos`` sum and flag
-    counts (``flags`` holds indices into FLAGS). Given ``regret(rows, x, a,
-    a')``, what rounds paid (deploy), it fills ``cum_regret`` a block at a
-    time: the running total goes in front of the block's ``np.cumsum``, so
-    the bits are those of one sum over the run. This sink is as wide as the
-    run, so its blocks end only at the end and where a seed stops.
+    what a summary reads: rounds completed, the ``wall_nanos`` sum, flag
+    counts (``flags`` holds indices into FLAGS) and the run's ``RunChecks``,
+    fed CSV_BLOCK_ROWS rounds at a time. Given ``regret(rows, x, a, a')``,
+    what rounds paid (deploy), it fills ``cum_regret`` a block at a time: the
+    running total goes in front of the block's ``np.cumsum``, so the bits are
+    those of one sum over the run. This sink is as wide as the run, so its
+    blocks end only at the end and where a seed stops.
 
     x, a, a' and y take the narrowest unsigned type that holds the ids. A
     column the same for every seed is kept once, read-only, and every record
@@ -169,6 +174,7 @@ class MemorySink:
         # the running regret: -0.0 is the exact identity of +, and a first
         # update that fails leaves 0.0
         self.pay, self.regret = regret, None if regret is None else np.full(S, -0.0)
+        self.checks = RunChecks(envs, T)
 
     def open(self, lo: int) -> int:
         """Start a block at round ``lo``; returns the round at column 0."""
@@ -188,6 +194,11 @@ class MemorySink:
         self.n[seeds] = hi
         self.wall_ns[seeds] += self.wall_nanos[seeds, cols].sum(axis=1)
         self.flag_counts[seeds] += (self.flags[seeds, cols, None] == range(len(FLAGS))).sum(axis=1)
+        for lo in range(cols.start, cols.stop, CSV_BLOCK_ROWS):
+            block = slice(lo, min(lo + CSV_BLOCK_ROWS, cols.stop))
+            self.checks.feed(seeds, self.t[block], self.x[seeds, block], self.a[seeds, block],
+                             self.a_prime[seeds, block], self.est_err_local[seeds, block],
+                             self.beta[block], self.wall_nanos[seeds, block])
         return cols
 
     def _record(self, s: int, cols: slice) -> RunRecord:
@@ -201,6 +212,10 @@ class MemorySink:
         self.beta.flags.writeable = False
         return self._record(s, slice(0, int(self.n[s])))
 
+    def wall(self, s: int) -> np.ndarray:
+        """Seed s's ``wall_nanos`` column: the timing windows of a seed that stopped early."""
+        return self.wall_nanos[s, :self.n[s]]
+
 
 class FileSink(MemorySink):
     """The rounds of one ``_run_loop`` run, streamed to one CSV per seed: memory flat in T.
@@ -209,19 +224,15 @@ class FileSink(MemorySink):
     renames it once the run set is done, so a run cut short leaves no CSV
     that looks complete. Each closed block of CSV_BLOCK_ROWS rounds is
     appended to the seeds' files through ``RunRecord.write_csv``, the shared
-    columns formatted once, and fed to ``RunChecks``, whose report each
-    seed's record carries.
+    columns formatted once. A seed's record holds no rounds.
     """
 
     def __init__(self, path: str, scenario: str, envs: Sequence[Environment], T: int,
                  checkpoints: bool, regret: Optional[Callable]):
-        from .diagnostics import RunChecks
-
         super().__init__(scenario, envs, T, checkpoints, regret, width=CSV_BLOCK_ROWS)
         self.shared = ("t", "beta") + tuple(name for name in ("cum_regret", "subopt_checkpoint")
                                             if not getattr(self, name).flags.writeable)
         self.paths = [path.format(seed) for seed in self.seeds]
-        self.checks = RunChecks(envs, T)
         for s, file in enumerate(self.paths):
             self._record(s, slice(0, 0)).write_csv(file)
 
@@ -240,19 +251,16 @@ class FileSink(MemorySink):
         shared = {name: _csv_cells(name, getattr(records[0], name)) for name in self.shared}
         for s, rec in zip(seeds.tolist(), records):
             rec.write_csv(self.paths[s], shared, append=True)
-        self.checks.feed(seeds, self.t[cols], self.x[seeds, cols], self.a[seeds, cols],
-                         self.a_prime[seeds, cols], self.est_err_local[seeds, cols],
-                         self.beta[cols], self.wall_nanos[seeds, cols])
         return cols
 
     def record(self, s: int) -> RunRecord:
-        n, wall = int(self.n[s]), None
-        if n < self.T:  # stopped early: its timing windows come from the column it wrote
-            with open(self.paths[s], encoding="utf-8") as fh:
-                next(fh)
-                wall = np.array([int(line.split(",", 2)[1]) for line in fh], dtype=np.int64)
-        return RunRecord(self.scenario, self.seeds[s], self.T,
-                         checks=self.checks.report(s, n, wall))
+        return RunRecord(self.scenario, self.seeds[s], self.T)
+
+    def wall(self, s: int) -> np.ndarray:
+        """Seed s's ``wall_nanos`` column, read back from its CSV."""
+        with open(self.paths[s], encoding="utf-8") as fh:
+            next(fh)
+            return np.array([int(line.split(",", 2)[1]) for line in fh], dtype=np.int64)
 
 
 def default_checkpoints(T: int) -> Tuple[int, ...]:
@@ -504,8 +512,6 @@ class _DominationAudit:
             self.v_sum[rows] += z[..., :, None] * z[..., None, :]
 
     def check(self, t: int, live: np.ndarray) -> None:
-        from .diagnostics import norm_domination_check
-
         for s in live:
             kappa = self.kappas[s]
             H = self.estimators[s].local_norm_matrix()
@@ -602,6 +608,8 @@ def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optio
                         if f and c},
         "estimator_stats": _estimator_stats(estimator),
         "domination_audits": audit.records[s],
+        "diagnostics": diagnostics_report(out.checks, s, n, out.wall(s) if n < out.T else None,
+                                          audit.records[s]),
     }
     hist = getattr(estimator, "newton_iters_hist_", None)
     if hist is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -16,8 +17,6 @@ from hypothesis import strategies as st
 
 from duelbandits import cli, runner
 from duelbandits.cli import main
-from duelbandits.diagnostics import diagnostics_report
-from duelbandits.environment import make_environment
 from duelbandits.config import (DAMPING_FNS, ESTIMATOR_CLASSES, ESTIMATORS, POLICY_MODES,
                                 RADIUS_MODES, SCENARIOS, ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
                                 parse_config, resolve_seeds)
@@ -462,13 +461,11 @@ class TestStreamedArtifacts:
                             "num_seeds": 2, "output_dir": str(tmp_path / "out")})
         result = run_experiment(cfg)
         recs = runner.run_single(cfg, list(cfg.seeds))
-        envs = [make_environment(cfg.d, cfg.contexts, cfg.actions, cfg.B, cfg.L, seed=seed,
-                                 coverage_skew=cfg.coverage_skew) for seed in cfg.seeds]
-        for rec, report, summary in zip(recs, diagnostics_report(envs, recs), result.summaries):
+        for rec, summary in zip(recs, result.summaries):
             rec.write_csv(tmp_path / "memory.csv")
             streamed = tmp_path / "out" / f"{scenario}_{kind}_seed{rec.seed}.csv"
             assert csv_without_wall(streamed) == csv_without_wall(tmp_path / "memory.csv")
-            assert untimed(summary["diagnostics"]) == untimed(report)
+            assert untimed(summary["diagnostics"]) == untimed(rec.summary["diagnostics"])
         artifacts = sorted((tmp_path / "out").iterdir())
         assert len(artifacts) == 2 * len(cfg.seeds) + 2
         for path in artifacts:
@@ -504,6 +501,22 @@ class TestStreamedArtifacts:
             assert summary["diagnostics"]["timing_early_ns"] == float(wall[:tenth].mean())
             assert summary["diagnostics"]["timing_late_ns"] == float(wall[-tenth:].mean())
         assert sorted(p.name for p in (tmp_path / "out").iterdir() if ".part" in p.name) == []
+
+    def test_file_record_len_is_its_completed_rounds(self, tmp_path, monkeypatch):
+        """A record whose rows went to a CSV has the length of the rows its seed wrote."""
+        k = CSV_BLOCK_ROWS + 6
+        update = OnePassRewardEstimator.update
+
+        def fail_row_one(self, z, y):
+            if self.t_ == k and len(self.theta_) == 2:
+                raise NumericFailure("synthetic fault", index=1)
+            update(self, z, y)
+
+        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
+        cfg = parse_config({"scenario": "deploy", "T": 2 * CSV_BLOCK_ROWS, "num_seeds": 2})
+        part = str(tmp_path / "seed{}.csv.part")
+        results = runner._run_all(cfg, functools.partial(FileSink, part))
+        assert [len(rec) for _, rec, _ in results] == [cfg.T, k]
 
     def test_chunk_that_raises_leaves_no_stale_csv(self, tmp_path, monkeypatch):
         """A chunk that raises mid-write reruns by seed; the seed that raises alone keeps no file."""

@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duelbandits.diagnostics import (
+    RunChecks,
     coverage_check,
     diagnostics_report,
     elliptic_potential_check,
@@ -13,9 +12,10 @@ from duelbandits.diagnostics import (
     timing_profile,
 )
 from duelbandits.environment import make_environment
+from duelbandits.exceptions import NumericFailure
 from duelbandits.linkmath import kappa_bound, sigmoid_pair
 from duelbandits.onepass import OnePassRewardEstimator
-from duelbandits.scenarios import RunRecord, run_deploy
+from duelbandits.scenarios import CSV_BLOCK_ROWS, MemorySink, RunRecord, run_deploy
 from conftest import OracleEstimator
 
 
@@ -96,23 +96,23 @@ class TestStreamedReplay:
            n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
            seed=st.integers(0, 2**32 - 1))
     def test_blocks_replay_the_one_array_bits(self, S, d, n, seed):
-        """The report's block-gathered replay gives the (S, n, d) replay's lhs to the bit."""
+        """The sink's block-fed replay gives the (S, n, d) replay's lhs to the bit."""
         rng = np.random.default_rng(seed)
         envs = [make_environment(d, 6, 3, seed=seed + k) for k in range(S)]
-        recs = []
-        for _ in envs:
-            rec = synthetic_record(n, wall=np.ones(n))
-            # the ids as the recorder stores them
-            rec.x = rng.integers(0, 6, n).astype(np.uint8)
-            rec.a, rec.a_prime = rng.integers(0, 3, (2, n)).astype(np.uint8)
-            recs.append(rec)
-        zs = np.stack([rec.z_rows(env) for env, rec in zip(envs, recs)])
+        sink = MemorySink("synthetic", envs, n, False, None)
+        # the ids in the sink's narrow columns, put as one block of n rounds
+        sink.x[:] = rng.integers(0, 6, (S, n))
+        sink.a[:], sink.a_prime[:] = rng.integers(0, 3, (2, S, n))
+        sink.wall_nanos[:] = 1
+        sink.open(0)
+        sink.put(n, np.arange(S))
+        zs = np.stack([sink.record(s).z_rows(env) for s, env in enumerate(envs)])
         L = 2 * envs[0].truth.L
         lhs, rhs, _ = elliptic_potential_check(zs, 1.0, L)
         want = np.atleast_1d(lhs).tolist()
         blocks = (zs[:, lo:lo + BLOCK] for lo in range(0, n, BLOCK))
         assert np.atleast_1d(elliptic_potential_check(blocks, 1.0, L)[0]).tolist() == want
-        reports = diagnostics_report(envs, recs)
+        reports = [diagnostics_report(sink.checks, s, n, None, []) for s in range(S)]
         assert [r["potential_lhs"] for r in reports] == want
         assert all(r["potential_rhs"] == rhs for r in reports)
 
@@ -138,18 +138,21 @@ class TestStreamedReplay:
         with pytest.raises(ValueError):
             elliptic_potential_check(iter(()), 1.0, 1.0)
 
-    def test_report_holds_one_block_of_rows(self):
-        """20 seeds x 2000 rounds at d=5: the report's peak stays far below the 1.6 MB of rows."""
+    def test_report_holds_one_block_of_rows(self, monkeypatch):
+        """20 seeds x 2000 rounds in memory: no feed of the report takes more than one block."""
+        fed = []
+        feed = RunChecks.feed
+
+        def spy(self, rows, t, *columns):
+            fed.append((len(rows), len(t)))
+            feed(self, rows, t, *columns)
+
+        monkeypatch.setattr(RunChecks, "feed", spy)
         envs = [make_environment(5, 8, 4, seed=s) for s in range(20)]
-        recs = run_deploy(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 2000)
-        all_rows = 20 * 2000 * 5 * 8
-        tracemalloc.start()
-        try:
-            diagnostics_report(envs, recs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < all_rows // 2, peak
+        run_deploy(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 2000)
+        assert max(rounds for _, rounds in fed) <= CSV_BLOCK_ROWS
+        assert sum(rounds for _, rounds in fed) == 2000
+        assert {seeds for seeds, _ in fed} == {20}
 
 
 class TestNormDomination:
@@ -174,11 +177,8 @@ class TestNormDomination:
 
 class TestDiagnosticsReport:
     def test_full_report_on_theory_radius_run(self, default_env):
-        from duelbandits.diagnostics import diagnostics_report
-
         est = OnePassRewardEstimator(dim=5, radius_mode="theory")
-        rec = run_deploy(default_env, est, 150)
-        [report] = diagnostics_report([default_env], [rec])
+        report = run_deploy(default_env, est, 150).summary["diagnostics"]
         assert report["coverage_ok"]
         assert report["first_violation"] is None
         assert 0 < report["potential_lhs"] <= report["potential_rhs"] + 1e-9
@@ -190,14 +190,42 @@ class TestDiagnosticsReport:
         }
 
     def test_practical_radius_violation_reported_honestly(self, default_env):
-        from duelbandits.diagnostics import diagnostics_report
-
         # the practical radius makes no coverage guarantee; at t=1 the local
         # error sqrt(lam)*||theta*|| dwarfs it, and the report must say so
-        rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 50)
-        [report] = diagnostics_report([default_env], [rec])
+        report = run_deploy(default_env, OnePassRewardEstimator(dim=5), 50).summary["diagnostics"]
         assert not report["coverage_ok"]
         assert report["first_violation"] == 1
+
+
+class TestStreamedReport:
+    def test_report_equals_the_record_references(self, monkeypatch):
+        """Lone and lockstep reports: one stacked seed stops in block two, one has L = 2."""
+        T, k = 2 * CSV_BLOCK_ROWS + 22, CSV_BLOCK_ROWS + 40
+        update = OnePassRewardEstimator.update
+
+        def fail_row_one(self, z, y):
+            if self.t_ == k and len(self.theta_) == 3:
+                raise NumericFailure("synthetic fault", index=1)
+            update(self, z, y)
+
+        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
+        bounds = (1.0, 1.0, 1.0, 2.0)  # a stack may mix feature bounds
+        envs = [make_environment(5, 8, 4, L=L, seed=s) for s, L in enumerate(bounds)]
+        lone = run_deploy(envs[0], OnePassRewardEstimator(dim=5, radius_mode="theory"), T)
+        stack = run_deploy(envs[1:], [OnePassRewardEstimator(dim=5) for _ in envs[1:]], T)
+        assert [len(rec) for rec in stack] == [T, k, T]
+        reports = []
+        for env, rec in zip(envs, [lone, *stack]):
+            report = rec.summary["diagnostics"]
+            reports.append(report)
+            assert (report["coverage_ok"], report["first_violation"]) == coverage_check(rec)
+            lhs, rhs, _ = elliptic_potential_check(rec.z_rows(env), 1.0, 2 * env.truth.L)
+            assert (report["potential_lhs"], report["potential_rhs"]) == (lhs, rhs)
+            n = len(rec)
+            w = n // 10
+            early, late, _ = timing_profile(rec, (1, w), (n - w + 1, n))
+            assert (report["timing_early_ns"], report["timing_late_ns"]) == (early, late)
+        assert {report["coverage_ok"] for report in reports} == {True, False}
 
 
 class TestTimingProfile:

@@ -744,6 +744,7 @@ class TestRunRecord:
 
 
 TIMING_KEYS = ("update_ns_total", "update_ns_mean")
+DIAGNOSTICS_TIMING_KEYS = ("timing_early_ns", "timing_late_ns", "timing_ratio")
 
 
 def assert_same_run(got, want):
@@ -752,7 +753,13 @@ def assert_same_run(got, want):
     for name in ("t", "est_err_l2", "est_err_local", "beta", "cum_regret",
                  "subopt_checkpoint", "x", "a", "a_prime", "y"):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
-    strip = lambda summary: {k: v for k, v in summary.items() if k not in TIMING_KEYS}
+
+    def strip(summary):
+        out = {k: v for k, v in summary.items() if k not in TIMING_KEYS}
+        out["diagnostics"] = {k: v for k, v in summary["diagnostics"].items()
+                              if k not in DIAGNOSTICS_TIMING_KEYS}
+        return out
+
     assert strip(got.summary) == strip(want.summary)
 
 

@@ -74,15 +74,15 @@ def practical_radius(coeff: float, dim: int, t: int, delta: float) -> float:
     return coeff * math.sqrt(dim * math.log((t + 1) / delta))
 
 
-def check_vector(z, dim: int, name: str = "z", lead: Tuple[int, ...] = ()) -> np.ndarray:
+def check_vector(z, dim: int, lead: Tuple[int, ...] = ()) -> np.ndarray:
     """Coerce to a finite float vector of length ``dim``, or a ``lead`` stack of them."""
     arr = np.asarray(z, dtype=float)
     if not lead:
         arr = arr.reshape(-1)
     if arr.shape != (*lead, dim):
-        raise ValueError(f"{name} must have shape {(*lead, dim)}, got {np.shape(z)}")
+        raise ValueError(f"z must have shape {(*lead, dim)}, got {np.shape(z)}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("z contains non-finite entries")
     return arr
 
 

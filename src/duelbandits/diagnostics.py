@@ -81,7 +81,8 @@ def diagnostics_report(checks: RunChecks, s: int, n: int, wall: Optional[np.ndar
     A run that stopped short of ``checks.n`` passes its whole ``wall``
     column, whose windows then fall in its own n rounds. The domination
     eigenvalue is the least of the run's ``audits`` (None, so JSON null,
-    when the estimator exposes no curvature matrix).
+    when the estimator exposes no curvature matrix); the timing ratio is
+    None when the early window read 0 ns.
     """
     windows = checks.windows[s] if wall is None else _window_sums(np.arange(1, n + 1), wall, n)
     early, late = (windows / (n // 10 if n >= 10 else n)).tolist() if n else (0.0, 0.0)
@@ -90,7 +91,7 @@ def diagnostics_report(checks: RunChecks, s: int, n: int, wall: Optional[np.ndar
             "potential_lhs": float(checks.lhs[s]), "potential_rhs": float(checks.rhs[s]),
             "domination_min_eig": min((a["min_eig"] for a in audits), default=None),
             "timing_early_ns": early, "timing_late_ns": late,
-            "timing_ratio": late / early if n >= 10 else 1.0}
+            "timing_ratio": 1.0 if n < 10 else late / early if early else None}
 
 
 def coverage_check(record: "RunRecord",
@@ -118,42 +119,34 @@ def elliptic_potential_check(zs, lambda_v: float, L, replay: Optional[dict] = No
     rhs = 2 d log(1 + t L^2 / (lambda d)). ``L`` must bound the supplied rows
     (callers pass 2L for preference differences); a stack may pass one bound
     per sequence. Returns (lhs, rhs, ok) with one value per leading index:
-    scalars for one (n, d) sequence, arrays of S for a stack of equal-length
-    sequences (S, n, d), which are replayed together.
+    scalars for one (n, d) sequence ``zs``, arrays of S for a stack of
+    equal-length sequences (S, n, d), which are replayed together.
 
-    ``zs`` is one such array, or an iterable of consecutive row blocks
-    ((m, d) or (S, m, d), one leading shape throughout), so a long sequence
-    is replayed without being held whole; the blocking does not change a bit
-    of lhs. A block is checked against ``L`` when it arrives. ``replay``, an
-    initially empty dict passed on every call, carries the replay from call
-    to call: each call then feeds the next rows, and lhs and rhs cover every
-    row fed so far. Once a row is fed, its ``inv`` and ``lhs`` hold one
-    entry per sequence of a stack, and a caller whose sequences stop early
-    keeps the entries of the others.
+    ``replay``, an initially empty dict passed on every call, carries the
+    replay from call to call, so a long sequence is fed a block of rows at a
+    time without being held whole; the blocking does not change a bit of
+    lhs. Each call checks its rows against ``L`` and feeds them after the
+    rows before, and lhs and rhs cover every row fed so far. Once a row is
+    fed, its ``inv`` and ``lhs`` hold one entry per sequence of a stack, and
+    a caller whose sequences stop early keeps the entries of the others.
     """
     if lambda_v <= 0:
         raise ValueError(f"lambda_v must be positive, got {lambda_v}")
+    zs, L = np.asarray(zs, dtype=float), np.asarray(L, dtype=float)
+    if np.any(np.sqrt(np.vecdot(zs, zs)) > L[..., None] * (1 + 1e-9)):
+        raise ValueError("a row exceeds the stated norm bound L")
     state = {} if replay is None else replay
-    L = np.asarray(L, dtype=float)
-    for block in ((zs,) if isinstance(zs, np.ndarray) else zs):
-        block = np.asarray(block, dtype=float)
-        if np.any(np.sqrt(np.vecdot(block, block)) > L[..., None] * (1 + 1e-9)):
-            raise ValueError("a row exceeds the stated norm bound L")
-        if not state:
-            state.update(inv=np.eye(block.shape[-1]) / lambda_v,
-                         lhs=np.zeros(block.shape[:-2]), n=0)
-        inv, lhs = state["inv"], state["lhs"]
-        for j in range(block.shape[-2]):
-            z = block[..., j, :]
-            u = np.matvec(inv, z)
-            zu = np.vecdot(z, u)
-            lhs = lhs + zu
-            inv = sherman_morrison(inv, z, 1.0, u, zu)
-        state.update(inv=inv, lhs=lhs, n=state["n"] + block.shape[-2])
     if not state:
-        raise ValueError("no row blocks to replay")
-    d = state["inv"].shape[-1]
-    lhs = state["lhs"]
+        state.update(inv=np.eye(zs.shape[-1]) / lambda_v, lhs=np.zeros(zs.shape[:-2]), n=0)
+    inv, lhs = state["inv"], state["lhs"]
+    for j in range(zs.shape[-2]):
+        z = zs[..., j, :]
+        u = np.matvec(inv, z)
+        zu = np.vecdot(z, u)
+        lhs = lhs + zu
+        inv = sherman_morrison(inv, z, 1.0, u, zu)
+    state.update(inv=inv, lhs=lhs, n=state["n"] + zs.shape[-2])
+    d = zs.shape[-1]
     rhs = 2.0 * d * np.log(1.0 + state["n"] * L**2 / (lambda_v * d))
     return lhs[()], rhs[()], (lhs <= rhs + 1e-9)[()]
 

@@ -350,10 +350,5 @@ class LocalNormMatrix:
 
     def inverse_drift(self) -> float:
         """Relative Frobenius distance between the maintained inverse and a fresh one."""
-        return inverse_drift(self.mat, self.inv)
-
-
-def inverse_drift(mat: np.ndarray, inv: np.ndarray) -> float:
-    """Relative Frobenius distance between ``inv`` and a fresh inverse of ``mat``."""
-    fresh = np.linalg.inv(mat)
-    return float(np.linalg.norm(inv - fresh) / np.linalg.norm(fresh))
+        fresh = np.linalg.inv(self.mat)
+        return float(np.linalg.norm(self.inv - fresh) / np.linalg.norm(fresh))

@@ -34,7 +34,6 @@ import numpy as np
 from .diagnostics import RunChecks, diagnostics_report, norm_domination_check
 from .environment import Environment, Policy, draw_passive_pair
 from .exceptions import NumericFailure
-from .linalg import inverse_drift
 from .linkmath import bt_sample, kappa_bound
 
 CSV_COLUMNS = (
@@ -99,21 +98,18 @@ class RunRecord:
     def write_csv(self, path, shared: Optional[dict] = None, append: bool = False) -> None:
         """One row per iteration, after a header line, or after the file's rows with ``append``.
 
-        Cells are formatted a column and a block of rows at a time, so the
-        converted copy stays small. ``shared`` holds the preformatted cells of
-        columns this record has in common with others.
+        Cells are formatted a column at a time, all rows in one pass: a file
+        sink hands over one block of rounds. ``shared`` holds the preformatted
+        cells of columns this record has in common with others.
         """
         shared = shared or {}
-        n = len(self.t)
+        columns = [shared[name] if name in shared else _csv_cells(name, getattr(self, name))
+                   for name in CSV_COLUMNS[:-1]]
+        lines = [] if append else [",".join(CSV_COLUMNS)]
+        lines += map(",".join, zip(*columns, self.flags))
+        lines.append("")
         with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
-            if not append:
-                fh.write(",".join(CSV_COLUMNS) + "\n")
-            for lo in range(0, n, CSV_BLOCK_ROWS):
-                block = slice(lo, min(lo + CSV_BLOCK_ROWS, n))
-                columns = [shared[name][block] if name in shared
-                           else _csv_cells(name, getattr(self, name)[block])
-                           for name in CSV_COLUMNS[:-1]]
-                fh.write("\n".join(map(",".join, zip(*columns, self.flags[block]))) + "\n")
+            fh.write("\n".join(lines))
 
     def z_rows(self, env: Environment) -> np.ndarray:
         """Reconstruct the played z sequence from the logged tuple ids."""
@@ -134,11 +130,11 @@ class MemorySink:
     ``put`` closes the block's rounds for the seeds that ran them and streams
     what a summary reads: rounds completed, the ``wall_nanos`` sum, flag
     counts (``flags`` holds indices into FLAGS) and the run's ``RunChecks``,
-    fed CSV_BLOCK_ROWS rounds at a time. Given ``regret(rows, x, a, a')``,
-    what rounds paid (deploy), it fills ``cum_regret`` a block at a time: the
-    running total goes in front of the block's ``np.cumsum``, so the bits are
-    those of one sum over the run. This sink is as wide as the run, so its
-    blocks end only at the end and where a seed stops.
+    fed the block in one call. Given ``regret(rows, x, a, a')``, what rounds
+    paid (deploy), it fills ``cum_regret`` a block at a time: the running
+    total goes in front of the block's ``np.cumsum``, so the bits are those
+    of one sum over the run. This sink is as wide as the run; ``_run_loop``
+    puts its blocks as it puts a file sink's.
 
     x, a, a' and y take the narrowest unsigned type that holds the ids. A
     column the same for every seed is kept once, read-only, and every record
@@ -151,15 +147,15 @@ class MemorySink:
     def __init__(self, scenario: str, envs: Sequence[Environment], T: int,
                  checkpoints: bool, regret: Optional[Callable], width: Optional[int] = None):
         self.scenario, self.seeds, self.T = scenario, [env.rng_seed for env in envs], T
-        self.width = T if width is None else width
+        width = T if width is None else width
         contexts, actions = envs[0].features.phi.shape[:2]
-        S, shape = len(self.seeds), (len(self.seeds), self.width)
-        self.t = np.arange(1, self.width + 1, dtype=np.int64)
+        S, shape = len(self.seeds), (len(self.seeds), width)
+        self.t = np.arange(1, width + 1, dtype=np.int64)
         self.t.flags.writeable = False
         nan = np.broadcast_to(np.nan, shape)
         self.cum_regret = nan if regret is None else np.full(shape, np.nan)
         self.subopt_checkpoint = np.full(shape, np.nan) if checkpoints else nan
-        self.beta = np.full(self.width, np.nan)
+        self.beta = np.full(width, np.nan)
         self.wall_nanos = np.zeros(shape, dtype=np.int64)
         self.est_err_l2 = np.full(shape, np.nan)
         self.est_err_local = np.full(shape, np.nan)
@@ -194,11 +190,9 @@ class MemorySink:
         self.n[seeds] = hi
         self.wall_ns[seeds] += self.wall_nanos[seeds, cols].sum(axis=1)
         self.flag_counts[seeds] += (self.flags[seeds, cols, None] == range(len(FLAGS))).sum(axis=1)
-        for lo in range(cols.start, cols.stop, CSV_BLOCK_ROWS):
-            block = slice(lo, min(lo + CSV_BLOCK_ROWS, cols.stop))
-            self.checks.feed(seeds, self.t[block], self.x[seeds, block], self.a[seeds, block],
-                             self.a_prime[seeds, block], self.est_err_local[seeds, block],
-                             self.beta[block], self.wall_nanos[seeds, block])
+        self.checks.feed(seeds, self.t[cols], self.x[seeds, cols], self.a[seeds, cols],
+                         self.a_prime[seeds, cols], self.est_err_local[seeds, cols],
+                         self.beta[cols], self.wall_nanos[seeds, cols])
         return cols
 
     def _record(self, s: int, cols: slice) -> RunRecord:
@@ -238,7 +232,7 @@ class FileSink(MemorySink):
 
     def open(self, lo: int) -> int:
         self.base = lo
-        self.t = np.arange(lo + 1, lo + 1 + self.width, dtype=np.int64)
+        self.t = np.arange(lo + 1, lo + 1 + CSV_BLOCK_ROWS, dtype=np.int64)
         self.wall_nanos.fill(0)
         self.flags.fill(0)
         for name in {"cum_regret", "subopt_checkpoint"}.difference(self.shared):
@@ -492,8 +486,7 @@ class _DominationAudit:
     seed's H from its own estimator, which the loop has brought up to date.
     """
 
-    def __init__(self, estimators, envs: Sequence[Environment], T: int,
-                 points: Sequence[int] = DOMINATION_AUDIT_POINTS):
+    def __init__(self, estimators, envs: Sequence[Environment], T: int):
         self.records: List[List[dict]] = [[] for _ in estimators]
         if getattr(estimators[0], "kind", None) not in _AUDITED_KINDS:
             self.points = frozenset()
@@ -502,7 +495,7 @@ class _DominationAudit:
         self.kappas = [kappa_bound(env.truth.B, env.truth.L) for env in envs]
         dim = envs[0].features.dim
         self.v_sum = np.zeros((len(envs), dim, dim))
-        self.points = frozenset(p for p in (*points, T) if 1 <= p <= T)
+        self.points = frozenset(p for p in (*DOMINATION_AUDIT_POINTS, T) if 1 <= p <= T)
         self.estimators = estimators
         self.dim = dim
 
@@ -524,9 +517,9 @@ def _estimator_stats(estimator) -> dict:
     stats = {}
     if hasattr(estimator, "projections_"):
         stats["projections"] = estimator.projections_
-    mat = estimator.local_norm_matrix()
-    if mat is not None:
-        stats["inverse_drift"] = inverse_drift(mat, estimator.inv_norm_matrix())
+    curvature = getattr(estimator, "curvature_attr", None)
+    if curvature is not None:
+        stats["inverse_drift"] = getattr(estimator, curvature).inverse_drift()
     return stats
 
 
@@ -540,15 +533,14 @@ def _seeds(env, estimator):
     return envs, estimators, False
 
 
-def _groups(envs: Sequence[Environment], estimators, stream_seed: Optional[int]):
+def _groups(envs: Sequence[Environment], estimators):
     """The (environments, estimators, streams) of each group ``_run_loop`` runs, in seed order.
 
     Several seeds of an estimator with a stacked update (``stack``/``unstack``)
     form one lockstep group; any other seed is a group of its own. Each seed's
-    random stream comes from its environment's seed unless overridden.
+    random stream comes from its environment's seed.
     """
-    streams = [np.random.default_rng((env.rng_seed, 1) if stream_seed is None else stream_seed)
-               for env in envs]
+    streams = [np.random.default_rng((env.rng_seed, 1)) for env in envs]
     if len(envs) > 1 and hasattr(type(estimators[0]), "stack"):
         return [(envs, estimators, streams)]
     return [([e], [est], [rng]) for e, est, rng in zip(envs, estimators, streams)]
@@ -654,8 +646,9 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     short ends by extracting it.
 
     The rounds go to ``sink(scenario, envs, T, checkpoints, regret)``, a
-    ``MemorySink`` or ``FileSink``: a block is put when full, at the end and
-    when a seed stops, so it holds the same rounds for each of its seeds.
+    ``MemorySink`` or ``FileSink``: whichever it is, a block is put at every
+    multiple of CSV_BLOCK_ROWS rounds, at the end and when a seed stops, so it
+    holds the same rounds for each of its seeds.
     ``regret(rows, x, a, a')`` (deploy) gives what the rounds paid.
 
     A stack owns the state while the rounds run; each seed's own estimator
@@ -725,7 +718,7 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
             if t in ckpts:
                 for s in live:
                     out.subopt_checkpoint[s, j] = subopt(policy(estimators[s], envs[s]), envs[s])
-        if t == T or t - base == out.width or len(live) < len(held):
+        if t % CSV_BLOCK_ROWS == 0 or t == T or len(live) < len(held):
             out.put(t, held)
             held, base = live, out.open(t)
         if not len(live):
@@ -737,8 +730,7 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
 
 
 def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
-                checkpoints: Optional[Sequence[int]] = None,
-                stream_seed: Optional[int] = None, sink: Callable = MemorySink):
+                checkpoints: Optional[Sequence[int]] = None, sink: Callable = MemorySink):
     """Observe behavior-distributed pairs for T rounds, then extract a pessimistic policy.
 
     Returns (policy, record); for sequences of environments and estimators, a
@@ -767,14 +759,14 @@ def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
 
         return choose
 
-    out = [run for group_envs, group_ests, rngs in _groups(envs, estimators, stream_seed)
+    out = [run for group_envs, group_ests, rngs in _groups(envs, estimators)
            for run in _run_loop("passive", group_envs, group_ests, T,
                                 chooser(group_envs, rngs), policy, checkpoints, sink=sink)]
     return out[0] if single else out
 
 
 def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = None,
-               stream_seed: Optional[int] = None, sink: Callable = MemorySink):
+               sink: Callable = MemorySink):
     """Query the most uncertain pair each round; play the averaged-parameter greedy policy.
 
     Returns (policy, record); for sequences of environments and estimators, a
@@ -809,7 +801,7 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
 
         return choose
 
-    out = [run for group_envs, group_ests, streams in _groups(envs, estimators, stream_seed)
+    out = [run for group_envs, group_ests, streams in _groups(envs, estimators)
            for run in _run_loop("active", group_envs, group_ests, T,
                                 chooser(group_envs, streams), policy, checkpoints, sink=sink)]
     for (final, rec), est, e in zip(out, estimators, envs):
@@ -818,8 +810,7 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
     return out[0] if single else out
 
 
-def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
-               stream_seed: Optional[int] = None, sink: Callable = MemorySink):
+def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0, sink: Callable = MemorySink):
     """Serve arriving contexts with a greedy + exploratory pair, accumulating dueling regret.
 
     Returns the record; for sequences of environments and estimators, a list
@@ -850,7 +841,7 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0,
         return choose, regret
 
     records = []
-    for group_envs, group_ests, streams in _groups(envs, estimators, stream_seed):
+    for group_envs, group_ests, streams in _groups(envs, estimators):
         choose, regret = chooser(group_envs, streams)
         records += [rec for _, rec in _run_loop("deploy", group_envs, group_ests, T, choose,
                                                 checkpoints=(), regret=regret, sink=sink)]

@@ -23,7 +23,7 @@ from duelbandits.config import (DAMPING_FNS, ESTIMATOR_CLASSES, ESTIMATORS, POLI
 from duelbandits.exceptions import ConfigError, NumericFailure
 from duelbandits.onepass import OnePassRewardEstimator
 from duelbandits.runner import aggregate_summaries, run_experiment
-from duelbandits.scenarios import CSV_BLOCK_ROWS, ENUMERATE_BUDGET, FileSink
+from duelbandits.scenarios import CSV_BLOCK_ROWS, ENUMERATE_BUDGET, FileSink, MemorySink
 from duelbandits.verify import (
     check_sherman_morrison_agreement,
     check_domination_zero_case,
@@ -517,6 +517,36 @@ class TestStreamedArtifacts:
         part = str(tmp_path / "seed{}.csv.part")
         results = runner._run_all(cfg, functools.partial(FileSink, part))
         assert [len(rec) for _, rec, _ in results] == [cfg.T, k]
+
+    def test_both_sinks_put_the_same_blocks(self, tmp_path, monkeypatch):
+        """Either sink gets a block every CSV_BLOCK_ROWS rounds, at the end and where a seed stops."""
+        k = CSV_BLOCK_ROWS + 40  # inside the second block
+        update = OnePassRewardEstimator.update
+
+        def fail_row_one(self, z, y):
+            if self.t_ == k and len(self.theta_) == 3:
+                raise NumericFailure("synthetic fault", index=1)
+            update(self, z, y)
+
+        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
+        cfg = parse_config({"scenario": "deploy", "T": 2 * CSV_BLOCK_ROWS + 6, "num_seeds": 3})
+
+        def spying(sink):
+            calls = []
+
+            class Spy(sink):
+                def put(self, hi, seeds):
+                    calls.append((hi, seeds.tolist()))
+                    return super().put(hi, seeds)
+
+            return calls, Spy
+
+        memory, spy = spying(MemorySink)
+        runner.run_single(cfg, list(cfg.seeds), spy)
+        file, spy = spying(FileSink)
+        runner.run_single(cfg, list(cfg.seeds), functools.partial(spy, str(tmp_path / "s{}.csv")))
+        assert memory == file == [(CSV_BLOCK_ROWS, [0, 1, 2]), (k, [0, 1, 2]),
+                                  (2 * CSV_BLOCK_ROWS, [0, 2]), (cfg.T, [0, 2])]
 
     def test_chunk_that_raises_leaves_no_stale_csv(self, tmp_path, monkeypatch):
         """A chunk that raises mid-write reruns by seed; the seed that raises alone keeps no file."""

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,8 +112,10 @@ class TestStreamedReplay:
         L = 2 * envs[0].truth.L
         lhs, rhs, _ = elliptic_potential_check(zs, 1.0, L)
         want = np.atleast_1d(lhs).tolist()
-        blocks = (zs[:, lo:lo + BLOCK] for lo in range(0, n, BLOCK))
-        assert np.atleast_1d(elliptic_potential_check(blocks, 1.0, L)[0]).tolist() == want
+        replay = {}
+        for lo in range(0, n, BLOCK):
+            fed = elliptic_potential_check(zs[:, lo:lo + BLOCK], 1.0, L, replay)[0]
+        assert np.atleast_1d(fed).tolist() == want
         reports = [diagnostics_report(sink.checks, s, n, None, []) for s in range(S)]
         assert [r["potential_lhs"] for r in reports] == want
         assert all(r["potential_rhs"] == rhs for r in reports)
@@ -123,20 +127,12 @@ class TestStreamedReplay:
         zs = rng.standard_normal((2, n, 4))
         zs /= 2.0 * np.linalg.norm(zs, axis=-1, keepdims=True)
         zs[1, bad] *= 5.0  # norm 2.5 against L = 2
-        served = []
-
-        def blocks():
+        replay, served = {}, []
+        with pytest.raises(ValueError, match="norm bound"):
             for lo in range(0, n, BLOCK):
                 served.append(lo)
-                yield zs[:, lo:lo + BLOCK]
-
-        with pytest.raises(ValueError, match="norm bound"):
-            elliptic_potential_check(blocks(), 1.0, 2.0)
+                elliptic_potential_check(zs[:, lo:lo + BLOCK], 1.0, 2.0, replay)
         assert served[-1] == bad - bad % BLOCK
-
-    def test_no_blocks_rejected(self):
-        with pytest.raises(ValueError):
-            elliptic_potential_check(iter(()), 1.0, 1.0)
 
     def test_report_holds_one_block_of_rows(self, monkeypatch):
         """20 seeds x 2000 rounds in memory: no feed of the report takes more than one block."""
@@ -188,6 +184,20 @@ class TestDiagnosticsReport:
             "coverage_ok", "first_violation", "potential_lhs", "potential_rhs",
             "domination_min_eig", "timing_early_ns", "timing_late_ns", "timing_ratio",
         }
+
+    def test_zero_early_window_reports_no_ratio(self, default_env):
+        """A run whose early rounds read 0 ns reports a null timing ratio instead of raising."""
+
+        class Untimed(MemorySink):
+            def put(self, hi, seeds):
+                self.wall_nanos[:] = 0
+                return super().put(hi, seeds)
+
+        rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 40, sink=Untimed)
+        report = rec.summary["diagnostics"]
+        assert (report["timing_early_ns"], report["timing_late_ns"]) == (0.0, 0.0)
+        assert report["timing_ratio"] is None
+        assert json.loads(json.dumps(report, allow_nan=False))["timing_ratio"] is None
 
     def test_practical_radius_violation_reported_honestly(self, default_env):
         # the practical radius makes no coverage guarantee; at t=1 the local

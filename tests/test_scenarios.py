@@ -513,8 +513,7 @@ class TestRunDeploy:
         assert np.array_equal(a.y, b.y)
 
     def test_domination_audits_present(self, default_env):
-        rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 150,
-                         stream_seed=1234)
+        rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 150)
         audits = rec.summary["domination_audits"]
         assert [a["t"] for a in audits] == [100, 150]
         assert all(a["min_eig"] >= -1e-8 for a in audits)

@@ -65,16 +65,20 @@ def _seed_chunks(cfg: ExperimentConfig) -> List[List[int]]:
 def _run_seed_task(args: Tuple[ExperimentConfig, List[int], Callable]):
     """(seed, record, error) for each seed of a chunk.
 
-    A chunk that raises runs again one seed at a time, so the error lands on
-    the seed that raised and the other seeds complete.
+    A chunk of a kind with a lockstep update (``stack``) is one ``run_single``
+    call. Any other kind runs one seed a call, so a seed's estimator and
+    environment are freed when its run ends, not when the chunk's last seed
+    does. A lockstep chunk that raises runs again one seed at a time, so the
+    error lands on the seed that raised and the other seeds complete.
     """
     cfg, seeds, sink = args
-    try:
-        return list(zip(seeds, run_single(cfg, seeds, sink), [None] * len(seeds)))
-    except Exception as exc:  # algorithmic failure: record, let other seeds run
-        if len(seeds) > 1:
-            return [r for seed in seeds for r in _run_seed_task((cfg, [seed], sink))]
-        return [(seeds[0], None, f"{type(exc).__name__}: {exc}")]
+    if len(seeds) == 1 or hasattr(ESTIMATOR_CLASSES[cfg.estimator], "stack"):
+        try:
+            return list(zip(seeds, run_single(cfg, seeds, sink), [None] * len(seeds)))
+        except Exception as exc:  # algorithmic failure: record, let other seeds run
+            if len(seeds) == 1:
+                return [(seeds[0], None, f"{type(exc).__name__}: {exc}")]
+    return [r for seed in seeds for r in _run_seed_task((cfg, [seed], sink))]
 
 
 def _run_all(cfg: ExperimentConfig, sink: Callable):

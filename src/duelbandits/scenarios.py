@@ -42,7 +42,7 @@ CSV_COLUMNS = (
 )
 
 ENUMERATE_BUDGET = 10**6
-ENUMERATE_BLOCK = 256
+ENUMERATE_ROWS = 1024
 LAZY_CANDIDATES = 32
 CSV_BLOCK_ROWS = 256
 DOMINATION_AUDIT_POINTS = (100, 1000)
@@ -331,10 +331,12 @@ def pessimistic_policy(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
         )
     # Expand the table one context at a time, carrying each partial policy's
     # linear value and quadratic form, q(p + r) = q(p) + 2 (p M).r + r M r^T,
-    # so the full A**X x d table of averaged features is never formed. The
-    # last two contexts are expanded ENUMERATE_BLOCK partial policies at a
-    # time, so the widest level is never formed either; a running argmax
-    # keeps np.argmax's answer: the first maximum, or the first NaN.
+    # so the full A**X x d table of averaged features is never formed. Whole
+    # levels are expanded while the next holds at most ENUMERATE_ROWS partial
+    # policies (at most X - 2 levels); the rest are walked a block of head rows
+    # at a time, so no (rows, d) level a block forms exceeds that budget
+    # either. A running argmax keeps np.argmax's answer: the first maximum,
+    # or the first NaN.
     def expand(lin, quad, prefix, x):
         rows = env.rho[x] * phi[x]
         cross = (prefix @ norm_inv) @ rows.T
@@ -344,13 +346,16 @@ def pessimistic_policy(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
             prefix = (prefix[:, None, :] + rows[None, :, :]).reshape(-1, d)
         return lin, quad, prefix
 
-    head = max(X - 2, 0)
+    head = 0
+    while head < X - 2 and A ** (head + 1) <= ENUMERATE_ROWS:
+        head += 1
     table = np.zeros(1), np.zeros(1), np.zeros((1, d))
     for x in range(head):
         table = expand(*table, x)
+    size = max(1, ENUMERATE_ROWS // A ** (X - head - 1))
     best, best_value = 0, None
-    for lo in range(0, len(table[0]), ENUMERATE_BLOCK):
-        block = tuple(column[lo:lo + ENUMERATE_BLOCK] for column in table)
+    for lo in range(0, len(table[0]), size):
+        block = tuple(column[lo:lo + size] for column in table)
         for x in range(head, X):
             block = expand(*block, x)
         lin, quad, _ = block

@@ -416,6 +416,19 @@ class TestRunExperiment:
         m2 = {k: v for k, v in r2.aggregate["metrics"].items() if k != "update_ns_mean"}
         assert m1 == m2
 
+    def test_workers_do_not_change_lone_seed_runs(self, tmp_path):
+        """A kind without a lockstep update runs one seed a call, in a pool worker too."""
+        base = {"scenario": "passive", "estimator": "mle", "T": 40, "num_seeds": 4}
+        r1 = run_experiment(parse_config({**base, "workers": 1,
+                                          "output_dir": str(tmp_path / "w1")}))
+        r2 = run_experiment(parse_config({**base, "workers": 2,
+                                          "output_dir": str(tmp_path / "w2")}))
+        assert list(map(untimed_summary, r1.summaries)) == list(map(untimed_summary, r2.summaries))
+        csvs = sorted(p.name for p in (tmp_path / "w1").glob("*.csv"))
+        assert len(csvs) == 4
+        for name in csvs:
+            assert csv_without_wall(tmp_path / "w1" / name) == csv_without_wall(tmp_path / "w2" / name)
+
     def test_aggregate_permutation_invariant(self):
         rng = np.random.default_rng(0)
         summaries = [
@@ -441,6 +454,14 @@ TIMING_FIELDS = ("timing_early_ns", "timing_late_ns", "timing_ratio")
 
 def untimed(report):
     return {k: v for k, v in report.items() if k not in TIMING_FIELDS}
+
+
+def untimed_summary(summary):
+    """A seed's summary without its timings, and without the config, which names the output directory."""
+    out = {k: v for k, v in summary.items()
+           if k not in ("update_ns_total", "update_ns_mean", "config")}
+    out["diagnostics"] = untimed(summary["diagnostics"])
+    return out
 
 
 def strict_json(path):
@@ -591,6 +612,25 @@ class TestStreamedArtifacts:
         peak(70)  # first-call costs stay out of the comparison
         short, long = peak(500), peak(5000)
         assert abs(long - short) < 256 * 1024, (short, long)
+
+    def test_peak_memory_does_not_grow_with_lone_seeds(self, tmp_path):
+        """Lone seeds (mle) free their state as each run ends: the same peak at 1 and 4 seeds."""
+        import tracemalloc
+
+        def peak(num_seeds):
+            cfg = parse_config({"scenario": "passive", "estimator": "mle", "d": 20, "T": 600,
+                                "num_seeds": num_seeds, "policy_mode": "greedy_percontext",
+                                "output_dir": str(tmp_path / str(num_seeds))})
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call costs stay out of the comparison
+        one, four = peak(1), peak(4)
+        assert abs(four - one) < 128 * 1024, (one, four)
 
 
 class TestCli:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,9 +182,30 @@ class TestPessimisticPolicy:
             beta = max(beta, 0.5)
         env = SimpleNamespace(features=SimpleNamespace(phi=phi), rho=rho)
         with np.errstate(invalid="ignore", over="ignore"):
-            got = pessimistic_policy(theta, M, beta, env, "enumerate").action_of
-            want = one_table_policy(theta, M, beta, env)
-        assert got.tolist() == want.tolist()
+            want = one_table_policy(theta, M, beta, env).tolist()
+            # small budgets walk head 0 and one-row blocks too
+            for rows in (1, 4, 64, scenarios.ENUMERATE_ROWS):
+                with mock.patch.object(scenarios, "ENUMERATE_ROWS", rows):
+                    got = pessimistic_policy(theta, M, beta, env, "enumerate").action_of
+                assert got.tolist() == want, rows
+
+    @pytest.mark.parametrize("shape", [(8, 4, 20), (19, 2, 20)])
+    def test_enumeration_peak_is_bounded_by_the_row_budget(self, shape):
+        """The blocked scan's traced peak stays under 1 MiB, however many policies it walks."""
+        import tracemalloc
+
+        X, A, d = shape
+        rng = np.random.default_rng(6)
+        env = SimpleNamespace(features=SimpleNamespace(phi=rng.standard_normal((X, A, d))),
+                              rho=rng.dirichlet(np.ones(X)))
+        theta, M = rng.standard_normal(d), np.eye(d)
+        tracemalloc.start()
+        try:
+            pessimistic_policy(theta, M, 1.0, env, "enumerate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
     def test_enumerate_budget_guard(self):
         env = make_environment(2, 21, 2, seed=5)

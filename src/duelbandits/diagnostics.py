@@ -39,37 +39,31 @@ class RunChecks:
     """A report's streamed inputs for a group of runs, fed a block of rounds at a time.
 
     ``n`` is the rounds a run is expected to complete, which places the
-    timing windows. Each ``feed`` takes the next rounds of the runs at
-    positions ``rows``; a run missing from a feed has stopped. The runs
-    still fed replay their potentials as one stack, which
+    timing windows. Each ``feed`` takes the next rounds of every run, and
+    the runs replay their potentials as one stack, which
     ``elliptic_potential_check`` carries from feed to feed.
     """
 
     def __init__(self, envs: Sequence, n: int):
         self.phi = np.stack([env.features.phi for env in envs])
         self.L, self.n = 2 * np.array([env.truth.L for env in envs]), n
-        self.rows, self.replay = np.arange(len(envs)), {}
+        self.rows, self.replay = np.arange(len(envs))[:, None], {}
         self.first = np.zeros(len(envs), dtype=np.int64)  # 0: no violation yet
         self.lhs, self.rhs = np.zeros((2, len(envs)))
         self.windows = np.zeros((len(envs), 2), dtype=np.int64)
 
-    def feed(self, rows: np.ndarray, t: np.ndarray, x, a, a_prime, err_local, beta, wall):
-        """Rounds ``t`` of the runs ``rows``.
+    def feed(self, t: np.ndarray, x, a, a_prime, err_local, beta, wall):
+        """Rounds ``t`` of every run.
 
         Each other argument holds one row per run; beta may be one shared row.
         """
-        if len(rows) < len(self.rows):
-            keep = np.isin(self.rows, rows)
-            self.replay.update(inv=self.replay["inv"][keep], lhs=self.replay["lhs"][keep])
-        self.rows = rows
-        z = self.phi[rows[:, None], x, a]
-        z -= self.phi[rows[:, None], x, a_prime]
-        self.lhs[rows], self.rhs[rows], _ = elliptic_potential_check(
-            z, POTENTIAL_LAMBDA, self.L[rows], self.replay)
+        z = self.phi[self.rows, x, a]
+        z -= self.phi[self.rows, x, a_prime]
+        self.lhs, self.rhs, _ = elliptic_potential_check(z, POTENTIAL_LAMBDA, self.L, self.replay)
         bad = err_local > beta
-        hit = bad.any(axis=1) & (self.first[rows] == 0)
-        self.first[rows[hit]] = t[bad[hit].argmax(axis=1)]
-        self.windows[rows] += _window_sums(t, wall, self.n)
+        hit = bad.any(axis=1) & (self.first == 0)
+        self.first[hit] = t[bad[hit].argmax(axis=1)]
+        self.windows += _window_sums(t, wall, self.n)
 
 
 def diagnostics_report(checks: RunChecks, s: int, n: int, wall: Optional[np.ndarray],
@@ -126,9 +120,7 @@ def elliptic_potential_check(zs, lambda_v: float, L, replay: Optional[dict] = No
     replay from call to call, so a long sequence is fed a block of rows at a
     time without being held whole; the blocking does not change a bit of
     lhs. Each call checks its rows against ``L`` and feeds them after the
-    rows before, and lhs and rhs cover every row fed so far. Once a row is
-    fed, its ``inv`` and ``lhs`` hold one entry per sequence of a stack, and
-    a caller whose sequences stop early keeps the entries of the others.
+    rows before, and lhs and rhs cover every row fed so far.
     """
     if lambda_v <= 0:
         raise ValueError(f"lambda_v must be positive, got {lambda_v}")

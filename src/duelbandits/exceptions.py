@@ -8,15 +8,10 @@ class NumericFailure(ArithmeticError):
     denominator, a quadratic form in a PD matrix, a CG curvature term) comes out
     non-positive or non-finite, or when the local-norm projection misses its tolerance.
 
-    When the failing routine worked on a stack (one row per seed run in
-    lockstep) ``index`` is the row that failed; otherwise it is None. The
-    message never depends on the row, so a seed fails with the same text in a
-    stack as on its own.
+    On a stack (one row per seed run in lockstep) the message names no row,
+    so a seed fails with the same text in a stack as on its own. A scenario
+    throws such a stack away and runs its seeds again one at a time.
     """
-
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class ConfigError(ValueError):

@@ -52,16 +52,15 @@ def _check_denominators(denom) -> None:
     """Raise NumericFailure unless each denominator 1 + w*z.u is positive and finite.
 
     One that is not means the inverse state is corrupted. An array holds one
-    denominator per row of a stack, and the failure names the first bad row
-    as ``index``.
+    denominator per row of a stack, and the first bad one raises.
     """
     if not isinstance(denom, np.ndarray) or not denom.ndim:
         if not 0.0 < denom < math.inf:
             raise NumericFailure(_denominator_message(denom))
         return
-    for k, value in enumerate(denom.tolist()):
+    for value in denom.tolist():
         if not 0.0 < value < math.inf:
-            raise NumericFailure(_denominator_message(value), index=k)
+            raise NumericFailure(_denominator_message(value))
 
 
 def sherman_morrison(inv: np.ndarray, z: np.ndarray, w, u: Optional[np.ndarray] = None,
@@ -118,9 +117,9 @@ def mahalanobis_inv(v: np.ndarray, inv: np.ndarray):
             raise NumericFailure(_quad_form_message(q))
         return math.sqrt(max(q, 0.0))
     q = np.vecdot(np.vecmat(v, inv), v)
-    for k, value in enumerate(q.tolist()):
+    for value in q.tolist():
         if value < -1e-12:
-            raise NumericFailure(_quad_form_message(value), index=k)
+            raise NumericFailure(_quad_form_message(value))
     return np.sqrt(np.maximum(q, 0.0))
 
 

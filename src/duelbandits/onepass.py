@@ -158,10 +158,9 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         form theta - eta*(sig - y) / (1 + eta*hw*z.u) * u with u = H^-1 z, the
         vector the curvature fold reuses, so a step that stays in the ball
         forms no d x d matrix. A lone estimator is one row of the same
-        arithmetic, so a stacked row keeps a single run's bits. On a stack, a
-        NumericFailure names its row as ``index`` and leaves every row as it
-        was, except that the failing row has counted a projection that fired
-        before the failure, as a single run does.
+        arithmetic, so a stacked row keeps a single run's bits. An update that
+        raises NumericFailure leaves theta_, the curvature pair and t_ as they
+        were, but counts each projection that fired before the failure.
         """
         stacked = self.theta_.ndim > 1
         z = check_vector(z, self.dim, lead=self.theta_.shape[:-1])
@@ -180,33 +179,21 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         norms = np.vecdot(theta_next, theta_next).tolist()
         fired = [k for k, sq in enumerate(norms if stacked else [norms])
                  if not math.sqrt(sq) <= self.B]
-        try:
-            if fired:
-                d = self.dim
-                rows = theta_next.reshape(-1, d)
-                tilde_mats = (hess.mat.reshape(-1, d, d)[fired]
-                              + np.reshape(step_weight, -1)[fired, None, None]
-                              * _outer(z.reshape(-1, d)[fired]))
-                for k, tilde_mat in zip(fired, tilde_mats):
-                    try:
-                        rows[k] = project_localnorm_ball(rows[k], tilde_mat, self.B)
-                    except NumericFailure as exc:
-                        raise NumericFailure(str(exc), index=k if stacked else None) from exc
-            _, hw_next = sigmoid_pair(np.vecdot(z, theta_next))
-            hess.rank_one_update(z, hw_next, u, zu)
-        except NumericFailure as exc:
-            failing = 0 if exc.index is None else exc.index
-            self._count_projections([k for k in fired if k == failing])
-            raise
-        self._count_projections(fired)
+        if fired:
+            if stacked:
+                self.projections_[fired] += 1
+            else:
+                self.projections_ += 1
+            d = self.dim
+            rows = theta_next.reshape(-1, d)
+            tilde_mats = (hess.mat.reshape(-1, d, d)[fired]
+                          + np.reshape(step_weight, -1)[fired, None, None]
+                          * _outer(z.reshape(-1, d)[fired]))
+            for k, tilde_mat in zip(fired, tilde_mats):
+                rows[k] = project_localnorm_ball(rows[k], tilde_mat, self.B)
+        _, hw_next = sigmoid_pair(np.vecdot(z, theta_next))
+        hess.rank_one_update(z, hw_next, u, zu)
         self._advance(theta_next)
-
-    def _count_projections(self, rows: list) -> None:
-        """Count one projection for each listed row; a lone estimator is row 0."""
-        if self.theta_.ndim > 1:
-            self.projections_[rows] += 1
-        else:
-            self.projections_ += len(rows)
 
     def radius(self, t: Optional[int] = None) -> float:
         return confidence_radius(self.t_ if t is None else t, self)

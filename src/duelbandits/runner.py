@@ -68,8 +68,10 @@ def _run_seed_task(args: Tuple[ExperimentConfig, List[int], Callable]):
     A chunk of a kind with a lockstep update (``stack``) is one ``run_single``
     call. Any other kind runs one seed a call, so a seed's estimator and
     environment are freed when its run ends, not when the chunk's last seed
-    does. A lockstep chunk that raises runs again one seed at a time, so the
-    error lands on the seed that raised and the other seeds complete.
+    does. A lockstep stack's NumericFailure never gets here: the scenario
+    runs that stack's seeds again alone. A chunk that raises any other error
+    runs again one seed at a time, so the error lands on the seed that
+    raised and the other seeds complete.
     """
     cfg, seeds, sink = args
     if len(seeds) == 1 or hasattr(ESTIMATOR_CLASSES[cfg.estimator], "stack"):

@@ -9,12 +9,13 @@ optimal action.
 
 Each scenario runs one seed, or equal-length sequences of environments and
 estimators, through one round loop, ``_run_loop``, a group of seeds at a
-time. Several seeds whose estimator has a stacked update (``stack``/
-``unstack``) form one lockstep group: one round advances every seed, and one
-update call steps them all. Any other seed is a group of its own, indexed by
-the int 0 so that its rounds work on plain (d,) vectors. Each scenario builds
-one chooser per group from stacked tables. Every seed's record is exactly the
-one it would get alone.
+time (``_run_groups``). Several seeds whose estimator has a stacked update
+(``stack``/``unstack``) form one lockstep group: one round advances every
+seed, and one update call steps them all. Any other seed is a group of its
+own, indexed by the int 0 so that its rounds work on plain (d,) vectors. A
+lockstep group is all or nothing: a stack that fails runs again seed by seed.
+Each scenario builds one chooser per group from stacked tables. Every seed's
+record is exactly the one it would get alone.
 
 The rounds go to one sink per group, in memory or to CSV files. Either sink
 feeds the group's ``diagnostics.RunChecks``, so every seed's summary carries
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -127,14 +127,14 @@ class MemorySink:
 
     A sink holds ``width`` rounds of the CSV's columns, one row per seed;
     round i lives at column i - ``open(lo)`` of the block opened at round lo.
-    ``put`` closes the block's rounds for the seeds that ran them and streams
-    what a summary reads: rounds completed, the ``wall_nanos`` sum, flag
-    counts (``flags`` holds indices into FLAGS) and the run's ``RunChecks``,
-    fed the block in one call. Given ``regret(rows, x, a, a')``, what rounds
-    paid (deploy), it fills ``cum_regret`` a block at a time: the running
-    total goes in front of the block's ``np.cumsum``, so the bits are those
-    of one sum over the run. This sink is as wide as the run; ``_run_loop``
-    puts its blocks as it puts a file sink's.
+    ``put`` closes the block's rounds and streams what a summary reads:
+    rounds completed, the ``wall_nanos`` sum, flag counts (``flags`` holds
+    indices into FLAGS) and the run's ``RunChecks``, fed the block in one
+    call. Given ``regret(rows, x, a, a')``, what rounds paid (deploy), it
+    fills ``cum_regret`` a block at a time: the running total goes in front
+    of the block's ``np.cumsum``, so the bits are those of one sum over the
+    run. This sink is as wide as the run; ``_run_loop`` puts its blocks as it
+    puts a file sink's.
 
     x, a, a' and y take the narrowest unsigned type that holds the ids. A
     column the same for every seed is kept once, read-only, and every record
@@ -164,12 +164,13 @@ class MemorySink:
         self.a_prime = np.zeros_like(self.a)
         self.y = np.zeros(shape, dtype=np.uint8)
         self.flags = np.zeros(shape, dtype=np.uint8)
-        self.n = np.zeros(S, dtype=np.int64)
+        self.n = 0  # the rounds put so far, the same for every seed
         self.wall_ns = np.zeros(S, dtype=np.int64)
         self.flag_counts = np.zeros((S, len(FLAGS)), dtype=np.int64)
         # the running regret: -0.0 is the exact identity of +, and a first
         # update that fails leaves 0.0
         self.pay, self.regret = regret, None if regret is None else np.full(S, -0.0)
+        self.rows = np.arange(S)[:, None]
         self.checks = RunChecks(envs, T)
 
     def open(self, lo: int) -> int:
@@ -177,22 +178,21 @@ class MemorySink:
         self.lo = lo
         return self.base
 
-    def put(self, hi: int, seeds: np.ndarray) -> slice:
-        """Close the open block's rounds lo..hi-1 of ``seeds``; returns their columns."""
+    def put(self, hi: int) -> slice:
+        """Close the open block's rounds lo..hi-1; returns their columns."""
         cols = slice(self.lo - self.base, hi - self.base)
         if self.pay is not None:  # a round whose update failed pays nothing and shows NaN
-            failed = self.flags[seeds, cols] == FLAGS.index("update_failed")
-            paid = np.where(failed, 0.0, self.pay(seeds[:, None], self.x[seeds, cols],
-                                                  self.a[seeds, cols], self.a_prime[seeds, cols]))
-            total = np.cumsum(np.concatenate((self.regret[seeds, None], paid), axis=1), axis=1)
-            self.regret[seeds] = total[:, -1]
-            self.cum_regret[seeds, cols] = np.where(failed, np.nan, total[:, 1:])
-        self.n[seeds] = hi
-        self.wall_ns[seeds] += self.wall_nanos[seeds, cols].sum(axis=1)
-        self.flag_counts[seeds] += (self.flags[seeds, cols, None] == range(len(FLAGS))).sum(axis=1)
-        self.checks.feed(seeds, self.t[cols], self.x[seeds, cols], self.a[seeds, cols],
-                         self.a_prime[seeds, cols], self.est_err_local[seeds, cols],
-                         self.beta[cols], self.wall_nanos[seeds, cols])
+            failed = self.flags[:, cols] == FLAGS.index("update_failed")
+            paid = np.where(failed, 0.0, self.pay(self.rows, self.x[:, cols], self.a[:, cols],
+                                                  self.a_prime[:, cols]))
+            total = np.cumsum(np.concatenate((self.regret[:, None], paid), axis=1), axis=1)
+            self.regret[:] = total[:, -1]
+            self.cum_regret[:, cols] = np.where(failed, np.nan, total[:, 1:])
+        self.n = hi
+        self.wall_ns += self.wall_nanos[:, cols].sum(axis=1)
+        self.flag_counts += (self.flags[:, cols, None] == range(len(FLAGS))).sum(axis=1)
+        self.checks.feed(self.t[cols], self.x[:, cols], self.a[:, cols], self.a_prime[:, cols],
+                         self.est_err_local[:, cols], self.beta[cols], self.wall_nanos[:, cols])
         return cols
 
     def _record(self, s: int, cols: slice) -> RunRecord:
@@ -204,11 +204,11 @@ class MemorySink:
     def record(self, s: int) -> RunRecord:
         """Seed s's record, cut at the rounds it completed; beta turns read-only here."""
         self.beta.flags.writeable = False
-        return self._record(s, slice(0, int(self.n[s])))
+        return self._record(s, slice(0, self.n))
 
     def wall(self, s: int) -> np.ndarray:
         """Seed s's ``wall_nanos`` column: the timing windows of a seed that stopped early."""
-        return self.wall_nanos[s, :self.n[s]]
+        return self.wall_nanos[s, :self.n]
 
 
 class FileSink(MemorySink):
@@ -239,12 +239,12 @@ class FileSink(MemorySink):
             getattr(self, name).fill(np.nan)
         return super().open(lo)
 
-    def put(self, hi: int, seeds: np.ndarray) -> slice:
-        cols = super().put(hi, seeds)
-        records = [self._record(s, cols) for s in seeds.tolist()]
+    def put(self, hi: int) -> slice:
+        cols = super().put(hi)
+        records = [self._record(s, cols) for s in range(len(self.paths))]
         shared = {name: _csv_cells(name, getattr(records[0], name)) for name in self.shared}
-        for s, rec in zip(seeds.tolist(), records):
-            rec.write_csv(self.paths[s], shared, append=True)
+        for path, rec in zip(self.paths, records):
+            rec.write_csv(path, shared, append=True)
         return cols
 
     def record(self, s: int) -> RunRecord:
@@ -335,13 +335,18 @@ def pessimistic_policy(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
     # levels are expanded while the next holds at most ENUMERATE_ROWS partial
     # policies (at most X - 2 levels); the rest are walked a block of head rows
     # at a time, so no (rows, d) level a block forms exceeds that budget
-    # either. A running argmax keeps np.argmax's answer: the first maximum,
-    # or the first NaN.
+    # either, and the last level a slice of the block's rows at a time, so no
+    # (rows, A) array exceeds ENUMERATE_ROWS * d entries. Walking in order, a
+    # running argmax keeps np.argmax's answer: the first maximum, or the first
+    # NaN.
     def expand(lin, quad, prefix, x):
         rows = env.rho[x] * phi[x]
         cross = (prefix @ norm_inv) @ rows.T
         lin = (lin[:, None] + rows @ theta).ravel()
-        quad = (quad[:, None] + 2.0 * cross + _quad_forms(rows, norm_inv)).ravel()
+        cross *= 2.0  # in place: quad + 2 cross + r M r^T, the bits of one expression
+        cross += quad[:, None]
+        cross += _quad_forms(rows, norm_inv)
+        quad = cross.ravel()
         if x < X - 1:
             prefix = (prefix[:, None, :] + rows[None, :, :]).reshape(-1, d)
         return lin, quad, prefix
@@ -353,16 +358,29 @@ def pessimistic_policy(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
     for x in range(head):
         table = expand(*table, x)
     size = max(1, ENUMERATE_ROWS // A ** (X - head - 1))
-    best, best_value = 0, None
-    for lo in range(0, len(table[0]), size):
-        block = tuple(column[lo:lo + size] for column in table)
-        for x in range(head, X):
-            block = expand(*block, x)
-        lin, quad, _ = block
+    step = max(1, ENUMERATE_ROWS * d // A)
+
+    # one slice of the last level: its first argmax and value. A function of its
+    # own, so that a slice's arrays are freed before the next slice forms
+    def slice_max(lin, quad, prefix):
+        lin, quad, _ = expand(lin, quad, prefix, X - 1)
         values = lin - beta * np.sqrt(np.maximum(quad, 0.0))
         k = int(np.argmax(values))
-        if best_value is None or not values[k] <= best_value:
-            best, best_value = lo * A ** (X - head) + k, values[k]
+        return k, values[k]
+
+    def slice_maxima():  # (policy index, value) of each slice's first maximum, in policy order
+        for lo in range(0, len(table[0]), size):
+            block = tuple(column[lo:lo + size] for column in table)
+            for x in range(head, X - 1):
+                block = expand(*block, x)
+            for p in range(0, len(block[0]), step):
+                k, value = slice_max(*(column[p:p + step] for column in block))
+                yield (lo * A ** (X - head - 1) + p) * A + k, value
+
+    best, best_value = 0, None
+    for index, value in slice_maxima():
+        if best_value is None or not value <= best_value:
+            best, best_value = index, value
             if best_value != best_value:
                 break
     actions = np.empty(X, dtype=int)
@@ -505,12 +523,12 @@ class _DominationAudit:
         self.dim = dim
 
     def step(self, z: np.ndarray, rows) -> None:
-        """Add the round's z z^T: one z (d,) for row ``rows``, or (S', d) for S' rows."""
+        """Add the round's z z^T: one z (d,) for the row ``rows``, or (S, d) for every row."""
         if self.points:
             self.v_sum[rows] += z[..., :, None] * z[..., None, :]
 
-    def check(self, t: int, live: np.ndarray) -> None:
-        for s in live:
+    def check(self, t: int) -> None:
+        for s in range(len(self.records)):
             kappa = self.kappas[s]
             H = self.estimators[s].local_norm_matrix()
             V = kappa * self.lams[s] * np.eye(self.dim) + self.v_sum[s]
@@ -528,34 +546,11 @@ def _estimator_stats(estimator) -> dict:
     return stats
 
 
-def _seeds(env, estimator):
-    """(environments, estimators, single) for one seed or equal-length sequences."""
-    if isinstance(env, Environment):
-        return [env], [estimator], True
-    envs, estimators = list(env), list(estimator)
-    if not envs or len(envs) != len(estimators):
-        raise ValueError("need one estimator per environment, and at least one of each")
-    return envs, estimators, False
-
-
-def _groups(envs: Sequence[Environment], estimators):
-    """The (environments, estimators, streams) of each group ``_run_loop`` runs, in seed order.
-
-    Several seeds of an estimator with a stacked update (``stack``/``unstack``)
-    form one lockstep group; any other seed is a group of its own. Each seed's
-    random stream comes from its environment's seed.
-    """
-    streams = [np.random.default_rng((env.rng_seed, 1)) for env in envs]
-    if len(envs) > 1 and hasattr(type(estimators[0]), "stack"):
-        return [(envs, estimators, streams)]
-    return [([e], [est], [rng]) for e, est, rng in zip(envs, estimators, streams)]
-
-
 class _Draws:
     """The uniform draws of scenarios that draw only doubles, ``per_round`` a round.
 
     ``rng.random(n)`` gives the same doubles as n calls of ``rng.random()``,
-    so each seed's stream is read a block of rounds at a time, and memory
+    so each seed's stream is read CSV_BLOCK_ROWS rounds at a time, and memory
     stays O(S) whatever the horizon. ``draws(rows, i, k)`` is round i's k-th
     draw for the seeds ``rows``. Given the (S, contexts) cumulative context
     weights ``cum_rho``, draw 0 of a round is instead the context id the
@@ -563,16 +558,14 @@ class _Draws:
     once a block for every seed.
     """
 
-    BLOCK_ROUNDS = 256
-
     def __init__(self, streams, per_round: int, cum_rho: Optional[np.ndarray] = None):
         self.streams, self.per_round, self.cum_rho = streams, per_round, cum_rho
         self.columns, self.first = None, None
 
     def __call__(self, rows, i: int, k: int):
-        first = i - i % self.BLOCK_ROUNDS
+        first = i - i % CSV_BLOCK_ROWS
         if first != self.first:
-            n = self.BLOCK_ROUNDS * self.per_round
+            n = CSV_BLOCK_ROWS * self.per_round
             block = np.stack([rng.random(n).reshape(-1, self.per_round) for rng in self.streams])
             self.columns = list(np.moveaxis(block, 2, 0))
             if self.cum_rho is not None:
@@ -586,7 +579,7 @@ class _Draws:
 def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optional[str],
             audit: _DominationAudit, policy: Optional[Callable]):
     """Seed s's (final policy, record) with its summary."""
-    n, wall = int(out.n[s]), int(out.wall_ns[s])
+    n, wall = out.n, int(out.wall_ns[s])
     diff = estimator.theta_ - env.truth.theta_star
     record = out.record(s)
     record.summary = summary = {
@@ -625,6 +618,8 @@ def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optio
         final = policy(estimator, env)
         summary["subopt"] = subopt(final, env)
         summary["policy"] = final.action_of.tolist()
+        if out.scenario == "active":
+            summary["subopt_last_iterate"] = subopt(greedy_policy(estimator.theta_, env), env)
     return final, record
 
 
@@ -632,34 +627,31 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
               choose: Callable, policy: Optional[Callable] = None,
               checkpoints: Optional[Sequence[int]] = None, regret: Optional[Callable] = None,
               sink: Callable = MemorySink) -> List[Tuple[Optional[Policy], RunRecord]]:
-    """The round structure all three scenarios share, for one group of seeds (``_groups``).
+    """The round structure all three scenarios share, for one group of seeds (``_run_groups``).
 
     A lone seed steps its own estimator, and ``idx`` and ``rows`` are the int
     0, so every array of its rounds stays a (d,) vector. A lockstep group
-    steps one stack: ``idx`` holds the positions of the seeds still running,
-    in stack-row order, and ``rows`` selects the same seeds (a plain slice
-    while every seed runs). Each round ``choose(stack, idx, rows, i)`` returns
-    the played x, a, a', y (one per running seed) and the radius the choice
-    used. The estimate is captured before the timed update, and each running
-    seed's ``wall_nanos`` is an equal share of the update time. A
-    NumericFailure in the update flags the failing seed's round
-    ``update_failed`` and ends that seed's run; the others in a stack retry
-    the round without it. After a successful update come the
-    ``inner_nonconverged`` flag, the domination audit, and the suboptimality
-    of ``policy(estimator, env)`` at the rounds in ``checkpoints`` (default:
-    ``default_checkpoints(T)``). A seed with a ``policy`` that no failure cut
-    short ends by extracting it.
+    steps one stack for the whole run: ``idx`` holds every seed's position
+    and ``rows`` is a plain slice. Each round ``choose(stack, idx, rows, i)``
+    returns the played x, a, a', y (one per seed) and the radius the choice
+    used. The estimate is captured before the timed update, and each seed's
+    ``wall_nanos`` is an equal share of the update time. A NumericFailure in
+    a lone seed's update flags its round ``update_failed`` and ends its run;
+    a stack's is raised, for ``_run_groups`` to run the seeds alone. After a
+    successful update come the ``inner_nonconverged`` flag, the domination
+    audit, and the suboptimality of ``policy(estimator, env)`` at the rounds
+    in ``checkpoints`` (default: ``default_checkpoints(T)``). A seed with a
+    ``policy`` that no failure cut short ends by extracting it.
 
     The rounds go to ``sink(scenario, envs, T, checkpoints, regret)``, a
     ``MemorySink`` or ``FileSink``: whichever it is, a block is put at every
-    multiple of CSV_BLOCK_ROWS rounds, at the end and when a seed stops, so it
-    holds the same rounds for each of its seeds.
+    multiple of CSV_BLOCK_ROWS rounds, at the end and when a lone seed stops.
     ``regret(rows, x, a, a')`` (deploy) gives what the rounds paid.
 
     A stack owns the state while the rounds run; each seed's own estimator
-    is brought up to date whenever it is read (audits, checkpoints, a failure
-    and the end), so the estimators end the run holding their final state.
-    Every seed's record is exactly the one it gets as a lone seed.
+    is brought up to date whenever it is read (audits, checkpoints and the
+    end), so the estimators end the run holding their final state. Every
+    seed's record is exactly the one it gets as a lone seed.
     """
     for est in estimators:
         if getattr(est, "horizon", False) is None:
@@ -672,10 +664,9 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     phi = np.stack([env.features.phi for env in envs])
     out = sink(scenario, envs, T, any(1 <= p <= T for p in ckpts), regret)
     audit = _DominationAudit(estimators, envs, T)
-    aborted: List[Optional[str]] = [None] * S
-    live = held = np.arange(S)
+    aborted = None
     if stacked:
-        stack, idx, rows = type(estimators[0]).stack(estimators), live, slice(None)
+        stack, idx, rows = type(estimators[0]).stack(estimators), np.arange(S), slice(None)
     else:
         stack, idx, rows = estimators[0], 0, 0
     base = out.open(0)
@@ -691,47 +682,73 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
         out.est_err_local[rows, j] = stack.local_norm(diff)
         out.beta[j] = beta
         out.x[rows, j], out.a[rows, j], out.a_prime[rows, j], out.y[rows, j] = x, a, b, yy
-        while len(live):
-            try:
-                start = time.perf_counter_ns()
-                stack.update(z, yy)
-                out.wall_nanos[rows, j] = (time.perf_counter_ns() - start) // len(live)
-                break
-            except NumericFailure as exc:
-                k = exc.index if stacked else 0
-                if k is None:
-                    raise
-                out.flags[live[k], j] = FLAGS.index("update_failed")
-                aborted[live[k]] = str(exc)
-                if stacked:
-                    stack.unstack([estimators[s] for s in live])
-                keep = np.arange(len(live)) != k
-                live = live[keep]
-                if stacked and len(live):
-                    x, a, b, yy, z = (v[keep] for v in (x, a, b, yy, z))
-                    idx = rows = live
-                    stack = type(estimators[0]).stack([estimators[s] for s in live])
-        if len(live):
-            # only a lone seed's estimator runs an inner solve that can stop short
-            if not getattr(stack, "last_converged_", True):
-                out.flags[0, j] = FLAGS.index("inner_nonconverged")
-            audit.step(z, rows)
-            if stacked and (t in audit.points or t in ckpts):
-                stack.unstack([estimators[s] for s in live])
-            if t in audit.points:
-                audit.check(t, live)
-            if t in ckpts:
-                for s in live:
-                    out.subopt_checkpoint[s, j] = subopt(policy(estimators[s], envs[s]), envs[s])
-        if t % CSV_BLOCK_ROWS == 0 or t == T or len(live) < len(held):
-            out.put(t, held)
-            held, base = live, out.open(t)
-        if not len(live):
+        try:
+            start = time.perf_counter_ns()
+            stack.update(z, yy)
+            out.wall_nanos[rows, j] = (time.perf_counter_ns() - start) // S
+        except NumericFailure as exc:
+            if stacked:
+                raise
+            out.flags[0, j] = FLAGS.index("update_failed")
+            aborted = str(exc)
+            out.put(t)
             break
+        # only a lone seed's estimator runs an inner solve that can stop short
+        if not getattr(stack, "last_converged_", True):
+            out.flags[0, j] = FLAGS.index("inner_nonconverged")
+        audit.step(z, rows)
+        if stacked and (t in audit.points or t in ckpts):
+            stack.unstack(estimators)
+        if t in audit.points:
+            audit.check(t)
+        if t in ckpts:
+            for s, (env, est) in enumerate(zip(envs, estimators)):
+                out.subopt_checkpoint[s, j] = subopt(policy(est, env), env)
+        if t % CSV_BLOCK_ROWS == 0 or t == T:
+            out.put(t)
+            base = out.open(t)
     if stacked:
-        stack.unstack([estimators[s] for s in live])
-    return [_finish(out, s, env, est, aborted[s], audit, policy)
+        stack.unstack(estimators)
+    return [_finish(out, s, env, est, aborted, audit, policy)
             for s, (env, est) in enumerate(zip(envs, estimators))]
+
+
+def _run_groups(scenario: str, env, estimator, T: int, chooser: Callable,
+                policy: Optional[Callable] = None, checkpoints: Optional[Sequence[int]] = None,
+                sink: Callable = MemorySink):
+    """Run one seed, or equal-length sequences of environments and estimators, a group at a time.
+
+    Several seeds of an estimator with a stacked update (``stack``/``unstack``)
+    form one lockstep group; any other seed is a group of its own. A group is
+    all or nothing: a stacked run that raises NumericFailure is thrown away
+    and its seeds run again one at a time, so the seed that failed ends as it
+    does alone and the others complete. Each run draws every seed's random
+    stream afresh from its environment's seed, and ``chooser(envs, streams)``
+    gives its ``choose`` and ``regret`` (``_run_loop``).
+
+    Returns each seed's (policy, record), or its record alone when there is
+    no ``policy``: one for one seed, else a list in seed order.
+    """
+    single = isinstance(env, Environment)
+    envs, estimators = ([env], [estimator]) if single else (list(env), list(estimator))
+    if not envs or len(envs) != len(estimators):
+        raise ValueError("need one estimator per environment, and at least one of each")
+
+    def run(envs, estimators):
+        choose, regret = chooser(envs, [np.random.default_rng((e.rng_seed, 1)) for e in envs])
+        return _run_loop(scenario, envs, estimators, T, choose, policy, checkpoints, regret, sink)
+
+    out = None
+    if len(envs) > 1 and hasattr(type(estimators[0]), "stack"):
+        try:
+            out = run(envs, estimators)
+        except NumericFailure:
+            pass  # the stack is thrown away
+    if out is None:
+        out = [r for e, est in zip(envs, estimators) for r in run([e], [est])]
+    if policy is None:
+        out = [rec for _, rec in out]
+    return out[0] if single else out
 
 
 def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
@@ -745,7 +762,6 @@ def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    envs, estimators, single = _seeds(env, estimator)
 
     def policy(est, e) -> Policy:
         return pessimistic_policy(est.theta_, est.inv_norm_matrix(), est.radius(), e, policy_mode)
@@ -762,12 +778,9 @@ def run_passive(env, estimator, T: int, policy_mode: str = "enumerate",
             x, a, b, y = np.array([draw(s) for s in idx], dtype=np.int64).reshape(-1, 4).T
             return x, a, b, y, stack.radius()
 
-        return choose
+        return choose, None
 
-    out = [run for group_envs, group_ests, rngs in _groups(envs, estimators)
-           for run in _run_loop("passive", group_envs, group_ests, T,
-                                chooser(group_envs, rngs), policy, checkpoints, sink=sink)]
-    return out[0] if single else out
+    return _run_groups("passive", env, estimator, T, chooser, policy, checkpoints, sink)
 
 
 def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = None,
@@ -778,11 +791,11 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
     list of them, one per seed. ``sink`` takes the rounds (``_run_loop``).
     The scan keeps a memo per run, which is exact as long as
     ``inv_norm_matrix()`` never grows between rounds: every estimator here
-    only adds curvature.
+    only adds curvature. A completed seed's summary also scores the greedy
+    policy of its last iterate, ``subopt_last_iterate``.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    envs, estimators, single = _seeds(env, estimator)
 
     def policy(est, e) -> Policy:
         return greedy_policy(est.averaged_theta(), e)
@@ -795,24 +808,16 @@ def run_active(env, estimator, T: int, checkpoints: Optional[Sequence[int]] = No
         # dots give the same bits for the whole table at once
         reward_of = np.vecdot(np.stack([e.features.phi for e in envs]),
                               np.stack([e.truth.theta_star for e in envs])[:, None, None, :])
-        # one scan memo per stack: seeds only ever leave it, so its shape names it
-        memos = defaultdict(dict)
+        memo = {}
 
         def choose(stack, idx, rows, i):
-            x, a, b = select_most_uncertain(pair_diffs[rows], stack.inv_norm_matrix(), pairs,
-                                            memos[stack.theta_.shape])
+            x, a, b = select_most_uncertain(pair_diffs[rows], stack.inv_norm_matrix(), pairs, memo)
             y = bt_sample(reward_of[idx, x, a], reward_of[idx, x, b], draws(rows, i, 0))
             return x, a, b, y, stack.radius()
 
-        return choose
+        return choose, None
 
-    out = [run for group_envs, group_ests, streams in _groups(envs, estimators)
-           for run in _run_loop("active", group_envs, group_ests, T,
-                                chooser(group_envs, streams), policy, checkpoints, sink=sink)]
-    for (final, rec), est, e in zip(out, estimators, envs):
-        if final is not None:
-            rec.summary["subopt_last_iterate"] = subopt(greedy_policy(est.theta_, e), e)
-    return out[0] if single else out
+    return _run_groups("active", env, estimator, T, chooser, policy, checkpoints, sink)
 
 
 def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0, sink: Callable = MemorySink):
@@ -824,7 +829,6 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0, sink: Callabl
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    envs, estimators, single = _seeds(env, estimator)
 
     def chooser(envs, streams):
         phi = np.stack([e.features.phi for e in envs])
@@ -845,9 +849,4 @@ def run_deploy(env, estimator, T: int, explore_coeff: float = 1.0, sink: Callabl
 
         return choose, regret
 
-    records = []
-    for group_envs, group_ests, streams in _groups(envs, estimators):
-        choose, regret = chooser(group_envs, streams)
-        records += [rec for _, rec in _run_loop("deploy", group_envs, group_ests, T, choose,
-                                                checkpoints=(), regret=regret, sink=sink)]
-    return records[0] if single else records
+    return _run_groups("deploy", env, estimator, T, chooser, checkpoints=(), sink=sink)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from duelbandits import make_environment
+from duelbandits import make_environment, scenarios
+from duelbandits.exceptions import NumericFailure
+from duelbandits.onepass import OnePassRewardEstimator
 
 
 class OracleEstimator:
@@ -70,3 +72,28 @@ def one_table_policy(theta, norm_inv, beta, env):
         actions[x] = best % A
         best //= A
     return actions
+
+
+def fail_seed_at(monkeypatch, seed, t, message="synthetic fault"):
+    """OMD's update raises NumericFailure(message) at round t of every run that holds ``seed``.
+
+    The fault follows the environment seed: it fires in any lockstep stack
+    that holds it and in its lone run, and in no run without it.
+    """
+    run_loop, update = scenarios._run_loop, OnePassRewardEstimator.update
+    holds = []  # one entry per run in progress: does it hold the seed?
+
+    def tracking(scenario, envs, *args, **kwargs):
+        holds.append(any(env.rng_seed == seed for env in envs))
+        try:
+            return run_loop(scenario, envs, *args, **kwargs)
+        finally:
+            holds.pop()
+
+    def faulty(self, z, y):
+        if holds and holds[-1] and self.t_ == t:
+            raise NumericFailure(message)
+        update(self, z, y)
+
+    monkeypatch.setattr(scenarios, "_run_loop", tracking)
+    monkeypatch.setattr(OnePassRewardEstimator, "update", faulty)

@@ -20,8 +20,7 @@ from duelbandits.cli import main
 from duelbandits.config import (DAMPING_FNS, ESTIMATOR_CLASSES, ESTIMATORS, POLICY_MODES,
                                 RADIUS_MODES, SCENARIOS, ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
                                 parse_config, resolve_seeds)
-from duelbandits.exceptions import ConfigError, NumericFailure
-from duelbandits.onepass import OnePassRewardEstimator
+from duelbandits.exceptions import ConfigError
 from duelbandits.runner import aggregate_summaries, run_experiment
 from duelbandits.scenarios import CSV_BLOCK_ROWS, ENUMERATE_BUDGET, FileSink, MemorySink
 from duelbandits.verify import (
@@ -30,6 +29,8 @@ from duelbandits.verify import (
     check_timing_profile_oracle,
     run_verify,
 )
+
+from conftest import fail_seed_at
 
 
 class TestParseConfig:
@@ -496,16 +497,9 @@ class TestStreamedArtifacts:
     def test_seed_failing_mid_stack_ends_its_csv_there(self, tmp_path, monkeypatch):
         """A lockstep seed whose update fails at round k writes k rows; the others go on."""
         k = CSV_BLOCK_ROWS + 6  # past the first block
-        update = OnePassRewardEstimator.update
-
-        def fail_row_one(self, z, y):
-            if self.t_ == k and len(self.theta_) == 3:
-                raise NumericFailure("synthetic fault", index=1)
-            update(self, z, y)
-
-        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
         cfg = parse_config({"scenario": "deploy", "T": 2 * CSV_BLOCK_ROWS + 22, "num_seeds": 3,
                             "output_dir": str(tmp_path / "out")})
+        fail_seed_at(monkeypatch, cfg.seeds[1], k)
         result = run_experiment(cfg)
         assert [s["aborted"] for s in result.summaries] == [None, "synthetic fault", None]
         recs = runner.run_single(cfg, list(cfg.seeds))
@@ -526,39 +520,28 @@ class TestStreamedArtifacts:
     def test_file_record_len_is_its_completed_rounds(self, tmp_path, monkeypatch):
         """A record whose rows went to a CSV has the length of the rows its seed wrote."""
         k = CSV_BLOCK_ROWS + 6
-        update = OnePassRewardEstimator.update
-
-        def fail_row_one(self, z, y):
-            if self.t_ == k and len(self.theta_) == 2:
-                raise NumericFailure("synthetic fault", index=1)
-            update(self, z, y)
-
-        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
         cfg = parse_config({"scenario": "deploy", "T": 2 * CSV_BLOCK_ROWS, "num_seeds": 2})
+        fail_seed_at(monkeypatch, cfg.seeds[1], k)
         part = str(tmp_path / "seed{}.csv.part")
         results = runner._run_all(cfg, functools.partial(FileSink, part))
         assert [len(rec) for _, rec, _ in results] == [cfg.T, k]
 
     def test_both_sinks_put_the_same_blocks(self, tmp_path, monkeypatch):
-        """Either sink gets a block every CSV_BLOCK_ROWS rounds, at the end and where a seed stops."""
+        """Either sink gets a block every CSV_BLOCK_ROWS rounds, at the end and where a seed stops.
+
+        The stack fails at round k and is thrown away; its seeds run again alone.
+        """
         k = CSV_BLOCK_ROWS + 40  # inside the second block
-        update = OnePassRewardEstimator.update
-
-        def fail_row_one(self, z, y):
-            if self.t_ == k and len(self.theta_) == 3:
-                raise NumericFailure("synthetic fault", index=1)
-            update(self, z, y)
-
-        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
         cfg = parse_config({"scenario": "deploy", "T": 2 * CSV_BLOCK_ROWS + 6, "num_seeds": 3})
+        fail_seed_at(monkeypatch, cfg.seeds[1], k)
 
         def spying(sink):
             calls = []
 
             class Spy(sink):
-                def put(self, hi, seeds):
-                    calls.append((hi, seeds.tolist()))
-                    return super().put(hi, seeds)
+                def put(self, hi):
+                    calls.append((hi, self.seeds))
+                    return super().put(hi)
 
             return calls, Spy
 
@@ -566,8 +549,11 @@ class TestStreamedArtifacts:
         runner.run_single(cfg, list(cfg.seeds), spy)
         file, spy = spying(FileSink)
         runner.run_single(cfg, list(cfg.seeds), functools.partial(spy, str(tmp_path / "s{}.csv")))
-        assert memory == file == [(CSV_BLOCK_ROWS, [0, 1, 2]), (k, [0, 1, 2]),
-                                  (2 * CSV_BLOCK_ROWS, [0, 2]), (cfg.T, [0, 2])]
+        first, bad, last = cfg.seeds
+        whole = [CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS, cfg.T]
+        assert memory == file == [(CSV_BLOCK_ROWS, cfg.seeds)] + [
+            (hi, [seed]) for seed, his in ((first, whole), (bad, [CSV_BLOCK_ROWS, k]),
+                                           (last, whole)) for hi in his]
 
     def test_chunk_that_raises_leaves_no_stale_csv(self, tmp_path, monkeypatch):
         """A chunk that raises mid-write reruns by seed; the seed that raises alone keeps no file."""
@@ -576,9 +562,9 @@ class TestStreamedArtifacts:
         bad = cfg.seeds[1]
 
         class Breaking(FileSink):
-            def put(self, hi, seeds):
-                cols = super().put(hi, seeds)
-                if hi > CSV_BLOCK_ROWS and bad in [self.seeds[s] for s in seeds.tolist()]:
+            def put(self, hi):
+                cols = super().put(hi)
+                if hi > CSV_BLOCK_ROWS and bad in self.seeds:
                     raise RuntimeError("disk gone")
                 return cols
 

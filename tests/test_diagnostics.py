@@ -14,11 +14,10 @@ from duelbandits.diagnostics import (
     timing_profile,
 )
 from duelbandits.environment import make_environment
-from duelbandits.exceptions import NumericFailure
 from duelbandits.linkmath import kappa_bound, sigmoid_pair
 from duelbandits.onepass import OnePassRewardEstimator
 from duelbandits.scenarios import CSV_BLOCK_ROWS, MemorySink, RunRecord, run_deploy
-from conftest import OracleEstimator
+from conftest import OracleEstimator, fail_seed_at
 
 
 def synthetic_record(T, wall=None, err_local=None, beta=None):
@@ -107,7 +106,7 @@ class TestStreamedReplay:
         sink.a[:], sink.a_prime[:] = rng.integers(0, 3, (2, S, n))
         sink.wall_nanos[:] = 1
         sink.open(0)
-        sink.put(n, np.arange(S))
+        sink.put(n)
         zs = np.stack([sink.record(s).z_rows(env) for s, env in enumerate(envs)])
         L = 2 * envs[0].truth.L
         lhs, rhs, _ = elliptic_potential_check(zs, 1.0, L)
@@ -139,9 +138,9 @@ class TestStreamedReplay:
         fed = []
         feed = RunChecks.feed
 
-        def spy(self, rows, t, *columns):
-            fed.append((len(rows), len(t)))
-            feed(self, rows, t, *columns)
+        def spy(self, t, x, *columns):
+            fed.append((len(x), len(t)))
+            feed(self, t, x, *columns)
 
         monkeypatch.setattr(RunChecks, "feed", spy)
         envs = [make_environment(5, 8, 4, seed=s) for s in range(20)]
@@ -189,9 +188,9 @@ class TestDiagnosticsReport:
         """A run whose early rounds read 0 ns reports a null timing ratio instead of raising."""
 
         class Untimed(MemorySink):
-            def put(self, hi, seeds):
+            def put(self, hi):
                 self.wall_nanos[:] = 0
-                return super().put(hi, seeds)
+                return super().put(hi)
 
         rec = run_deploy(default_env, OnePassRewardEstimator(dim=5), 40, sink=Untimed)
         report = rec.summary["diagnostics"]
@@ -211,16 +210,9 @@ class TestStreamedReport:
     def test_report_equals_the_record_references(self, monkeypatch):
         """Lone and lockstep reports: one stacked seed stops in block two, one has L = 2."""
         T, k = 2 * CSV_BLOCK_ROWS + 22, CSV_BLOCK_ROWS + 40
-        update = OnePassRewardEstimator.update
-
-        def fail_row_one(self, z, y):
-            if self.t_ == k and len(self.theta_) == 3:
-                raise NumericFailure("synthetic fault", index=1)
-            update(self, z, y)
-
-        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
         bounds = (1.0, 1.0, 1.0, 2.0)  # a stack may mix feature bounds
         envs = [make_environment(5, 8, 4, L=L, seed=s) for s, L in enumerate(bounds)]
+        fail_seed_at(monkeypatch, envs[2].rng_seed, k)  # the stack's seed 1
         lone = run_deploy(envs[0], OnePassRewardEstimator(dim=5, radius_mode="theory"), T)
         stack = run_deploy(envs[1:], [OnePassRewardEstimator(dim=5) for _ in envs[1:]], T)
         assert [len(rec) for rec in stack] == [T, k, T]

@@ -212,10 +212,8 @@ class TestStackedKernels:
         w[bad] = max(w[bad], 0.5)
         with pytest.raises(NumericFailure) as stacked:
             sherman_morrison(invs, z, w, u, zu)
-        assert stacked.value.index == bad
         with pytest.raises(NumericFailure) as single:
             sherman_morrison(invs[bad], z[bad], float(w[bad]), u[bad], float(zu[bad]))
-        assert single.value.index is None
         assert str(stacked.value) == str(single.value)
 
     @settings(max_examples=80, deadline=None)
@@ -241,10 +239,14 @@ class TestStackedKernels:
             assert np.linalg.norm(sm[s] - fresh) <= 1e-10 * np.linalg.norm(fresh)
 
     def test_negative_quadratic_form_names_the_row(self):
+        """A stack holding row 1's indefinite matrix fails with row 1's own message."""
         mats = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
-        with pytest.raises(NumericFailure) as info:
-            mahalanobis_inv(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), mats)
-        assert info.value.index == 1
+        v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NumericFailure) as stacked:
+            mahalanobis_inv(v, mats)
+        with pytest.raises(NumericFailure) as single:
+            mahalanobis_inv(v[1], mats[1])
+        assert str(stacked.value) == str(single.value)
 
     def test_stack_and_rows_round_trip(self):
         rng = np.random.default_rng(3)

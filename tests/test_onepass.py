@@ -270,14 +270,12 @@ class TestClosedFormStep:
         single.hess_.inv = -10.0 * np.eye(d)  # negative definite: 1 + eta*hw*z.u < 0
         with pytest.raises(NumericFailure, match="Sherman-Morrison denominator") as alone:
             single.update(z, 1)
-        assert alone.value.index is None
         assert single.t_ == 1 and not single.theta_.any()
         stack = OnePassRewardEstimator.stack(
             [OnePassRewardEstimator(dim=d, lam=1.0).reset() for _ in range(3)])
         stack.hess_.inv[1] = -10.0 * np.eye(d)
         with pytest.raises(NumericFailure) as stacked:
             stack.update(np.tile(z, (3, 1)), np.array([1, 1, 1]))
-        assert stacked.value.index == 1
         assert str(stacked.value) == str(alone.value)
         assert stack.t_ == 1 and not stack.theta_.any()
 
@@ -613,7 +611,9 @@ class TestStackedUpdate:
             assert np.array_equal(row.hess_.inv, est.hess_.inv)
 
     def test_failed_projection_names_the_row_and_changes_nothing_else(self, monkeypatch):
+        """Row 1's projection fails alone and in the stack; either counts it and keeps its state."""
         S, d = 3, 4
+        single = OnePassRewardEstimator(dim=d, B=0.05, lam=1.0).reset()
         stack = OnePassRewardEstimator.stack(
             [OnePassRewardEstimator(dim=d, B=0.05, lam=1.0).reset() for _ in range(S)])
         before = (stack.theta_.copy(), stack.hess_.inv.copy(), stack.t_)
@@ -622,34 +622,48 @@ class TestStackedUpdate:
             raise NumericFailure("projection refused")
 
         monkeypatch.setattr(onepass, "project_localnorm_ball", refuse)
+        with pytest.raises(NumericFailure, match="projection refused"):
+            single.update(np.ones(d), 0)
+        assert single.projections_ == 1 and single.t_ == 1 and not single.theta_.any()
         z = np.zeros((S, d))
         z[1] = 1.0  # only row 1 takes a step long enough to leave the ball
-        with pytest.raises(NumericFailure, match="projection refused") as info:
+        with pytest.raises(NumericFailure, match="projection refused"):
             stack.update(z, np.array([1, 0, 1]))
-        assert info.value.index == 1
         assert stack.projections_.tolist() == [0, 1, 0]
         assert np.array_equal(stack.theta_, before[0])
         assert np.array_equal(stack.hess_.inv, before[1]) and stack.t_ == before[2]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_norm_matrix_names_the_row(self):
+        """Row 1's NaN matrix fails its projection alone and in the stack, with one message."""
         S, d = 3, 4
+        single = OnePassRewardEstimator(dim=d, B=0.05, lam=1.0).reset()
+        single.hess_.mat[:] = np.nan  # the inverse stays finite
+        with pytest.raises(NumericFailure, match="projection") as alone:
+            single.update(np.ones(d), 0)
+        assert single.projections_ == 1
+        assert not single.theta_.any() and single.t_ == 1
         stack = OnePassRewardEstimator.stack(
             [OnePassRewardEstimator(dim=d, B=0.05, lam=1.0).reset() for _ in range(S)])
         stack.hess_.mat[1] = np.nan  # the inverses stay finite
         z = np.zeros((S, d))
         z[1] = 1.0  # only row 1 takes a step long enough to leave the ball
-        with pytest.raises(NumericFailure, match="projection") as info:
+        with pytest.raises(NumericFailure, match="projection") as stacked:
             stack.update(z, np.array([1, 0, 1]))
-        assert info.value.index == 1
+        assert str(stacked.value) == str(alone.value)
         assert stack.projections_.tolist() == [0, 1, 0]
         assert not stack.theta_.any() and stack.t_ == 1
 
     def test_curvature_failure_after_a_projection_still_counts_it(self, monkeypatch):
-        def refuse(self, z, w, u=None, zu=None):
-            raise NumericFailure("curvature refused", index=1 if z.ndim > 1 else None)
+        """Row 1's curvature update fails alone and in the stack, after every projection fired."""
+        update = LocalNormMatrix.rank_one_update
 
-        monkeypatch.setattr(LocalNormMatrix, "rank_one_update", refuse)
+        def refuse_ones(self, z, w, u=None, zu=None):  # row 1's sample is the all-ones z
+            if (z == 1.0).all(axis=-1).any():
+                raise NumericFailure("curvature refused")
+            update(self, z, w, u, zu)
+
+        monkeypatch.setattr(LocalNormMatrix, "rank_one_update", refuse_ones)
         single = OnePassRewardEstimator(dim=4, B=0.05, lam=1.0).reset()
         with pytest.raises(NumericFailure, match="curvature refused"):
             single.update(np.ones(4), 1)
@@ -658,11 +672,10 @@ class TestStackedUpdate:
         stack = OnePassRewardEstimator.stack(
             [OnePassRewardEstimator(dim=4, B=0.05, lam=1.0).reset() for _ in range(3)])
         z = np.zeros((3, 4))
-        z[1] = z[2] = 1.0  # rows 1 and 2 leave the ball; row 1's curvature update fails
-        with pytest.raises(NumericFailure) as info:
+        z[1], z[2] = 1.0, 0.5  # rows 1 and 2 leave the ball; row 1's curvature update fails
+        with pytest.raises(NumericFailure, match="curvature refused"):
             stack.update(z, np.array([1, 1, 1]))
-        assert info.value.index == 1
-        assert stack.projections_.tolist() == [0, 1, 0]
+        assert stack.projections_.tolist() == [0, 1, 1]
         assert not stack.theta_.any() and stack.t_ == 1
 
     def test_stack_needs_shared_parameters(self):

@@ -38,7 +38,7 @@ from duelbandits.scenarios import (
     select_most_uncertain,
     subopt,
 )
-from conftest import OracleEstimator, one_table_policy
+from conftest import OracleEstimator, fail_seed_at, one_table_policy
 
 
 def manual_env(phi, theta_star, rho, B=None, L=None, seed=0):
@@ -161,10 +161,14 @@ class TestPessimisticPolicy:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 24),
-           shape=st.sampled_from([(1, 5), (2, 7), (3, 4), (5, 5), (6, 5), (8, 4), (9, 3)]),
+           shape=st.sampled_from([(1, 5), (2, 7), (3, 4), (5, 5), (6, 5), (8, 4), (9, 3),
+                                  (2, 200), (3, 40)]),
            kind=st.sampled_from(["plain", "ties", "nan"]))
     def test_blocked_enumeration_matches_one_table(self, seed, d, shape, kind):
-        """The blocked scan picks the one-table argmax: first maximum, or first NaN."""
+        """The blocked scan picks the one-table argmax: first maximum, or first NaN.
+
+        (2, 200) and (3, 40) walk their last level in slices at every budget.
+        """
         X, A = shape
         rng = np.random.default_rng(seed)
         phi = rng.standard_normal((X, A, d))
@@ -189,7 +193,7 @@ class TestPessimisticPolicy:
                     got = pessimistic_policy(theta, M, beta, env, "enumerate").action_of
                 assert got.tolist() == want, rows
 
-    @pytest.mark.parametrize("shape", [(8, 4, 20), (19, 2, 20)])
+    @pytest.mark.parametrize("shape", [(8, 4, 20), (19, 2, 20), (2, 1000, 20)])
     def test_enumeration_peak_is_bounded_by_the_row_budget(self, shape):
         """The blocked scan's traced peak stays under 1 MiB, however many policies it walks."""
         import tracemalloc
@@ -363,31 +367,26 @@ class TestLazyScan:
             est.update(z, int(rng.random() < 0.5))
 
     def test_failed_seed_resets_the_memo(self, monkeypatch):
-        """After a seed leaves a lockstep stack, the scan starts a new memo for the rest."""
+        """After a lockstep stack fails, each seed's lone run scans with a new memo of its own."""
         calls = []
         plain = scenarios.select_most_uncertain
 
         def spy(pair_diffs, norm_inv, pairs, memo=None):
-            calls.append((memo, bool(memo), len(pair_diffs)))
+            calls.append((memo, bool(memo), pair_diffs.ndim))
             return plain(pair_diffs, norm_inv, pairs, memo)
 
-        update = OnePassRewardEstimator.update
-
-        def fail_row_one(self, z, y):
-            if self.t_ == 20 and len(self.theta_) == 3:
-                raise NumericFailure("synthetic fault", index=1)
-            update(self, z, y)
-
         monkeypatch.setattr(scenarios, "select_most_uncertain", spy)
-        monkeypatch.setattr(OnePassRewardEstimator, "update", fail_row_one)
         envs = [make_environment(5, 12, 5, seed=s) for s in (3, 4, 5)]
+        fail_seed_at(monkeypatch, envs[1].rng_seed, 20)
         got = run_active(envs, [OnePassRewardEstimator(dim=5) for _ in envs], 60)
         assert [rec.summary["aborted"] for _, rec in got] == [None, "synthetic fault", None]
-        before, after = calls[:20], calls[20:]
-        assert all(memo is before[0][0] and n == 3 for memo, _, n in before)
-        assert all(memo is after[0][0] and n == 2 for memo, _, n in after)
-        assert after[0][0] is not before[0][0] and not after[0][1]
-        assert any(used for _, used, _ in before) and any(used for _, used, _ in after)
+        # the stack's 20 rounds, then the lone runs of 60, 20 and 60 rounds
+        runs = [calls[:20], calls[20:80], calls[80:100], calls[100:]]
+        assert [len(run) for run in runs] == [20, 60, 20, 60]
+        for run, ndim in zip(runs, (3, 2, 2, 2)):
+            assert all(memo is run[0][0] and n == ndim for memo, _, n in run)
+            assert not run[0][1] and any(used for _, used, _ in run)
+        assert len({id(run[0][0]) for run in runs}) == 4
 
         # every seed's run equals the same stack scanned without a memo
         monkeypatch.setattr(scenarios, "select_most_uncertain",
@@ -886,7 +885,7 @@ class TestLockstep:
             if self.mat.ndim == 2 and big:
                 raise NumericFailure("curvature refused")
             if self.mat.ndim == 3 and any(big):
-                raise NumericFailure("curvature refused", index=big.index(True))
+                raise NumericFailure("curvature refused")
             original(self, z, w, u, zu)
 
         monkeypatch.setattr(LocalNormMatrix, "rank_one_update", refuse_large)
@@ -900,6 +899,29 @@ class TestLockstep:
                    if rec.summary["aborted"])
         for got, want in zip(stacked, solo):
             assert_same_run(got, want)
+
+    @pytest.mark.parametrize("scenario", ["passive", "active", "deploy"])
+    def test_fault_only_a_stack_raises_leaves_every_lone_record(self, monkeypatch, scenario):
+        """A stacked update that fails is thrown away: every seed gets its lone record, whole."""
+        update = OnePassRewardEstimator.update
+
+        def stack_fails(self, z, y):
+            if self.theta_.ndim > 1 and self.t_ == 30:
+                raise NumericFailure("stack refused")
+            update(self, z, y)
+
+        monkeypatch.setattr(OnePassRewardEstimator, "update", stack_fails)
+        run = {"passive": lambda e, est: run_passive(e, est, 40, checkpoints=(10, 40)),
+               "active": lambda e, est: run_active(e, est, 40, checkpoints=(10, 40)),
+               "deploy": lambda e, est: run_deploy(e, est, 40)}[scenario]
+        envs = [make_environment(5, 8, 4, seed=s) for s in self.SEEDS[:3]]
+        stacked = run(envs, [OnePassRewardEstimator(dim=5) for _ in envs])
+        for env, got in zip(envs, stacked):
+            want = run(env, OnePassRewardEstimator(dim=5))
+            if scenario == "deploy":
+                got, want = (None, got), (None, want)
+            assert got[0] == want[0] and got[1].summary["aborted"] is None
+            assert_same_run(got[1], want[1])
 
     def test_estimators_without_stacked_update_run_one_after_another(self, default_env):
         envs = [default_env, make_environment(5, 8, 4, seed=12)]

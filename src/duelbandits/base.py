@@ -174,9 +174,9 @@ class BaseRewardEstimator:
             return None
         return getattr(self, self.curvature_attr).mat
 
-    def radius(self, t: Optional[int] = None) -> float:
-        """Confidence radius at iteration t (default: the current counter); practical here."""
-        return practical_radius(self.c_beta, self.dim, self.t_ if t is None else t, self.delta)
+    def radius(self) -> float:
+        """Confidence radius at the current counter t_; practical here."""
+        return practical_radius(self.c_beta, self.dim, self.t_, self.delta)
 
     # --- snapshotting ------------------------------------------------------
 

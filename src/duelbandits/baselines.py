@@ -279,9 +279,9 @@ class MleRewardEstimator(BaseRewardEstimator):
             self.max_newton_iters, self.boundary_counts_)
         return self.theta_
 
-    def radius(self, t: Optional[int] = None) -> float:
-        return practical_radius(self.c_beta * self.radius_scale_, self.dim,
-                                self.t_ if t is None else t, self.delta)
+    def radius(self) -> float:
+        """The practical radius at the current counter t_, scaled by ``radius_scale_``."""
+        return practical_radius(self.c_beta * self.radius_scale_, self.dim, self.t_, self.delta)
 
     # --- snapshotting (buffer included, so O(t) on disk) --------------------
 

@@ -333,15 +333,12 @@ class LocalNormMatrix:
                         zu=None) -> None:
         """Add w * z z^T to the matrix and update the inverse through ``sherman_morrison``.
 
-        ``u`` and ``zu`` are passed on to it. On a stack, z is (S, dim) and w
-        (S,); a zero-weight row adds 0 * z z^T to its matrix, which leaves it
-        as it was.
+        ``u`` and ``zu`` are passed on to it. One expression serves a lone z
+        (dim,) with a scalar w and a stack's z (S, dim) with w (S,); a
+        zero-weight row adds 0 * z z^T to its matrix, which leaves it as it was.
         """
         self.inv = sherman_morrison(self.inv, z, w, u, zu)
-        if z.ndim == 1:
-            self.mat = self.mat + w * np.multiply(z[:, None], z)
-        else:
-            self.mat = self.mat + np.asarray(w, dtype=float)[..., None, None] * _outer(z)
+        self.mat = self.mat + np.asarray(w, dtype=float)[..., None, None] * _outer(z)
 
     def norm(self, v: np.ndarray):
         """sqrt(v^T M v), one per row on a stack."""

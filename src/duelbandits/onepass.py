@@ -195,8 +195,9 @@ class OnePassRewardEstimator(BaseRewardEstimator):
         hess.rank_one_update(z, hw_next, u, zu)
         self._advance(theta_next)
 
-    def radius(self, t: Optional[int] = None) -> float:
-        return confidence_radius(self.t_ if t is None else t, self)
+    def radius(self) -> float:
+        """``confidence_radius`` at the current counter t_."""
+        return confidence_radius(self.t_, self)
 
 
 def damping_value(t: int, horizon: int, lambda0: float, damping: str) -> float:
@@ -250,9 +251,8 @@ class HvpCgRewardEstimator(BaseRewardEstimator):
         self.projections_ = 0
         return self
 
-    def _damping(self, t: Optional[int] = None) -> float:
-        return damping_value(self.t_ if t is None else t, self.horizon,
-                             self.lambda0, self.damping)
+    def _damping(self) -> float:
+        return damping_value(self.t_, self.horizon, self.lambda0, self.damping)
 
     def update(self, z: np.ndarray, y: int) -> None:
         z = check_vector(z, self.dim)

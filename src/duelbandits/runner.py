@@ -93,9 +93,7 @@ def _run_all(cfg: ExperimentConfig, sink: Callable):
             chunks = list(pool.map(_run_seed_task, tasks))
     else:
         chunks = [_run_seed_task(t) for t in tasks]
-    results = [r for chunk in chunks for r in chunk]
-    results.sort(key=lambda r: cfg.seeds.index(r[0]))
-    return results
+    return [r for chunk in chunks for r in chunk]
 
 
 def _quartiles(values: List[float]) -> dict:

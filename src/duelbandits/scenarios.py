@@ -126,15 +126,15 @@ class MemorySink:
     """The rounds of one ``_run_loop`` run, kept whole: (S, T) columns, one RunRecord per seed.
 
     A sink holds ``width`` rounds of the CSV's columns, one row per seed;
-    round i lives at column i - ``open(lo)`` of the block opened at round lo.
-    ``put`` closes the block's rounds and streams what a summary reads:
-    rounds completed, the ``wall_nanos`` sum, flag counts (``flags`` holds
-    indices into FLAGS) and the run's ``RunChecks``, fed the block in one
-    call. Given ``regret(rows, x, a, a')``, what rounds paid (deploy), it
-    fills ``cum_regret`` a block at a time: the running total goes in front
-    of the block's ``np.cumsum``, so the bits are those of one sum over the
-    run. This sink is as wide as the run; ``_run_loop`` puts its blocks as it
-    puts a file sink's.
+    round i lives at column i - ``base``. ``put(hi)`` closes the open block's
+    rounds lo..hi-1 (lo is 0 at first), opens the next at hi, and streams what
+    a summary reads: rounds completed, the ``wall_nanos`` sum, flag counts
+    (``flags`` holds indices into FLAGS) and the run's ``RunChecks``, fed the
+    block in one call. Given ``regret(rows, x, a, a')``, what rounds paid
+    (deploy), it fills ``cum_regret`` a block at a time: the running total
+    goes in front of the block's ``np.cumsum``, so the bits are those of one
+    sum over the run. This sink is as wide as the run; ``_run_loop`` puts its
+    blocks as it puts a file sink's.
 
     x, a, a' and y take the narrowest unsigned type that holds the ids. A
     column the same for every seed is kept once, read-only, and every record
@@ -142,7 +142,7 @@ class MemorySink:
     broadcast for each column the run never writes.
     """
 
-    base = 0  # the round at column 0 of the open block, which starts at round lo
+    base = lo = 0  # the round at column 0, and the first round of the open block
 
     def __init__(self, scenario: str, envs: Sequence[Environment], T: int,
                  checkpoints: bool, regret: Optional[Callable], width: Optional[int] = None):
@@ -173,13 +173,8 @@ class MemorySink:
         self.rows = np.arange(S)[:, None]
         self.checks = RunChecks(envs, T)
 
-    def open(self, lo: int) -> int:
-        """Start a block at round ``lo``; returns the round at column 0."""
-        self.lo = lo
-        return self.base
-
     def put(self, hi: int) -> slice:
-        """Close the open block's rounds lo..hi-1; returns their columns."""
+        """Close the open block's rounds lo..hi-1 and open one at hi; returns their columns."""
         cols = slice(self.lo - self.base, hi - self.base)
         if self.pay is not None:  # a round whose update failed pays nothing and shows NaN
             failed = self.flags[:, cols] == FLAGS.index("update_failed")
@@ -188,7 +183,7 @@ class MemorySink:
             total = np.cumsum(np.concatenate((self.regret[:, None], paid), axis=1), axis=1)
             self.regret[:] = total[:, -1]
             self.cum_regret[:, cols] = np.where(failed, np.nan, total[:, 1:])
-        self.n = hi
+        self.n = self.lo = hi
         self.wall_ns += self.wall_nanos[:, cols].sum(axis=1)
         self.flag_counts += (self.flags[:, cols, None] == range(len(FLAGS))).sum(axis=1)
         self.checks.feed(self.t[cols], self.x[:, cols], self.a[:, cols], self.a_prime[:, cols],
@@ -218,7 +213,8 @@ class FileSink(MemorySink):
     renames it once the run set is done, so a run cut short leaves no CSV
     that looks complete. Each closed block of CSV_BLOCK_ROWS rounds is
     appended to the seeds' files through ``RunRecord.write_csv``, the shared
-    columns formatted once. A seed's record holds no rounds.
+    columns formatted once, and its buffer is then reused for the rounds from
+    the next block's first (``base``). A seed's record holds no rounds.
     """
 
     def __init__(self, path: str, scenario: str, envs: Sequence[Environment], T: int,
@@ -230,21 +226,18 @@ class FileSink(MemorySink):
         for s, file in enumerate(self.paths):
             self._record(s, slice(0, 0)).write_csv(file)
 
-    def open(self, lo: int) -> int:
-        self.base = lo
-        self.t = np.arange(lo + 1, lo + 1 + CSV_BLOCK_ROWS, dtype=np.int64)
-        self.wall_nanos.fill(0)
-        self.flags.fill(0)
-        for name in {"cum_regret", "subopt_checkpoint"}.difference(self.shared):
-            getattr(self, name).fill(np.nan)
-        return super().open(lo)
-
     def put(self, hi: int) -> slice:
         cols = super().put(hi)
         records = [self._record(s, cols) for s in range(len(self.paths))]
         shared = {name: _csv_cells(name, getattr(records[0], name)) for name in self.shared}
         for path, rec in zip(self.paths, records):
             rec.write_csv(path, shared, append=True)
+        self.base = hi
+        self.t = np.arange(hi + 1, hi + 1 + CSV_BLOCK_ROWS, dtype=np.int64)
+        self.wall_nanos.fill(0)
+        self.flags.fill(0)
+        if "subopt_checkpoint" not in self.shared:
+            self.subopt_checkpoint.fill(np.nan)
         return cols
 
     def record(self, s: int) -> RunRecord:
@@ -535,17 +528,6 @@ class _DominationAudit:
             self.records[s].append({"t": t, "min_eig": norm_domination_check(H, V, kappa)})
 
 
-def _estimator_stats(estimator) -> dict:
-    """End-of-run internals: projections fired, and the drift of a maintained inverse."""
-    stats = {}
-    if hasattr(estimator, "projections_"):
-        stats["projections"] = estimator.projections_
-    curvature = getattr(estimator, "curvature_attr", None)
-    if curvature is not None:
-        stats["inverse_drift"] = getattr(estimator, curvature).inverse_drift()
-    return stats
-
-
 class _Draws:
     """The uniform draws of scenarios that draw only doubles, ``per_round`` a round.
 
@@ -581,6 +563,11 @@ def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optio
     """Seed s's (final policy, record) with its summary."""
     n, wall = out.n, int(out.wall_ns[s])
     diff = estimator.theta_ - env.truth.theta_star
+    # end-of-run internals: projections fired, and the drift of a maintained inverse
+    stats = {"projections": estimator.projections_} if hasattr(estimator, "projections_") else {}
+    curvature = getattr(estimator, "curvature_attr", None)
+    if curvature is not None:
+        stats["inverse_drift"] = getattr(estimator, curvature).inverse_drift()
     record = out.record(s)
     record.summary = summary = {
         "scenario": out.scenario,
@@ -596,7 +583,7 @@ def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optio
         "update_ns_mean": wall / n if n else 0.0,
         "flag_counts": {FLAGS[f]: c for f, c in enumerate(out.flag_counts[s].tolist())
                         if f and c},
-        "estimator_stats": _estimator_stats(estimator),
+        "estimator_stats": stats,
         "domination_audits": audit.records[s],
         "diagnostics": diagnostics_report(out.checks, s, n, out.wall(s) if n < out.T else None,
                                           audit.records[s]),
@@ -644,8 +631,9 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ``policy`` that no failure cut short ends by extracting it.
 
     The rounds go to ``sink(scenario, envs, T, checkpoints, regret)``, a
-    ``MemorySink`` or ``FileSink``: whichever it is, a block is put at every
-    multiple of CSV_BLOCK_ROWS rounds, at the end and when a lone seed stops.
+    ``MemorySink`` or ``FileSink``: whichever it is, one ``put`` closes a block
+    and opens the next at every multiple of CSV_BLOCK_ROWS rounds, at the end
+    and when a lone seed stops. Round i is written at column i - ``out.base``.
     ``regret(rows, x, a, a')`` (deploy) gives what the rounds paid.
 
     A stack owns the state while the rounds run; each seed's own estimator
@@ -669,10 +657,9 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
         stack, idx, rows = type(estimators[0]).stack(estimators), np.arange(S), slice(None)
     else:
         stack, idx, rows = estimators[0], 0, 0
-    base = out.open(0)
     for t in range(1, T + 1):
         i = t - 1
-        j = i - base
+        j = i - out.base
         x, a, b, yy, beta = choose(stack, idx, rows, i)
         z = phi[idx, x, a] - phi[idx, x, b]
         diff = stack.theta_ - theta_star[rows]
@@ -706,7 +693,6 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
                 out.subopt_checkpoint[s, j] = subopt(policy(est, env), env)
         if t % CSV_BLOCK_ROWS == 0 or t == T:
             out.put(t)
-            base = out.open(t)
     if stacked:
         stack.unstack(estimators)
     return [_finish(out, s, env, est, aborted, audit, policy)

@@ -39,7 +39,7 @@ class OracleEstimator:
     def local_norm_matrix(self):
         return None
 
-    def radius(self, t=None):
+    def radius(self):
         return 0.0
 
 

@@ -85,7 +85,7 @@ class TestMleBehavior:
     def test_radius_carries_kappa_factor(self):
         est = MleRewardEstimator(dim=4, delta=0.1).reset()
         base = math.sqrt(4 * math.log(2.0 / 0.1))
-        assert abs(est.radius(1) - math.sqrt(kappa_bound(1.0, 1.0)) * base) < 1e-12
+        assert abs(est.radius() - math.sqrt(kappa_bound(1.0, 1.0)) * base) < 1e-12
 
     def test_snapshot_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)

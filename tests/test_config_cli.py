@@ -424,6 +424,7 @@ class TestRunExperiment:
                                           "output_dir": str(tmp_path / "w1")}))
         r2 = run_experiment(parse_config({**base, "workers": 2,
                                           "output_dir": str(tmp_path / "w2")}))
+        assert [s["seed"] for s in r2.summaries] == r2.config.seeds
         assert list(map(untimed_summary, r1.summaries)) == list(map(untimed_summary, r2.summaries))
         csvs = sorted(p.name for p in (tmp_path / "w1").glob("*.csv"))
         assert len(csvs) == 4

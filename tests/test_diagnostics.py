@@ -105,7 +105,6 @@ class TestStreamedReplay:
         sink.x[:] = rng.integers(0, 6, (S, n))
         sink.a[:], sink.a_prime[:] = rng.integers(0, 3, (2, S, n))
         sink.wall_nanos[:] = 1
-        sink.open(0)
         sink.put(n)
         zs = np.stack([sink.record(s).z_rows(env) for s, env in enumerate(envs)])
         L = 2 * envs[0].truth.L

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import sherman_morrison
+from .exceptions import NumericFailure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import RunRecord
@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # the report's potential replays V_s = POTENTIAL_LAMBDA * I + sum_{i<s} z_i z_i^T
 POTENTIAL_LAMBDA = 1.0
+# the replay's sub-block: one Cholesky per this many rows, aligned to absolute row counts
+POTENTIAL_BLOCK = 32
 
 
 def _window_sums(t: np.ndarray, wall: np.ndarray, n: int) -> np.ndarray:
@@ -41,7 +43,9 @@ class RunChecks:
     ``n`` is the rounds a run is expected to complete, which places the
     timing windows. Each ``feed`` takes the next rounds of every run, and
     the runs replay their potentials as one stack, which
-    ``elliptic_potential_check`` carries from feed to feed.
+    ``elliptic_potential_check`` carries from feed to feed: it keeps each
+    run's V and takes the rows POTENTIAL_BLOCK at a time, so a 256-round
+    block costs 8 Cholesky factorizations per run, not 256 rank-one updates.
     """
 
     def __init__(self, envs: Sequence, n: int):
@@ -105,39 +109,63 @@ def coverage_check(record: "RunRecord",
     return False, int(record.t[int(np.argmax(bad))])
 
 
-def elliptic_potential_check(zs, lambda_v: float, L, replay: Optional[dict] = None):
-    """Sum of squared self-normalized norms against its closed-form ceiling.
+def _potential_terms(V: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """min(1, z_j^T V_j^-1 z_j) for the rows z_j of Z fed in order after V.
 
-    Computes lhs = sum_s ||z_s||^2 in the inverse of V_s = lambda*I + sum_{i<s}
-    z_i z_i^T via incremental rank-one inverse updates, and
-    rhs = 2 d log(1 + t L^2 / (lambda d)). ``L`` must bound the supplied rows
-    (callers pass 2L for preference differences); a stack may pass one bound
-    per sequence. Returns (lhs, rhs, ok) with one value per leading index:
+    V_j = V + sum_{i<j} z_i z_i^T. With C the Cholesky factor of
+    I + Z V^-1 Z^T, C_jj^2 = 1 + z_j^T V_j^-1 z_j. One row of terms per
+    leading index.
+    """
+    W = np.linalg.solve(V, np.swapaxes(Z, -1, -2))
+    C = np.linalg.cholesky(np.eye(Z.shape[-2]) + Z @ W)
+    return np.minimum(1.0, np.diagonal(C, axis1=-2, axis2=-1) ** 2 - 1.0)
+
+
+def elliptic_potential_check(zs, lambda_v: float, L, replay: Optional[dict] = None):
+    """Sum of clipped squared self-normalized norms against its closed-form ceiling.
+
+    Computes lhs = sum_s min(1, ||z_s||^2) in the inverse of V_s = lambda*I +
+    sum_{i<s} z_i z_i^T, the sum the elliptic potential lemma bounds, and
+    rhs = 2 d log(1 + t L^2 / (lambda d)). The replay keeps V and takes the
+    rows POTENTIAL_BLOCK at a time: one batched solve, one Cholesky and one
+    V += Z^T Z per sub-block (``_potential_terms``). ``L`` must bound the
+    supplied rows (callers pass 2L for preference differences); a stack may
+    pass one bound per sequence. A longer row raises ValueError, a NaN row
+    NumericFailure. Returns (lhs, rhs, ok) with one value per leading index:
     scalars for one (n, d) sequence ``zs``, arrays of S for a stack of
     equal-length sequences (S, n, d), which are replayed together.
 
     ``replay``, an initially empty dict passed on every call, carries the
     replay from call to call, so a long sequence is fed a block of rows at a
-    time without being held whole; the blocking does not change a bit of
-    lhs. Each call checks its rows against ``L`` and feeds them after the
-    rows before, and lhs and rhs cover every row fed so far.
+    time without being held whole. Sub-blocks start at multiples of
+    POTENTIAL_BLOCK rows fed, and the rows of a trailing partial one carry
+    over to the next call, so the blocking does not change a bit of lhs.
+    Each call checks its rows against ``L`` and feeds them after the rows
+    before, and lhs and rhs cover every row fed so far.
     """
     if lambda_v <= 0:
         raise ValueError(f"lambda_v must be positive, got {lambda_v}")
     zs, L = np.asarray(zs, dtype=float), np.asarray(L, dtype=float)
-    if np.any(np.sqrt(np.vecdot(zs, zs)) > L[..., None] * (1 + 1e-9)):
+    norms = np.sqrt(np.vecdot(zs, zs))
+    if np.any(norms > L[..., None] * (1 + 1e-9)):
         raise ValueError("a row exceeds the stated norm bound L")
+    if np.isnan(norms).any():
+        raise NumericFailure("a row fed to the potential replay is not finite")
     state = {} if replay is None else replay
     if not state:
-        state.update(inv=np.eye(zs.shape[-1]) / lambda_v, lhs=np.zeros(zs.shape[:-2]), n=0)
-    inv, lhs = state["inv"], state["lhs"]
-    for j in range(zs.shape[-2]):
-        z = zs[..., j, :]
-        u = np.matvec(inv, z)
-        zu = np.vecdot(z, u)
-        lhs = lhs + zu
-        inv = sherman_morrison(inv, z, 1.0, u, zu)
-    state.update(inv=inv, lhs=lhs, n=state["n"] + zs.shape[-2])
+        state.update(V=lambda_v * np.eye(zs.shape[-1]), lhs=np.zeros(zs.shape[:-2]),
+                     carry=np.zeros((*zs.shape[:-2], 0, zs.shape[-1])), n=0)
+    rows = np.concatenate((state["carry"], zs), axis=-2)
+    V, lhs = state["V"], state["lhs"]
+    full = rows.shape[-2] - rows.shape[-2] % POTENTIAL_BLOCK
+    for lo in range(0, full, POTENTIAL_BLOCK):
+        Z = rows[..., lo:lo + POTENTIAL_BLOCK, :]
+        lhs = lhs + _potential_terms(V, Z).sum(axis=-1)
+        V = V + np.swapaxes(Z, -1, -2) @ Z
+    tail = rows[..., full:, :].copy()  # keeps only the carried rows alive
+    state.update(V=V, lhs=lhs, carry=tail, n=state["n"] + zs.shape[-2])
+    if tail.shape[-2]:
+        lhs = lhs + _potential_terms(V, tail).sum(axis=-1)
     d = zs.shape[-1]
     rhs = 2.0 * d * np.log(1.0 + state["n"] * L**2 / (lambda_v * d))
     return lhs[()], rhs[()], (lhs <= rhs + 1e-9)[()]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duelbandits.diagnostics import (
+    POTENTIAL_BLOCK,
     RunChecks,
     coverage_check,
     diagnostics_report,
@@ -14,6 +15,7 @@ from duelbandits.diagnostics import (
     timing_profile,
 )
 from duelbandits.environment import make_environment
+from duelbandits.exceptions import NumericFailure
 from duelbandits.linkmath import kappa_bound, sigmoid_pair
 from duelbandits.onepass import OnePassRewardEstimator
 from duelbandits.scenarios import CSV_BLOCK_ROWS, MemorySink, RunRecord, run_deploy
@@ -79,9 +81,39 @@ class TestEllipticPotential:
         assert ok
         assert 0 < lhs <= rhs + 1e-9
 
+    def test_long_row_term_clipped_at_one(self):
+        """The lemma bounds sum min(1, ||z||^2): z = [2, 0] at lambda = 1 adds 1, not 4."""
+        lhs, rhs, ok = elliptic_potential_check(np.array([[2.0, 0.0]]), 1.0, 2.0)
+        assert lhs == 1.0
+        assert abs(rhs - 4.0 * np.log(3.0)) < 1e-12
+        assert ok
+
+    @pytest.mark.parametrize("S", [1, 2, 20])
+    @pytest.mark.parametrize("d", [1, 5, 20, 100])
+    def test_blocked_terms_equal_fresh_solves(self, S, d):
+        """The sub-block Cholesky terms against one fresh solve of V_s per row, clipped."""
+        rng = np.random.default_rng(S * 1000 + d)
+        n = 2 * POTENTIAL_BLOCK + 13
+        zs = rng.standard_normal((S, n, d))
+        zs *= 2.0 * rng.random((S, n, 1)) / np.linalg.norm(zs, axis=-1, keepdims=True)
+        lhs, _, _ = elliptic_potential_check(zs, 1.0, 2.0)
+        for s in range(S):
+            V, fresh = np.eye(d), 0.0
+            for z in zs[s]:
+                fresh += min(1.0, z @ np.linalg.solve(V, z))
+                V += np.outer(z, z)
+            assert abs(np.atleast_1d(lhs)[s] - fresh) <= 1e-12 * fresh
+
     def test_norm_bound_enforced(self):
         with pytest.raises(ValueError):
             elliptic_potential_check(np.array([[2.0, 0.0]]), 1.0, 1.0)
+
+    def test_nan_row_raises(self):
+        """A NaN row fails loudly; a Cholesky of its sub-block would return NaN without raising."""
+        zs = np.full((2, POTENTIAL_BLOCK + 5, 3), 0.1)
+        zs[1, 3, 2] = np.nan
+        with pytest.raises(NumericFailure, match="not finite"):
+            elliptic_potential_check(zs, 1.0, 1.0)
 
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -95,9 +127,13 @@ class TestStreamedReplay:
     @settings(max_examples=30, deadline=None)
     @given(S=st.sampled_from([1, 2, 7, 20]), d=st.integers(1, 24),
            n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+           feed=st.sampled_from([1, POTENTIAL_BLOCK - 1, 45, BLOCK]),
            seed=st.integers(0, 2**32 - 1))
-    def test_blocks_replay_the_one_array_bits(self, S, d, n, seed):
-        """The sink's block-fed replay gives the (S, n, d) replay's lhs to the bit."""
+    def test_blocks_replay_the_one_array_bits(self, S, d, n, feed, seed):
+        """The sink's block-fed replay gives the (S, n, d) replay's lhs to the bit.
+
+        Feeds of 1, 31 and 45 rows end inside a sub-block, so rows carry over.
+        """
         rng = np.random.default_rng(seed)
         envs = [make_environment(d, 6, 3, seed=seed + k) for k in range(S)]
         sink = MemorySink("synthetic", envs, n, False, None)
@@ -111,8 +147,8 @@ class TestStreamedReplay:
         lhs, rhs, _ = elliptic_potential_check(zs, 1.0, L)
         want = np.atleast_1d(lhs).tolist()
         replay = {}
-        for lo in range(0, n, BLOCK):
-            fed = elliptic_potential_check(zs[:, lo:lo + BLOCK], 1.0, L, replay)[0]
+        for lo in range(0, n, feed):
+            fed = elliptic_potential_check(zs[:, lo:lo + feed], 1.0, L, replay)[0]
         assert np.atleast_1d(fed).tolist() == want
         reports = [diagnostics_report(sink.checks, s, n, None, []) for s in range(S)]
         assert [r["potential_lhs"] for r in reports] == want
@@ -182,6 +218,12 @@ class TestDiagnosticsReport:
             "coverage_ok", "first_violation", "potential_lhs", "potential_rhs",
             "domination_min_eig", "timing_early_ns", "timing_late_ns", "timing_ratio",
         }
+
+    def test_long_feature_rows_stay_inside_the_lemma(self):
+        """L = 2 rows reach ||z||^2 > 1 at lambda = 1; clipped, the sum stays under its ceiling."""
+        env = make_environment(5, 8, 4, L=2.0, seed=1)
+        report = run_deploy(env, OnePassRewardEstimator(dim=5, L=2.0), 50).summary["diagnostics"]
+        assert report["potential_lhs"] <= report["potential_rhs"]
 
     def test_zero_early_window_reports_no_ratio(self, default_env):
         """A run whose early rounds read 0 ns reports a null timing ratio instead of raising."""

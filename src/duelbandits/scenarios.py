@@ -19,12 +19,16 @@ record is exactly the one it would get alone.
 
 The rounds go to one sink per group, in memory or to CSV files. Either sink
 feeds the group's ``diagnostics.RunChecks``, so every seed's summary carries
-its ``diagnostics``, whichever sink it ran with.
+its ``diagnostics``, whichever sink it ran with. A file sink formats and
+writes its blocks in a forked writer process where there are two CPUs to run
+it on; ``_run_loop`` joins it before the run's summaries are made.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -205,16 +209,113 @@ class MemorySink:
         """Seed s's ``wall_nanos`` column: the timing windows of a seed that stopped early."""
         return self.wall_nanos[s, :self.n]
 
+    def join(self) -> None:
+        """Nothing to wait for: the rounds are in memory."""
+
+
+def _forks_writer() -> bool:
+    """Whether a file sink writes its blocks in a child: ``os.fork`` exists and two CPUs can run."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _serve(blocks: int, status: int, write: Callable[[dict], None]) -> None:
+    """The writer child's whole life: ``write`` each block read from ``blocks``, then ``os._exit``.
+
+    A block cut short, as when the parent stops mid-send, ends the child as
+    EOF does. Any exception goes back pickled on ``status``, and the child
+    exits non-zero; it never returns into the parent's code.
+    """
+    code = 1
+    try:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
+        with open(blocks, "rb") as fh:
+            while True:
+                size = int.from_bytes(fh.read(8), "little")
+                data = fh.read(size)
+                if not size or len(data) < size:
+                    break
+                write(pickle.loads(data))
+        code = 0
+    except BaseException as exc:
+        try:
+            error = pickle.dumps(exc)
+        except Exception:  # an exception that does not pickle goes back as its text
+            error = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(status, "wb") as fh:
+            fh.write(error)
+    finally:
+        os._exit(code)
+
+
+class _Writer:
+    """One forked child that runs ``write(block)`` on each block ``send`` hands it, in order.
+
+    A block goes down a pipe as one pickle behind its length, so the caller
+    may reuse its buffers once ``send`` returns. The child (``_serve``)
+    ignores SIGINT, calls no BLAS (it has none of the parent's BLAS threads),
+    and leaves through ``os._exit``, so it runs none of the parent's exit
+    code. ``join`` closes the pipe, waits for the child to write what it was
+    sent, and raises the child's exception in the parent. A ``send`` after
+    the child stopped raises BrokenPipeError; the ``join`` that must follow
+    raises the child's error in its place.
+    """
+
+    def __init__(self, write: Callable[[dict], None]):
+        # loaded before the fork, so that no child pays for the import (≈ 5 ms)
+        import signal  # noqa: F401
+
+        blocks, pipe = os.pipe()
+        self.status, status = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(pipe)
+            os.close(self.status)
+            _serve(blocks, status, write)
+        os.close(blocks)
+        os.close(status)
+        self.pipe = open(pipe, "wb")
+
+    def send(self, block: dict) -> None:
+        data = pickle.dumps(block, pickle.HIGHEST_PROTOCOL)
+        self.pipe.write(len(data).to_bytes(8, "little"))
+        self.pipe.write(data)
+        self.pipe.flush()
+
+    def join(self) -> None:
+        """Wait until the child has written every block sent; raise its error, if it had one."""
+        try:
+            self.pipe.close()
+        except BrokenPipeError:
+            pass  # the child stopped on an error, which the status pipe holds
+        with open(self.status, "rb") as fh:
+            error = fh.read()
+        status = os.waitpid(self.pid, 0)[1]
+        if error:
+            raise pickle.loads(error)
+        if status:
+            raise ChildProcessError(f"CSV writer {self.pid} ended with wait status {status}")
+
 
 class FileSink(MemorySink):
     """The rounds of one ``_run_loop`` run, streamed to one CSV per seed: memory flat in T.
 
     ``path`` names a seed's CSV with ``{}`` for the seed; ``runner.run_experiment``
     renames it once the run set is done, so a run cut short leaves no CSV
-    that looks complete. Each closed block of CSV_BLOCK_ROWS rounds is
-    appended to the seeds' files through ``RunRecord.write_csv``, the shared
-    columns formatted once, and its buffer is then reused for the rounds from
-    the next block's first (``base``). A seed's record holds no rounds.
+    that looks complete. The sink writes the headers, then forks one
+    ``_Writer`` when ``_forks_writer()`` finds a second CPU. Each closed block
+    of CSV_BLOCK_ROWS rounds goes to that writer as copies of its columns, or
+    is written inline without one; either way ``_append`` appends it to the
+    seeds' files through ``RunRecord.write_csv``, the shared columns
+    formatted once. Its buffer is then reused for the rounds from the next
+    block's first (``base``). The files are complete once ``join`` returns;
+    it raises the writer's error, if it had one. A seed's record holds no
+    rounds.
     """
 
     def __init__(self, path: str, scenario: str, envs: Sequence[Environment], T: int,
@@ -225,13 +326,27 @@ class FileSink(MemorySink):
         self.paths = [path.format(seed) for seed in self.seeds]
         for s, file in enumerate(self.paths):
             self._record(s, slice(0, 0)).write_csv(file)
+        self.writer = _Writer(self._append) if _forks_writer() else None
+
+    def _append(self, block: dict) -> None:
+        """Append a block to the CSVs: flags and each column, (S, n), or (n,) when shared."""
+        flags = block.pop("flags")
+        shared = {name: _csv_cells(name, block.pop(name)) for name in self.shared}
+        for s, path in enumerate(self.paths):
+            rec = RunRecord(self.scenario, self.seeds[s], self.T,
+                            flags=[FLAGS[f] for f in flags[s].tolist()],
+                            **{name: column[s] for name, column in block.items()})
+            rec.write_csv(path, shared, append=True)
 
     def put(self, hi: int) -> slice:
         cols = super().put(hi)
-        records = [self._record(s, cols) for s in range(len(self.paths))]
-        shared = {name: _csv_cells(name, getattr(records[0], name)) for name in self.shared}
-        for path, rec in zip(self.paths, records):
-            rec.write_csv(path, shared, append=True)
+        block = {name: getattr(self, name)[..., cols] for name in ("flags", *CSV_COLUMNS[:-1])}
+        for name in self.shared:
+            block[name] = np.atleast_2d(block[name])[0]
+        if self.writer is None:
+            self._append(block)
+        else:
+            self.writer.send(block)
         self.base = hi
         self.t = np.arange(hi + 1, hi + 1 + CSV_BLOCK_ROWS, dtype=np.int64)
         self.wall_nanos.fill(0)
@@ -240,11 +355,15 @@ class FileSink(MemorySink):
             self.subopt_checkpoint.fill(np.nan)
         return cols
 
+    def join(self) -> None:
+        if self.writer is not None:
+            self.writer.join()
+
     def record(self, s: int) -> RunRecord:
         return RunRecord(self.scenario, self.seeds[s], self.T)
 
     def wall(self, s: int) -> np.ndarray:
-        """Seed s's ``wall_nanos`` column, read back from its CSV."""
+        """Seed s's ``wall_nanos`` column, read back from its CSV (after ``join``)."""
         with open(self.paths[s], encoding="utf-8") as fh:
             next(fh)
             return np.array([int(line.split(",", 2)[1]) for line in fh], dtype=np.int64)
@@ -634,7 +753,9 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ``MemorySink`` or ``FileSink``: whichever it is, one ``put`` closes a block
     and opens the next at every multiple of CSV_BLOCK_ROWS rounds, at the end
     and when a lone seed stops. Round i is written at column i - ``out.base``.
-    ``regret(rows, x, a, a')`` (deploy) gives what the rounds paid.
+    ``regret(rows, x, a, a')`` (deploy) gives what the rounds paid. However
+    the rounds end, ``out.join()`` runs before anything reads the files back
+    and before ``_run_groups`` can run the seeds again into the same files.
 
     A stack owns the state while the rounds run; each seed's own estimator
     is brought up to date whenever it is read (audits, checkpoints and the
@@ -650,49 +771,52 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
     theta_star = np.stack([env.truth.theta_star for env in envs])
     phi = np.stack([env.features.phi for env in envs])
-    out = sink(scenario, envs, T, any(1 <= p <= T for p in ckpts), regret)
     audit = _DominationAudit(estimators, envs, T)
     aborted = None
     if stacked:
         stack, idx, rows = type(estimators[0]).stack(estimators), np.arange(S), slice(None)
     else:
         stack, idx, rows = estimators[0], 0, 0
-    for t in range(1, T + 1):
-        i = t - 1
-        j = i - out.base
-        x, a, b, yy, beta = choose(stack, idx, rows, i)
-        z = phi[idx, x, a] - phi[idx, x, b]
-        diff = stack.theta_ - theta_star[rows]
-        # math.sqrt of one dot gives np.vecdot's bits without the numpy-scalar cost
-        out.est_err_l2[rows, j] = (math.sqrt(diff @ diff) if diff.ndim == 1
-                                   else np.sqrt(np.vecdot(diff, diff)))
-        out.est_err_local[rows, j] = stack.local_norm(diff)
-        out.beta[j] = beta
-        out.x[rows, j], out.a[rows, j], out.a_prime[rows, j], out.y[rows, j] = x, a, b, yy
-        try:
-            start = time.perf_counter_ns()
-            stack.update(z, yy)
-            out.wall_nanos[rows, j] = (time.perf_counter_ns() - start) // S
-        except NumericFailure as exc:
-            if stacked:
-                raise
-            out.flags[0, j] = FLAGS.index("update_failed")
-            aborted = str(exc)
-            out.put(t)
-            break
-        # only a lone seed's estimator runs an inner solve that can stop short
-        if not getattr(stack, "last_converged_", True):
-            out.flags[0, j] = FLAGS.index("inner_nonconverged")
-        audit.step(z, rows)
-        if stacked and (t in audit.points or t in ckpts):
-            stack.unstack(estimators)
-        if t in audit.points:
-            audit.check(t)
-        if t in ckpts:
-            for s, (env, est) in enumerate(zip(envs, estimators)):
-                out.subopt_checkpoint[s, j] = subopt(policy(est, env), env)
-        if t % CSV_BLOCK_ROWS == 0 or t == T:
-            out.put(t)
+    out = sink(scenario, envs, T, any(1 <= p <= T for p in ckpts), regret)
+    try:
+        for t in range(1, T + 1):
+            i = t - 1
+            j = i - out.base
+            x, a, b, yy, beta = choose(stack, idx, rows, i)
+            z = phi[idx, x, a] - phi[idx, x, b]
+            diff = stack.theta_ - theta_star[rows]
+            # math.sqrt of one dot gives np.vecdot's bits without the numpy-scalar cost
+            out.est_err_l2[rows, j] = (math.sqrt(diff @ diff) if diff.ndim == 1
+                                       else np.sqrt(np.vecdot(diff, diff)))
+            out.est_err_local[rows, j] = stack.local_norm(diff)
+            out.beta[j] = beta
+            out.x[rows, j], out.a[rows, j], out.a_prime[rows, j], out.y[rows, j] = x, a, b, yy
+            try:
+                start = time.perf_counter_ns()
+                stack.update(z, yy)
+                out.wall_nanos[rows, j] = (time.perf_counter_ns() - start) // S
+            except NumericFailure as exc:
+                if stacked:
+                    raise
+                out.flags[0, j] = FLAGS.index("update_failed")
+                aborted = str(exc)
+                out.put(t)
+                break
+            # only a lone seed's estimator runs an inner solve that can stop short
+            if not getattr(stack, "last_converged_", True):
+                out.flags[0, j] = FLAGS.index("inner_nonconverged")
+            audit.step(z, rows)
+            if stacked and (t in audit.points or t in ckpts):
+                stack.unstack(estimators)
+            if t in audit.points:
+                audit.check(t)
+            if t in ckpts:
+                for s, (env, est) in enumerate(zip(envs, estimators)):
+                    out.subopt_checkpoint[s, j] = subopt(policy(est, env), env)
+            if t % CSV_BLOCK_ROWS == 0 or t == T:
+                out.put(t)
+    finally:
+        out.join()
     if stacked:
         stack.unstack(estimators)
     return [_finish(out, s, env, est, aborted, audit, policy)

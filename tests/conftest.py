@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,21 @@ class OracleEstimator:
         return 0.0
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test after which this process has a child still running or not reaped.
+
+    A file sink's CSV writer is a forked child that ``_run_loop`` must join
+    on every path out of a run.
+    """
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left {f'unreaped (pid {pid})' if pid else 'running'}")
+
+
 @pytest.fixture
 def default_env():
     return make_environment(5, 8, 4, seed=11)
@@ -72,6 +90,14 @@ def one_table_policy(theta, norm_inv, beta, env):
         actions[x] = best % A
         best //= A
     return actions
+
+
+def csv_without_wall(path):
+    """A run CSV's rows with every wall_nanos cell blanked."""
+    rows = [line.split(",") for line in Path(path).read_text().split("\n")]
+    for row in rows[:len(rows) - 1]:
+        row[1] = ""
+    return rows
 
 
 def fail_seed_at(monkeypatch, seed, t, message="synthetic fault"):

@@ -15,14 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duelbandits import cli, runner
+from duelbandits import cli, runner, scenarios
 from duelbandits.cli import main
 from duelbandits.config import (DAMPING_FNS, ESTIMATOR_CLASSES, ESTIMATORS, POLICY_MODES,
                                 RADIUS_MODES, SCENARIOS, ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
                                 parse_config, resolve_seeds)
 from duelbandits.exceptions import ConfigError
+from duelbandits.onepass import OnePassRewardEstimator
 from duelbandits.runner import aggregate_summaries, run_experiment
-from duelbandits.scenarios import CSV_BLOCK_ROWS, ENUMERATE_BUDGET, FileSink, MemorySink
+from duelbandits.scenarios import (CSV_BLOCK_ROWS, ENUMERATE_BUDGET, FileSink, MemorySink,
+                                   RunRecord)
 from duelbandits.verify import (
     check_sherman_morrison_agreement,
     check_domination_zero_case,
@@ -30,7 +32,7 @@ from duelbandits.verify import (
     run_verify,
 )
 
-from conftest import fail_seed_at
+from conftest import csv_without_wall, fail_seed_at
 
 
 class TestParseConfig:
@@ -443,14 +445,6 @@ class TestRunExperiment:
         assert aggregate_summaries(shuffled, "deploy") == base
 
 
-def csv_without_wall(path):
-    """A run CSV's rows with every wall_nanos cell blanked."""
-    rows = [line.split(",") for line in Path(path).read_text().split("\n")]
-    for row in rows[:len(rows) - 1]:
-        row[1] = ""
-    return rows
-
-
 TIMING_FIELDS = ("timing_early_ns", "timing_late_ns", "timing_ratio")
 
 
@@ -581,6 +575,67 @@ class TestStreamedArtifacts:
                 rec.write_csv(tmp_path / "memory.csv")
                 assert csv_without_wall(tmp_path / "out" / f"deploy_omd_seed{rec.seed}.csv") \
                     == csv_without_wall(tmp_path / "memory.csv")
+
+    @pytest.mark.parametrize("forks", [True, False], ids=["forked", "inline"])
+    def test_writer_error_fails_every_seed_loudly(self, tmp_path, monkeypatch, forks):
+        """A block append that raises fails each seed with that error; no CSV, no child is left."""
+        monkeypatch.setattr(scenarios, "_forks_writer", lambda: forks)
+        write_csv = RunRecord.write_csv
+
+        def full(self, path, shared=None, append=False):
+            if append:
+                raise OSError(28, "No space left on device", str(path))
+            write_csv(self, path, shared, append)
+
+        monkeypatch.setattr(RunRecord, "write_csv", full)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "deploy", "--T", str(CSV_BLOCK_ROWS + 50),
+                     "--seeds", "3", "--out", str(out)]) == 1
+        seeds = json.loads((out / "config.json").read_text())["seeds"]
+        assert json.loads((out / "aggregate.json").read_text())["failed"] == [
+            {"seed": seed, "error": "OSError: [Errno 28] No space left on device: "
+                                    f"'{out / f'deploy_omd_seed{seed}.csv.part'}'"}
+            for seed in sorted(seeds)]
+        assert sorted(p.name for p in out.iterdir()) == ["aggregate.json", "config.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_inline_and_forked_writes_give_the_same_bytes(self, tmp_path, monkeypatch, scenario):
+        """The writer child and the inline write append the same rows, across several blocks."""
+        base = {"scenario": scenario, "T": 2 * CSV_BLOCK_ROWS + 22, "num_seeds": 3}
+        for forks in (True, False):
+            monkeypatch.setattr(scenarios, "_forks_writer", lambda: forks)
+            run_experiment(parse_config({**base, "output_dir": str(tmp_path / str(forks))}))
+        names = sorted(p.name for p in (tmp_path / "True").glob("*.csv"))
+        assert len(names) == 3
+        for name in names:
+            assert (tmp_path / "True" / name).read_text().count("\n") == base["T"] + 1
+            assert csv_without_wall(tmp_path / "True" / name) == csv_without_wall(
+                tmp_path / "False" / name)
+
+    def test_interrupted_run_leaves_no_writer(self, tmp_path, monkeypatch):
+        """A KeyboardInterrupt after a block was put reaches the caller, its writer joined."""
+        update = OnePassRewardEstimator.update
+
+        def interrupted(self, z, y):
+            if self.t_ == CSV_BLOCK_ROWS + 10:
+                raise KeyboardInterrupt
+            update(self, z, y)
+
+        monkeypatch.setattr(OnePassRewardEstimator, "update", interrupted)
+        cfg = parse_config({"scenario": "deploy", "T": 2 * CSV_BLOCK_ROWS, "num_seeds": 2,
+                            "output_dir": str(tmp_path / "out")})
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_block_cut_short_ends_the_writer_quietly(self):
+        """A block the parent stopped sending midway, as on an interrupt, is no writer error."""
+        writer = scenarios._Writer(lambda block: None)
+        writer.pipe.write((1000).to_bytes(8, "little") + b"cut")
+        writer.join()
 
     def test_peak_memory_does_not_grow_with_T(self, tmp_path):
         """A 4-seed deploy run set holds one block of rounds: the same peak at T=500 and 5000."""

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import time
 from types import SimpleNamespace
 from unittest import mock
 
@@ -38,7 +39,7 @@ from duelbandits.scenarios import (
     select_most_uncertain,
     subopt,
 )
-from conftest import OracleEstimator, fail_seed_at, one_table_policy
+from conftest import OracleEstimator, csv_without_wall, fail_seed_at, one_table_policy
 
 
 def manual_env(phi, theta_star, rho, B=None, L=None, seed=0):
@@ -869,6 +870,31 @@ class TestLockstep:
             i = len(got) - 1
             assert got.flags[i] == "update_failed" and got.wall_nanos[i] == 0
             assert any(len(rec) > i and rec.wall_nanos[i] > 0 for rec in stacked)
+
+    def test_rerun_after_a_put_block_writes_the_solo_csvs(self, monkeypatch, tmp_path):
+        """A stack that fails after putting a block has its writer joined before the rerun.
+
+        Each block append is slowed down, so a writer still busy with the
+        stack's first block would land its rows after the rerun's header.
+        """
+        T, k = 600, 300
+        fail_seed_at(monkeypatch, self.SEEDS[1], k)
+        write_csv = RunRecord.write_csv
+
+        def slow(self, path, shared=None, append=False):
+            if append:
+                time.sleep(0.05)
+            write_csv(self, path, shared, append)
+
+        monkeypatch.setattr(RunRecord, "write_csv", slow)
+        envs = [make_environment(5, 8, 4, seed=s) for s in self.SEEDS[:3]]
+        streamed = run_deploy(envs, [OnePassRewardEstimator(dim=5) for _ in envs], T,
+                              sink=functools.partial(FileSink, str(tmp_path / "seed{}.csv")))
+        assert [len(rec) for rec in streamed] == [T, k, T]
+        for env in envs:
+            run_deploy(env, OnePassRewardEstimator(dim=5), T).write_csv(tmp_path / "solo.csv")
+            assert (csv_without_wall(tmp_path / f"seed{env.rng_seed}.csv")
+                    == csv_without_wall(tmp_path / "solo.csv"))
 
     def test_rows_time_an_equal_share_of_the_update(self, default_env):
         envs = [default_env, make_environment(5, 8, 4, seed=12)]

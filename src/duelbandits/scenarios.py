@@ -272,7 +272,12 @@ class _Writer:
 
         blocks, pipe = os.pipe()
         self.status, status = os.pipe()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (blocks, pipe, self.status, status):
+                os.close(fd)
+            raise
         if self.pid == 0:
             os.close(pipe)
             os.close(self.status)

@@ -637,6 +637,17 @@ class TestStreamedArtifacts:
         writer.pipe.write((1000).to_bytes(8, "little") + b"cut")
         writer.join()
 
+    def test_failed_fork_closes_its_pipes(self, monkeypatch):
+        """A fork that fails raises its error and leaves none of the writer's pipe ends open."""
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            scenarios._Writer(lambda block: None)
+        assert set(os.listdir("/proc/self/fd")) == before
+
     def test_peak_memory_does_not_grow_with_T(self, tmp_path):
         """A 4-seed deploy run set holds one block of rounds: the same peak at T=500 and 5000."""
         import tracemalloc

@@ -28,7 +28,7 @@ from .environment import (
 )
 from .exceptions import ConfigError, NumericFailure
 from .linalg import LocalNormMatrix, cg_solve, mahalanobis_inv, sherman_morrison
-from .linkmath import bt_sample, kappa_bound, kappa_empirical, sigmoid_pair
+from .linkmath import bt_sample, kappa_bound, sigmoid_pair
 from .onepass import (
     HvpCgRewardEstimator,
     OnePassRewardEstimator,

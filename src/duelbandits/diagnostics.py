@@ -6,10 +6,11 @@ stay under its closed-form ceiling, does the curvature matrix dominate the
 scatter matrix, and does the per-iteration cost stay flat.
 
 The one report path: a run's sink feeds ``RunChecks`` a block of rounds at a
-time, and ``diagnostics_report`` turns a seed's checks and audits into its
-summary's ``diagnostics``. ``coverage_check`` and ``timing_profile`` take a
-whole in-memory record and a caller's radius or windows; the streamed report
-is tested against them.
+time, the round loop hands it the curvature matrices at the domination audit
+points, and ``diagnostics_report`` turns a seed's checks into its summary's
+``diagnostics``. ``coverage_check`` and ``timing_profile`` take a whole
+in-memory record and a caller's radius or windows; the streamed report is
+tested against them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import NumericFailure
+from .linkmath import kappa_bound
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenarios import RunRecord
@@ -28,6 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover
 POTENTIAL_LAMBDA = 1.0
 # the replay's sub-block: one Cholesky per this many rows, aligned to absolute row counts
 POTENTIAL_BLOCK = 32
+# the rounds after which H >= V/kappa is audited, besides a run's last
+DOMINATION_AUDIT_POINTS = (100, 1000)
+# the estimators whose curvature matrix is lam*I plus lookahead Hessians; MLE's
+# is the scatter matrix V itself, and hvpcg forms none
+_AUDITED_KINDS = ("onepass", "implicit")
 
 
 def _window_sums(t: np.ndarray, wall: np.ndarray, n: int) -> np.ndarray:
@@ -41,20 +48,35 @@ class RunChecks:
     """A report's streamed inputs for a group of runs, fed a block of rounds at a time.
 
     ``n`` is the rounds a run is expected to complete, which places the
-    timing windows. Each ``feed`` takes the next rounds of every run, and
-    the runs replay their potentials as one stack, which
-    ``elliptic_potential_check`` carries from feed to feed: it keeps each
-    run's V and takes the rows POTENTIAL_BLOCK at a time, so a 256-round
+    timing windows and the last audit point. Each ``feed`` takes the next
+    rounds of every run, and the runs replay their potentials as one stack,
+    which ``elliptic_potential_check`` carries from feed to feed: it keeps
+    each run's V and takes the rows POTENTIAL_BLOCK at a time, so a 256-round
     block costs 8 Cholesky factorizations per run, not 256 rank-one updates.
+
+    ``est`` is the runs' estimator, a lone one or a lockstep stack. For an
+    audited kind (onepass, implicit) each run also keeps its scatter sum
+    sum z z^T, added one round after another, and ``points`` holds the
+    rounds at which the loop calls ``audit``, which checks H >= V/kappa with
+    V = kappa*lam*I + that sum; for any other estimator ``points`` is empty
+    and ``audits`` stay empty lists.
     """
 
-    def __init__(self, envs: Sequence, n: int):
+    def __init__(self, envs: Sequence, n: int, est=None):
         self.phi = np.stack([env.features.phi for env in envs])
         self.L, self.n = 2 * np.array([env.truth.L for env in envs]), n
         self.rows, self.replay = np.arange(len(envs))[:, None], {}
         self.first = np.zeros(len(envs), dtype=np.int64)  # 0: no violation yet
         self.lhs, self.rhs = np.zeros((2, len(envs)))
         self.windows = np.zeros((len(envs), 2), dtype=np.int64)
+        self.audits = [[] for _ in envs]
+        self.points, self.v_sum = frozenset(), None
+        if getattr(est, "kind", None) in _AUDITED_KINDS:
+            self.points = frozenset(p for p in (*DOMINATION_AUDIT_POINTS, n) if 1 <= p <= n)
+            d = self.phi.shape[-1]
+            self.v_sum = np.zeros((len(envs), d, d))
+            self.kappas = [kappa_bound(env.truth.B, env.truth.L) for env in envs]
+            self.lam = est.lam_
 
     def feed(self, t: np.ndarray, x, a, a_prime, err_local, beta, wall):
         """Rounds ``t`` of every run.
@@ -64,30 +86,44 @@ class RunChecks:
         z = self.phi[self.rows, x, a]
         z -= self.phi[self.rows, x, a_prime]
         self.lhs, self.rhs, _ = elliptic_potential_check(z, POTENTIAL_LAMBDA, self.L, self.replay)
+        if self.points:  # one round of every run at a time: no (S, rounds, d, d) array
+            for row in np.moveaxis(z, 1, 0):
+                self.v_sum += row[:, :, None] * row[:, None, :]
         bad = err_local > beta
         hit = bad.any(axis=1) & (self.first == 0)
         self.first[hit] = t[bad[hit].argmax(axis=1)]
         self.windows += _window_sums(t, wall, self.n)
 
+    def audit(self, t: int, H: np.ndarray) -> None:
+        """Check H >= V/kappa for every run after round t, its rows up to t all fed.
 
-def diagnostics_report(checks: RunChecks, s: int, n: int, wall: Optional[np.ndarray],
-                       audits: Sequence[dict]) -> dict:
+        ``H`` holds the runs' curvature matrices: (d, d) for a lone run, or a
+        stack's (S, d, d).
+        """
+        H = np.reshape(H, self.v_sum.shape)
+        eye = np.eye(self.v_sum.shape[-1])
+        for s, kappa in enumerate(self.kappas):
+            V = kappa * self.lam * eye + self.v_sum[s]
+            self.audits[s].append({"t": t, "min_eig": norm_domination_check(H[s], V, kappa)})
+
+
+def diagnostics_report(checks: RunChecks, s: int, n: int, wall: Optional[np.ndarray]) -> dict:
     """Run s's lemma-level checks after its n rounds: its summary's ``diagnostics`` field.
 
     Holds coverage_ok, first_violation, potential_lhs, potential_rhs,
     domination_min_eig, timing_early_ns, timing_late_ns and timing_ratio.
     A run that stopped short of ``checks.n`` passes its whole ``wall``
     column, whose windows then fall in its own n rounds. The domination
-    eigenvalue is the least of the run's ``audits`` (None, so JSON null,
-    when the estimator exposes no curvature matrix); the timing ratio is
-    None when the early window read 0 ns.
+    eigenvalue is the least of the run's ``checks.audits`` (None, so JSON
+    null, for an estimator that is not audited); the timing ratio is None
+    when the early window read 0 ns.
     """
     windows = checks.windows[s] if wall is None else _window_sums(np.arange(1, n + 1), wall, n)
     early, late = (windows / (n // 10 if n >= 10 else n)).tolist() if n else (0.0, 0.0)
     first = int(checks.first[s]) or None
     return {"coverage_ok": first is None, "first_violation": first,
             "potential_lhs": float(checks.lhs[s]), "potential_rhs": float(checks.rhs[s]),
-            "domination_min_eig": min((a["min_eig"] for a in audits), default=None),
+            "domination_min_eig": min((a["min_eig"] for a in checks.audits[s]), default=None),
             "timing_early_ns": early, "timing_late_ns": late,
             "timing_ratio": 1.0 if n < 10 else late / early if early else None}
 

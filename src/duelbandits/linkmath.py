@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -70,20 +70,3 @@ def kappa_bound(B: float, L: float) -> float:
     if B <= 0 or L <= 0:
         raise ValueError(f"B and L must be positive, got B={B}, L={L}")
     return 3.0 + math.exp(2.0 * B * L)
-
-
-def kappa_empirical(data: Iterable[Tuple[np.ndarray, np.ndarray]]) -> float:
-    """Realized non-linearity coefficient max over (z, theta) pairs of 1/sigma'(z.theta).
-
-    The true coefficient maximizes over the whole feature/parameter product set,
-    which is not computable; this evaluates the same quantity at the supplied pairs.
-    """
-    worst = 0.0
-    empty = True
-    for z, theta in data:
-        empty = False
-        _, ds = sigmoid_pair(float(np.dot(z, theta)))
-        worst = max(worst, 1.0 / ds)
-    if empty:
-        raise ValueError("kappa_empirical needs at least one (z, theta) pair")
-    return worst

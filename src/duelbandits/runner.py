@@ -158,7 +158,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     stem = f"{cfg.scenario}_{cfg.estimator}_seed{{}}"
     part = str(out_dir / f"{stem}.csv.part")
-    results = _run_all(cfg, functools.partial(FileSink, part))
+    # a seed chunk's sink forks its CSV writer only onto a CPU no worker fills
+    results = _run_all(cfg, functools.partial(FileSink, part, workers=cfg.workers))
     summaries = []
     for seed, rec, error in results:
         if rec is None:

@@ -35,10 +35,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import RunChecks, diagnostics_report, norm_domination_check
+from .diagnostics import RunChecks, diagnostics_report
 from .environment import Environment, Policy, draw_passive_pair
 from .exceptions import NumericFailure
-from .linkmath import bt_sample, kappa_bound
+from .linkmath import bt_sample
 
 CSV_COLUMNS = (
     "t", "wall_nanos", "est_err_l2", "est_err_local", "beta",
@@ -49,7 +49,6 @@ ENUMERATE_BUDGET = 10**6
 ENUMERATE_ROWS = 1024
 LAZY_CANDIDATES = 32
 CSV_BLOCK_ROWS = 256
-DOMINATION_AUDIT_POINTS = (100, 1000)
 
 
 _FLOAT_COLUMNS = frozenset(("est_err_l2", "est_err_local", "beta", "cum_regret",
@@ -134,7 +133,8 @@ class MemorySink:
     rounds lo..hi-1 (lo is 0 at first), opens the next at hi, and streams what
     a summary reads: rounds completed, the ``wall_nanos`` sum, flag counts
     (``flags`` holds indices into FLAGS) and the run's ``RunChecks``, fed the
-    block in one call. Given ``regret(rows, x, a, a')``, what rounds paid
+    block in one call (``est``, the run's estimator, tells it whether to
+    audit domination). Given ``regret(rows, x, a, a')``, what rounds paid
     (deploy), it fills ``cum_regret`` a block at a time: the running total
     goes in front of the block's ``np.cumsum``, so the bits are those of one
     sum over the run. This sink is as wide as the run; ``_run_loop`` puts its
@@ -149,7 +149,8 @@ class MemorySink:
     base = lo = 0  # the round at column 0, and the first round of the open block
 
     def __init__(self, scenario: str, envs: Sequence[Environment], T: int,
-                 checkpoints: bool, regret: Optional[Callable], width: Optional[int] = None):
+                 checkpoints: bool, regret: Optional[Callable], est=None,
+                 width: Optional[int] = None):
         self.scenario, self.seeds, self.T = scenario, [env.rng_seed for env in envs], T
         width = T if width is None else width
         contexts, actions = envs[0].features.phi.shape[:2]
@@ -175,7 +176,7 @@ class MemorySink:
         # update that fails leaves 0.0
         self.pay, self.regret = regret, None if regret is None else np.full(S, -0.0)
         self.rows = np.arange(S)[:, None]
-        self.checks = RunChecks(envs, T)
+        self.checks = RunChecks(envs, T, est)
 
     def put(self, hi: int) -> slice:
         """Close the open block's rounds lo..hi-1 and open one at hi; returns their columns."""
@@ -213,13 +214,17 @@ class MemorySink:
         """Nothing to wait for: the rounds are in memory."""
 
 
-def _forks_writer() -> bool:
-    """Whether a file sink writes its blocks in a child: ``os.fork`` exists and two CPUs can run."""
+def _forks_writer(workers: int) -> bool:
+    """Whether a file sink writes its blocks in a child: ``os.fork`` exists and a CPU is free.
+
+    Free: the CPUs this process may run on outnumber the run set's ``workers``
+    processes, each of which runs rounds.
+    """
     if not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+        return len(os.sched_getaffinity(0)) > workers
+    return (os.cpu_count() or 1) > workers
 
 
 def _serve(blocks: int, status: int, write: Callable[[dict], None]) -> None:
@@ -313,9 +318,10 @@ class FileSink(MemorySink):
     ``path`` names a seed's CSV with ``{}`` for the seed; ``runner.run_experiment``
     renames it once the run set is done, so a run cut short leaves no CSV
     that looks complete. The sink writes the headers, then forks one
-    ``_Writer`` when ``_forks_writer()`` finds a second CPU. Each closed block
-    of CSV_BLOCK_ROWS rounds goes to that writer as copies of its columns, or
-    is written inline without one; either way ``_append`` appends it to the
+    ``_Writer`` when ``_forks_writer(workers)`` finds a CPU that none of the
+    run set's ``workers`` processes fills. Each closed block of at most
+    CSV_BLOCK_ROWS rounds goes to that writer as copies of its columns, or is
+    written inline without one; either way ``_append`` appends it to the
     seeds' files through ``RunRecord.write_csv``, the shared columns
     formatted once. Its buffer is then reused for the rounds from the next
     block's first (``base``). The files are complete once ``join`` returns;
@@ -324,14 +330,14 @@ class FileSink(MemorySink):
     """
 
     def __init__(self, path: str, scenario: str, envs: Sequence[Environment], T: int,
-                 checkpoints: bool, regret: Optional[Callable]):
-        super().__init__(scenario, envs, T, checkpoints, regret, width=CSV_BLOCK_ROWS)
+                 checkpoints: bool, regret: Optional[Callable], est=None, workers: int = 1):
+        super().__init__(scenario, envs, T, checkpoints, regret, est, width=CSV_BLOCK_ROWS)
         self.shared = ("t", "beta") + tuple(name for name in ("cum_regret", "subopt_checkpoint")
                                             if not getattr(self, name).flags.writeable)
         self.paths = [path.format(seed) for seed in self.seeds]
         for s, file in enumerate(self.paths):
             self._record(s, slice(0, 0)).write_csv(file)
-        self.writer = _Writer(self._append) if _forks_writer() else None
+        self.writer = _Writer(self._append) if _forks_writer(workers) else None
 
     def _append(self, block: dict) -> None:
         """Append a block to the CSVs: flags and each column, (S, n), or (n,) when shared."""
@@ -614,44 +620,6 @@ def select_deploy_actions(theta: np.ndarray, norm_inv: np.ndarray, beta: float,
 # run loops
 
 
-# the estimators whose curvature matrix is lam*I plus lookahead Hessians; MLE's
-# is the scatter matrix V itself, and hvpcg forms none
-_AUDITED_KINDS = ("onepass", "implicit")
-
-
-class _DominationAudit:
-    """Tracks V_t = kappa*lam*I + sum z z^T per seed and spot-checks H >= V/kappa.
-
-    The scatter sums of all seeds are one (S, d, d) stack; a check reads each
-    seed's H from its own estimator, which the loop has brought up to date.
-    """
-
-    def __init__(self, estimators, envs: Sequence[Environment], T: int):
-        self.records: List[List[dict]] = [[] for _ in estimators]
-        if getattr(estimators[0], "kind", None) not in _AUDITED_KINDS:
-            self.points = frozenset()
-            return
-        self.lams = [est.lam_ for est in estimators]
-        self.kappas = [kappa_bound(env.truth.B, env.truth.L) for env in envs]
-        dim = envs[0].features.dim
-        self.v_sum = np.zeros((len(envs), dim, dim))
-        self.points = frozenset(p for p in (*DOMINATION_AUDIT_POINTS, T) if 1 <= p <= T)
-        self.estimators = estimators
-        self.dim = dim
-
-    def step(self, z: np.ndarray, rows) -> None:
-        """Add the round's z z^T: one z (d,) for the row ``rows``, or (S, d) for every row."""
-        if self.points:
-            self.v_sum[rows] += z[..., :, None] * z[..., None, :]
-
-    def check(self, t: int) -> None:
-        for s in range(len(self.records)):
-            kappa = self.kappas[s]
-            H = self.estimators[s].local_norm_matrix()
-            V = kappa * self.lams[s] * np.eye(self.dim) + self.v_sum[s]
-            self.records[s].append({"t": t, "min_eig": norm_domination_check(H, V, kappa)})
-
-
 class _Draws:
     """The uniform draws of scenarios that draw only doubles, ``per_round`` a round.
 
@@ -683,7 +651,7 @@ class _Draws:
 
 
 def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optional[str],
-            audit: _DominationAudit, policy: Optional[Callable]):
+            policy: Optional[Callable]):
     """Seed s's (final policy, record) with its summary."""
     n, wall = out.n, int(out.wall_ns[s])
     diff = estimator.theta_ - env.truth.theta_star
@@ -708,9 +676,8 @@ def _finish(out: MemorySink, s: int, env: Environment, estimator, aborted: Optio
         "flag_counts": {FLAGS[f]: c for f, c in enumerate(out.flag_counts[s].tolist())
                         if f and c},
         "estimator_stats": stats,
-        "domination_audits": audit.records[s],
-        "diagnostics": diagnostics_report(out.checks, s, n, out.wall(s) if n < out.T else None,
-                                          audit.records[s]),
+        "domination_audits": out.checks.audits[s],
+        "diagnostics": diagnostics_report(out.checks, s, n, out.wall(s) if n < out.T else None),
     }
     hist = getattr(estimator, "newton_iters_hist_", None)
     if hist is not None:
@@ -749,23 +716,27 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ``wall_nanos`` is an equal share of the update time. A NumericFailure in
     a lone seed's update flags its round ``update_failed`` and ends its run;
     a stack's is raised, for ``_run_groups`` to run the seeds alone. After a
-    successful update come the ``inner_nonconverged`` flag, the domination
-    audit, and the suboptimality of ``policy(estimator, env)`` at the rounds
-    in ``checkpoints`` (default: ``default_checkpoints(T)``). A seed with a
+    successful update come the ``inner_nonconverged`` flag and the
+    suboptimality of ``policy(estimator, env)`` at the rounds in
+    ``checkpoints`` (default: ``default_checkpoints(T)``). A seed with a
     ``policy`` that no failure cut short ends by extracting it.
 
-    The rounds go to ``sink(scenario, envs, T, checkpoints, regret)``, a
-    ``MemorySink`` or ``FileSink``: whichever it is, one ``put`` closes a block
-    and opens the next at every multiple of CSV_BLOCK_ROWS rounds, at the end
-    and when a lone seed stops. Round i is written at column i - ``out.base``.
-    ``regret(rows, x, a, a')`` (deploy) gives what the rounds paid. However
-    the rounds end, ``out.join()`` runs before anything reads the files back
-    and before ``_run_groups`` can run the seeds again into the same files.
+    The rounds go to ``sink(scenario, envs, T, checkpoints, regret, stack)``,
+    a ``MemorySink`` or ``FileSink``: whichever it is, one ``put`` closes a
+    block and opens the next at every multiple of CSV_BLOCK_ROWS rounds, at
+    each of its ``checks.points``, at the end and when a lone seed stops.
+    Round i is written at column i - ``out.base``, its checkpoint cell before
+    its put. Right after the put at an audit point, the sink's ``RunChecks``
+    gets the curvature matrices, a stack's (S, d, d) read as they are, for
+    its domination audit. ``regret(rows, x, a, a')`` (deploy) gives what the
+    rounds paid. However the rounds end, ``out.join()`` runs before anything
+    reads the files back and before ``_run_groups`` can run the seeds again
+    into the same files.
 
     A stack owns the state while the rounds run; each seed's own estimator
-    is brought up to date whenever it is read (audits, checkpoints and the
-    end), so the estimators end the run holding their final state. Every
-    seed's record is exactly the one it gets as a lone seed.
+    is brought up to date whenever it is read (checkpoints and the end), so
+    the estimators end the run holding their final state. Every seed's
+    record is exactly the one it gets as a lone seed.
     """
     for est in estimators:
         if getattr(est, "horizon", False) is None:
@@ -776,13 +747,13 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
     ckpts = frozenset(default_checkpoints(T) if checkpoints is None else checkpoints)
     theta_star = np.stack([env.truth.theta_star for env in envs])
     phi = np.stack([env.features.phi for env in envs])
-    audit = _DominationAudit(estimators, envs, T)
     aborted = None
     if stacked:
         stack, idx, rows = type(estimators[0]).stack(estimators), np.arange(S), slice(None)
     else:
         stack, idx, rows = estimators[0], 0, 0
-    out = sink(scenario, envs, T, any(1 <= p <= T for p in ckpts), regret)
+    out = sink(scenario, envs, T, any(1 <= p <= T for p in ckpts), regret, stack)
+    points = out.checks.points
     try:
         for t in range(1, T + 1):
             i = t - 1
@@ -810,21 +781,20 @@ def _run_loop(scenario: str, envs: Sequence[Environment], estimators, T: int,
             # only a lone seed's estimator runs an inner solve that can stop short
             if not getattr(stack, "last_converged_", True):
                 out.flags[0, j] = FLAGS.index("inner_nonconverged")
-            audit.step(z, rows)
-            if stacked and (t in audit.points or t in ckpts):
-                stack.unstack(estimators)
-            if t in audit.points:
-                audit.check(t)
             if t in ckpts:
+                if stacked:
+                    stack.unstack(estimators)
                 for s, (env, est) in enumerate(zip(envs, estimators)):
                     out.subopt_checkpoint[s, j] = subopt(policy(est, env), env)
-            if t % CSV_BLOCK_ROWS == 0 or t == T:
+            if t % CSV_BLOCK_ROWS == 0 or t == T or t in points:
                 out.put(t)
+            if t in points:
+                out.checks.audit(t, stack.local_norm_matrix())
     finally:
         out.join()
     if stacked:
         stack.unstack(estimators)
-    return [_finish(out, s, env, est, aborted, audit, policy)
+    return [_finish(out, s, env, est, aborted, policy)
             for s, (env, est) in enumerate(zip(envs, estimators))]
 
 

@@ -28,7 +28,7 @@ from .diagnostics import (
 )
 from .environment import make_environment
 from .linalg import LocalNormMatrix, cg_solve, sherman_morrison
-from .linkmath import bt_sample, kappa_bound, kappa_empirical, sigmoid_pair
+from .linkmath import bt_sample, kappa_bound, sigmoid_pair
 from .onepass import OnePassRewardEstimator, project_localnorm_ball
 from .runner import aggregate_summaries
 from .scenarios import (
@@ -102,24 +102,6 @@ def check_cg_exactness(seed: int) -> CheckResult:
         ref = np.linalg.solve(A, b)
         worst = max(worst, float(np.linalg.norm(v - ref) / np.linalg.norm(ref)))
     return worst <= 1e-6, f"max relative CG error {worst:.2e}"
-
-
-def check_kappa_empirical_bounded(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(50):
-        B = float(rng.uniform(0.2, 2.0))
-        L = float(rng.uniform(0.2, 2.0))
-        d = int(rng.integers(1, 8))
-        pairs = []
-        for _ in range(20):
-            z = rng.standard_normal(d)
-            z *= 2 * L * rng.random() / np.linalg.norm(z)
-            th = rng.standard_normal(d)
-            th *= B * rng.random() / np.linalg.norm(th)
-            pairs.append((z, th))
-        ok = ok and kappa_empirical(pairs) <= kappa_bound(B, L) + 1e-12
-    return ok, "empirical kappa stayed below the closed-form bound"
 
 
 def check_bt_determinism(seed: int) -> CheckResult:
@@ -474,7 +456,6 @@ CHECKS: List[Tuple[str, Callable[[int], CheckResult]]] = [
     ("sigmoid-symmetry", check_sigmoid_symmetry),
     ("sherman-morrison-agreement", check_sherman_morrison_agreement),
     ("cg-exactness", check_cg_exactness),
-    ("kappa-empirical-bounded", check_kappa_empirical_bounded),
     ("bt-sample-determinism", check_bt_determinism),
     ("onepass-ball-invariant", check_ball_invariant),
     ("onepass-inverse-drift", check_inverse_drift),

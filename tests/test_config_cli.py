@@ -20,6 +20,7 @@ from duelbandits.cli import main
 from duelbandits.config import (DAMPING_FNS, ESTIMATOR_CLASSES, ESTIMATORS, POLICY_MODES,
                                 RADIUS_MODES, SCENARIOS, ExperimentConfig, _FIELD_TYPES, _OPTIONAL_FIELDS, mix_seed,
                                 parse_config, resolve_seeds)
+from duelbandits.diagnostics import DOMINATION_AUDIT_POINTS
 from duelbandits.exceptions import ConfigError
 from duelbandits.onepass import OnePassRewardEstimator
 from duelbandits.runner import aggregate_summaries, run_experiment
@@ -522,7 +523,8 @@ class TestStreamedArtifacts:
         assert [len(rec) for _, rec, _ in results] == [cfg.T, k]
 
     def test_both_sinks_put_the_same_blocks(self, tmp_path, monkeypatch):
-        """Either sink gets a block every CSV_BLOCK_ROWS rounds, at the end and where a seed stops.
+        """Either sink gets a block every CSV_BLOCK_ROWS rounds, at each domination audit
+        point, at the end and where a seed stops.
 
         The stack fails at round k and is thrown away; its seeds run again alone.
         """
@@ -545,9 +547,10 @@ class TestStreamedArtifacts:
         file, spy = spying(FileSink)
         runner.run_single(cfg, list(cfg.seeds), functools.partial(spy, str(tmp_path / "s{}.csv")))
         first, bad, last = cfg.seeds
-        whole = [CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS, cfg.T]
-        assert memory == file == [(CSV_BLOCK_ROWS, cfg.seeds)] + [
-            (hi, [seed]) for seed, his in ((first, whole), (bad, [CSV_BLOCK_ROWS, k]),
+        audit = DOMINATION_AUDIT_POINTS[0]  # inside the first block
+        whole = [audit, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS, cfg.T]
+        assert memory == file == [(audit, cfg.seeds), (CSV_BLOCK_ROWS, cfg.seeds)] + [
+            (hi, [seed]) for seed, his in ((first, whole), (bad, [audit, CSV_BLOCK_ROWS, k]),
                                            (last, whole)) for hi in his]
 
     def test_chunk_that_raises_leaves_no_stale_csv(self, tmp_path, monkeypatch):
@@ -579,7 +582,7 @@ class TestStreamedArtifacts:
     @pytest.mark.parametrize("forks", [True, False], ids=["forked", "inline"])
     def test_writer_error_fails_every_seed_loudly(self, tmp_path, monkeypatch, forks):
         """A block append that raises fails each seed with that error; no CSV, no child is left."""
-        monkeypatch.setattr(scenarios, "_forks_writer", lambda: forks)
+        monkeypatch.setattr(scenarios, "_forks_writer", lambda workers: forks)
         write_csv = RunRecord.write_csv
 
         def full(self, path, shared=None, append=False):
@@ -605,7 +608,7 @@ class TestStreamedArtifacts:
         """The writer child and the inline write append the same rows, across several blocks."""
         base = {"scenario": scenario, "T": 2 * CSV_BLOCK_ROWS + 22, "num_seeds": 3}
         for forks in (True, False):
-            monkeypatch.setattr(scenarios, "_forks_writer", lambda: forks)
+            monkeypatch.setattr(scenarios, "_forks_writer", lambda workers: forks)
             run_experiment(parse_config({**base, "output_dir": str(tmp_path / str(forks))}))
         names = sorted(p.name for p in (tmp_path / "True").glob("*.csv"))
         assert len(names) == 3
@@ -630,6 +633,21 @@ class TestStreamedArtifacts:
             run_experiment(cfg)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers, forks", [(2, False), (1, True)])
+    def test_writer_forks_only_onto_a_free_cpu(self, tmp_path, monkeypatch, workers, forks):
+        """On two CPUs, a run set of two workers forks no CSV writer; one worker still does."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sinks = []  # the sink factory run_experiment hands its workers
+        monkeypatch.setattr(runner, "_run_all", lambda cfg, sink: sinks.append(sink) or [])
+        run_experiment(parse_config({"scenario": "deploy", "T": 10, "num_seeds": 2,
+                                     "workers": workers, "output_dir": str(tmp_path)}))
+        sink = sinks[0]("deploy", [runner.make_environment(5, 8, 4, seed=0)], 10, False, None)
+        try:
+            assert (sink.writer is not None) == forks
+        finally:
+            sink.join()
 
     def test_block_cut_short_ends_the_writer_quietly(self):
         """A block the parent stopped sending midway, as on an interrupt, is no writer error."""

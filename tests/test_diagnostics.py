@@ -1,10 +1,13 @@
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duelbandits.baselines import ImplicitOmdRewardEstimator
 from duelbandits.diagnostics import (
     POTENTIAL_BLOCK,
     RunChecks,
@@ -18,7 +21,8 @@ from duelbandits.environment import make_environment
 from duelbandits.exceptions import NumericFailure
 from duelbandits.linkmath import kappa_bound, sigmoid_pair
 from duelbandits.onepass import OnePassRewardEstimator
-from duelbandits.scenarios import CSV_BLOCK_ROWS, MemorySink, RunRecord, run_deploy
+from duelbandits.scenarios import (CSV_BLOCK_ROWS, FileSink, MemorySink, RunRecord, run_deploy,
+                                   run_passive)
 from conftest import OracleEstimator, fail_seed_at
 
 
@@ -150,7 +154,7 @@ class TestStreamedReplay:
         for lo in range(0, n, feed):
             fed = elliptic_potential_check(zs[:, lo:lo + feed], 1.0, L, replay)[0]
         assert np.atleast_1d(fed).tolist() == want
-        reports = [diagnostics_report(sink.checks, s, n, None, []) for s in range(S)]
+        reports = [diagnostics_report(sink.checks, s, n, None) for s in range(S)]
         assert [r["potential_lhs"] for r in reports] == want
         assert all(r["potential_rhs"] == rhs for r in reports)
 
@@ -269,6 +273,62 @@ class TestStreamedReport:
             early, late, _ = timing_profile(rec, (1, w), (n - w + 1, n))
             assert (report["timing_early_ns"], report["timing_late_ns"]) == (early, late)
         assert {report["coverage_ok"] for report in reports} == {True, False}
+
+
+def reference_audits(rec: RunRecord, env, fresh) -> list:
+    """A run's domination audits, recomputed plainly from its record.
+
+    ``fresh`` replays the record's (z, y) one update at a time, V is summed
+    one row after another, and each of t = 100, 1000 and T that the run's
+    updates reached gets norm_domination_check(H, V, kappa).
+    """
+    kappa = kappa_bound(env.truth.B, env.truth.L)
+    done = len(rec) - (rec.flags[-1:] == ["update_failed"])  # a failed update is no round
+    points = {p for p in (100, 1000, rec.T) if p <= done}
+    v, audits = np.zeros((env.features.dim,) * 2), []
+    for t, (z, y) in enumerate(zip(rec.z_rows(env)[:done], rec.y[:done].tolist()), 1):
+        fresh.update(z, y)
+        v += np.outer(z, z)
+        if t in points:
+            V = kappa * fresh.lam_ * np.eye(len(v)) + v
+            audits.append({"t": t, "min_eig": norm_domination_check(
+                fresh.local_norm_matrix(), V, kappa)})
+    return audits
+
+
+def csv_rounds(path, rec: RunRecord) -> RunRecord:
+    """A file sink's record with its summary, and the ids and flags read back from its CSV."""
+    header, *rows = Path(path).read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+    ids = {name: np.array(cells[name], dtype=np.int64) for name in ("x", "a", "a_prime", "y")}
+    return RunRecord(rec.scenario, rec.seed, rec.T, flags=list(cells["flags"]),
+                     summary=rec.summary, **ids)
+
+
+class TestDominationAudit:
+    @pytest.mark.parametrize("on_file", [False, True], ids=["memory", "file"])
+    def test_audits_equal_the_plain_reference(self, monkeypatch, tmp_path, on_file):
+        """Lone implicit, an omd stack with points inside blocks, and a seed that stops early."""
+        envs = [make_environment(5, 8, 4, seed=s) for s in range(5)]
+        sink = (functools.partial(FileSink, str(tmp_path / "seed{}.csv")) if on_file
+                else MemorySink)
+        fail_seed_at(monkeypatch, envs[4].rng_seed, 700)
+        implicit = functools.partial(ImplicitOmdRewardEstimator, dim=5)
+        omd = functools.partial(OnePassRewardEstimator, dim=5)
+        runs = [(envs[0], run_passive(envs[0], implicit(), 300, sink=sink)[1], implicit),
+                *zip(envs[1:4], run_deploy(envs[1:4], [omd() for _ in range(3)], 1100,
+                                           sink=sink), [omd] * 3),
+                (envs[4], run_deploy(envs[4], omd(), 1100, sink=sink), omd)]
+        seen = []
+        for env, rec, make in runs:
+            if on_file:
+                rec = csv_rounds(tmp_path / f"seed{env.rng_seed}.csv", rec)
+            audits = rec.summary["domination_audits"]
+            seen.append([a["t"] for a in audits])
+            assert audits == reference_audits(rec, env, make().reset())
+            assert rec.summary["diagnostics"]["domination_min_eig"] == min(
+                a["min_eig"] for a in audits)
+        assert seen == [[100, 300]] + [[100, 1000, 1100]] * 3 + [[100]]
 
 
 class TestTimingProfile:

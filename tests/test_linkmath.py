@@ -10,7 +10,6 @@ from duelbandits.linkmath import (
     _sigmoid,
     bt_sample,
     kappa_bound,
-    kappa_empirical,
     sigmoid_pair,
 )
 
@@ -129,18 +128,6 @@ class TestKappa:
     def test_bound_closed_form(self):
         assert abs(kappa_bound(1.0, 1.0) - (3.0 + math.exp(2.0))) < 1e-12
         assert abs(kappa_bound(1.0, 1.0) - 10.3891) < 1e-4
-
-    def test_empirical_all_zero_margin(self):
-        pairs = [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))] * 3
-        assert abs(kappa_empirical(pairs) - 4.0) < 1e-12
-
-    def test_empirical_single_log3(self):
-        pairs = [(np.array([math.log(3)]), np.array([1.0]))]
-        assert abs(kappa_empirical(pairs) - 16.0 / 3.0) < 1e-12
-
-    def test_empirical_empty_rejected(self):
-        with pytest.raises(ValueError):
-            kappa_empirical([])
 
     def test_bound_rejects_nonpositive(self):
         with pytest.raises(ValueError):
